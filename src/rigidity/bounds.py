@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import default_grid, exact_counter
+from .covering import covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
 
 BISECT_REL_TOL = 1e-12
@@ -347,7 +347,6 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     """
     if len(profile) != p.m:
         raise ValueError("profile length must equal m")
-    count_at = exact_counter(s)
     if eps_grid is None:
         grid = default_grid(s)
     else:
@@ -379,8 +378,8 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
 
     qualifying = []
     curve = []
-    for eps in sorted(eval_eps, reverse=True):
-        nu = count_at(eps)
+    scan = sorted(eval_eps, reverse=True)
+    for eps, nu in zip(scan, covering_counts(s, scan).tolist()):
         if not in_E(p, profile, nu, eps):
             continue
         if cache is not None:

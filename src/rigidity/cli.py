@@ -10,8 +10,8 @@ Subcommands:
 * ``classify`` — decay-rate dichotomy for power-law sequences.
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
-input (unreadable files, bad descriptors, unknown maps, usage errors),
-3 invalid parameters, 4 witness cross-check falsified.
+input (unreadable files, bad descriptors, unknown maps, usage errors), 3
+invalid parameters or a degenerate solver search, 4 witness check falsified.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: solver bracketing failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

@@ -1,23 +1,22 @@
 """Exact covering counts of value sets by closed balls of radius epsilon.
 
 All counts here are minimal-cover cardinalities, exact by construction:
-one-dimensional sets via the optimal greedy sweep, power sequences via a
-closed-form sweep that accounts for the accumulation tail.  Anything that
-is merely an upper-bound estimate (multi-dimensional box counting) is kept
-out of the exact paths and labeled as such.
+one-dimensional sets via the optimal greedy sweep, run for all radii at
+once, power sequences via a closed-form sweep that accounts for the
+accumulation tail.  Anything that is merely an upper-bound estimate
+(multi-dimensional box counting) is kept out of the exact paths.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor
-from .util import DEFAULT_EPS_MIN, log_grid, worker_count
+from .util import DEFAULT_EPS_MIN, log_grid
 
 BRUTE_FORCE_LIMIT = 12
 POWER_COUNT_LIMIT = 2 * 10**7
@@ -27,6 +26,7 @@ __all__ = [
     "CoveringCurve",
     "covering_number_1d",
     "covering_number_power",
+    "covering_counts",
     "covering_curve",
     "brute_force_covering_oracle",
     "box_count_estimate",
@@ -51,17 +51,26 @@ def covering_number_1d(points, epsilon: float) -> int:
         raise ValueError("points must be finite numbers")
     if pts.size > 1 and np.any(np.diff(pts) < 0):
         pts = np.sort(pts)
-    return _greedy_sorted(pts, float(epsilon))
+    return int(_sweep_counts(pts, [float(epsilon)])[0])
 
 
-def _greedy_sorted(pts: np.ndarray, epsilon: float) -> int:
-    count = 0
-    i = 0
-    n = pts.size
-    while i < n:
-        count += 1
-        i = int(np.searchsorted(pts, pts[i] + 2.0 * epsilon, side="right"))
-    return count
+def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
+    """Greedy sweep counts of sorted points, one sweep per radius, in lockstep.
+
+    Each step moves every unfinished sweep past all points within
+    2*epsilon of its anchor with one vectorised searchsorted, then drops
+    the sweeps that reached the end; a scan costs max(count) array steps.
+    """
+    two_eps = 2.0 * np.asarray(epsilons, dtype=float)
+    counts = np.zeros(two_eps.shape, dtype=np.int64)
+    live = np.arange(two_eps.size)
+    pos = np.zeros(two_eps.size, dtype=np.intp)
+    while live.size:
+        counts[live] += 1
+        pos = np.searchsorted(pts, pts[pos] + two_eps[live], side="right")
+        more = pos < pts.size
+        live, pos = live[more], pos[more]
+    return counts
 
 
 def covering_number_power(alpha: float, epsilon: float) -> int:
@@ -134,24 +143,40 @@ class CoveringCurve:
         return "\n".join(lines) + "\n"
 
 
-def exact_counter(s: SetDescriptor):
-    """Exact per-radius covering counter for a descriptor, or raise.
+def _sorted_line(s: SetDescriptor) -> np.ndarray:
+    """Sorted values of a finite m = 1 descriptor, or raise.
 
     Multi-dimensional clouds have no exact routine; they are rejected here
     so estimate-only curves can never leak into the bound solver.
     """
-    if isinstance(s, PowerSequence):
-        alpha = s.alpha
-        return lambda e: covering_number_power(alpha, e)
     if isinstance(s, (FinitePoints, SampledCloud)):
         if s.m != 1:
             raise ValueError(
                 "exact covering requires m = 1; box_count_estimate gives a "
                 "labeled upper bound for clouds"
             )
-        pts = np.sort(s.values)
-        return lambda e: _greedy_sorted(pts, float(e))
+        return np.sort(s.values)
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
+
+
+def exact_counter(s: SetDescriptor):
+    """Exact one-radius covering counter for a descriptor, or raise."""
+    if isinstance(s, PowerSequence):
+        return lambda e: covering_number_power(s.alpha, e)
+    pts = _sorted_line(s)
+    return lambda e: int(_sweep_counts(pts, [float(e)])[0])
+
+
+def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
+    """Exact covering counts of a descriptor at every radius, in the given order.
+
+    Finite sets run all radii through one lockstep sweep; power sequences
+    count radius by radius.
+    """
+    eps = np.asarray(epsilons, dtype=float)
+    if isinstance(s, PowerSequence):
+        return np.array([covering_number_power(s.alpha, e) for e in eps.tolist()], np.int64)
+    return _sweep_counts(_sorted_line(s), eps)
 
 
 def default_grid(s: SetDescriptor) -> np.ndarray:
@@ -179,24 +204,14 @@ def covering_curve(s: SetDescriptor, eps_grid) -> CoveringCurve:
 
     The grid must be strictly decreasing and positive.  Counts come from
     the exact routine for the set family; the nondecreasing-count invariant
-    is re-checked after the scan.  RIGIDITY_THREADS > 1 spreads large scans
-    over a thread pool with deterministic output ordering.
+    is re-checked after the scan.
     """
     eps = np.asarray(eps_grid, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("epsilon grid must be a non-empty 1-d array")
     if np.any(eps <= 0) or (eps.size > 1 and np.any(np.diff(eps) >= 0)):
         raise ValueError("epsilon grid must be positive and strictly decreasing")
-    fn = exact_counter(s)
-    workers = worker_count()
-    values = eps.tolist()
-    if workers > 1 and eps.size >= 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(fn, values))
-    else:
-        counts = [fn(e) for e in values]
-    curve = CoveringCurve(eps, np.asarray(counts, dtype=np.int64))
-    return curve
+    return CoveringCurve(eps, covering_counts(s, eps))
 
 
 def brute_force_covering_oracle(points, epsilon: float) -> int:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import LambdaProfile, ProblemParams, forward_upper_bound
-from .covering import covering_number_1d
+from .covering import covering_counts
 from .sets import FinitePoints, SampledCloud
 from .util import fit_loglog_slope, log_grid
 
@@ -443,10 +443,9 @@ def empirical_forward_check(sm: SampledMap, p: ProblemParams, profile: LambdaPro
             "no near-critical values extracted; the check is vacuous",
         )
 
-    vals = extraction.descriptor.values
+    grid = sorted((float(e) for e in eps_grid), reverse=True)
     rows = []
-    for eps in sorted((float(e) for e in eps_grid), reverse=True):
-        measured = covering_number_1d(vals, eps)
+    for eps, measured in zip(grid, covering_counts(extraction.descriptor, grid).tolist()):
         bound = forward_upper_bound(p, profile, scale, eps)
         regime = "baseline" if eps >= scale else "scaled"
         rows.append(CheckRow(eps, measured, bound, regime, measured <= bound))

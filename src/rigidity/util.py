@@ -1,4 +1,4 @@
-"""Shared numeric plumbing: log grids, slope fits, worker caps, atomic writes."""
+"""Shared numeric plumbing: log grids, slope fits, atomic writes."""
 
 from __future__ import annotations
 
@@ -37,20 +37,6 @@ def fit_loglog_slope(x, y) -> float:
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("slope fit needs positive samples")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-def worker_count() -> int:
-    """Worker cap from the RIGIDITY_THREADS environment variable.
-
-    Unset or unparsable means serial execution; values below 1 are clamped.
-    """
-    raw = os.environ.get("RIGIDITY_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @contextmanager

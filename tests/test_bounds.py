@@ -368,6 +368,18 @@ class TestRigidityBound:
         with pytest.raises(ValueError):
             rigidity_bound(p, Z1, PowerSequence(-1.0), np.array([1.5, 2.0]))
 
+    @pytest.mark.parametrize("lam, gamma", [
+        (0.0, 61361.437578057434),
+        (1e-3, 55766.6910181239),
+    ])
+    def test_gamma_pinned_on_seeded_set(self, lam, gamma):
+        # values recorded with the one-ball-at-a-time counter; counting the
+        # whole scan in one array pass must not move them
+        rng = np.random.default_rng(2308)
+        pts = (np.arange(200) + rng.uniform(0.25, 0.75, 200)) / 200
+        report = rigidity_bound(P15, LambdaProfile((lam,)), FinitePoints(pts))
+        assert report.gamma == gamma
+
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             BoundReport((0.1,), ((0.1, 0.5),), 0.05, None, None, P15, Z1)

@@ -242,6 +242,19 @@ class TestErrorPaths:
     def test_no_arguments_prints_usage(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("solver", ["solve_eta", "epsilon0"])
+    def test_degenerate_solver_search_exits_3(self, tmp_path, capsys, monkeypatch, solver):
+        def fail(*args, **kwargs):
+            raise RuntimeError("failed to bracket the ratio; parameters are degenerate")
+
+        monkeypatch.setattr(f"rigidity.bounds.{solver}", fail)
+        set_path = write_set(tmp_path, SEVEN)
+        code = main(["bound", "--set", set_path, "--d", "5", "--out", "rep.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: failed to bracket the ratio" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_bound_rerun_is_byte_identical(self, tmp_path):
@@ -251,11 +264,3 @@ class TestDeterminism:
         first = (tmp_path / "rep.json").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "rep.json").read_bytes() == first
-
-    def test_parallel_covering_matches_serial(self, tmp_path, monkeypatch):
-        argv = ["cover", "--power", "-1.5", "--eps", "1e-4:0.4:25", "--out", "c.csv"]
-        assert main(argv) == 0
-        serial = (tmp_path / "c.csv").read_bytes()
-        monkeypatch.setenv("RIGIDITY_THREADS", "4")
-        assert main(argv) == 0
-        assert (tmp_path / "c.csv").read_bytes() == serial

@@ -9,6 +9,7 @@ from rigidity.covering import (
     box_count_estimate,
     brute_force_covering_oracle,
     covering_curve,
+    covering_counts,
     covering_number_1d,
     covering_number_power,
     default_grid,
@@ -24,6 +25,47 @@ point_sets = st.lists(
     min_size=1, max_size=BRUTE_FORCE_LIMIT,
 )
 radii = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
+
+
+@st.composite
+def sets_with_ties(draw):
+    """Up to BRUTE_FORCE_LIMIT points with repeats, plus radii that include
+    every exact tie eps = gap / 2 between two of them."""
+    pool = draw(
+        st.lists(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+                 min_size=1, max_size=6)
+        | st.lists(st.integers(-12, 12).map(lambda k: 0.25 * k), min_size=1, max_size=6)
+    )
+    pts = np.array(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                 max_size=BRUTE_FORCE_LIMIT)))
+    gaps = np.abs(np.subtract.outer(pts, pts))
+    ties = np.unique(gaps[gaps > 0]) / 2.0
+    extra = draw(st.lists(radii, min_size=1, max_size=5))
+    eps = np.concatenate([ties, extra])
+    return pts, eps[eps > 0]
+
+
+def scalar_greedy(pts, epsilon):
+    """Reference sweep: one searchsorted per ball, on sorted points."""
+    count, i = 0, 0
+    while i < pts.size:
+        count += 1
+        i = int(np.searchsorted(pts, pts[i] + 2.0 * epsilon, side="right"))
+    return count
+
+
+def stratified_uniform(rng, k):
+    return (np.arange(k) + rng.uniform(0.25, 0.75, k)) / k
+
+
+def cantor_like(rng, levels):
+    lo, width = np.zeros(1), np.ones(1)
+    for _ in range(levels):
+        left = rng.uniform(0.28, 0.36, lo.size) * width
+        right = rng.uniform(0.28, 0.36, lo.size) * width
+        lo = np.stack([lo, lo + width - right], axis=-1).ravel()
+        width = np.stack([left, right], axis=-1).ravel()
+    return np.sort(lo + 0.5 * width)
 
 
 class TestGreedy1d:
@@ -87,6 +129,46 @@ class TestGreedy1d:
         assert covering_number_1d(a * pts + b, abs(a) * eps) == covering_number_1d(
             pts, eps
         )
+
+
+class TestLockstepCounts:
+    """All radii of a scan counted in one call, for finite sets."""
+
+    @given(sets_with_ties())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_with_duplicates_and_ties(self, case):
+        pts, eps = case
+        counts = covering_counts(SampledCloud(pts), eps)
+        assert counts.tolist() == [brute_force_covering_oracle(pts, e) for e in eps]
+
+    @given(sets_with_ties())
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_equals_one_radius_calls(self, case):
+        pts, eps = case
+        count = exact_counter(SampledCloud(pts))
+        batch = covering_counts(SampledCloud(pts), eps).tolist()
+        assert batch == [covering_number_1d(pts, e) for e in eps]
+        assert batch == [count(e) for e in eps]
+
+    @given(sets_with_ties())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_never_drop_as_epsilon_shrinks(self, case):
+        pts, eps = case
+        counts = covering_counts(SampledCloud(pts), eps)
+        order = np.argsort(-eps, kind="stable")
+        assert np.all(np.diff(counts[order]) >= 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: stratified_uniform(rng, 600),
+        lambda rng: cantor_like(rng, 10),
+    ], ids=["stratified600", "cantor1024"])
+    def test_identical_to_scalar_greedy_on_default_grid(self, make):
+        s = FinitePoints(make(np.random.default_rng(2308)))
+        pts = np.sort(s.values)
+        grid = default_grid(s)
+        expected = [scalar_greedy(pts, e) for e in grid.tolist()]
+        assert covering_counts(s, grid).tolist() == expected
+        assert covering_curve(s, grid).counts.tolist() == expected
 
 
 class TestBruteForceOracle:
@@ -167,14 +249,6 @@ class TestCoveringCurve:
         lines = text.strip().split("\n")
         assert lines[0] == "epsilon,count"
         assert lines[1] == "0.4,2"
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        s = FinitePoints(np.linspace(0, 1, 40))
-        grid = log_grid(1e-4, 1.0, 20)
-        serial = covering_curve(s, grid)
-        monkeypatch.setenv("RIGIDITY_THREADS", "4")
-        parallel = covering_curve(s, grid)
-        assert np.array_equal(serial.counts, parallel.counts)
 
 
 class TestExactCounter:
