@@ -118,31 +118,37 @@ class LambdaProfile:
         return all(v == 0.0 for v in self.lambdas)
 
 
-def rhs_polynomial(p: ProblemParams, profile: LambdaProfile,
-                   epsilon: float, eta: float) -> float:
+def _scalar_or_array(x):
+    """Plain Python scalar for a numpy scalar, anything else unchanged."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
     """Forward-bound polynomial at ratio eta = (derivative scale) / epsilon.
 
     Sum over i = 0..m of the cumulative threshold products times
     (r/eps)^i * eta^((n-i)/d), scaled by c.  Every coefficient is
     nonnegative and the i = 0 exponent n/d is positive, so the value is
-    strictly increasing in eta.
+    strictly increasing in eta.  epsilon and eta broadcast; scalars in give
+    a scalar out.
     """
     if len(profile) != p.m:
         raise ValueError("profile length must equal m")
-    if not epsilon > 0:
+    # [()] makes 0-d input numpy scalars, whose ** is Python's libm pow
+    epsilon = np.asarray(epsilon, dtype=float)[()]
+    eta = np.asarray(eta, dtype=float)[()]
+    if not (epsilon > 0).all():
         raise ValueError("epsilon must be positive")
-    if not eta >= 1.0:
+    if not (eta >= 1.0).all():
         raise ValueError("eta must be at least 1")
-    total = 0.0
-    prod = 1.0
-    ratio = p.r / epsilon
+    total, prod, ratio = 0.0, 1.0, p.r / epsilon
     for i in range(p.m + 1):
         if i > 0:
             prod *= profile.lambdas[i - 1]
             if prod == 0.0:
                 break
-        total += prod * ratio**i * eta ** ((p.n - i) / p.d)
-    return p.c * total
+        total = total + prod * ratio**i * eta ** ((p.n - i) / p.d)
+    return _scalar_or_array(p.c * total)
 
 
 def forward_upper_bound(p: ProblemParams, profile: LambdaProfile,
@@ -163,49 +169,53 @@ def forward_upper_bound(p: ProblemParams, profile: LambdaProfile,
     return rhs_polynomial(p, profile, epsilon, derivative_scale / epsilon)
 
 
-def in_E(p: ProblemParams, profile: LambdaProfile, nu: int, epsilon: float) -> bool:
+def in_E(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     """Whether a covering count strictly beats the eta = 1 baseline.
 
     Strict inequality: equality carries no information and the ratio
-    equation would only return eta = 1 there.
+    equation would only return eta = 1 there.  Counts and radii broadcast.
     """
-    if not nu >= 1:
+    nu = np.asarray(nu)[()]
+    if not (nu >= 1).all():
         raise ValueError("covering count must be at least 1")
-    return nu > rhs_polynomial(p, profile, epsilon, 1.0)
+    return _scalar_or_array(nu > rhs_polynomial(p, profile, epsilon, 1.0))
 
 
-def solve_eta(p: ProblemParams, profile: LambdaProfile,
-              nu: int, epsilon: float) -> float:
-    """Unique ratio eta > 1 at which the forward polynomial equals the count.
+def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
+    """Unique ratio eta > 1 at which the forward polynomial equals each count.
 
-    Requires the count to qualify (strictly above the eta = 1 baseline).
-    The upper bracket grows geometrically, then plain bisection runs to
-    relative width BISECT_REL_TOL; the polynomial is strictly increasing in
-    eta, so the root is unique.
+    Counts and radii broadcast; every count must beat its eta = 1 baseline.
+    With a zero first threshold the polynomial is c * eta^(n/d), so
+    eta = (nu/c)^(d/n).  Otherwise the upper brackets double, then
+    bisection runs to relative width BISECT_REL_TOL, every entry in
+    lockstep and each stopping where its own scalar search would.
     """
+    nu, epsilon = (a[()] for a in np.broadcast_arrays(nu, np.asarray(epsilon, dtype=float)))
     baseline = rhs_polynomial(p, profile, epsilon, 1.0)
-    if not nu > baseline:
-        raise ValueError(
-            f"count {nu} does not exceed the baseline {baseline:.6g}; no ratio above 1"
-        )
-    lo = 1.0
-    hi = 2.0
-    doublings = 0
-    while rhs_polynomial(p, profile, epsilon, hi) < nu:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > BRACKET_MAX_DOUBLINGS:
-            raise RuntimeError("failed to bracket the ratio; parameters are degenerate")
+    short = ~(nu > baseline)
+    if short.any():
+        k = int(np.argmax(short))
+        raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
+                         f"{np.ravel(baseline)[k]:.6g}; no ratio above 1")
+    if profile.lambdas[0] == 0.0:
+        # the root lies above 1, even where (nu/c)^(d/n) rounds to 1
+        return _scalar_or_array(np.maximum((nu / p.c) ** (p.d / p.n), np.nextafter(1.0, 2.0)))
+    lo, hi = np.ones(np.shape(nu)), np.full(np.shape(nu), 2.0)
+    for _ in range(BRACKET_MAX_DOUBLINGS + 1):
+        short = rhs_polynomial(p, profile, epsilon, hi) < nu
+        if not short.any():
+            break
+        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
+    else:
+        raise RuntimeError("failed to bracket the ratio; parameters are degenerate")
     for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * hi:
+        open_ = hi - lo > BISECT_REL_TOL * hi
+        if not open_.any():
             break
         mid = 0.5 * (lo + hi)
-        if rhs_polynomial(p, profile, epsilon, mid) < nu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = rhs_polynomial(p, profile, epsilon, mid) < nu
+        lo, hi = np.where(open_ & below, mid, lo), np.where(open_ & ~below, mid, hi)
+    return _scalar_or_array((0.5 * (lo + hi))[()])
 
 
 def _cardinality(s: SetDescriptor) -> float:
@@ -362,41 +372,26 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
         if grid.size == 0:
             raise ValueError("epsilon grid has no entries below 1 for a power sequence")
 
-    eval_eps = set(float(e) for e in grid)
     eps0 = None
     if _cardinality(s) > p.c:
         try:
             eps0 = epsilon0(s, p)
         except ValueError:
             eps0 = None
-        if eps0 is not None:
-            eval_eps.add(eps0 * _BOUNDARY_SHRINK)
+    boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
+    scan = np.unique(np.concatenate([grid, boundary]))[::-1]
 
-    # with a zero first threshold the ratio equation does not involve
-    # epsilon, so the root depends only on the count and can be reused
-    cache: dict | None = {} if profile.lambdas[0] == 0.0 else None
+    counts = covering_counts(s, scan)
+    hit = counts > rhs_polynomial(p, profile, scan, 1.0)
+    qualifying = scan[hit]
+    etas = solve_eta(p, profile, counts[hit], qualifying)
+    gamma = float(np.max(qualifying * etas, initial=0.0))
+    curve = tuple(zip(qualifying.tolist(), etas.tolist()))
 
-    qualifying = []
-    curve = []
-    scan = sorted(eval_eps, reverse=True)
-    for eps, nu in zip(scan, covering_counts(s, scan).tolist()):
-        if not in_E(p, profile, nu, eps):
-            continue
-        if cache is not None:
-            eta = cache.get(nu)
-            if eta is None:
-                eta = solve_eta(p, profile, nu, eps)
-                cache[nu] = eta
-        else:
-            eta = solve_eta(p, profile, nu, eps)
-        qualifying.append(eps)
-        curve.append((eps, eta))
-
-    gamma = max((e * eta for e, eta in curve), default=0.0)
     closed = None
     if eps0 is not None and profile.lambdas[0] == 0.0:
         closed = gamma_closed_form(eps0, p)
-    return BoundReport(tuple(qualifying), tuple(curve), gamma, closed, eps0, p, profile)
+    return BoundReport(tuple(qualifying.tolist()), curve, gamma, closed, eps0, p, profile)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
 input (unreadable files, bad descriptors, unknown maps, usage errors), 3
-invalid parameters or a degenerate solver search, 4 witness check falsified.
+invalid parameters, a degenerate solver search or a size beyond memory, 4
+witness check falsified.
 """
 
 from __future__ import annotations
@@ -330,8 +331,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, RuntimeError) as exc:  # RuntimeError: solver bracketing failed
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:  # RuntimeError: solver search failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 
 

@@ -26,6 +26,8 @@ from .util import fit_loglog_slope, log_grid
 DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
 
 MAX_DIM = 3
+# largest grid a built-in map is sampled on; over ten times the default n = 3 grid (129^3)
+MAX_GRID_NODES = 25_000_000
 
 __all__ = [
     "SampledMap",
@@ -116,6 +118,8 @@ class SampledMap:
         if divisions < 2:
             raise ValueError("need at least 2 divisions per radius")
         npts = 2 * int(divisions) + 1
+        if npts**n > MAX_GRID_NODES:
+            raise ValueError(f"{npts}^{n} grid nodes exceed the budget of {MAX_GRID_NODES}")
         axis = np.linspace(-radius, radius, npts)
         grids = np.meshgrid(*([axis] * n), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)

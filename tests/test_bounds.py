@@ -27,7 +27,7 @@ from rigidity.bounds import (
     rigidity_bound,
     solve_eta,
 )
-from rigidity.covering import covering_number_power
+from rigidity.covering import covering_counts, covering_number_power
 from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
 from rigidity.util import log_grid
 
@@ -175,6 +175,10 @@ class TestForwardUpperBound:
         with pytest.raises(ValueError):
             forward_upper_bound(P15, Z1, -1.0, 0.5)
 
+    def test_rejects_zero_resolution(self):
+        with pytest.raises(ValueError):
+            forward_upper_bound(P15, Z1, 1.0, 0.0)
+
 
 class TestInE:
     def test_strictness(self):
@@ -233,6 +237,72 @@ class TestSolveEta:
         assert eta_bigger > eta
 
 
+class TestArraySolver:
+    def test_arrays_match_scalar_calls(self):
+        p = ProblemParams(n=2, m=2, d=3, r=1.5, c=2.0)
+        profile = LambdaProfile((0.25, 0.5))
+        eps = np.array([0.05, 0.2, 1.0])
+        etas = np.array([1.0, 3.5, 40.0])
+        vals = rhs_polynomial(p, profile, eps, etas)
+        assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+        for e, eta, v in zip(eps.tolist(), etas.tolist(), vals.tolist()):
+            assert v == pytest.approx(rhs_polynomial(p, profile, e, eta), rel=1e-14)
+        nu = np.ceil(rhs_polynomial(p, profile, eps, 1.0) * 1.5).astype(int)
+        assert in_E(p, profile, nu, eps).tolist() == [True] * 3
+        solved = solve_eta(p, profile, nu, eps)
+        for n_, e, eta in zip(nu.tolist(), eps.tolist(), solved.tolist()):
+            assert eta == pytest.approx(solve_eta(p, profile, n_, e), rel=1e-12)
+
+    def test_scalars_give_python_scalars(self):
+        assert type(rhs_polynomial(P15, Z1, 0.05, 2.0)) is float
+        assert type(in_E(P15, Z1, 7, 0.05)) is bool
+        assert type(solve_eta(P15, Z1, 7, 0.05)) is float
+        assert type(solve_eta(P15, LambdaProfile((0.5,)), 12, 1.0)) is float
+
+    def test_counts_broadcast_against_one_radius(self):
+        etas = solve_eta(P15, Z1, np.array([7, 8, 9]), 0.05)
+        assert etas.tolist() == pytest.approx([(k / 6.0) ** 5 for k in (7, 8, 9)], rel=1e-14)
+
+    def test_one_short_count_rejects_the_call(self):
+        with pytest.raises(ValueError, match="count 6 does not exceed"):
+            solve_eta(P15, Z1, np.array([7, 6, 9]), np.array([0.05, 0.05, 0.05]))
+        with pytest.raises(ValueError):
+            in_E(P15, Z1, np.array([3, 0]), 0.05)
+
+    def test_closed_form_stays_above_one(self):
+        # nu / c rounds to 1 + ulp; the (d/n)-th root would round back to 1
+        p = ProblemParams(n=3, m=1, d=1, c=math.nextafter(7.0, 0.0))
+        assert solve_eta(p, Z1, 7, 0.05) > 1.0
+
+    def test_lockstep_entries_stop_on_their_own(self):
+        # entries needing very different bracket lengths give the same ratios
+        # as one call each; with n = d = 1 the polynomial needs no inexact pow
+        p = ProblemParams(n=1, m=1, d=1)
+        profile = LambdaProfile((1e-3,))
+        eps = np.array([0.5, 0.01, 1e-4])
+        nu = np.array([7, 200, 10**6])
+        solved = solve_eta(p, profile, nu, eps).tolist()
+        assert solved == [solve_eta(p, profile, k, e) for k, e in zip(nu.tolist(), eps.tolist())]
+
+    def test_closed_form_matches_exact_power(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2308)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(300):
+                n, d = int(rng.integers(1, 4)), int(rng.integers(1, 16))
+                c = float(rng.uniform(0.5, 1000.0))
+                p = ProblemParams(n=n, m=1, d=d, c=c)
+                counts = rng.integers(math.floor(c) + 1, 10**6, 20)
+                # the array call and a scalar call take different pow routines
+                etas = solve_eta(p, Z1, counts, 1.0).tolist()
+                etas.append(solve_eta(p, Z1, int(counts[0]), 1.0))
+                for nu, eta in zip(counts.tolist() + [int(counts[0])], etas):
+                    exact = (mpmath.mpf(nu) / mpmath.mpf(c)) ** (mpmath.mpf(d) / n)
+                    worst = max(worst, float(abs(mpmath.mpf(eta) / exact - 1)))
+        assert worst <= 1e-13
+
+
 class TestEpsilon0:
     def test_equally_spaced_is_half_the_spacing(self):
         assert epsilon0(seven_points(), P15) == pytest.approx(0.05, rel=1e-9)
@@ -280,7 +350,97 @@ class TestGammaClosedForm:
             gamma_closed_form(0.0, P15)
 
 
+def _scalar_rhs(p, profile, epsilon, eta):
+    """The forward polynomial for one (epsilon, eta), in Python floats."""
+    total, prod, ratio = 0.0, 1.0, p.r / epsilon
+    for i in range(p.m + 1):
+        if i > 0:
+            prod *= profile.lambdas[i - 1]
+            if prod == 0.0:
+                break
+        total += prod * ratio**i * eta ** ((p.n - i) / p.d)
+    return p.c * total
+
+
+def _scalar_solve_eta(p, profile, nu, epsilon):
+    """One ratio by bracket doubling and bisection to a relative 1e-12."""
+    lo, hi = 1.0, 2.0
+    while _scalar_rhs(p, profile, epsilon, hi) < nu:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if _scalar_rhs(p, profile, epsilon, mid) < nu:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_scan(p, profile, s, grid):
+    """Reference scan: one radius at a time, per-count cache when lambda_1 = 0.
+
+    Returns the qualifying radii and the (radius, eta) curve.
+    """
+    eval_eps = set(float(e) for e in grid)
+    if np.unique(s.values).size > p.c:
+        try:
+            eval_eps.add(epsilon0(s, p) * (1.0 - 1e-9))
+        except ValueError:
+            pass
+    cache = {} if profile.lambdas[0] == 0.0 else None
+    qualifying, curve = [], []
+    scan = sorted(eval_eps, reverse=True)
+    for eps, nu in zip(scan, covering_counts(s, scan).tolist()):
+        if not nu > _scalar_rhs(p, profile, eps, 1.0):
+            continue
+        if cache is None:
+            eta = _scalar_solve_eta(p, profile, nu, eps)
+        else:
+            eta = cache.get(nu)
+            if eta is None:
+                eta = cache[nu] = _scalar_solve_eta(p, profile, nu, eps)
+        qualifying.append(eps)
+        curve.append((eps, eta))
+    return tuple(qualifying), curve
+
+
 class TestRigidityBound:
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        d=st.integers(1, 6),
+        c=st.floats(0.5, 6.0),
+        r=st.floats(0.25, 4.0),
+        lams=st.lists(st.floats(-5.0, 0.3).map(lambda t: 10.0**t), min_size=3, max_size=3),
+        zeros=st.integers(-3, 3),
+        values=st.lists(
+            st.one_of(st.integers(-16, 16).map(lambda k: k / 8), st.floats(-2.0, 2.0)),
+            min_size=1, max_size=12,
+        ),
+        per_decade=st.sampled_from([10, 25, 60]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_scan(self, n, m, d, c, r, lams, zeros, values, per_decade):
+        # the array scan against a copy of the radius-by-radius scan it
+        # replaced: same qualifying radii, ratios within a relative 1e-12
+        m = min(m, n)
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=None if n == 1 else c)
+        k = min(max(zeros, 0), m)  # leading zero thresholds
+        profile = LambdaProfile((0.0,) * k + tuple(sorted(lams))[:m - k])
+        s = FinitePoints(values)
+        grid = log_grid(1e-5, 4.0, per_decade)
+        report = rigidity_bound(p, profile, s, grid)
+        qualifying, curve = _scalar_scan(p, profile, s, grid)
+        assert report.e_intervals == qualifying
+        assert len(report.eta_curve) == len(curve)
+        for (e_new, eta_new), (e_old, eta_old) in zip(report.eta_curve, curve):
+            assert e_new == e_old
+            assert eta_new == pytest.approx(eta_old, rel=1e-12, abs=0.0)
+        gamma = max((e * eta for e, eta in curve), default=0.0)
+        assert report.gamma == pytest.approx(gamma, rel=1e-12, abs=0.0)
+
     def test_seven_point_instance_matches_closed_form(self):
         report = rigidity_bound(P15, Z1, seven_points())
         assert report.epsilon0 == pytest.approx(0.05, rel=1e-9)
@@ -373,12 +533,18 @@ class TestRigidityBound:
         (1e-3, 55766.6910181239),
     ])
     def test_gamma_pinned_on_seeded_set(self, lam, gamma):
-        # values recorded with the one-ball-at-a-time counter; counting the
-        # whole scan in one array pass must not move them
+        # values recorded with the one-ball-at-a-time counter and the scalar
+        # bisection; the array counter and the lockstep bisection must not
+        # move them.  With lambda_1 = 0 the ratio now comes from the closed
+        # form instead of a bisection midpoint, which may move gamma by up
+        # to a relative 1e-12 (here -1.6e-13).
         rng = np.random.default_rng(2308)
         pts = (np.arange(200) + rng.uniform(0.25, 0.75, 200)) / 200
         report = rigidity_bound(P15, LambdaProfile((lam,)), FinitePoints(pts))
-        assert report.gamma == gamma
+        if lam == 0.0:
+            assert report.gamma == pytest.approx(gamma, rel=1e-12, abs=0.0)
+        else:
+            assert report.gamma == gamma
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):

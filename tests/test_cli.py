@@ -6,6 +6,7 @@ stdout, warnings and errors on stderr).
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +254,31 @@ class TestErrorPaths:
         assert code == 3
         err = capsys.readouterr().err
         assert "error: failed to bracket the ratio" in err
+        assert "Traceback" not in err
+
+    def test_huge_extract_grid_exits_3_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid must be refused before it is built")
+
+        monkeypatch.setattr("rigidity.critical.np.linspace", refuse)
+        start = time.perf_counter()
+        code = main(["extract", "--map", "stretch2d", "--divisions", "10000000"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "exceed the budget of" in err
+        assert "Traceback" not in err
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("rigidity.cli.rigidity_bound", exhaust)
+        set_path = write_set(tmp_path, SEVEN)
+        code = main(["bound", "--set", set_path, "--d", "5", "--out", "rep.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: out of memory" in err
         assert "Traceback" not in err
 
 

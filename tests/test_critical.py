@@ -13,6 +13,7 @@ import pytest
 
 from rigidity.bounds import LambdaProfile, ProblemParams
 from rigidity.critical import (
+    MAX_GRID_NODES,
     SampledMap,
     empirical_forward_check,
     measured_derivative_scale,
@@ -56,6 +57,15 @@ class TestSampledMap:
     def test_needs_enough_nodes(self):
         with pytest.raises(ValueError):
             SampledMap(np.linspace(-1, 1, 3), np.zeros((3, 1)), 1.0)
+
+    def test_grid_budget(self):
+        def never(pts):
+            raise AssertionError("an over-budget grid must not be sampled")
+
+        # the largest grid in use is the default n = 3 one, 129^3 nodes
+        assert 129**3 * 10 <= MAX_GRID_NODES < 401**3
+        with pytest.raises(ValueError, match="exceed the budget"):
+            SampledMap.from_callable(never, 3, 1, divisions=200)
 
     def test_dimension_limits(self):
         with pytest.raises(ValueError):
