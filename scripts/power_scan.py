@@ -10,10 +10,9 @@ one row per alpha.
 import argparse
 import sys
 
-import numpy as np
-
 from rigidity.bounds import ProblemParams, classify_power_sequence
-from rigidity.covering import covering_number_power
+from rigidity.covering import covering_counts
+from rigidity.sets import PowerSequence
 from rigidity.util import fit_loglog_slope, log_grid
 
 
@@ -38,7 +37,7 @@ def main():
     rows = []
     for tok in args.alphas.split(","):
         alpha = float(tok)
-        counts = np.array([covering_number_power(alpha, e) for e in grid])
+        counts = covering_counts(PowerSequence(alpha), grid)
         slope = fit_loglog_slope(grid, counts)
         verdict = classify_power_sequence(alpha, p)
         print(f"{alpha:>8.3g} {slope:>10.4f} {1 / (alpha - 1):>10.4f} "

@@ -142,12 +142,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if getattr(args, "classify", False):
-        if args.alpha is None:
-            print("error: --classify requires --alpha", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        return _cmd_classify(args)
-    if args.set_source is None and getattr(args, "power", None) is None:
+    if args.set_source is None and args.power is None:
         print("error: a value set is required (--set or --power)", file=sys.stderr)
         return EXIT_BAD_INPUT
     s = _resolve_set(args)
@@ -203,12 +198,7 @@ def _cmd_extract(args) -> int:
             entry.func, entry.n, entry.m, args.r, args.divisions
         )
     else:
-        try:
-            sm = SampledMap.from_grid_csv(args.grid)
-        except ValueError as exc:
-            # a grid file that doesn't parse is malformed input, not a bad
-            # parameter choice
-            raise DescriptorError(str(exc)) from exc
+        sm = SampledMap.from_grid_csv(args.grid)
     profile = _resolve_profile(args, sm.m)
     extraction = near_critical_set(sm, profile)
     set_path = f"{args.out_prefix}.set.json"
@@ -271,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_arguments(bound)
     bound.add_argument("--eps", type=_parse_eps_spec, default=None)
     bound.add_argument("--out", default="bound_report.json")
-    bound.add_argument("--classify", action="store_true",
-                       help="classify a power sequence instead (needs --alpha)")
-    bound.add_argument("--alpha", type=float, default=None,
-                       help="power-sequence exponent for --classify")
     bound.set_defaults(handler=_cmd_bound)
 
     witness = sub.add_parser(

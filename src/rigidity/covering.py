@@ -1,9 +1,9 @@
 """Exact covering counts of value sets by closed balls of radius epsilon.
 
 All counts here are minimal-cover cardinalities, exact by construction:
-one-dimensional sets via the optimal greedy sweep, run for all radii at
-once, power sequences via a closed-form sweep that accounts for the
-accumulation tail.  Anything that is merely an upper-bound estimate
+one-dimensional sets and power sequences via the optimal greedy sweep,
+run for all radii at once; the power sweep completes the accumulation
+tail with one final ball.  Anything that is merely an upper-bound estimate
 (multi-dimensional box counting) is kept out of the exact paths.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .util import DEFAULT_EPS_MIN, log_grid
 
 BRUTE_FORCE_LIMIT = 12
 POWER_COUNT_LIMIT = 2 * 10**7
+# log of the power-sequence index past which adjacent terms are denser
+# than float ulps
+_DENSE_LOG_INDEX = 34.5
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -74,39 +77,73 @@ def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
 
 
 def covering_number_power(alpha: float, epsilon: float) -> int:
-    """Exact covering count of the full sequence {m**alpha : m >= 1}.
+    """Exact covering count of the full sequence {m**alpha : m >= 1}."""
+    return int(_power_counts(alpha, [float(epsilon)])[0])
 
-    Greedy sweep from the largest term downward.  Once the largest
-    uncovered term t drops to 2*epsilon or below, the whole remainder lies
-    in (0, t] and a single further ball finishes the cover, so the count is
-    finite and exact despite the accumulation at zero.
+
+def _power_counts(alpha: float, epsilons) -> np.ndarray:
+    """Greedy counts of the power sequence, one sweep per radius, in lockstep.
+
+    Each sweep runs from the largest term downward: the ball anchored at
+    the largest uncovered term q covers down to t = q - 2*eps, and the next
+    anchor is the largest term strictly below t.  Once q drops to 2*eps or
+    below, the whole remainder lies in (0, q] and one further ball finishes
+    the cover, so the count is finite and exact despite the accumulation
+    at zero.  All unfinished sweeps step together; a scan costs max(count)
+    array steps.
+
+    Anchors are m**alpha from libm, as Python's ``**`` computes them, so
+    the counts are bit-identical to a scalar sweep.  numpy only guesses the
+    index m; a guess that is wrong, or whose neighbour (m-1)**alpha (SIMD
+    pow, not bit-equal to libm) lies within 1e-13*t of t, is redone with
+    the exact scalar search.  Past index 1e15 adjacent terms are denser than
+    float ulps near t, and the next anchor is nextafter(t, 0).
     """
     if not alpha < 0:
         raise ValueError("alpha must be negative")
-    if not 0 < epsilon < 1:
+    eps = np.asarray(epsilons, dtype=float)
+    if not np.all((eps > 0) & (eps < 1)):
         raise ValueError("epsilon must lie in (0, 1)")
     # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans
-    if (2.0 * epsilon) ** (1.0 / (alpha - 1.0)) > POWER_COUNT_LIMIT:
+    if eps.size and (2.0 * float(eps.min())) ** (1.0 / (alpha - 1.0)) > POWER_COUNT_LIMIT:
         raise ValueError("covering count would exceed the iteration limit; raise epsilon")
-    count = 0
-    q = 1.0
-    while q > 2.0 * epsilon:
-        count += 1
-        q = _next_term_below(alpha, q - 2.0 * epsilon)
-    return count + 1
-
-
-def _next_term_below(alpha: float, t: float) -> float:
-    """Largest sequence term strictly below t, for t in (0, 1)."""
-    log_m = math.log(t) / alpha
-    if log_m > 34.5:  # index beyond 1e15: adjacent terms are denser than float ulps near t
-        return math.nextafter(t, 0.0)
-    m = max(1, int(math.exp(log_m)) + 1)
-    while m > 1 and (m - 1) ** alpha < t:
-        m -= 1
-    while m ** alpha >= t:
-        m += 1
-    return m ** alpha
+    two_eps = 2.0 * eps
+    counts = np.ones(two_eps.size, dtype=np.int64)  # the final ball over the tail
+    live = np.flatnonzero(two_eps < 1.0)
+    te, q = two_eps[live], np.ones(live.size)
+    steps = 0
+    while live.size:
+        steps += 1
+        t = q - te
+        log_m = np.log(t) / alpha
+        dense = None
+        if log_m.max() > _DENSE_LOG_INDEX - 1e-9:
+            # numpy's log may differ from libm's by an ulp: decide ties exactly
+            for i in np.flatnonzero(np.abs(log_m - _DENSE_LOG_INDEX) < 1e-9).tolist():
+                log_m[i] = math.log(t[i]) / alpha
+            dense = log_m > _DENSE_LOG_INDEX
+            log_m[dense] = _DENSE_LOG_INDEX  # keeps exp finite; set below
+        m = np.floor(np.exp(log_m)) + 1.0
+        q = np.fromiter(map(math.pow, m.tolist(), repeat(alpha)), float, m.size)
+        redo = (q >= t) | (np.power(m - 1.0, alpha) <= t * (1.0 + 1e-13))
+        if dense is not None:
+            redo &= ~dense
+            q[dense] = np.nextafter(t[dense], 0.0)
+        if redo.any():
+            for i in np.flatnonzero(redo).tolist():
+                ti = float(t[i])
+                k = max(1, int(math.exp(math.log(ti) / alpha)) + 1)
+                while k > 1 and (k - 1) ** alpha < ti:
+                    k -= 1
+                while k ** alpha >= ti:
+                    k += 1
+                q[i] = k ** alpha
+        done = q <= te
+        if done.any():
+            counts[live[done]] += steps
+            keep = ~done
+            live, te, q = live[keep], te[keep], q[keep]
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +207,12 @@ def exact_counter(s: SetDescriptor):
 def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
     """Exact covering counts of a descriptor at every radius, in the given order.
 
-    Finite sets run all radii through one lockstep sweep; power sequences
-    count radius by radius.
+    Finite sets and power sequences each run all radii through one
+    lockstep sweep.
     """
     eps = np.asarray(epsilons, dtype=float)
     if isinstance(s, PowerSequence):
-        return np.array([covering_number_power(s.alpha, e) for e in eps.tolist()], np.int64)
+        return _power_counts(s.alpha, eps)
     return _sweep_counts(_sorted_line(s), eps)
 
 

@@ -10,8 +10,8 @@ arithmetic on top of numpy; the certified machinery lives in bounds.py.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import LambdaProfile, ProblemParams, forward_upper_bound
 from .covering import covering_counts
-from .sets import FinitePoints, SampledCloud
+from .sets import DescriptorError, FinitePoints, SampledCloud
 from .util import fit_loglog_slope, log_grid
 
 # grid resolution per unit radius, by dimension; n = 3 grids get coarse fast
@@ -28,6 +28,9 @@ DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
 MAX_DIM = 3
 # largest grid a built-in map is sampled on; over ten times the default n = 3 grid (129^3)
 MAX_GRID_NODES = 25_000_000
+# largest grid CSV read, per node of MAX_GRID_NODES: a row of an n = 3, m = 1
+# grid holds four numbers of up to 24 characters and their separators
+GRID_CSV_BYTES_PER_NODE = 100
 
 __all__ = [
     "SampledMap",
@@ -140,27 +143,37 @@ class SampledMap:
         Rows must enumerate the full cartesian grid in row-major order of
         the coordinate axes (last coordinate fastest).
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            body = fh.read()
-        cols = [c.strip() for c in header.split(",")]
-        n = sum(1 for c in cols if c.startswith("x"))
-        m = sum(1 for c in cols if c.startswith("f"))
-        if n == 0 or m == 0 or n + m != len(cols):
-            raise ValueError(f"malformed grid header: {header!r}")
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-        if data.shape[1] != n + m:
-            raise ValueError("grid rows do not match the header")
-        axis = np.unique(data[:, n - 1])
-        npts = axis.size
-        if data.shape[0] != npts**n:
-            raise ValueError("grid rows do not form a full cartesian product")
-        grids = np.meshgrid(*([axis] * n), indexing="ij")
-        for j, g in enumerate(grids):
-            if not np.allclose(data[:, j], g.ravel(), rtol=0.0, atol=1e-12):
-                raise ValueError("grid coordinates are not in row-major axis order")
-        values = data[:, n:].reshape((npts,) * n + (m,))
-        return cls(axis, values, float(axis[-1]))
+        size = os.stat(path).st_size
+        if size > GRID_CSV_BYTES_PER_NODE * MAX_GRID_NODES:
+            raise ValueError(
+                f"grid file has {size} bytes, over the budget of "
+                f"{GRID_CSV_BYTES_PER_NODE * MAX_GRID_NODES} ({MAX_GRID_NODES} nodes)"
+            )
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip()
+                cols = [c.strip() for c in header.split(",")]
+                n = sum(1 for c in cols if c.startswith("x"))
+                m = sum(1 for c in cols if c.startswith("f"))
+                if n == 0 or m == 0 or n + m != len(cols):
+                    raise ValueError(f"malformed grid header: {header!r}")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if data.shape[1] != n + m:
+                raise ValueError("grid rows do not match the header")
+            axis = np.unique(data[:, n - 1])
+            npts = axis.size
+            if data.shape[0] != npts**n:
+                raise ValueError("grid rows do not form a full cartesian product")
+            grids = np.meshgrid(*([axis] * n), indexing="ij")
+            for j, g in enumerate(grids):
+                if not np.allclose(data[:, j], g.ravel(), rtol=0.0, atol=1e-12):
+                    raise ValueError("grid coordinates are not in row-major axis order")
+            values = data[:, n:].reshape((npts,) * n + (m,))
+            return cls(axis, values, float(axis[-1]))
+        except ValueError as exc:
+            # a grid file that does not parse is malformed input, not a bad
+            # parameter choice
+            raise DescriptorError(str(exc)) from exc
 
     def to_grid_csv_text(self) -> str:
         header = ",".join(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,8 @@ import numpy as np
 
 MATERIALIZE_LIMIT = 10**8
 DEFAULT_POWER_COUNT = 10**5
+# largest descriptor file read, about five million values at 25 characters each
+MAX_DESCRIPTOR_BYTES = 2**27
 
 __all__ = [
     "DescriptorError",
@@ -245,6 +248,11 @@ def load_descriptor(source: str | Path) -> SetDescriptor:
     """Load a descriptor from a JSON file path or an inline JSON string."""
     text = str(source)
     if not text.lstrip().startswith("{"):
+        size = os.stat(source).st_size
+        if size > MAX_DESCRIPTOR_BYTES:
+            raise ValueError(
+                f"descriptor file has {size} bytes, over the budget of {MAX_DESCRIPTOR_BYTES}"
+            )
         text = Path(source).read_text()
     try:
         obj = json.loads(text)

@@ -23,11 +23,11 @@ from rigidity.bounds import (
 )
 from rigidity.covering import (
     brute_force_covering_oracle,
+    covering_counts,
     covering_number_1d,
-    covering_number_power,
 )
 from rigidity.critical import SampledMap, empirical_forward_check
-from rigidity.sets import FinitePoints
+from rigidity.sets import FinitePoints, PowerSequence
 from rigidity.util import fit_loglog_slope, log_grid
 from rigidity.witness import build_witness, witness_derivative_scale, sandwich_check
 
@@ -112,7 +112,7 @@ def test_covering_greedy_matches_brute_force():
 
 def test_power_sequence_asymptotics_and_classifier():
     grid = log_grid(1e-5, 1e-3, 40)
-    counts = np.array([covering_number_power(-1.0, e) for e in grid])
+    counts = covering_counts(PowerSequence(-1.0), grid)
     slope = fit_loglog_slope(grid, counts)
     assert abs(slope - (-0.5)) <= 0.05, slope
 

@@ -92,16 +92,6 @@ class TestBound:
         assert code == 2
         assert "value set" in capsys.readouterr().err
 
-    def test_classify_flag(self, capsys):
-        code = main(["bound", "--classify", "--alpha", "-1", "--d", "5"])
-        assert code == 0
-        assert capsys.readouterr().out.strip() == "Excluded, exponent -1.5"
-
-    def test_classify_flag_needs_alpha(self, capsys):
-        code = main(["bound", "--classify", "--d", "5"])
-        assert code == 2
-        assert "--alpha" in capsys.readouterr().err
-
     def test_threshold_count_mismatch(self, tmp_path):
         set_path = write_set(tmp_path, SEVEN)
         code = main(["bound", "--set", set_path, "--d", "5", "--lambda", "0", "0.1"])
@@ -123,6 +113,10 @@ class TestClassify:
 
     def test_bad_alpha_is_a_parameter_error(self):
         assert main(["classify", "--alpha", "0.5", "--d", "1"]) == 3
+
+    def test_requires_alpha(self, capsys):
+        assert main(["classify", "--d", "5"]) == 2
+        assert "--alpha" in capsys.readouterr().err
 
 
 class TestWitness:
@@ -242,6 +236,22 @@ class TestErrorPaths:
 
     def test_no_arguments_prints_usage(self):
         assert main([]) == 2
+
+    def test_set_file_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        set_path = write_set(tmp_path, SEVEN)
+        monkeypatch.setattr("rigidity.sets.MAX_DESCRIPTOR_BYTES", 8)
+        assert main(["bound", "--set", set_path, "--d", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "budget" in err and "Traceback" not in err
+
+    def test_grid_file_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        entry = builtin_map("parabola1d")
+        grid_path = tmp_path / "grid.csv"
+        grid_path.write_text(SampledMap.from_callable(entry.func, 1, 1).to_grid_csv_text())
+        monkeypatch.setattr("rigidity.critical.MAX_GRID_NODES", 10)
+        assert main(["extract", "--grid", str(grid_path), "--lambda", "0.2"]) == 3
+        err = capsys.readouterr().err
+        assert "budget" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("solver", ["solve_eta", "epsilon0"])
     def test_degenerate_solver_search_exits_3(self, tmp_path, capsys, monkeypatch, solver):

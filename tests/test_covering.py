@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from rigidity.covering import (
     BRUTE_FORCE_LIMIT,
+    POWER_COUNT_LIMIT,
     CoveringCurve,
     box_count_estimate,
     brute_force_covering_oracle,
@@ -52,6 +56,72 @@ def scalar_greedy(pts, epsilon):
         count += 1
         i = int(np.searchsorted(pts, pts[i] + 2.0 * epsilon, side="right"))
     return count
+
+
+def fraction_greedy(pts, epsilon):
+    """Greedy sweep in exact rational arithmetic: no rounding anywhere."""
+    exact = sorted(Fraction(p) for p in pts)
+    reach_of = 2 * Fraction(epsilon)
+    count, i = 0, 0
+    while i < len(exact):
+        count += 1
+        reach = exact[i] + reach_of
+        while i < len(exact) and exact[i] <= reach:
+            i += 1
+    return count
+
+
+@st.composite
+def near_tie_radii(draw):
+    """Points plus radii gap/2 and one ulp either side, for some gaps."""
+    pts = draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False),
+                        min_size=2, max_size=30))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
+                          min_size=1, max_size=4))
+    eps = []
+    for a, b in pairs:
+        half = abs(a - b) / 2.0
+        eps += [math.nextafter(half, 0.0), half, math.nextafter(half, math.inf)]
+    eps += draw(st.lists(radii, max_size=3))
+    return np.array(pts), np.array([e for e in eps if e > 0])
+
+
+def scalar_power_count(alpha, epsilon):
+    """Reference power-sequence sweep: one scalar index search per ball."""
+    count = 0
+    q = 1.0
+    while q > 2.0 * epsilon:
+        count += 1
+        q = scalar_next_term_below(alpha, q - 2.0 * epsilon)
+    return count + 1
+
+
+def scalar_next_term_below(alpha, t):
+    log_m = math.log(t) / alpha
+    if log_m > 34.5:
+        return math.nextafter(t, 0.0)
+    m = max(1, int(math.exp(log_m)) + 1)
+    while m > 1 and (m - 1) ** alpha < t:
+        m -= 1
+    while m ** alpha >= t:
+        m += 1
+    return m ** alpha
+
+
+@st.composite
+def power_scans(draw):
+    """An exponent and an unsorted batch of radii with repeats, some >= 1/2.
+
+    alpha = -0.05 is drawn often: there every sweep below eps = 0.09
+    reaches indices past 1e15, where the next anchor is nextafter(t, 0).
+    """
+    alpha = draw(st.just(-0.05) | st.floats(-3.0, -0.05))
+    lo = 0.5 * 2e3 ** (alpha - 1.0)  # every count stays below about 2,000
+    log_radius = st.floats(math.log(lo), math.log(0.999)).map(math.exp)
+    eps = draw(st.lists(log_radius | st.floats(0.5, 1.0, exclude_max=True),
+                        min_size=1, max_size=8))
+    eps += draw(st.lists(st.sampled_from(eps), max_size=3))
+    return alpha, draw(st.permutations(eps))
 
 
 def stratified_uniform(rng, k):
@@ -171,6 +241,23 @@ class TestLockstepCounts:
         assert covering_curve(s, grid).counts.tolist() == expected
 
 
+class TestNoOvercount:
+    """Float rounding in the sweep can only undercount, never overcount.
+
+    Anchors are data points and round-to-nearest is monotone, so a point
+    within 2*eps of an anchor in exact arithmetic is within the float
+    reach too; near-tie radii gap/2 +- 1 ulp are where rounding bites.
+    """
+
+    @given(near_tie_radii())
+    @settings(max_examples=200, deadline=None)
+    def test_never_exceeds_exact_rational_greedy(self, case):
+        pts, eps = case
+        counts = covering_counts(SampledCloud(pts), eps)
+        for e, count in zip(eps.tolist(), counts.tolist()):
+            assert count <= fraction_greedy(pts, e)
+
+
 class TestBruteForceOracle:
     def test_worked_example(self):
         assert brute_force_covering_oracle(np.array([0.0, 0.5, 1.0, 2.5]), 0.5) == 2
@@ -217,6 +304,45 @@ class TestPowerCovering:
     def test_monotone_in_epsilon(self):
         counts = [covering_number_power(-1.0, e) for e in np.geomspace(0.3, 1e-4, 25)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+class TestPowerLockstep:
+    """The lockstep power kernel against a scalar sweep, bit for bit."""
+
+    @pytest.mark.parametrize("alpha, spec", [
+        (-0.5, (2e-6, 0.5, 200)),
+        (-1.0, (1e-7, 0.5, 200)),
+    ], ids=["alpha-0.5", "alpha-1"])
+    def test_identical_to_scalar_sweep_on_bench_grids(self, alpha, spec):
+        grid = log_grid(*spec)
+        expected = [scalar_power_count(alpha, e) for e in grid.tolist()]
+        assert covering_counts(PowerSequence(alpha), grid).tolist() == expected
+
+    @given(power_scans())
+    @settings(max_examples=100, deadline=None)
+    def test_identical_to_scalar_sweep(self, case):
+        alpha, eps = case
+        counts = covering_counts(PowerSequence(alpha), eps).tolist()
+        assert counts == [scalar_power_count(alpha, e) for e in eps]
+
+    def test_first_ball_ties_identical(self):
+        # eps = (1 - k**alpha) / 2 ends the first closed ball exactly on the
+        # term k**alpha when that term is >= 1/2, so the next anchor must be
+        # (k+1)**alpha: a tie the index guess can miss
+        for alpha in np.linspace(-3.0, -0.05, 60).tolist():
+            eps = [(1.0 - k ** alpha) / 2.0 for k in range(2, 40)]
+            expected = [scalar_power_count(alpha, e) for e in eps]
+            assert covering_counts(PowerSequence(alpha), eps).tolist() == expected
+
+    def test_dense_branch_identical(self):
+        eps = np.geomspace(1e-4, 7e-5, 5)
+        expected = [scalar_power_count(-0.05, e) for e in eps.tolist()]
+        assert covering_counts(PowerSequence(-0.05), eps).tolist() == expected
+
+    def test_one_radius_over_the_limit_fails_the_batch(self):
+        assert (2e-16) ** (1.0 / (-1.0 - 1.0)) > POWER_COUNT_LIMIT
+        with pytest.raises(ValueError, match="iteration limit"):
+            covering_counts(PowerSequence(-1.0), [0.3, 1e-16, 0.01])
 
 
 class TestCoveringCurve:

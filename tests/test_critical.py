@@ -13,6 +13,7 @@ import pytest
 
 from rigidity.bounds import LambdaProfile, ProblemParams
 from rigidity.critical import (
+    GRID_CSV_BYTES_PER_NODE,
     MAX_GRID_NODES,
     SampledMap,
     empirical_forward_check,
@@ -22,7 +23,7 @@ from rigidity.critical import (
     semi_axis_field,
 )
 from rigidity.maps import builtin_map
-from rigidity.sets import FinitePoints, SampledCloud
+from rigidity.sets import DescriptorError, FinitePoints, SampledCloud
 
 
 def sampled(name, divisions=None):
@@ -119,6 +120,28 @@ class TestGridCsv:
         path = tmp_path / "short.csv"
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
+            SampledMap.from_grid_csv(path)
+
+    def test_byte_budget_follows_node_budget(self, tmp_path, monkeypatch):
+        path = tmp_path / "bowl.csv"
+        path.write_text(sampled("bowl2d", divisions=6).to_grid_csv_text())
+        nodes = -(-path.stat().st_size // GRID_CSV_BYTES_PER_NODE)
+        monkeypatch.setattr("rigidity.critical.MAX_GRID_NODES", nodes)
+        assert SampledMap.from_grid_csv(path).values.shape == (13, 13, 1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("an over-budget file must not be read")
+
+        monkeypatch.setattr("rigidity.critical.MAX_GRID_NODES", nodes - 1)
+        monkeypatch.setattr(np, "loadtxt", never)
+        with pytest.raises(ValueError, match="budget") as info:
+            SampledMap.from_grid_csv(path)
+        assert not isinstance(info.value, DescriptorError)
+
+    def test_malformed_file_is_a_descriptor_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,f1\n0,1\n1,2\n")  # too few nodes for a grid
+        with pytest.raises(DescriptorError):
             SampledMap.from_grid_csv(path)
 
 

@@ -212,3 +212,15 @@ class TestLoadDescriptor:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_descriptor(tmp_path / "absent.json")
+
+    def test_file_over_byte_budget_is_refused_unread(self, tmp_path, monkeypatch):
+        text = '{"type": "finite", "points": [0.0, 1.0]}'
+        p = tmp_path / "set.json"
+        p.write_text(text)
+        monkeypatch.setattr("rigidity.sets.MAX_DESCRIPTOR_BYTES", len(text))
+        assert load_descriptor(p).values.size == 2
+        monkeypatch.setattr("rigidity.sets.MAX_DESCRIPTOR_BYTES", len(text) - 1)
+        with pytest.raises(ValueError, match="budget") as info:
+            load_descriptor(p)
+        assert not isinstance(info.value, DescriptorError)
+        assert load_descriptor(text).values.size == 2  # inline JSON is not a file
