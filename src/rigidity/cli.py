@@ -41,7 +41,7 @@ from .sets import (
     descriptor_to_json_dict,
     load_descriptor,
 )
-from .util import atomic_write, fit_loglog_slope, log_grid
+from .util import atomic_write, dump_json, fit_loglog_slope, log_grid
 
 import argparse
 
@@ -118,7 +118,7 @@ def _resolve_profile(args, m: int) -> LambdaProfile:
 
 def _write_json(path, payload: dict) -> None:
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        dump_json(payload, fh)
         fh.write("\n")
 
 

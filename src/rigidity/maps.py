@@ -49,9 +49,6 @@ _REGISTRY = {
     "linear1d": MapEntry(
         _scalar(lambda p: p[:, 0]), 1, 1, "x: no critical points at all"
     ),
-    "linear": MapEntry(
-        _scalar(lambda p: p[:, 0]), 1, 1, "alias of linear1d"
-    ),
     "const1d": MapEntry(
         _scalar(lambda p: np.full(p.shape[0], 0.5)), 1, 1,
         "constant 0.5: every point is critical",

@@ -1,17 +1,22 @@
-"""Shared numeric plumbing: log grids, slope fits, atomic writes."""
+"""Shared numeric plumbing: log grids, slope fits, atomic writes, JSON output."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 DEFAULT_EPS_MIN = 1e-6
 DEFAULT_POINTS_PER_DECADE = 200
+
+# rows of a float list or table formatted per block by ``dump_json``
+_ROW_BLOCK = 16384
 
 
 def log_grid(eps_min: float, eps_max: float,
@@ -56,3 +61,65 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def dump_json(obj, fh) -> None:
+    """Write ``obj`` exactly as ``json.dump(obj, fh, indent=2, sort_keys=True)``.
+
+    Lists of floats and tables of equal-length float rows go out in blocks
+    of ``_ROW_BLOCK`` rows.  Each block's distinct values (by bit pattern,
+    so -0.0 and 0.0 stay apart) are formatted by one call of the C encoder
+    and gathered back into a row template.  Dicts with string keys recurse
+    in sorted key order; anything else is left to ``json.dumps``.
+    """
+    _dump(obj, fh.write, "")
+
+
+def _float_table(obj):
+    """``(values, width)`` for a non-empty list of floats (width 0) or of
+    equal-length non-empty float lists (flattened row by row), else None."""
+    if type(obj) is not list or not obj:
+        return None
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        return np.array(obj, dtype=float), 0
+    if kinds != {list}:
+        return None
+    widths = set(map(len, obj))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    if set(map(type, chain.from_iterable(obj))) != {float}:
+        return None
+    width = widths.pop()
+    return np.fromiter(chain.from_iterable(obj), float, len(obj) * width), width
+
+
+def _dump(obj, write, pad: str) -> None:
+    inner = pad + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        write("{")
+        for i, key in enumerate(sorted(obj)):
+            write((",\n" if i else "\n") + inner + json.dumps(key) + ": ")
+            _dump(obj[key], write, inner)
+        write("\n" + pad + "}")
+        return
+    table = _float_table(obj)
+    if table is None:
+        # encoded JSON holds no raw newline, so re-indenting is exact
+        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+        return
+    values, width = table
+    if width == 0:
+        row = inner + "%s"
+    else:
+        slots = ",\n".join([inner + "  %s"] * width)
+        row = inner + "[\n" + slots + "\n" + inner + "]"
+    bits = values.view(np.int64).reshape(len(obj), -1)
+    write("[\n")
+    for start in range(0, len(obj), _ROW_BLOCK):
+        block = bits[start:start + _ROW_BLOCK]
+        distinct, index = np.unique(block, return_inverse=True)
+        tokens = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
+        cells = tuple(np.array(tokens, dtype=object)[index.ravel()])
+        write((",\n" if start else "") + ",\n".join([row] * len(block)) % cells)
+    write("\n" + pad + "]")

@@ -197,11 +197,6 @@ class WitnessFunction:
     def __call__(self, x):
         return self.evaluate(x, 0)
 
-    def sample_table(self, num: int = 2001):
-        """Uniform (x, f(x)) samples across the domain."""
-        xs = np.linspace(-self.radius, self.radius, num)
-        return xs, self.evaluate(xs, 0)
-
     def sample_csv_text(self, num: int = 2001) -> str:
         """Plot-ready samples of the function and its first ``order`` derivatives.
 

@@ -5,11 +5,15 @@ files, and the stdout/stderr contract (machine-readable results on
 stdout, warnings and errors on stderr).
 """
 
+import contextlib
+import io
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from rigidity.cli import main
 from rigidity.critical import SampledMap
@@ -300,3 +304,108 @@ class TestDeterminism:
         first = (tmp_path / "rep.json").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "rep.json").read_bytes() == first
+
+
+class TestJsonLayout:
+    def test_reports_and_set_files_keep_the_json_dump_layout(self, tmp_path):
+        seven = json.dumps(SEVEN)
+        assert main(["extract", "--map", "stretch2d", "--lambda", "1", "3",
+                     "--divisions", "20", "--out-prefix", "st"]) == 0
+        assert main(["bound", "--set", seven, "--d", "5", "--out", "bound.json"]) == 0
+        assert main(["witness", "--set", seven, "--d", "5", "--out", "witness.json",
+                     "--samples", "witness.csv"]) == 0
+        files = sorted(tmp_path.glob("*.json"))
+        assert [f.name for f in files] == ["bound.json", "st.set.json", "witness.json"]
+        for f in files:
+            text = f.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert len(json.loads((tmp_path / "st.set.json").read_text())["points"]) > 1
+
+
+# Values for the fuzz test, valid ones first, then malformed ones.  Every
+# valid choice is small: no grid, set or witness here needs more than a
+# fraction of a second or a few megabytes.
+_SETS = ([json.dumps(SEVEN), '{"type": "power", "alpha": -2, "count": 50}',
+          '{"type": "finite", "points": [0.5]}', '{"type": "finite", "points": [0, 0.25, 1e-9]}',
+          '{"type": "cloud", "points": [[0.0, 1.0], [1.0, 0.5]]}'],
+         ['{"type": "finite", "points": []}', '{"type": "finite", "points": [1e308, -1e308, NaN]}',
+          '{"type": "finite", "points": [0, Infinity]}', '{"type": "finite", "points": ["a"]}',
+          '{"type": "finite", "points": [[0, 1], [1]]}', '{"type": "finite"}',
+          '{"type": "power", "alpha": "x"}', '{"type": "power", "alpha": 0.5}',
+          '{"type": "power", "alpha": -2, "count": -3}', '{"type": "nope"}',
+          "{", "[]", "null", "", "missing.json"])
+_EPS = (["1e-3:0.5:5", "1e-2:0.5:3", "1e-4:1:2"],
+        ["1e-3:0.5", "0.5:1e-3:5", "a:b:c", "0:1:5", "1e-3:0.5:0", "1e-3:0.5:-2",
+         "1e-3:inf:5", "nan:1:3", "", ":::", "1e-3:0.5:2.5"])
+_INTS = (["1", "2", "3", "5"], ["-1", "0", "x", "", "0.5", "1e400"])
+_FLOATS = (["0.5", "1", "2.5", "1e-3"],
+           ["-1", "0", "nan", "inf", "-inf", "x", "", "1e-300", "1e400"])
+_LAMBDAS = (["0", "1e-3", "0.5", "1", "3"], ["-1", "nan", "inf", "x", ""])
+_POWERS = (["-2", "-3"], ["0.5", "0", "nan", "-inf", "x"])
+_MAPS = (["linear1d", "parabola1d", "const1d", "cubic1d", "poly10", "stretch2d", "bowl2d",
+          "saddle2d", "tilt2d"], ["nope", "linear", ""])
+_DIVISIONS = (["2", "5", "9"], ["-1", "0", "1", "x", "2.5", "1e3"])
+_FIELDS = ["command", "source", "set", "power", "eps", "map", "divisions", "alpha",
+           "--d", "--r", "--c", "--n", "--m", "lambda", "extra"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line that is valid except, maybe, in one field."""
+    broken = draw(st.sampled_from([None] * 5 + _FIELDS))
+
+    def pick(field, choices):
+        return draw(st.sampled_from(choices[1] if field == broken else choices[0]))
+
+    command = pick("command", (["cover", "bound", "witness", "extract", "classify"],
+                               ["nope", "", "--bogus"]))
+    argv = [command]
+    if command in ("cover", "bound", "witness"):
+        # a witness of a full power sequence takes seconds, so it gets a set
+        sources = ["set"] if command == "witness" else ["set", "set", "power"]
+        source = pick("source", (sources, ["both", "none"]))
+        if source in ("set", "both"):
+            argv += ["--set", pick("set", _SETS)]
+        if source in ("power", "both"):
+            argv += ["--power", pick("power", _POWERS)]
+        if draw(st.booleans()):
+            argv += ["--eps", pick("eps", _EPS)]
+        argv += ["--out", "out.file"]
+    if command == "witness" and draw(st.booleans()):
+        argv += ["--samples", "samples.csv"]
+    if command == "extract":
+        if broken == "map" and draw(st.booleans()):
+            argv += ["--grid", "missing.csv"]
+        else:
+            argv += ["--map", pick("map", _MAPS), "--divisions", pick("divisions", _DIVISIONS)]
+        if draw(st.booleans()):
+            argv.append("--check")
+        argv += ["--out-prefix", "ex"]
+    if command == "classify":
+        argv += ["--alpha", pick("alpha", _POWERS)]
+    options = {"--d": _INTS, "--r": _FLOATS, "--c": _FLOATS}
+    if command != "extract":
+        options.update({"--n": _INTS, "--m": _INTS})
+    if command != "cover":  # cover takes no problem parameters
+        for option in draw(st.lists(st.sampled_from(sorted(options)), unique=True,
+                                    max_size=3)):
+            argv += [option, pick(option, options[option])]
+        if draw(st.booleans()):
+            count = draw(st.integers(1, 3))
+            argv += ["--lambda", *(pick("lambda", _LAMBDAS) for _ in range(count))]
+    if broken == "extra":
+        argv.append(draw(st.sampled_from(["--bogus", "-x", "extra", "--help"])))
+    return argv
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_argv())
+    def test_exit_code_is_documented_and_no_traceback(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,0 +1,124 @@
+"""The bulk JSON writer against the standard library's encoder.
+
+``dump_json`` must write exactly what ``json.dump(obj, fh, indent=2,
+sort_keys=True)`` writes, on the float lists and tables it formats in bulk
+and on everything it hands back to ``json.dumps``.
+"""
+
+import io
+import json
+import math
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigidity import util
+from rigidity.util import dump_json
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, 0.1, 1e16, 1e-7]
+
+
+def written(obj) -> str:
+    fh = io.StringIO()
+    dump_json(obj, fh)
+    return fh.getvalue()
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def nan_with_payload(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+# a small pool per example, so lists repeat values the way grid samples do
+floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_subnormal=True))
+float_lists = st.lists(floats, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30) if pool
+    else st.just([]))
+float_tables = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(floats, min_size=width, max_size=width),
+                           min_size=1, max_size=12))
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), floats,
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=6),
+    float_lists, float_tables,
+)
+keys = st.text(alphabet=st.sampled_from('ab"\\\né☃'), max_size=4)
+payloads = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+        st.dictionaries(st.booleans(), children, max_size=2),
+    ),
+    max_leaves=12,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=payloads, block=st.sampled_from([1, 2, 5, util._ROW_BLOCK]))
+    def test_matches_json_dumps(self, obj, block):
+        with mock.patch.object(util, "_ROW_BLOCK", block):
+            assert written(obj) == reference(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=float_tables, key=keys)
+    def test_float_tables_under_a_key(self, table, key):
+        obj = {key: table, "z": {"rows": table, "flat": [row[0] for row in table]}}
+        with mock.patch.object(util, "_ROW_BLOCK", 2):
+            assert written(obj) == reference(obj)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_more_rows_than_one_block(self, width):
+        rng = np.random.default_rng(width)
+        pool = np.array(SPECIAL + rng.standard_normal(500).tolist())
+        rows = util._ROW_BLOCK * 2 + 37
+        values = pool[rng.integers(0, pool.size, rows * max(width, 1))]
+        obj = values.tolist() if width == 0 else values.reshape(rows, width).tolist()
+        obj = {"type": "cloud", "points": obj}
+        assert written(obj) == reference(obj)
+
+    def test_signed_zero_and_nan_payloads_stay_apart(self):
+        obj = [0.0, -0.0, nan_with_payload(1), math.nan, nan_with_payload(7), -0.0]
+        assert written(obj) == reference(obj)
+        assert written(obj).split("\n")[1:3] == ["  0.0,", "  -0.0,"]
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [[], []], [[1.0], [2.0, 3.0]], [1.0, 2], [1.0, True],
+        [np.float64(1.0)], (1.0, 2.0), [(1.0, 2.0)], [[1.0, 2.0], (3.0, 4.0)],
+        {"1": [2.0], "a": {2: [0.5]}},
+        "text\n\"quoted\"", None, 3, 1.5,
+    ])
+    def test_edge_shapes(self, obj):
+        assert written(obj) == reference(obj)
+
+    def test_unsortable_keys_raise_as_json_does(self):
+        obj = {"a": {1: [1.0], "1": [2.0]}}
+        with pytest.raises(TypeError):
+            reference(obj)
+        with pytest.raises(TypeError):
+            written(obj)
+
+    @pytest.mark.parametrize("obj, bulk", [
+        ([1.0, -0.0], True),
+        ([[1.0, 2.0], [3.0, 4.0]], True),
+        ([], False),
+        ([[]], False),
+        ([[1.0], [2.0, 3.0]], False),
+        ([1.0, 2], False),
+        ([np.float64(1.0)], False),
+        ([(1.0, 2.0)], False),
+        ([[1.0, "a"]], False),
+    ])
+    def test_bulk_path_takes_only_exact_float_lists_and_tables(self, obj, bulk):
+        assert (util._float_table(obj) is not None) == bulk

@@ -285,12 +285,6 @@ class TestSerialization:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == -1.0 and first[1] == 0.0
 
-    def test_sample_table(self):
-        w = build_witness([0.0, 1.0], order=1)
-        xs, fs = w.sample_table(num=101)
-        assert xs.shape == fs.shape == (101,)
-        assert fs[0] == 0.0 and fs[-1] == 1.0
-
     def test_json_dict(self):
         w = build_witness([0.0, 1.0, 2.0], order=2, radius=1.5)
         blob = w.to_json_dict()
