@@ -21,6 +21,7 @@ import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
+from .util import sorted_distinct
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
@@ -221,7 +222,7 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
 def _cardinality(s: SetDescriptor) -> float:
     if isinstance(s, PowerSequence):
         return math.inf
-    return float(np.unique(s.values).size)
+    return float(sorted_distinct(s.values).size)
 
 
 def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
@@ -379,7 +380,7 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
         except ValueError:
             eps0 = None
     boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
-    scan = np.unique(np.concatenate([grid, boundary]))[::-1]
+    scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
 
     counts = covering_counts(s, scan)
     hit = counts > rhs_polynomial(p, profile, scan, 1.0)

@@ -2,14 +2,17 @@
 
 All counts here are minimal-cover cardinalities, exact by construction:
 one-dimensional sets and power sequences via the optimal greedy sweep,
-run for all radii at once; the power sweep completes the accumulation
-tail with one final ball.  Anything that is merely an upper-bound estimate
-(multi-dimensional box counting) is kept out of the exact paths.
+run for all radii at once while many sweeps are live, the last few
+finished one at a time by an exact scalar search; the power sweep
+completes the accumulation tail with one final ball.  Anything that is
+merely an upper-bound estimate (multi-dimensional box counting) is kept
+out of the exact paths.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, repeat
 
@@ -23,6 +26,10 @@ POWER_COUNT_LIMIT = 2 * 10**7
 # log of the power-sequence index past which adjacent terms are denser
 # than float ulps
 _DENSE_LOG_INDEX = 34.5
+# a lockstep step costs one numpy call (~20-35 us) however few sweeps are
+# live, a scalar step ~0.5 us (finite) or ~1 us (power): below this many
+# live sweeps the scalar finish is cheaper
+_SCALAR_TAIL = 32
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -62,18 +69,34 @@ def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
 
     Each step moves every unfinished sweep past all points within
     2*epsilon of its anchor with one vectorised searchsorted, then drops
-    the sweeps that reached the end; a scan costs max(count) array steps.
+    the sweeps that reached the end.  Once at most _SCALAR_TAIL sweeps are
+    live, each finishes alone in ``_sweep_from``, which makes the same
+    float addition and right-side comparison, so counts do not depend on
+    where the handover happens.
     """
     two_eps = 2.0 * np.asarray(epsilons, dtype=float)
     counts = np.zeros(two_eps.shape, dtype=np.int64)
     live = np.arange(two_eps.size)
     pos = np.zeros(two_eps.size, dtype=np.intp)
-    while live.size:
+    while live.size > _SCALAR_TAIL:
         counts[live] += 1
         pos = np.searchsorted(pts, pts[pos] + two_eps[live], side="right")
         more = pos < pts.size
         live, pos = live[more], pos[more]
+    if live.size:
+        xs = pts.tolist()
+        for j, i, te in zip(live.tolist(), pos.tolist(), two_eps[live].tolist()):
+            counts[j] += _sweep_from(xs, i, te)
     return counts
+
+
+def _sweep_from(xs: list, i: int, two_eps: float) -> int:
+    """Balls the greedy sweep of sorted floats xs needs from anchor index i on."""
+    count, n = 0, len(xs)
+    while i < n:
+        count += 1
+        i = bisect_right(xs, xs[i] + two_eps, i)
+    return count
 
 
 def covering_number_power(alpha: float, epsilon: float) -> int:
@@ -89,15 +112,15 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     anchor is the largest term strictly below t.  Once q drops to 2*eps or
     below, the whole remainder lies in (0, q] and one further ball finishes
     the cover, so the count is finite and exact despite the accumulation
-    at zero.  All unfinished sweeps step together; a scan costs max(count)
-    array steps.
+    at zero.  Unfinished sweeps step together while more than _SCALAR_TAIL
+    are live; the rest finish one at a time with ``_next_anchor``.
 
     Anchors are m**alpha from libm, as Python's ``**`` computes them, so
     the counts are bit-identical to a scalar sweep.  numpy only guesses the
     index m; a guess that is wrong, or whose neighbour (m-1)**alpha (SIMD
     pow, not bit-equal to libm) lies within 1e-13*t of t, is redone with
-    the exact scalar search.  Past index 1e15 adjacent terms are denser than
-    float ulps near t, and the next anchor is nextafter(t, 0).
+    ``_next_anchor``.  Past index 1e15 adjacent terms are denser than float
+    ulps near t, and the next anchor is nextafter(t, 0).
     """
     if not alpha < 0:
         raise ValueError("alpha must be negative")
@@ -112,7 +135,7 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     live = np.flatnonzero(two_eps < 1.0)
     te, q = two_eps[live], np.ones(live.size)
     steps = 0
-    while live.size:
+    while live.size > _SCALAR_TAIL:
         steps += 1
         t = q - te
         log_m = np.log(t) / alpha
@@ -131,19 +154,32 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
             q[dense] = np.nextafter(t[dense], 0.0)
         if redo.any():
             for i in np.flatnonzero(redo).tolist():
-                ti = float(t[i])
-                k = max(1, int(math.exp(math.log(ti) / alpha)) + 1)
-                while k > 1 and (k - 1) ** alpha < ti:
-                    k -= 1
-                while k ** alpha >= ti:
-                    k += 1
-                q[i] = k ** alpha
+                q[i] = _next_anchor(float(t[i]), alpha)
         done = q <= te
         if done.any():
             counts[live[done]] += steps
             keep = ~done
             live, te, q = live[keep], te[keep], q[keep]
+    for j, tej, qj in zip(live.tolist(), te.tolist(), q.tolist()):
+        n = steps
+        while qj > tej:
+            n += 1
+            qj = _next_anchor(qj - tej, alpha)
+        counts[j] += n
     return counts
+
+
+def _next_anchor(t: float, alpha: float) -> float:
+    """Largest term m**alpha strictly below t, or nextafter(t, 0) past index 1e15."""
+    log_m = math.log(t) / alpha
+    if log_m > _DENSE_LOG_INDEX:
+        return math.nextafter(t, 0.0)
+    k = max(1, int(math.exp(log_m)) + 1)
+    while k > 1 and (k - 1) ** alpha < t:
+        k -= 1
+    while k ** alpha >= t:
+        k += 1
+    return k ** alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,15 +236,15 @@ def exact_counter(s: SetDescriptor):
     """Exact one-radius covering counter for a descriptor, or raise."""
     if isinstance(s, PowerSequence):
         return lambda e: covering_number_power(s.alpha, e)
-    pts = _sorted_line(s)
-    return lambda e: int(_sweep_counts(pts, [float(e)])[0])
+    xs = _sorted_line(s).tolist()
+    return lambda e: _sweep_from(xs, 0, 2.0 * float(e))
 
 
 def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
     """Exact covering counts of a descriptor at every radius, in the given order.
 
     Finite sets and power sequences each run all radii through one
-    lockstep sweep.
+    lockstep sweep with a scalar finish.
     """
     eps = np.asarray(epsilons, dtype=float)
     if isinstance(s, PowerSequence):

@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import LambdaProfile, ProblemParams, forward_upper_bound
 from .covering import covering_counts
 from .sets import DescriptorError, FinitePoints, SampledCloud
-from .util import fit_loglog_slope, log_grid
+from .util import fit_loglog_slope, log_grid, sorted_distinct
 
 # grid resolution per unit radius, by dimension; n = 3 grids get coarse fast
 DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
@@ -160,7 +160,7 @@ class SampledMap:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
             if data.shape[1] != n + m:
                 raise ValueError("grid rows do not match the header")
-            axis = np.unique(data[:, n - 1])
+            axis = sorted_distinct(data[:, n - 1])
             npts = axis.size
             if data.shape[0] != npts**n:
                 raise ValueError("grid rows do not form a full cartesian product")
@@ -472,7 +472,7 @@ def empirical_forward_check(sm: SampledMap, p: ProblemParams, profile: LambdaPro
     if len(unsat) >= 2:
         xs = np.array([e for e, _ in unsat])
         ys = np.array([c for _, c in unsat])
-        if np.unique(xs).size >= 2:
+        if sorted_distinct(xs).size >= 2:
             slope = fit_loglog_slope(xs, ys)
 
     failures = [r for r in rows if not r.passed]

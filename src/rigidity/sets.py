@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .util import sorted_distinct
+
 MATERIALIZE_LIMIT = 10**8
 DEFAULT_POWER_COUNT = 10**5
 # largest descriptor file read, about five million values at 25 characters each
@@ -67,7 +69,7 @@ class FinitePoints:
             raise DescriptorError("finite set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise DescriptorError("points must be finite numbers")
-        arr = np.unique(arr, axis=0)  # lexicographic sort + exact dedup
+        arr = sorted_distinct(arr, axis=0)  # lexicographic sort + exact dedup
         object.__setattr__(self, "points", _frozen(arr))
 
     @property
@@ -178,7 +180,7 @@ def materialize(s: SetDescriptor, tail_cutoff: float = 1e-9) -> np.ndarray:
                 f"(limit {MATERIALIZE_LIMIT}); raise tail_cutoff"
             )
         terms = np.arange(1, top + 1, dtype=float) ** s.alpha
-        return np.unique(np.concatenate([terms, [float(tail_cutoff)]]))
+        return sorted_distinct(np.concatenate([terms, [float(tail_cutoff)]]))
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
 
@@ -188,7 +190,7 @@ def min_gap(s: SetDescriptor) -> float:
         # gaps shrink monotonically along the sequence, so the truncated
         # minimum sits between the last two explicit terms
         return float((s.count - 1) ** s.alpha - s.count ** s.alpha)
-    vals = np.unique(s.values)  # clouds may repeat values
+    vals = sorted_distinct(s.values)  # clouds may repeat values
     if vals.size < 2:
         raise ValueError("min_gap needs at least two distinct points")
     return float(np.min(np.diff(vals)))
@@ -202,12 +204,9 @@ def diameter(s: SetDescriptor) -> float:
     """
     if isinstance(s, PowerSequence):
         return 1.0
-    pts = s.points
-    if s.m == 1:
-        v = pts[:, 0]
-        return float(v.max() - v.min())
-    spread = pts.max(axis=0) - pts.min(axis=0)
-    return float(np.sqrt(np.sum(spread**2)))
+    # Python floats overflow to inf silently, where numpy scalars warn
+    hi, lo = s.points.max(axis=0).tolist(), s.points.min(axis=0).tolist()
+    return math.hypot(*(h - l for h, l in zip(hi, lo)))
 
 
 def descriptor_to_json_dict(s: SetDescriptor) -> dict:

@@ -19,6 +19,15 @@ DEFAULT_POINTS_PER_DECADE = 200
 _ROW_BLOCK = 16384
 
 
+def sorted_distinct(values, axis=None) -> np.ndarray:
+    """``np.unique(values, axis=axis)``: the sorted distinct values or rows.
+
+    Asking for the inverse index keeps numpy from importing ``numpy.ma``,
+    which a bare ``np.unique`` does (15-20 ms per process).
+    """
+    return np.unique(values, axis=axis, return_inverse=True)[0]
+
+
 def log_grid(eps_min: float, eps_max: float,
              points_per_decade: int = DEFAULT_POINTS_PER_DECADE) -> np.ndarray:
     """Strictly decreasing log-spaced grid from eps_max down to eps_min."""

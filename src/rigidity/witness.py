@@ -22,6 +22,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .bounds import BoundReport, LambdaProfile, ProblemParams, rigidity_bound
 from .sets import SetDescriptor, materialize
+from .util import sorted_distinct
 
 # beyond this order the Hermite system for the step polynomial grows
 # ill-conditioned and coefficients lose digits
@@ -238,7 +239,7 @@ def build_witness(values, order: int, radius: float = 1.0,
     transition width, so smaller ratios spend more room on the climbs and
     yield smaller derivative scales.
     """
-    vals = np.unique(np.asarray(values, dtype=float).ravel())
+    vals = sorted_distinct(np.asarray(values, dtype=float).ravel())
     if vals.size == 0:
         raise ValueError("need at least one value")
     if not np.all(np.isfinite(vals)):

@@ -32,3 +32,19 @@ def downward_greedy_power_count(alpha: float, epsilon: float, cutoff_factor: flo
         pos = np.searchsorted(terms, limit, side="left") - 1
     # loop exhausted the array above 2*epsilon: the tail still needs one ball
     return count + 1
+
+
+def stratified_uniform(rng, k):
+    """k points, one drawn from the middle half of each of k equal cells of [0, 1]."""
+    return (np.arange(k) + rng.uniform(0.25, 0.75, k)) / k
+
+
+def cantor_like(rng, levels):
+    """2**levels midpoints of a randomized Cantor construction on [0, 1]."""
+    lo, width = np.zeros(1), np.ones(1)
+    for _ in range(levels):
+        left = rng.uniform(0.28, 0.36, lo.size) * width
+        right = rng.uniform(0.28, 0.36, lo.size) * width
+        lo = np.stack([lo, lo + width - right], axis=-1).ravel()
+        width = np.stack([left, right], axis=-1).ravel()
+    return np.sort(lo + 0.5 * width)

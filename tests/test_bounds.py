@@ -31,6 +31,8 @@ from rigidity.covering import covering_counts, covering_number_power
 from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
 from rigidity.util import log_grid
 
+from conftest import cantor_like, stratified_uniform
+
 
 def seven_points():
     return FinitePoints(np.arange(7) * 0.1)
@@ -327,6 +329,18 @@ class TestEpsilon0:
         p = ProblemParams(1, 1, 2, c=3.5)
         with pytest.raises(ValueError):
             epsilon0(pts, p)
+
+    @pytest.mark.parametrize("make, eps0", [
+        (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
+         0.08265462534826103),
+        (lambda: FinitePoints(cantor_like(np.random.default_rng(2308), 10)),
+         0.04956656147781427),
+        (lambda: PowerSequence(-0.5), 0.06487825599844044),
+    ], ids=["stratified600", "cantor1024", "power-0.5"])
+    def test_pinned_bits(self, make, eps0):
+        # recorded with the all-lockstep counters; where the counter hands
+        # over to the scalar finish must not move a bit of the bisection
+        assert epsilon0(make(), P15) == eps0
 
     def test_power_sequence_boundary_certificate(self):
         p = ProblemParams(1, 1, 3)  # c = 4

@@ -8,13 +8,18 @@ stdout, warnings and errors on stderr).
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import rigidity
 from rigidity.cli import main
 from rigidity.critical import SampledMap
 from rigidity.maps import builtin_map
@@ -294,6 +299,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error: out of memory" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bound", "cover", "witness"])
+    def test_values_spanning_past_the_float_range_exit_3_quietly(self, capsys, command):
+        # the extent 2e308 overflows to inf: refused, without a numpy warning
+        desc = json.dumps({"type": "finite", "points": [1e308, -1e308]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--set", desc, "--out", "out"])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+class TestColdImports:
+    def test_bound_does_not_import_numpy_ma(self, tmp_path):
+        # a bare np.unique imports numpy.ma, 15-20 ms of every process
+        script = (
+            "import sys\n"
+            "from rigidity.cli import main\n"
+            f"code = main(['bound', '--set', {json.dumps(json.dumps(SEVEN))}, '--d', '5',"
+            f" '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(rigidity.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidity import covering
 from rigidity.covering import (
     BRUTE_FORCE_LIMIT,
     POWER_COUNT_LIMIT,
@@ -22,7 +23,7 @@ from rigidity.covering import (
 from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
 from rigidity.util import log_grid
 
-from conftest import downward_greedy_power_count
+from conftest import cantor_like, downward_greedy_power_count, stratified_uniform
 
 point_sets = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -124,18 +125,23 @@ def power_scans(draw):
     return alpha, draw(st.permutations(eps))
 
 
-def stratified_uniform(rng, k):
-    return (np.arange(k) + rng.uniform(0.25, 0.75, k)) / k
+# live-sweep counts at which the kernels hand over from lockstep to the
+# scalar finish: all lockstep, all but the last sweep, the default, all scalar
+HANDOVERS = (0, 1, covering._SCALAR_TAIL, 10**9)
 
 
-def cantor_like(rng, levels):
-    lo, width = np.zeros(1), np.ones(1)
-    for _ in range(levels):
-        left = rng.uniform(0.28, 0.36, lo.size) * width
-        right = rng.uniform(0.28, 0.36, lo.size) * width
-        lo = np.stack([lo, lo + width - right], axis=-1).ravel()
-        width = np.stack([left, right], axis=-1).ravel()
-    return np.sort(lo + 0.5 * width)
+def at_every_handover(count):
+    """count() run once per handover in HANDOVERS, keyed by the handover."""
+    got = {}
+    for tail in HANDOVERS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_SCALAR_TAIL", tail)
+            got[tail] = count()
+    return got
+
+
+def every_handover(value):
+    return dict.fromkeys(HANDOVERS, value)
 
 
 class TestGreedy1d:
@@ -202,31 +208,36 @@ class TestGreedy1d:
 
 
 class TestLockstepCounts:
-    """All radii of a scan counted in one call, for finite sets."""
+    """All radii of a scan counted in one call, for finite sets, whether the
+    sweeps run in lockstep, finish in the scalar search, or both."""
 
     @given(sets_with_ties())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_with_duplicates_and_ties(self, case):
         pts, eps = case
-        counts = covering_counts(SampledCloud(pts), eps)
-        assert counts.tolist() == [brute_force_covering_oracle(pts, e) for e in eps]
+        expected = [brute_force_covering_oracle(pts, e) for e in eps]
+        got = at_every_handover(lambda: covering_counts(SampledCloud(pts), eps).tolist())
+        assert got == every_handover(expected)
 
     @given(sets_with_ties())
     @settings(max_examples=100, deadline=None)
     def test_one_call_equals_one_radius_calls(self, case):
         pts, eps = case
         count = exact_counter(SampledCloud(pts))
-        batch = covering_counts(SampledCloud(pts), eps).tolist()
-        assert batch == [covering_number_1d(pts, e) for e in eps]
-        assert batch == [count(e) for e in eps]
+        singles = [count(e) for e in eps]
+        got = at_every_handover(lambda: (
+            covering_counts(SampledCloud(pts), eps).tolist(),
+            [covering_number_1d(pts, e) for e in eps],
+        ))
+        assert got == every_handover((singles, singles))
 
     @given(sets_with_ties())
     @settings(max_examples=100, deadline=None)
     def test_counts_never_drop_as_epsilon_shrinks(self, case):
         pts, eps = case
-        counts = covering_counts(SampledCloud(pts), eps)
         order = np.argsort(-eps, kind="stable")
-        assert np.all(np.diff(counts[order]) >= 0)
+        for counts in at_every_handover(lambda: covering_counts(SampledCloud(pts), eps)).values():
+            assert np.all(np.diff(counts[order]) >= 0)
 
     @pytest.mark.parametrize("make", [
         lambda rng: stratified_uniform(rng, 600),
@@ -237,8 +248,20 @@ class TestLockstepCounts:
         pts = np.sort(s.values)
         grid = default_grid(s)
         expected = [scalar_greedy(pts, e) for e in grid.tolist()]
-        assert covering_counts(s, grid).tolist() == expected
-        assert covering_curve(s, grid).counts.tolist() == expected
+        got = at_every_handover(lambda: (
+            covering_counts(s, grid).tolist(), covering_curve(s, grid).counts.tolist()
+        ))
+        assert got == every_handover((expected, expected))
+
+    @pytest.mark.parametrize("size", [
+        covering._SCALAR_TAIL - 1, covering._SCALAR_TAIL, covering._SCALAR_TAIL + 1,
+    ])
+    def test_batches_around_the_default_handover(self, size):
+        pts = stratified_uniform(np.random.default_rng(size), 300)
+        eps = np.geomspace(0.3, 1e-4, size)
+        expected = [scalar_greedy(pts, e) for e in eps.tolist()]
+        got = at_every_handover(lambda: covering_counts(FinitePoints(pts), eps).tolist())
+        assert got == every_handover(expected)
 
 
 class TestNoOvercount:
@@ -253,9 +276,9 @@ class TestNoOvercount:
     @settings(max_examples=200, deadline=None)
     def test_never_exceeds_exact_rational_greedy(self, case):
         pts, eps = case
-        counts = covering_counts(SampledCloud(pts), eps)
-        for e, count in zip(eps.tolist(), counts.tolist()):
-            assert count <= fraction_greedy(pts, e)
+        exact = np.array([fraction_greedy(pts, e) for e in eps.tolist()])
+        for counts in at_every_handover(lambda: covering_counts(SampledCloud(pts), eps)).values():
+            assert np.all(counts <= exact)
 
 
 class TestBruteForceOracle:
@@ -307,7 +330,8 @@ class TestPowerCovering:
 
 
 class TestPowerLockstep:
-    """The lockstep power kernel against a scalar sweep, bit for bit."""
+    """The power kernel against a scalar sweep, bit for bit, at every handover
+    from lockstep to the scalar finish."""
 
     @pytest.mark.parametrize("alpha, spec", [
         (-0.5, (2e-6, 0.5, 200)),
@@ -316,14 +340,32 @@ class TestPowerLockstep:
     def test_identical_to_scalar_sweep_on_bench_grids(self, alpha, spec):
         grid = log_grid(*spec)
         expected = [scalar_power_count(alpha, e) for e in grid.tolist()]
-        assert covering_counts(PowerSequence(alpha), grid).tolist() == expected
+        got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), grid).tolist())
+        assert got == every_handover(expected)
 
     @given(power_scans())
     @settings(max_examples=100, deadline=None)
     def test_identical_to_scalar_sweep(self, case):
         alpha, eps = case
-        counts = covering_counts(PowerSequence(alpha), eps).tolist()
-        assert counts == [scalar_power_count(alpha, e) for e in eps]
+        expected = [scalar_power_count(alpha, e) for e in eps]
+        got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+        assert got == every_handover(expected)
+
+    @pytest.mark.parametrize("size", [
+        covering._SCALAR_TAIL - 1, covering._SCALAR_TAIL, covering._SCALAR_TAIL + 1,
+    ])
+    def test_batches_around_the_default_handover(self, size):
+        eps = np.geomspace(0.4, 1e-4, size)
+        expected = [scalar_power_count(-0.5, e) for e in eps.tolist()]
+        got = at_every_handover(lambda: covering_counts(PowerSequence(-0.5), eps).tolist())
+        assert got == every_handover(expected)
+
+    def test_coarse_grid_with_deep_sweeps(self):
+        # a few radii each needing up to ~2e5 balls: the scalar finish
+        # carries them, where lockstep paid one numpy pass per ball
+        eps = np.geomspace(1e-3, 1e-6, 10)
+        expected = [scalar_power_count(-0.1, e) for e in eps.tolist()]
+        assert covering_counts(PowerSequence(-0.1), eps).tolist() == expected
 
     def test_first_ball_ties_identical(self):
         # eps = (1 - k**alpha) / 2 ends the first closed ball exactly on the
@@ -332,12 +374,23 @@ class TestPowerLockstep:
         for alpha in np.linspace(-3.0, -0.05, 60).tolist():
             eps = [(1.0 - k ** alpha) / 2.0 for k in range(2, 40)]
             expected = [scalar_power_count(alpha, e) for e in eps]
-            assert covering_counts(PowerSequence(alpha), eps).tolist() == expected
+            got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+            assert got == every_handover(expected)
+
+    def test_last_anchor_ties_identical(self):
+        # eps = k**alpha / 2 puts 2*eps exactly on a term, so a sweep whose
+        # anchor lands there must stop: the final ball is closed
+        for alpha in np.linspace(-3.0, -0.05, 30).tolist():
+            eps = [k ** alpha / 2.0 for k in range(2, 40)]
+            expected = [scalar_power_count(alpha, e) for e in eps]
+            got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+            assert got == every_handover(expected)
 
     def test_dense_branch_identical(self):
         eps = np.geomspace(1e-4, 7e-5, 5)
         expected = [scalar_power_count(-0.05, e) for e in eps.tolist()]
-        assert covering_counts(PowerSequence(-0.05), eps).tolist() == expected
+        got = at_every_handover(lambda: covering_counts(PowerSequence(-0.05), eps).tolist())
+        assert got == every_handover(expected)
 
     def test_one_radius_over_the_limit_fails_the_batch(self):
         assert (2e-16) ** (1.0 / (-1.0 - 1.0)) > POWER_COUNT_LIMIT
