@@ -10,7 +10,7 @@ one row per alpha.
 import argparse
 import sys
 
-from rigidity.bounds import ProblemParams, classify_power_sequence
+from rigidity.bounds import classify_power_sequence
 from rigidity.covering import covering_counts
 from rigidity.sets import PowerSequence
 from rigidity.util import fit_loglog_slope, log_grid
@@ -22,14 +22,12 @@ def main():
                     help="comma-separated decay exponents (all negative)")
     ap.add_argument("--d", type=int, default=5)
     ap.add_argument("--n", type=int, default=1)
-    ap.add_argument("--c", type=float, default=None)
     ap.add_argument("--eps-min", type=float, default=1e-5)
     ap.add_argument("--eps-max", type=float, default=1e-3)
     ap.add_argument("--points-per-decade", type=int, default=40)
     ap.add_argument("--csv", help="also write the table as CSV")
     args = ap.parse_args()
 
-    p = ProblemParams(n=args.n, m=1, d=args.d, c=args.c)
     grid = log_grid(args.eps_min, args.eps_max, args.points_per_decade)
 
     header = f"{'alpha':>8} {'slope':>10} {'1/(a-1)':>10} {'exponent':>10}  verdict"
@@ -39,7 +37,7 @@ def main():
         alpha = float(tok)
         counts = covering_counts(PowerSequence(alpha), grid)
         slope = fit_loglog_slope(grid, counts)
-        verdict = classify_power_sequence(alpha, p)
+        verdict = classify_power_sequence(alpha, args.d, args.n)
         print(f"{alpha:>8.3g} {slope:>10.4f} {1 / (alpha - 1):>10.4f} "
               f"{verdict.exponent:>10.4f}  {verdict.verdict}")
         rows.append((alpha, slope, 1 / (alpha - 1), verdict.exponent, verdict.verdict))

@@ -7,93 +7,4 @@ cross-examine the result against explicit staircase witnesses (`witness`)
 and against values extracted from actual sampled maps (`critical`).
 """
 
-from .bounds import (
-    EXCLUDED,
-    NOT_EXCLUDED,
-    BoundReport,
-    LambdaProfile,
-    PowerVerdict,
-    ProblemParams,
-    classify_power_sequence,
-    critical_point_rigidity_reduction,
-    epsilon0,
-    forward_upper_bound,
-    gamma_closed_form,
-    in_E,
-    rhs_polynomial,
-    rigidity_bound,
-    solve_eta,
-)
-from .covering import (
-    CoveringCurve,
-    box_count_estimate,
-    brute_force_covering_oracle,
-    covering_curve,
-    covering_number_1d,
-    covering_number_power,
-    default_grid,
-    exact_counter,
-)
-from .critical import (
-    Extraction,
-    ForwardCheckReport,
-    SampledMap,
-    empirical_forward_check,
-    measured_derivative_scale,
-    near_critical_set,
-    semi_axes,
-    semi_axis_field,
-)
-from .maps import UnknownMapError, available, builtin_map
-from .sets import (
-    DescriptorError,
-    FinitePoints,
-    PowerSequence,
-    SampledCloud,
-    descriptor_from_json,
-    descriptor_to_json_dict,
-    diameter,
-    load_descriptor,
-    materialize,
-    min_gap,
-)
-from .util import log_grid
-from .witness import (
-    SandwichResult,
-    WitnessFunction,
-    build_witness,
-    witness_derivative_scale,
-    sandwich_check,
-    smoothstep_coefficients,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # sets
-    "FinitePoints", "PowerSequence", "SampledCloud", "DescriptorError",
-    "materialize", "min_gap", "diameter",
-    "descriptor_to_json_dict", "descriptor_from_json", "load_descriptor",
-    # covering
-    "covering_number_1d", "covering_number_power", "CoveringCurve",
-    "covering_curve", "default_grid", "exact_counter",
-    "brute_force_covering_oracle", "box_count_estimate",
-    # bounds
-    "ProblemParams", "LambdaProfile", "BoundReport", "PowerVerdict",
-    "EXCLUDED", "NOT_EXCLUDED",
-    "rhs_polynomial", "forward_upper_bound", "in_E", "solve_eta",
-    "epsilon0", "gamma_closed_form", "rigidity_bound",
-    "classify_power_sequence", "critical_point_rigidity_reduction",
-    # witness
-    "smoothstep_coefficients", "WitnessFunction", "build_witness",
-    "witness_derivative_scale", "SandwichResult", "sandwich_check",
-    # critical
-    "SampledMap", "Extraction", "near_critical_set",
-    "semi_axis_field", "semi_axes",
-    "measured_derivative_scale", "empirical_forward_check", "ForwardCheckReport",
-    # maps
-    "builtin_map", "available", "UnknownMapError",
-    # util
-    "log_grid",
-]

@@ -407,18 +407,23 @@ class PowerVerdict:
         return self.verdict == EXCLUDED
 
 
-def classify_power_sequence(alpha: float, p: ProblemParams) -> PowerVerdict:
+def classify_power_sequence(alpha: float, d: int, n: int = 1) -> PowerVerdict:
     """Decay-rate dichotomy for power-law value sequences.
 
     The certified bound along the sequence scales like eps to the power
-    1 + d/(n*(alpha-1)).  A negative exponent means the bound blows up as
-    the resolution shrinks, so no map of smoothness order d can realize
-    the sequence as its near-critical values; a nonnegative exponent means
-    this bound alone excludes nothing.
+    1 + d/(n*(alpha-1)), for domain dimension n and smoothness order d.  A
+    negative exponent means the bound blows up as the resolution shrinks,
+    so no map of smoothness order d can realize the sequence as its
+    near-critical values; a nonnegative exponent means this bound alone
+    excludes nothing.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError("n must be a positive integer")
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError("d must be a positive integer")
     if not (math.isfinite(alpha) and alpha < 0):
         raise ValueError("alpha must be a finite negative number")
-    exponent = 1.0 + p.d / (p.n * (alpha - 1.0))
+    exponent = 1.0 + d / (n * (alpha - 1.0))
     verdict = EXCLUDED if exponent < 0 else NOT_EXCLUDED
     return PowerVerdict(exponent, verdict)
 

@@ -65,9 +65,8 @@ def _parse_eps_spec(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_set_arguments(parser: argparse.ArgumentParser, *,
-                       required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_set_arguments(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--set", dest="set_source",
         help="value-set descriptor: a JSON file path or an inline JSON object",
@@ -96,15 +95,13 @@ def _add_param_arguments(parser: argparse.ArgumentParser, *,
 
 
 def _resolve_set(args):
-    if getattr(args, "power", None) is not None:
+    if args.power is not None:
         return PowerSequence(args.power)
     return load_descriptor(args.set_source)
 
 
 def _resolve_params(args) -> ProblemParams:
-    n = getattr(args, "n", 1)
-    m = getattr(args, "m", 1)
-    return ProblemParams(n=n, m=m, d=args.d, r=args.r, c=args.c)
+    return ProblemParams(n=args.n, m=args.m, d=args.d, r=args.r, c=args.c)
 
 
 def _resolve_profile(args, m: int) -> LambdaProfile:
@@ -142,9 +139,6 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.set_source is None and args.power is None:
-        print("error: a value set is required (--set or --power)", file=sys.stderr)
-        return EXIT_BAD_INPUT
     s = _resolve_set(args)
     params = _resolve_params(args)
     profile = _resolve_profile(args, params.m)
@@ -170,9 +164,7 @@ def _cmd_witness(args) -> int:
     s = _resolve_set(args)
     params = _resolve_params(args)
     profile = _resolve_profile(args, params.m)
-    result = sandwich_check(
-        params, profile, s, args.eps, plateau_ratio=args.plateau_ratio
-    )
+    result = sandwich_check(params, profile, s, args.eps)
     _write_json(args.out, result.to_json_dict())
     print(f"gamma = {result.gamma!r}")
     print(f"witness derivative scale = {result.witness_scale!r}")
@@ -233,8 +225,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    params = _resolve_params(args)
-    verdict = classify_power_sequence(args.alpha, params)
+    verdict = classify_power_sequence(args.alpha, args.d, args.n)
     print(f"{verdict.verdict}, exponent {verdict.exponent:g}")
     return EXIT_OK
 
@@ -257,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover.set_defaults(handler=_cmd_cover)
 
     bound = sub.add_parser("bound", help="certified derivative-scale lower bound")
-    _add_set_arguments(bound, required=False)
+    _add_set_arguments(bound)
     _add_param_arguments(bound)
     bound.add_argument("--eps", type=_parse_eps_spec, default=None)
     bound.add_argument("--out", default="bound_report.json")
@@ -269,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_arguments(witness)
     _add_param_arguments(witness)
     witness.add_argument("--eps", type=_parse_eps_spec, default=None)
-    witness.add_argument("--plateau-ratio", type=float, default=0.5)
     witness.add_argument("--out", default="sandwich_report.json")
     witness.add_argument("--samples", default=None,
                          help="also write an x,f,f1,..,fd sample CSV here")
@@ -297,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="decay-rate dichotomy for power sequences"
     )
     classify.add_argument("--alpha", type=float, required=True)
-    _add_param_arguments(classify)
+    classify.add_argument("--n", type=int, default=1, help="domain dimension")
+    classify.add_argument("--d", type=int, default=1, help="smoothness order")
     classify.set_defaults(handler=_cmd_classify)
 
     return parser

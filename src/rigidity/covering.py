@@ -4,9 +4,8 @@ All counts here are minimal-cover cardinalities, exact by construction:
 one-dimensional sets and power sequences via the optimal greedy sweep,
 run for all radii at once while many sweeps are live, the last few
 finished one at a time by an exact scalar search; the power sweep
-completes the accumulation tail with one final ball.  Anything that is
-merely an upper-bound estimate (multi-dimensional box counting) is kept
-out of the exact paths.
+completes the accumulation tail with one final ball.  Multi-dimensional
+clouds have no exact count and are refused.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor
+from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor, diameter
 from .util import DEFAULT_EPS_MIN, log_grid
 
 BRUTE_FORCE_LIMIT = 12
@@ -39,7 +38,6 @@ __all__ = [
     "covering_counts",
     "covering_curve",
     "brute_force_covering_oracle",
-    "box_count_estimate",
     "exact_counter",
     "default_grid",
 ]
@@ -220,14 +218,11 @@ def _sorted_line(s: SetDescriptor) -> np.ndarray:
     """Sorted values of a finite m = 1 descriptor, or raise.
 
     Multi-dimensional clouds have no exact routine; they are rejected here
-    so estimate-only curves can never leak into the bound solver.
+    so they never reach the bound solver.
     """
     if isinstance(s, (FinitePoints, SampledCloud)):
         if s.m != 1:
-            raise ValueError(
-                "exact covering requires m = 1; box_count_estimate gives a "
-                "labeled upper bound for clouds"
-            )
+            raise ValueError("exact covering requires m = 1; clouds have no exact count")
         return np.sort(s.values)
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
@@ -244,11 +239,13 @@ def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
     """Exact covering counts of a descriptor at every radius, in the given order.
 
     Finite sets and power sequences each run all radii through one
-    lockstep sweep with a scalar finish.
+    lockstep sweep with a scalar finish.  Every radius must be positive.
     """
     eps = np.asarray(epsilons, dtype=float)
     if isinstance(s, PowerSequence):
         return _power_counts(s.alpha, eps)
+    if not np.all(eps > 0):
+        raise ValueError("epsilon must be positive")
     return _sweep_counts(_sorted_line(s), eps)
 
 
@@ -261,14 +258,8 @@ def default_grid(s: SetDescriptor) -> np.ndarray:
     if isinstance(s, PowerSequence):
         hi = 0.5
     else:
-        d = None
-        try:
-            from .sets import diameter
-
-            d = diameter(s)
-        except ValueError:
-            d = None
-        hi = d if (d is not None and d > 10 * DEFAULT_EPS_MIN) else 1.0
+        d = diameter(s)
+        hi = d if d > 10 * DEFAULT_EPS_MIN else 1.0
     return log_grid(DEFAULT_EPS_MIN, hi)
 
 
@@ -317,23 +308,3 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
                 return k
     return n  # unreachable: n singleton anchors always cover
 
-
-def box_count_estimate(points, epsilon: float) -> int:
-    """Occupied-box count with boxes inscribed in radius-epsilon balls.
-
-    Upper bound on the minimal closed-ball cover of a cloud in any
-    dimension (box side 2*eps/sqrt(m) makes the circumscribed radius eps).
-    Estimate only: it is not the exact minimum and must not feed the bound
-    solver, which needs exact or lower counts to stay sound.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need a non-empty point array")
-    m = pts.shape[1]
-    side = 2.0 * epsilon / math.sqrt(m)
-    cells = np.floor(pts / side).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])

@@ -39,7 +39,6 @@ __all__ = [
     "ForwardCheckReport",
     "near_critical_set",
     "semi_axis_field",
-    "semi_axes",
     "measured_derivative_scale",
     "empirical_forward_check",
 ]
@@ -226,31 +225,6 @@ def semi_axis_field(sm: SampledMap) -> tuple:
     return pts, sig
 
 
-def semi_axes(sm: SampledMap, point) -> np.ndarray:
-    """Ascending singular values of the differential at one grid point.
-
-    The point is snapped to the nearest grid node, which must be strictly
-    interior (central differences need both neighbors).
-    """
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    if pt.shape != (sm.n,):
-        raise ValueError(f"point must have shape ({sm.n},)")
-    idx = tuple(int(np.argmin(np.abs(sm.axis - x))) for x in pt)
-    if any(i == 0 or i == sm.axis.size - 1 for i in idx):
-        raise ValueError("point lies on the grid boundary; no central stencil")
-    h = sm.grid_step
-    jac = np.empty((sm.m, sm.n))
-    for b in range(sm.n):
-        up = list(idx)
-        dn = list(idx)
-        up[b] += 1
-        dn[b] -= 1
-        jac[:, b] = (sm.values[tuple(up)] - sm.values[tuple(dn)]) / (2.0 * h)
-    if sm.m == 1:
-        return np.array([float(np.linalg.norm(jac[0]))])
-    return np.linalg.svd(jac, compute_uv=False)[::-1]
-
-
 @dataclass(frozen=True, eq=False)
 class Extraction:
     """Result of a near-critical sweep over a sampled map.
@@ -323,7 +297,7 @@ def near_critical_set(sm: SampledMap, profile: LambdaProfile) -> Extraction:
         # scalar value sets go straight into the exact-covering pipeline
         descriptor = FinitePoints(np.sort(vals_all[:, 0]))
     else:
-        descriptor = SampledCloud(vals_all.copy(), provenance="extracted")
+        descriptor = SampledCloud(vals_all.copy())
     return Extraction(pts_all, vals_all, sig_all, descriptor, sm.grid_step)
 
 

@@ -34,47 +34,39 @@ class MapEntry:
     description: str
 
 
-def _scalar(func):
-    def wrapped(pts):
-        pts = np.asarray(pts, dtype=float)
-        return func(pts)
-
-    return wrapped
-
-
 _REGISTRY = {
     "parabola1d": MapEntry(
-        _scalar(lambda p: p[:, 0] ** 2), 1, 1, "x**2: one critical value at 0"
+        lambda p: p[:, 0] ** 2, 1, 1, "x**2: one critical value at 0"
     ),
     "linear1d": MapEntry(
-        _scalar(lambda p: p[:, 0]), 1, 1, "x: no critical points at all"
+        lambda p: p[:, 0], 1, 1, "x: no critical points at all"
     ),
     "const1d": MapEntry(
-        _scalar(lambda p: np.full(p.shape[0], 0.5)), 1, 1,
+        lambda p: np.full(p.shape[0], 0.5), 1, 1,
         "constant 0.5: every point is critical",
     ),
     "cubic1d": MapEntry(
-        _scalar(lambda p: p[:, 0] ** 3 - p[:, 0]), 1, 1,
+        lambda p: p[:, 0] ** 3 - p[:, 0], 1, 1,
         "x**3 - x: two critical values",
     ),
     "poly10": MapEntry(
-        _scalar(lambda p: npoly.polyval(p[:, 0], np.asarray(POLY10_COEFFS))), 1, 1,
+        lambda p: npoly.polyval(p[:, 0], np.asarray(POLY10_COEFFS)), 1, 1,
         "fixed degree-10 polynomial with five interior critical values",
     ),
     "bowl2d": MapEntry(
-        _scalar(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2), 2, 1,
+        lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, 2, 1,
         "x**2 + y**2: single critical point at the origin",
     ),
     "saddle2d": MapEntry(
-        _scalar(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2), 2, 1,
+        lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, 2, 1,
         "x**2 - y**2: saddle at the origin",
     ),
     "tilt2d": MapEntry(
-        _scalar(lambda p: 0.3 * p[:, 0] + 0.7 * p[:, 1]), 2, 1,
+        lambda p: 0.3 * p[:, 0] + 0.7 * p[:, 1], 2, 1,
         "0.3x + 0.7y: constant nonzero gradient",
     ),
     "stretch2d": MapEntry(
-        _scalar(lambda p: np.stack([2.0 * p[:, 0], 0.5 * p[:, 1]], axis=-1)), 2, 2,
+        lambda p: np.stack([2.0 * p[:, 0], 0.5 * p[:, 1]], axis=-1), 2, 2,
         "(2x, y/2): constant anisotropic differential",
     ),
 }

@@ -110,10 +110,9 @@ class PowerSequence:
 
 @dataclass(frozen=True, eq=False)
 class SampledCloud:
-    """Point cloud of shape ``(k, m)`` tagged with its provenance."""
+    """Point cloud of shape ``(k, m)``, kept in the order given."""
 
     points: np.ndarray
-    provenance: str = "extracted"
 
     def __post_init__(self):
         arr = np.asarray(self.points, dtype=float)
@@ -166,9 +165,7 @@ def materialize(s: SetDescriptor, tail_cutoff: float = 1e-9) -> np.ndarray:
     the result is ascending.  Materializations that would emit more than
     ``MATERIALIZE_LIMIT`` points raise instead of silently truncating.
     """
-    if isinstance(s, FinitePoints):
-        return s.values if s.m == 1 else s.points
-    if isinstance(s, SampledCloud):
+    if isinstance(s, (FinitePoints, SampledCloud)):
         return s.values if s.m == 1 else s.points
     if isinstance(s, PowerSequence):
         if not (isinstance(tail_cutoff, (int, float)) and tail_cutoff > 0):
@@ -232,8 +229,7 @@ def descriptor_from_json(obj) -> SetDescriptor:
             count = int(obj.get("count", DEFAULT_POWER_COUNT))
             return PowerSequence(alpha, count)
         if kind == "cloud":
-            return SampledCloud(np.asarray(obj["points"], dtype=float),
-                                provenance=str(obj.get("provenance", "extracted")))
+            return SampledCloud(np.asarray(obj["points"], dtype=float))
     except KeyError as exc:
         raise DescriptorError(f"descriptor is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -28,7 +28,8 @@ from .util import sorted_distinct
 # ill-conditioned and coefficients lose digits
 SMOOTHSTEP_WARN_ORDER = 10
 
-DEFAULT_PLATEAU_RATIO = 0.5
+# every plateau is this fraction of a transition's width
+_PLATEAU_RATIO = 0.5
 
 __all__ = [
     "smoothstep_coefficients",
@@ -130,7 +131,6 @@ class WitnessFunction:
     pieces: tuple
     order: int
     radius: float
-    plateau_ratio: float
 
     def __post_init__(self):
         if len(self.pieces) == 0:
@@ -224,20 +224,18 @@ class WitnessFunction:
         return {
             "order": self.order,
             "radius": self.radius,
-            "plateau_ratio": self.plateau_ratio,
+            "plateau_ratio": _PLATEAU_RATIO,
             "plateau_values": [float(v) for v in self.plateau_values],
             "pieces": pieces,
         }
 
 
-def build_witness(values, order: int, radius: float = 1.0,
-                  plateau_ratio: float = DEFAULT_PLATEAU_RATIO) -> WitnessFunction:
+def build_witness(values, order: int, radius: float = 1.0) -> WitnessFunction:
     """Staircase witness attaining each value on its own plateau.
 
     Values are deduplicated and laid out in ascending order across
-    [-radius, radius]; each plateau has width plateau_ratio times the
-    transition width, so smaller ratios spend more room on the climbs and
-    yield smaller derivative scales.
+    [-radius, radius]; each plateau has width _PLATEAU_RATIO times the
+    transition width.
     """
     vals = sorted_distinct(np.asarray(values, dtype=float).ravel())
     if vals.size == 0:
@@ -246,17 +244,15 @@ def build_witness(values, order: int, radius: float = 1.0,
         raise ValueError("values must be finite")
     if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be a positive finite number")
-    if not (isinstance(plateau_ratio, (int, float)) and plateau_ratio > 0):
-        raise ValueError("plateau_ratio must be positive")
     radius = float(radius)
 
     k = vals.size
     if k == 1:
         pieces = (Plateau(-radius, radius, float(vals[0])),)
-        return WitnessFunction(pieces, int(order), radius, float(plateau_ratio))
+        return WitnessFunction(pieces, int(order), radius)
 
-    width_t = 2.0 * radius / (k * plateau_ratio + (k - 1))
-    width_p = plateau_ratio * width_t
+    width_t = 2.0 * radius / (k * _PLATEAU_RATIO + (k - 1))
+    width_p = _PLATEAU_RATIO * width_t
     pieces = []
     x = -radius
     for i, v in enumerate(vals):
@@ -270,7 +266,7 @@ def build_witness(values, order: int, radius: float = 1.0,
     # snap the accumulated right edge onto the exact domain end
     last = pieces[-1]
     pieces[-1] = Plateau(last.lo, radius, last.value)
-    return WitnessFunction(tuple(pieces), int(order), radius, float(plateau_ratio))
+    return WitnessFunction(tuple(pieces), int(order), radius)
 
 
 def witness_derivative_scale(w: WitnessFunction, order: int | None = None) -> float:
@@ -311,8 +307,7 @@ class SandwichResult:
 
 
 def sandwich_check(p: ProblemParams, profile: LambdaProfile, s: SetDescriptor,
-                   eps_grid=None, plateau_ratio: float = DEFAULT_PLATEAU_RATIO,
-                   slack: float = 1e-9) -> SandwichResult:
+                   eps_grid=None, slack: float = 1e-9) -> SandwichResult:
     """Run the bound and an explicit witness on the same set and compare.
 
     The witness attains the set as exact critical values, which are
@@ -325,7 +320,7 @@ def sandwich_check(p: ProblemParams, profile: LambdaProfile, s: SetDescriptor,
         raise ValueError("the witness construction is univariate (n = m = 1)")
     report = rigidity_bound(p, profile, s, eps_grid)
     values = materialize(s)
-    witness = build_witness(values, p.d, p.r, plateau_ratio)
+    witness = build_witness(values, p.d, p.r)
     scale = witness_derivative_scale(witness)
     ok = report.gamma <= scale * (1.0 + slack)
     return SandwichResult(report.gamma, scale, ok, report, witness)

@@ -116,9 +116,9 @@ def test_power_sequence_asymptotics_and_classifier():
     slope = fit_loglog_slope(grid, counts)
     assert abs(slope - (-0.5)) <= 0.05, slope
 
-    fast = classify_power_sequence(-1.0, ProblemParams(n=1, m=1, d=5))
+    fast = classify_power_sequence(-1.0, d=5)
     assert fast.excluded and math.isclose(fast.exponent, -1.5)
-    slow = classify_power_sequence(-1.0, ProblemParams(n=1, m=1, d=1))
+    slow = classify_power_sequence(-1.0, d=1)
     assert not slow.excluded and math.isclose(slow.exponent, 0.5)
     _announce("power_sequence_asymptotics_and_classifier")
 

@@ -28,7 +28,7 @@ from rigidity.bounds import (
     solve_eta,
 )
 from rigidity.covering import covering_counts, covering_number_power
-from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, min_gap
 from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
@@ -330,6 +330,19 @@ class TestEpsilon0:
         with pytest.raises(ValueError):
             epsilon0(pts, p)
 
+    def test_first_sweep_can_count_below_the_cardinality(self):
+        # at min_gap/4, xs[0] + 2*eps rounds half to even onto xs[1], so three
+        # consecutive floats count 2 there, not 3
+        u = math.ulp(1.0)
+        pts = FinitePoints([1 + u, 1 + 2 * u, 1 + 3 * u])
+        assert covering_counts(pts, [min_gap(pts) / 4.0]).tolist() == [2]
+        p = ProblemParams(1, 1, 1)  # c = 2, so the threshold count is 3
+        try:
+            eps0 = epsilon0(pts, p)
+        except ValueError:
+            return
+        assert covering_counts(pts, [eps0 * (1 - 1e-9)])[0] >= 3
+
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
          0.08265462534826103),
@@ -571,19 +584,19 @@ class TestRigidityBound:
 
 class TestClassifyPowerSequence:
     def test_steep_decay_excluded(self):
-        verdict = classify_power_sequence(-1.0, P15)
+        verdict = classify_power_sequence(-1.0, 5)
         assert verdict.exponent == pytest.approx(-1.5, rel=1e-14)
         assert verdict.verdict == "Excluded"
         assert verdict.excluded
 
     def test_low_smoothness_not_excluded(self):
-        verdict = classify_power_sequence(-1.0, ProblemParams(1, 1, 1))
+        verdict = classify_power_sequence(-1.0, 1)
         assert verdict.exponent == pytest.approx(0.5, rel=1e-14)
         assert verdict.verdict == "NotExcludedByThisBound"
         assert not verdict.excluded
 
     def test_very_fast_decay_escapes(self):
-        verdict = classify_power_sequence(-200.0, ProblemParams(1, 1, 5))
+        verdict = classify_power_sequence(-200.0, 5)
         assert verdict.exponent > 0.9
         assert not verdict.excluded
 
@@ -593,13 +606,24 @@ class TestClassifyPowerSequence:
         thresh = n * (1.0 - alpha)
         for d in range(1, int(thresh) + 3):
             assume(abs(d - thresh) > 1e-9 or d == thresh)
-            verdict = classify_power_sequence(alpha, ProblemParams(n, 1, d, c=1.0))
+            verdict = classify_power_sequence(alpha, d, n)
             assert verdict.excluded == (d > thresh)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, math.nan, -math.inf])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError):
-            classify_power_sequence(alpha, P15)
+            classify_power_sequence(alpha, 5)
+
+    def test_higher_dimensions_need_no_constant(self):
+        verdict = classify_power_sequence(-1.0, 3, n=2)
+        assert verdict.exponent == 0.25
+        assert not verdict.excluded
+
+    @pytest.mark.parametrize("d, n", [(0, 1), (1, 0), (2.0, 1), (1, 1.5)])
+    def test_rejects_bad_dimensions(self, d, n):
+        with pytest.raises(ValueError):
+            classify_power_sequence(-1.0, d, n)
+
 
 
 class TestCriticalPointReduction:

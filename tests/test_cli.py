@@ -99,7 +99,8 @@ class TestBound:
     def test_requires_a_set(self, capsys):
         code = main(["bound", "--d", "5"])
         assert code == 2
-        assert "value set" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--set" in err and "--power" in err
 
     def test_threshold_count_mismatch(self, tmp_path):
         set_path = write_set(tmp_path, SEVEN)
@@ -119,6 +120,14 @@ class TestClassify:
         code = main(["classify", "--alpha", "-1", "--d", "5"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "Excluded, exponent -1.5"
+
+    def test_higher_dimensions_need_no_constant(self, capsys):
+        code = main(["classify", "--alpha", "-1", "--n", "2", "--d", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "NotExcludedByThisBound, exponent 0.25"
+
+    def test_takes_no_constant(self):
+        assert main(["classify", "--alpha", "-1", "--d", "5", "--c", "5"]) == 2
 
     def test_bad_alpha_is_a_parameter_error(self):
         assert main(["classify", "--alpha", "0.5", "--d", "1"]) == 3
@@ -313,20 +322,38 @@ class TestErrorPaths:
         assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
+def run_fresh(body):
+    """Stdout lines and stderr of ``body`` run in a fresh interpreter after ``main`` is imported."""
+    script = "import sys\nfrom rigidity.cli import main\n" + body
+    src = str(Path(rigidity.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    return proc.stdout.splitlines(), proc.stderr
+
+
 class TestColdImports:
+    SEVEN_ARG = json.dumps(json.dumps(SEVEN))
+
     def test_bound_does_not_import_numpy_ma(self, tmp_path):
         # a bare np.unique imports numpy.ma, 15-20 ms of every process
-        script = (
-            "import sys\n"
-            "from rigidity.cli import main\n"
-            f"code = main(['bound', '--set', {json.dumps(json.dumps(SEVEN))}, '--d', '5',"
+        out, err = run_fresh(
+            f"code = main(['bound', '--set', {self.SEVEN_ARG}, '--d', '5',"
             f" '--out', {str(tmp_path / 'rep.json')!r}])\n"
             "print(code, 'numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(rigidity.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={"PYTHONPATH": src}, timeout=60)
-        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        assert out[-1] == "0 False", err
+
+    def test_bound_does_not_import_the_witness(self, tmp_path):
+        out, err = run_fresh(
+            f"code = main(['bound', '--set', {self.SEVEN_ARG}, '--d', '5',"
+            f" '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "print('loaded', code, 'rigidity.witness' in sys.modules)\n"
+            f"code = main(['witness', '--set', {self.SEVEN_ARG}, '--d', '5',"
+            f" '--out', {str(tmp_path / 'sw.json')!r}])\n"
+            "print('loaded', code, 'rigidity.witness' in sys.modules)\n"
+        )
+        loaded = [line for line in out if line.startswith("loaded")]
+        assert loaded == ["loaded 0 False", "loaded 0 True"], err
 
 
 class TestDeterminism:
@@ -419,11 +446,13 @@ def cli_argv(draw):
     options = {"--d": _INTS, "--r": _FLOATS, "--c": _FLOATS}
     if command != "extract":
         options.update({"--n": _INTS, "--m": _INTS})
+    if command == "classify":  # classify reads alpha, n and d only
+        options = {"--d": _INTS, "--n": _INTS}
     if command != "cover":  # cover takes no problem parameters
         for option in draw(st.lists(st.sampled_from(sorted(options)), unique=True,
                                     max_size=3)):
             argv += [option, pick(option, options[option])]
-        if draw(st.booleans()):
+        if command != "classify" and draw(st.booleans()):
             count = draw(st.integers(1, 3))
             argv += ["--lambda", *(pick("lambda", _LAMBDAS) for _ in range(count))]
     if broken == "extra":

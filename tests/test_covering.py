@@ -11,7 +11,6 @@ from rigidity.covering import (
     BRUTE_FORCE_LIMIT,
     POWER_COUNT_LIMIT,
     CoveringCurve,
-    box_count_estimate,
     brute_force_covering_oracle,
     covering_curve,
     covering_counts,
@@ -263,6 +262,12 @@ class TestLockstepCounts:
         got = at_every_handover(lambda: covering_counts(FinitePoints(pts), eps).tolist())
         assert got == every_handover(expected)
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, 0.0])
+    def test_radii_must_be_positive(self, bad):
+        # a negative radius used to stall the sweep's index for good
+        with pytest.raises(ValueError):
+            covering_counts(FinitePoints([0.0, 0.5, 1.0]), [bad])
+
 
 class TestNoOvercount:
     """Float rounding in the sweep can only undercount, never overcount.
@@ -445,20 +450,6 @@ class TestExactCounter:
         cloud = SampledCloud([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             exact_counter(cloud)
-
-
-class TestBoxCountEstimate:
-    def test_upper_bounds_exact_count(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            pts = rng.uniform(-2, 2, size=rng.integers(1, 10))
-            eps = float(rng.uniform(0.05, 1.0))
-            est = box_count_estimate(pts.reshape(-1, 1), eps)
-            assert est >= covering_number_1d(pts, eps)
-
-    def test_m2_cloud(self):
-        pts = np.array([[0.0, 0.0], [0.1, 0.1], [5.0, 5.0]])
-        assert box_count_estimate(pts, 1.0) >= 2
 
 
 class TestDefaultGrid:

@@ -82,7 +82,6 @@ class TestSampledCloud:
     def test_preserves_order(self):
         c = SampledCloud([3.0, 1.0, 2.0])
         assert np.array_equal(c.values, [3.0, 1.0, 2.0])
-        assert c.provenance == "extracted"
 
     def test_two_dimensional(self):
         c = SampledCloud([[0.0, 1.0], [1.0, 0.0]])
@@ -162,10 +161,16 @@ class TestJson:
         assert isinstance(back, PowerSequence)
 
     def test_cloud_roundtrip(self):
-        s = SampledCloud([[0.0, 1.0], [2.0, 3.0]], provenance="extracted")
+        s = SampledCloud([[0.0, 1.0], [2.0, 3.0]])
         back = descriptor_from_json(descriptor_to_json_dict(s))
         assert isinstance(back, SampledCloud)
         assert np.array_equal(back.points, s.points)
+
+    def test_cloud_provenance_key_is_ignored(self):
+        back = descriptor_from_json(
+            {"type": "cloud", "points": [[0.0, 1.0]], "provenance": "extracted"})
+        assert isinstance(back, SampledCloud)
+        assert back.points.tolist() == [[0.0, 1.0]]
 
     def test_unknown_type_rejected(self):
         with pytest.raises(DescriptorError):

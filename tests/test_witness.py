@@ -18,6 +18,7 @@ from rigidity.sets import FinitePoints
 from rigidity.witness import (
     Plateau,
     Transition,
+    WitnessFunction,
     build_witness,
     sandwich_check,
     smoothstep_coefficients,
@@ -145,9 +146,13 @@ class TestBuildWitness:
             assert np.min(np.abs(attained - v)) < 1e-9
 
     def test_wider_transitions_lower_the_scale(self):
-        delta = [0.0, 1.0, 2.5]
-        gentle = build_witness(delta, order=2, plateau_ratio=0.25)
-        steep = build_witness(delta, order=2, plateau_ratio=2.0)
+        def staircase(width):
+            # the same two plateaus, joined by one step of the given width
+            h = width / 2.0
+            pieces = (Plateau(-1.0, -h, 0.0), Transition(-h, h, 0.0, 2.5), Plateau(h, 1.0, 2.5))
+            return WitnessFunction(pieces, order=2, radius=1.0)
+
+        gentle, steep = staircase(1.0), staircase(0.25)
         assert witness_derivative_scale(gentle) < witness_derivative_scale(steep)
 
     def test_validation(self):
@@ -157,8 +162,6 @@ class TestBuildWitness:
             build_witness([0.0, math.nan], order=1)
         with pytest.raises(ValueError):
             build_witness([0.0, 1.0], order=1, radius=0.0)
-        with pytest.raises(ValueError):
-            build_witness([0.0, 1.0], order=1, plateau_ratio=-0.5)
 
 
 class TestEvaluate:
@@ -290,6 +293,7 @@ class TestSerialization:
         blob = w.to_json_dict()
         assert blob["order"] == 2
         assert blob["radius"] == 1.5
+        assert blob["plateau_ratio"] == 0.5
         assert blob["plateau_values"] == [0.0, 1.0, 2.0]
         kinds = [p["kind"] for p in blob["pieces"]]
         assert kinds == ["plateau", "transition"] * 2 + ["plateau"]
