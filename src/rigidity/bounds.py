@@ -57,8 +57,9 @@ class ProblemParams:
 
     n: domain dimension; m: target dimension (m <= n); d: smoothness order;
     r: domain ball radius; c: the entropy constant of the forward bound.
-    For n = 1 the constant is known explicitly and defaults to d + 1; for
-    n >= 2 no default is sound, so it must be supplied by the caller.
+    For n = 1 the constant is known explicitly and defaults to d + 1 (a
+    smaller c would make the bound unsound, a larger one only weakens it);
+    for n >= 2 no default is sound, so it must be supplied by the caller.
     """
 
     n: int
@@ -85,6 +86,8 @@ class ProblemParams:
         else:
             if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
                 raise ValueError("c must be a positive finite number")
+            if self.n == 1 and self.c < self.d + 1:
+                raise ValueError("for n = 1 the entropy constant c must be at least d + 1")
             object.__setattr__(self, "c", float(self.c))
 
 

@@ -100,10 +100,6 @@ def _resolve_set(args):
     return load_descriptor(args.set_source)
 
 
-def _resolve_params(args) -> ProblemParams:
-    return ProblemParams(n=args.n, m=args.m, d=args.d, r=args.r, c=args.c)
-
-
 def _resolve_profile(args, m: int) -> LambdaProfile:
     if args.lambdas is None:
         return LambdaProfile.zeros(m)
@@ -140,7 +136,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_bound(args) -> int:
     s = _resolve_set(args)
-    params = _resolve_params(args)
+    params = ProblemParams(n=args.n, m=args.m, d=args.d, r=args.r, c=args.c)
     profile = _resolve_profile(args, params.m)
     report = rigidity_bound(params, profile, s, args.eps)
     _write_json(args.out, report.to_json_dict())
@@ -162,7 +158,7 @@ def _cmd_witness(args) -> int:
     from .witness import sandwich_check
 
     s = _resolve_set(args)
-    params = _resolve_params(args)
+    params = ProblemParams(n=1, m=1, d=args.d, r=args.r, c=args.c)
     profile = _resolve_profile(args, params.m)
     result = sandwich_check(params, profile, s, args.eps)
     _write_json(args.out, result.to_json_dict())
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "witness", help="bound plus explicit witness, cross-checked"
     )
     _add_set_arguments(witness)
-    _add_param_arguments(witness)
+    _add_param_arguments(witness, need_dims=False)
     witness.add_argument("--eps", type=_parse_eps_spec, default=None)
     witness.add_argument("--out", default="sandwich_report.json")
     witness.add_argument("--samples", default=None,
@@ -315,3 +311,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -14,19 +14,15 @@ a function that visibly realizes the set.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from .bounds import BoundReport, LambdaProfile, ProblemParams, rigidity_bound
 from .sets import SetDescriptor, materialize
 from .util import sorted_distinct
-
-# beyond this order the Hermite system for the step polynomial grows
-# ill-conditioned and coefficients lose digits
-SMOOTHSTEP_WARN_ORDER = 10
 
 # every plateau is this fraction of a transition's width
 _PLATEAU_RATIO = 0.5
@@ -47,49 +43,19 @@ def smoothstep_coefficients(order: int) -> np.ndarray:
     """Coefficients (increasing powers) of the degree 2*order+1 unit step.
 
     The step s maps [0, 1] onto [0, 1] with s(0) = 0, s(1) = 1 and
-    vanishing derivatives 1..order at both endpoints.  Monomials below
-    u**(order+1) are absent, which settles the left endpoint for free; the
-    right endpoint gives a square linear system in the remaining order+1
-    coefficients (value 1, then falling-factorial sums equal to zero).
+    vanishing derivatives 1..order at both endpoints: it is the
+    regularized incomplete beta function I_u(order+1, order+1).  Its
+    coefficients are the integers c_{N+1+k} = (-1)**k C(N+k, k)
+    C(2N+1, N-k) for k = 0..N (N = order), each rounded once to float.
     """
     if not (isinstance(order, (int, np.integer)) and order >= 1):
         raise ValueError("order must be a positive integer")
-    if order > SMOOTHSTEP_WARN_ORDER:
-        warnings.warn(
-            f"step polynomial of order {order}: the coefficient system is "
-            "ill-conditioned and measured scales may lose precision",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    size = order + 1
-    powers = np.arange(order + 1, 2 * order + 2)
-    system = np.empty((size, size))
-    system[0, :] = 1.0
-    for j in range(1, order + 1):
-        # d^j/du^j of u**p at u = 1 is the falling factorial p (p-1) ... (p-j+1)
-        row = np.ones(size)
-        for step in range(j):
-            row *= powers - step
-        system[j, :] = row
-    target = np.zeros(size)
-    target[0] = 1.0
-    high = np.linalg.solve(system, target)
     coeffs = np.zeros(2 * order + 2)
-    coeffs[order + 1:] = high
+    coeffs[order + 1:] = [
+        (-1) ** k * math.comb(order + k, k) * math.comb(2 * order + 1, order - k)
+        for k in range(order + 1)
+    ]
     return coeffs
-
-
-def _abs_max_unit_interval(coeffs: np.ndarray) -> float:
-    """Maximum of |polynomial| over [0, 1] via critical points of its derivative."""
-    candidates = [0.0, 1.0]
-    deriv = npoly.polyder(coeffs)
-    if deriv.size > 1 or deriv[0] != 0.0:
-        roots = npoly.polyroots(deriv)
-        for root in roots:
-            if abs(root.imag) < 1e-9 and -1e-12 <= root.real <= 1.0 + 1e-12:
-                candidates.append(min(max(root.real, 0.0), 1.0))
-    values = npoly.polyval(np.asarray(candidates), coeffs)
-    return float(np.max(np.abs(values)))
 
 
 @dataclass(frozen=True)
@@ -124,8 +90,7 @@ class WitnessFunction:
     """Piecewise staircase with analytic derivatives of every order.
 
     ``pieces`` tile [-radius, radius] left to right, alternating plateaus
-    and transitions.  Derivatives of the step polynomial are cached per
-    order, so repeated evaluation at many orders stays cheap.
+    and transitions.
     """
 
     pieces: tuple
@@ -140,18 +105,8 @@ class WitnessFunction:
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.hi != right.lo:
                 raise ValueError("pieces must be contiguous")
-        base = smoothstep_coefficients(self.order)
-        object.__setattr__(self, "_step_derivs", {0: base})
-
-    def _step_deriv(self, j: int) -> np.ndarray:
-        cache = self._step_derivs
-        if j not in cache:
-            base = cache[0]
-            if j >= base.size:
-                cache[j] = np.zeros(1)
-            else:
-                cache[j] = npoly.polyder(base, m=j)
-        return cache[j]
+        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
+            raise ValueError("order must be a positive integer")
 
     @property
     def plateau_values(self) -> np.ndarray:
@@ -179,6 +134,7 @@ class WitnessFunction:
         edges = np.array([p.lo for p in self.pieces][1:])
         idx = np.searchsorted(edges, arr, side="right")
         out = np.zeros_like(arr)
+        coeffs = npoly.polyder(smoothstep_coefficients(self.order), m=deriv)
         for i, piece in enumerate(self.pieces):
             mask = idx == i
             if not np.any(mask):
@@ -188,7 +144,6 @@ class WitnessFunction:
             else:
                 width = piece.width
                 u = (arr[mask] - piece.lo) / width
-                coeffs = self._step_deriv(deriv)
                 vals = piece.jump / width**deriv * npoly.polyval(u, coeffs)
                 if deriv == 0:
                     vals += piece.v_lo
@@ -269,23 +224,26 @@ def build_witness(values, order: int, radius: float = 1.0) -> WitnessFunction:
     return WitnessFunction(tuple(pieces), int(order), radius)
 
 
-def witness_derivative_scale(w: WitnessFunction, order: int | None = None) -> float:
-    """Derivative scale sup|f^(order)| * radius**order / order! of a witness.
+def witness_derivative_scale(w: WitnessFunction) -> float:
+    """Derivative scale sup|f^(d)| * radius**d / d! of an order-d witness.
 
     The maximum lives on a transition: a step of jump J over width t
-    contributes |J| / t**order times the step polynomial's own derivative
-    maximum.  The latter is found exactly from the roots of the next
-    derivative, so no finite-difference error enters here.
+    contributes |J| / t**d times max|s^(d)| on [0, 1], a closed form.
+    s' = u**d (1-u)**d / B(d+1, d+1), so by Rodrigues' formula s^(d+1) is
+    a multiple of the shifted Legendre polynomial P_d, and integrating gives
+    s^(d) = (-1)**d (2d)! / (2 d!) * (P_{d+1} - P_{d-1})(2u - 1).  It peaks
+    at the roots x_i of P_d, where P_{d+1} = -d/(d+1) P_{d-1}, so
+    max|s^(d)| = (2d+1)! / (2 d! (d+1)) * max_i |P_{d-1}(x_i)|.
     """
-    d = w.order if order is None else order
-    if not (isinstance(d, (int, np.integer)) and 1 <= d <= w.order):
-        raise ValueError("order must be an integer in [1, witness order]")
     transitions = w.transitions
     if not transitions:
         return 0.0
-    step_max = _abs_max_unit_interval(w._step_deriv(int(d)))
+    d = w.order
+    nodes = legendre.legroots([0] * d + [1])
+    peak_legendre = np.max(np.abs(legendre.legval(nodes, [0] * (d - 1) + [1])))
+    step_max = math.factorial(2 * d + 1) / (2 * math.factorial(d) * (d + 1)) * peak_legendre
     peak = max(abs(t.jump) / t.width**d for t in transitions)
-    return peak * step_max * w.radius**d / math.factorial(d)
+    return float(peak * step_max * w.radius**d / math.factorial(d))
 
 
 @dataclass(frozen=True, eq=False)

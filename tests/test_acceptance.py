@@ -66,11 +66,10 @@ def test_ratio_solver_analytic_instance_and_residuals():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, n + 1))
         d = int(rng.integers(1, 6))
-        pp = ProblemParams(
-            n=n, m=m, d=d,
-            r=float(rng.uniform(0.5, 2.0)),
-            c=float(rng.uniform(0.5, 8.0)),
-        )
+        r = float(rng.uniform(0.5, 2.0))
+        c = float(rng.uniform(0.5, 8.0))
+        # for n = 1 the constant is at least d + 1
+        pp = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
         prof = LambdaProfile(tuple(np.sort(rng.uniform(0.0, 2.0, size=m))))
         eps = float(10.0 ** rng.uniform(-4, 0))
         baseline = rhs_polynomial(pp, prof, eps, 1.0)

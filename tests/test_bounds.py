@@ -52,6 +52,13 @@ class TestProblemParams:
             ProblemParams(2, 1, 3)
         assert ProblemParams(2, 1, 3, c=1.0).c == 1.0
 
+    def test_one_dimensional_constant_is_at_least_d_plus_one(self):
+        # below d + 1 the bound is unsound; above it only weakens
+        with pytest.raises(ValueError, match="at least d \\+ 1"):
+            ProblemParams(1, 1, 5, c=5.999)
+        assert ProblemParams(1, 1, 5, c=6).c == 6.0
+        assert ProblemParams(1, 1, 5, c=9.5).c == 9.5
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -139,7 +146,8 @@ class TestRhsPolynomial:
     def test_strictly_increasing_in_eta(self, n, d, c, r, lams, eps, eta1, bump):
         m = min(len(lams), n)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c)
+        # for n = 1 the constant is at least d + 1
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
         eta2 = eta1 + bump
         v1 = rhs_polynomial(p, profile, eps, eta1)
         v2 = rhs_polynomial(p, profile, eps, eta2)
@@ -167,7 +175,7 @@ class TestForwardUpperBound:
     )
     @settings(max_examples=100)
     def test_regimes_agree_at_the_seam(self, d, c, lam, scale):
-        p = ProblemParams(n=1, m=1, d=d, c=c)
+        p = ProblemParams(n=1, m=1, d=d, c=c + d + 1)  # c >= d + 1 for n = 1
         profile = LambdaProfile((lam,))
         flat = rhs_polynomial(p, profile, scale, 1.0)
         ratio = rhs_polynomial(p, profile, scale, scale / scale)
@@ -228,7 +236,8 @@ class TestSolveEta:
     def test_residual_and_monotonicity(self, n, d, c, r, lams, eps, factor):
         m = min(len(lams), n)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c)
+        # for n = 1 the constant is at least d + 1
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
         baseline = rhs_polynomial(p, profile, eps, 1.0)
         nu = int(math.ceil(baseline * factor))
         eta = solve_eta(p, profile, nu, eps)

@@ -1,9 +1,10 @@
 """Tests for the staircase witness construction.
 
-The smoothstep coefficients are checked against an independent binomial
-closed form, the assembled function against finite differences and dense
-critical-point sampling, and the measured derivative scale against the
-certified lower bound (the sandwich).
+The smoothstep coefficients are checked against their binomial closed
+form and its exact end conditions in integer arithmetic, the step maximum
+against a 50-digit oracle, the assembled function against finite
+differences and dense critical-point sampling, and the measured
+derivative scale against the certified lower bound (the sandwich).
 """
 
 import json
@@ -26,19 +27,25 @@ from rigidity.witness import (
 )
 
 
-def smoothstep_binomial(order):
-    """Independent closed form for the flat-contact step polynomial.
+def smoothstep_integers(order):
+    """Closed form for the flat-contact step polynomial, as Python ints.
 
     s(u) = u^(order+1) * sum_k C(order+k, k) C(2*order+1, order-k) (-u)^k,
     a standard identity for the polynomial with flat contact of the given
     order at both endpoints.
     """
-    coeffs = np.zeros(2 * order + 2)
-    for k in range(order + 1):
-        coeffs[order + 1 + k] = (
-            (-1) ** k * math.comb(order + k, k) * math.comb(2 * order + 1, order - k)
-        )
-    return coeffs
+    return [0] * (order + 1) + [
+        (-1) ** k * math.comb(order + k, k) * math.comb(2 * order + 1, order - k)
+        for k in range(order + 1)
+    ]
+
+
+def smoothstep_binomial(order):
+    return np.array(smoothstep_integers(order), dtype=float)
+
+
+def integer_polyder(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 class TestSmoothstep:
@@ -86,9 +93,17 @@ class TestSmoothstep:
         with pytest.raises(ValueError):
             smoothstep_coefficients(0)
 
-    def test_conditioning_warning_past_the_safe_range(self):
-        with pytest.warns(RuntimeWarning):
-            smoothstep_coefficients(11)
+    @pytest.mark.parametrize("order", range(1, 31))
+    def test_integer_coefficients_are_exact(self, order):
+        # in integer arithmetic s(1) = 1 and s^(j)(1) = 0 for j = 1..order hold exactly
+        exact = smoothstep_integers(order)
+        deriv = exact
+        assert sum(deriv) == 1
+        for _ in range(order):
+            deriv = integer_polyder(deriv)
+            assert sum(deriv) == 0
+        got = smoothstep_coefficients(order)
+        assert got.tolist() == [float(c) for c in exact]
 
 
 class TestBuildWitness:
@@ -205,18 +220,36 @@ class TestDerivativeScale:
             scaled = witness_derivative_scale(build_witness(a * delta, order=3))
             assert scaled == pytest.approx(a * base, rel=1e-12)
 
-    def test_lower_order_measurement(self):
-        w = build_witness([0.0, 1.0], order=4)
-        full = witness_derivative_scale(w)
-        first = witness_derivative_scale(w, order=1)
-        assert full > 0 and first > 0 and first != full
+    def test_step_maximum_matches_a_50_digit_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        for order in range(1, 31):
+            # jump 1 over width 1 at radius 1: the scale is max|s^(order)| / order!
+            pieces = (Plateau(-1.0, -0.5, 0.0), Transition(-0.5, 0.5, 0.0, 1.0),
+                      Plateau(0.5, 1.0, 1.0))
+            w = WitnessFunction(pieces, order=order, radius=1.0)
+            got = witness_derivative_scale(w) * math.factorial(order)
+            # extremes of s^(order) sit at the roots of s^(order+1), refined by
+            # mpmath's secant solver from the shifted Gauss nodes and evaluated
+            # on the integer coefficients
+            deriv = smoothstep_integers(order)
+            for _ in range(order):
+                deriv = integer_polyder(deriv)
+            slope = integer_polyder(deriv)
+            top = max(abs(c) for c in slope)
+            with mpmath.workdps(50):
+                slope_mp = [mpmath.mpf(c) / top for c in reversed(slope)]
+                roots = [
+                    mpmath.findroot(lambda u: mpmath.polyval(slope_mp, u), (x + 1) / 2)
+                    for x in np.polynomial.legendre.legroots([0] * order + [1])
+                ]
+                want = max(abs(mpmath.polyval(list(reversed(deriv)), u)) for u in roots)
+                assert abs(got - want) <= 1e-14 * want, order
 
-    def test_order_validation(self):
-        w = build_witness([0.0, 1.0], order=2)
-        with pytest.raises(ValueError):
-            witness_derivative_scale(w, order=0)
-        with pytest.raises(ValueError):
-            witness_derivative_scale(w, order=3)
+    def test_witness_needs_a_positive_integer_order(self):
+        pieces = (Plateau(-1.0, 1.0, 0.0),)
+        for order in (0, -1, 2.0):
+            with pytest.raises(ValueError):
+                WitnessFunction(pieces, order=order, radius=1.0)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_finite_difference_cross_check(self, order):
