@@ -10,6 +10,7 @@ arithmetic on top of numpy; the certified machinery lives in bounds.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -31,6 +32,9 @@ MAX_GRID_NODES = 25_000_000
 # largest grid CSV read, per node of MAX_GRID_NODES: a row of an n = 3, m = 1
 # grid holds four numbers of up to 24 characters and their separators
 GRID_CSV_BYTES_PER_NODE = 100
+# a 2 x n differential whose sigma_max is below this share of the largest
+# entry in its batch gets its own scale: its squares would lose bits
+_RESCALE_BELOW = 2.0**-200
 
 __all__ = [
     "SampledMap",
@@ -187,18 +191,67 @@ class SampledMap:
         return "\n".join(lines) + "\n"
 
 
+def _unit_gradient(sm: SampledMap, values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Central-difference gradient of ``values`` along the unit coordinate
+    u = x / radius, whose step products do not underflow at tiny radii."""
+    return np.gradient(values, sm.axis / sm.radius, axis=axis)
+
+
 def _jacobian_field(sm: SampledMap) -> np.ndarray:
     """Central-difference Jacobian on the full grid, shape grid + (m, n)."""
     shape = sm.values.shape[:-1]
     jac = np.empty(shape + (sm.m, sm.n))
     for a in range(sm.m):
         for b in range(sm.n):
-            jac[..., a, b] = np.gradient(sm.values[..., a], sm.axis, axis=b)
+            jac[..., a, b] = _unit_gradient(sm, sm.values[..., a], b) / sm.radius
     return jac
 
 
 def _interior(sm: SampledMap, margin: int = 1) -> tuple:
     return (slice(margin, -margin),) * sm.n
+
+
+def _two_row_singular_values(jac: np.ndarray) -> np.ndarray:
+    """Ascending singular values of a stack of 2 x n matrices, shape (k, 2).
+
+    Closed form: with rows a, b, p = |a|^2, q = |b|^2, r = a.b and g the
+    sum of the squared 2 x 2 minors (det(J J^T) by Cauchy-Binet),
+    sigma_max = sqrt((p + q)/2 + hypot((p - q)/2, r)) and
+    sigma_min = sqrt(g) / sigma_max.  Every matrix is divided by one scale,
+    the largest finite entry of the stack, so no square overflows; the few
+    whose sigma_max falls below ``_RESCALE_BELOW`` of it (where squares
+    would underflow) are redone with their own largest entry.
+    """
+    mag = np.abs(jac)
+    # an overflowed difference leaves nan in its own row, not in every row
+    scale = mag.max(initial=0.0, where=np.isfinite(mag)) or 1.0
+    out = _scaled_two_row(jac / scale)
+    low = np.flatnonzero(out[:, 1] < _RESCALE_BELOW)
+    out *= scale
+    if low.size:
+        sub = jac[low]
+        own = np.max(np.abs(sub), axis=(1, 2), keepdims=True)
+        own[own == 0.0] = 1.0
+        out[low] = _scaled_two_row(sub / own) * own[:, 0]
+    return out
+
+
+def _scaled_two_row(jac: np.ndarray) -> np.ndarray:
+    """The closed form of ``_two_row_singular_values`` on entries in [-1, 1]."""
+    a, b = jac[:, 0, :], jac[:, 1, :]
+    p = np.einsum("ij,ij->i", a, a)
+    q = np.einsum("ij,ij->i", b, b)
+    r = np.einsum("ij,ij->i", a, b)
+    g = 0.0
+    for i, j in itertools.combinations(range(jac.shape[2]), 2):
+        g = g + (a[:, i] * b[:, j] - a[:, j] * b[:, i]) ** 2
+    out = np.zeros((jac.shape[0], 2))
+    top = out[:, 1]
+    np.sqrt((p + q) * 0.5 + np.hypot((p - q) * 0.5, r), out=top)
+    np.divide(np.sqrt(g), top, out=out[:, 0], where=top > 0.0)
+    # rounding can put sqrt(g) / sigma_max a hair above sigma_max
+    np.minimum(out[:, 0], top, out=out[:, 0])
+    return out
 
 
 def semi_axis_field(sm: SampledMap) -> tuple:
@@ -207,19 +260,25 @@ def semi_axis_field(sm: SampledMap) -> tuple:
     Returns (points, sigmas): points of shape (k, n) and the ascending
     singular values of shape (k, m).  The one-cell boundary layer is
     dropped because the difference stencil is one-sided there, and points
-    outside the ball are masked away.
+    outside the ball are masked away.  For m = 1 the value is the gradient
+    norm; for m = 2 it is the closed form of ``_two_row_singular_values``
+    (sigma_max = sqrt((p + q)/2 + hypot((p - q)/2, r)) from the rows' Gram
+    entries p, q, r, and sigma_min = sqrt(det(J J^T)) / sigma_max); only
+    m = 3 runs ``np.linalg.svd``.
     """
     jac = _jacobian_field(sm)
     inner = _interior(sm)
     grids = sm.coordinate_grids()
     pts = np.stack([g[inner].ravel() for g in grids], axis=-1)
     jflat = jac[inner].reshape(-1, sm.m, sm.n)
-    radii2 = np.sum(pts**2, axis=1)
-    keep = radii2 <= sm.radius**2
+    # in units of the radius, so a tiny one does not underflow to zero
+    keep = np.sum((pts / sm.radius) ** 2, axis=1) <= 1.0
     pts = pts[keep]
     jflat = jflat[keep]
     if sm.m == 1:
         sig = np.linalg.norm(jflat[:, 0, :], axis=1)[:, None]
+    elif sm.m == 2:
+        sig = _two_row_singular_values(jflat)
     else:
         sig = np.linalg.svd(jflat, compute_uv=False)[:, ::-1]
     return pts, sig
@@ -309,27 +368,30 @@ def _bracketed_derivative_roots(sm: SampledMap) -> tuple:
     values come from the exact callable when available, otherwise from the
     parabola through the three nearest samples.
     """
-    f = sm.values[:, 0]
-    deriv = np.gradient(f, sm.axis)
-    lo, hi = 1, sm.axis.size - 1  # central-difference interior
-    x = sm.axis[lo:hi]
-    g = deriv[lo:hi]
-    locs = []
-    for i in range(g.size - 1):
-        a, b = g[i], g[i + 1]
-        # nodes where the sampled derivative is exactly zero are already
-        # caught by the threshold selection; only strict sign changes hide
-        # a root between nodes
-        if a * b < 0.0:
-            locs.append(x[i] - a * (x[i + 1] - x[i]) / (b - a))
-    if not locs:
-        return np.empty(0), np.empty(0)
-    locs = np.asarray(locs, dtype=float)
+    deriv = _unit_gradient(sm, sm.values[:, 0]) / sm.radius
+    # central-difference interior
+    locs = _sign_change_roots(sm.axis[1:-1], deriv[1:-1])
+    if not locs.size:
+        return locs, np.empty(0)
     if sm.func is not None:
         vals = np.asarray(sm.func(locs[:, None]), dtype=float).reshape(-1)
     else:
         vals = np.array([_parabola_value(sm, loc) for loc in locs])
     return locs, vals
+
+
+def _sign_change_roots(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Linearly interpolated roots of ``g`` between neighbours of opposite sign.
+
+    Nodes where the sampled derivative is exactly zero are already caught by
+    the threshold selection; only strict sign changes hide a root between
+    nodes.
+    """
+    # an overflowed product or difference keeps its sign
+    with np.errstate(over="ignore"):
+        i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+        a = g[i]
+        return x[i] - a * (x[i + 1] - x[i]) / (g[i + 1] - a)
 
 
 def _parabola_value(sm: SampledMap, loc: float) -> float:
@@ -353,14 +415,16 @@ def measured_derivative_scale(sm: SampledMap, order: int) -> float:
         raise ValueError("measured derivative scale is implemented for n = 1 only")
     if not (isinstance(order, (int, np.integer)) and order >= 1):
         raise ValueError("order must be a positive integer")
+    # differenced against u = x / radius, the order-th derivative already
+    # carries the factor radius**order of the scale
     g = sm.values[:, 0]
     for _ in range(order):
-        g = np.gradient(g, sm.axis)
+        g = _unit_gradient(sm, g)
     trim = order + 1
     if g.size <= 2 * trim:
         raise ValueError("grid too coarse for this differentiation order")
     peak = float(np.max(np.abs(g[trim:-trim])))
-    return peak * sm.radius**order / math.factorial(order)
+    return peak / math.factorial(order)
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,19 @@ def diameter(s: SetDescriptor) -> float:
 
 
 def descriptor_to_json_dict(s: SetDescriptor) -> dict:
+    """The descriptor as a JSON object for ``util.dump_json``.
+
+    A cloud's points come back as its read-only (k, m) float64 array, which
+    ``util.dump_json`` writes as the nested list ``json.dumps`` would give
+    for ``points.tolist()``; finite points come back as lists.
+    """
     if isinstance(s, FinitePoints):
         pts = s.values.tolist() if s.m == 1 else s.points.tolist()
         return {"type": "finite", "points": pts}
     if isinstance(s, PowerSequence):
         return {"type": "power", "alpha": s.alpha, "count": s.count}
     if isinstance(s, SampledCloud):
-        return {"type": "cloud", "points": s.points.tolist()}
+        return {"type": "cloud", "points": s.points}
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
 

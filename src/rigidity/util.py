@@ -75,8 +75,9 @@ def atomic_write(path):
 def dump_json(obj, fh) -> None:
     """Write ``obj`` exactly as ``json.dump(obj, fh, indent=2, sort_keys=True)``.
 
-    Lists of floats and tables of equal-length float rows go out in blocks
-    of ``_ROW_BLOCK`` rows.  Each block's distinct values (by bit pattern,
+    Lists of floats, tables of equal-length float rows and 2-d float64
+    arrays (written as their ``tolist()``) go out in blocks of
+    ``_ROW_BLOCK`` rows.  Each block's distinct values (by bit pattern,
     so -0.0 and 0.0 stay apart) are formatted by one call of the C encoder
     and gathered back into a row template.  Dicts with string keys recurse
     in sorted key order; anything else is left to ``json.dumps``.
@@ -85,8 +86,14 @@ def dump_json(obj, fh) -> None:
 
 
 def _float_table(obj):
-    """``(values, width)`` for a non-empty list of floats (width 0) or of
-    equal-length non-empty float lists (flattened row by row), else None."""
+    """``(values, width)`` for a non-empty list of floats (width 0), for
+    equal-length non-empty float lists (flattened row by row) or for a
+    non-empty C-contiguous 2-d float64 array (as it is), else None."""
+    if type(obj) is np.ndarray:
+        if (obj.ndim == 2 and obj.size and obj.dtype == np.float64
+                and obj.dtype.isnative and obj.flags.c_contiguous):
+            return obj, obj.shape[1]
+        return None
     if type(obj) is not list or not obj:
         return None
     kinds = set(map(type, obj))

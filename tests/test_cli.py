@@ -222,6 +222,16 @@ class TestExtract:
         blob = json.loads((tmp_path / "none.set.json").read_text())
         assert blob == {"type": "finite", "points": []}
 
+    @pytest.mark.parametrize("check", [[], ["--check", "--d", "2"]], ids=["plain", "check"])
+    def test_tiny_radius_finds_the_critical_value_quietly(self, tmp_path, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["extract", "--map", "parabola1d", "--divisions", "5",
+                         "--r", "1e-300", *check, "--out-prefix", "tiny"])
+        assert code == 0
+        blob = json.loads((tmp_path / "tiny.set.json").read_text())
+        assert blob == {"type": "finite", "points": [0.0]}
+
     def test_grid_csv_source(self, tmp_path, capsys):
         entry = builtin_map("parabola1d")
         sm = SampledMap.from_callable(entry.func, 1, 1)

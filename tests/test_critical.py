@@ -7,10 +7,14 @@ maps whose behavior is known in closed form.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidity import critical
 from rigidity.bounds import LambdaProfile, ProblemParams
 from rigidity.critical import (
     GRID_CSV_BYTES_PER_NODE,
@@ -189,6 +193,15 @@ class TestSemiAxes:
         # interior trim: the extreme nodes never appear
         assert np.max(np.abs(pts)) < 1.0
 
+    @pytest.mark.parametrize("radius", [1e-300, 2.0**-1000])
+    def test_tiny_radius_keeps_the_same_ball(self, radius):
+        entry = builtin_map("bowl2d")
+        unit = SampledMap.from_callable(entry.func, 2, 1, 1.0, 5)
+        tiny = SampledMap.from_callable(entry.func, 2, 1, radius, 5)
+        got, want = semi_axis_field(tiny)[0] / radius, semi_axis_field(unit)[0]
+        assert got.shape == want.shape == (73, 2)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_halving_the_step_quarters_the_error(self):
         # on x**3 the central-difference derivative error is exactly h**2
         cube = lambda p: p[:, 0] ** 3
@@ -198,6 +211,124 @@ class TestSemiAxes:
         err_c = abs(semi_axes_at(coarse, (0.25,))[0] - truth)
         err_f = abs(semi_axes_at(fine, (0.25,))[0] - truth)
         assert 3.5 < err_c / err_f < 4.5
+
+
+def two_row_matrix(kind, width, draw):
+    entries = st.floats(-1.0, 1.0, allow_subnormal=True)
+    if kind == "zero":
+        return np.zeros((2, width))
+    if kind == "random":
+        return np.array(draw(st.lists(entries, min_size=2 * width, max_size=2 * width)),
+                        dtype=float).reshape(2, width)
+    u = np.array(draw(st.lists(entries, min_size=2, max_size=2)))
+    v = np.array(draw(st.lists(entries, min_size=width, max_size=width)))
+    rank_one = np.outer(u, v)
+    if kind == "rank one":
+        return rank_one
+    tilt = np.array(draw(st.lists(entries, min_size=2 * width, max_size=2 * width)))
+    return rank_one + draw(st.sampled_from([1e-8, 1e-12, 1e-15])) * tilt.reshape(2, width)
+
+
+@st.composite
+def two_row_stacks(draw):
+    """A stack of 2 x n matrices: random, rank one, zero or nearly rank one,
+    scaled as a whole or one by one by powers up to 1e+-300."""
+    width = draw(st.sampled_from([2, 3]))
+    kinds = st.sampled_from(["random", "rank one", "zero", "nearly rank one"])
+    mats = [two_row_matrix(kind, width, draw)
+            for kind in draw(st.lists(kinds, min_size=1, max_size=8))]
+    scales = st.sampled_from([1.0, 1e150, 1e-150, 1e300, 1e-300])
+    if draw(st.booleans()):
+        factor = draw(scales)
+        return np.stack(mats) * factor
+    return np.stack([mat * draw(scales) for mat in mats])
+
+
+class TestClosedFormSemiAxes:
+    @settings(max_examples=400, deadline=None)
+    @given(jac=two_row_stacks())
+    def test_matches_svd(self, jac):
+        got = critical._two_row_singular_values(jac)
+        want = np.linalg.svd(jac, compute_uv=False)[:, ::-1]
+        assert got.shape == want.shape
+        assert np.all(np.isfinite(got))
+        assert np.all(got[:, 0] <= got[:, 1])
+        # a few ulps of each matrix's largest singular value, and a few
+        # units of the smallest subnormal when that value is itself subnormal
+        tol = 8 * np.finfo(float).eps * want[:, 1:] + 4 * math.ulp(0.0)
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_zero_stack(self):
+        assert np.array_equal(critical._two_row_singular_values(np.zeros((3, 2, 3))),
+                              np.zeros((3, 2)))
+
+    def test_svd_runs_only_for_three_targets(self):
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd")):
+            _, sig = semi_axis_field(sampled("stretch2d", divisions=8))
+            three = lambda p: np.stack([p[:, 0], 2 * p[:, 1], 3 * p[:, 2]], axis=-1)
+            with pytest.raises(AssertionError, match="svd"):
+                semi_axis_field(SampledMap.from_callable(three, 3, 3, divisions=4))
+        assert np.allclose(sig, [0.5, 2.0], rtol=1e-12, atol=0.0)
+
+    def test_overflowed_rows_leave_the_others_alone(self):
+        jac = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 0.5]],
+                        [[np.nan, 0.0], [0.0, 1.0]], [[0.0, 3.0], [0.25, 0.0]]])
+        with np.errstate(invalid="ignore"):
+            got = critical._two_row_singular_values(jac)
+        assert np.array_equal(got[[1, 3]], [[0.5, 2.0], [0.25, 3.0]])
+
+    def test_equal_singular_values_stay_ascending(self):
+        # sqrt(g) / sigma_max rounds above sigma_max on about a quarter of these
+        t = np.linspace(0.0, 2 * np.pi, 4001)
+        rot = np.stack([np.stack([np.cos(t), -np.sin(t)], axis=-1),
+                        np.stack([np.sin(t), np.cos(t)], axis=-1)], axis=1)
+        got = critical._two_row_singular_values(3.7 * rot)
+        assert np.all(got[:, 0] <= got[:, 1])
+        assert np.allclose(got, 3.7, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def loop_sign_change_roots(x, g):
+    """The per-pair loop the array code replaced, kept as its reference."""
+    locs = []
+    for i in range(g.size - 1):
+        a, b = g[i], g[i + 1]
+        if a * b < 0.0:
+            locs.append(x[i] - a * (x[i + 1] - x[i]) / (b - a))
+    return np.asarray(locs, dtype=float)
+
+
+@st.composite
+def derivative_samples(draw):
+    """Derivative samples built from runs of one sign and runs of exact
+    zeros (alone or next to each other), magnitudes from subnormal to 1e300."""
+    magnitudes = st.floats(5e-324, 1e300)
+    values = []
+    for _ in range(draw(st.integers(2, 12))):
+        sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        run = draw(st.lists(magnitudes, min_size=1, max_size=6))
+        values += [sign * m for m in run]
+    x = np.linspace(-1.0, 1.0, len(values) + 2)[1:-1]
+    return x, np.array(values)
+
+
+class TestSignChangeRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(sample=derivative_samples())
+    def test_matches_the_loop_bit_for_bit(self, sample):
+        x, g = sample
+        with np.errstate(over="ignore"):
+            want = loop_sign_change_roots(x, g)
+        assert np.array_equal(critical._sign_change_roots(x, g), want)
+
+    def test_seeded_samples_with_zero_runs(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            g = rng.standard_normal(rng.integers(2, 400))
+            g[rng.random(g.size) < 0.2] = 0.0
+            g[rng.random(g.size) < 0.3] *= 1e-200
+            x = np.sort(rng.uniform(-1.0, 1.0, g.size))
+            got = critical._sign_change_roots(x, g)
+            assert np.array_equal(got, loop_sign_change_roots(x, g))
 
 
 class TestNearCriticalSet:

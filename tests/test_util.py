@@ -119,6 +119,48 @@ class TestDumpJson:
         ([np.float64(1.0)], False),
         ([(1.0, 2.0)], False),
         ([[1.0, "a"]], False),
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), True),
+        (np.array([[1.0, 2.0]], dtype=np.float32), False),
+        (np.array([1.0, 2.0]), False),
+        (np.zeros((2, 2, 2)), False),
+        (np.empty((0, 2)), False),
+        (np.empty((2, 0)), False),
+        (np.array([[1.0, 2.0]], dtype=object), False),
+        (np.array([[1.0, 2.0], [3.0, 4.0]]).T, False),
+        (np.array([[1.0, 2.0]], dtype=">f8"), False),
     ])
     def test_bulk_path_takes_only_exact_float_lists_and_tables(self, obj, bulk):
         assert (util._float_table(obj) is not None) == bulk
+
+
+float_arrays = float_tables.map(np.array)
+
+
+class TestDumpJsonArrays:
+    """A 2-d float64 array is written as ``json.dumps`` writes its ``tolist()``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=float_arrays, read_only=st.booleans(),
+           block=st.sampled_from([1, 2, 5, util._ROW_BLOCK]))
+    def test_matches_json_dumps_of_tolist(self, arr, read_only, block):
+        arr.setflags(write=not read_only)
+        with mock.patch.object(util, "_ROW_BLOCK", block):
+            assert written(arr) == reference(arr.tolist())
+            obj = {"type": "cloud", "points": arr}
+            assert written(obj) == reference({"type": "cloud", "points": arr.tolist()})
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_special_values_over_two_blocks(self, width):
+        rng = np.random.default_rng(width)
+        pool = np.array(SPECIAL + [-0.0, nan_with_payload(3)])
+        rows = util._ROW_BLOCK * 2 + 11
+        arr = pool[rng.integers(0, pool.size, (rows, width))]
+        arr.setflags(write=False)
+        assert written(arr) == reference(arr.tolist())
+
+    def test_arrays_off_the_bulk_path_fail_as_json_does(self):
+        for arr in (np.zeros(3), np.zeros((2, 2), dtype=np.float32), np.empty((0, 2))):
+            with pytest.raises(TypeError):
+                reference(arr)
+            with pytest.raises(TypeError):
+                written(arr)
