@@ -25,7 +25,6 @@ from .util import sorted_distinct
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
-BRACKET_MAX_DOUBLINGS = 1000
 # boundary refinements are placed just inside the qualifying region
 _BOUNDARY_SHRINK = 1.0 - 1e-9
 
@@ -127,6 +126,21 @@ def _scalar_or_array(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
+def _coefficients(p: ProblemParams, profile: LambdaProfile, epsilon) -> list:
+    """a_i = (threshold product)_i * (r/eps)^i for i = 0..m, up to the first zero product."""
+    coeffs, prod = [], 1.0
+    # an overflowing power is +inf, the right value: that radius never qualifies
+    with np.errstate(over="ignore"):
+        ratio = p.r / epsilon
+        for i in range(p.m + 1):
+            if i > 0:
+                prod *= profile.lambdas[i - 1]
+                if prod == 0.0:
+                    break
+            coeffs.append(prod * ratio**i)
+    return coeffs
+
+
 def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
     """Forward-bound polynomial at ratio eta = (derivative scale) / epsilon.
 
@@ -145,13 +159,8 @@ def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
         raise ValueError("epsilon must be positive")
     if not (eta >= 1.0).all():
         raise ValueError("eta must be at least 1")
-    total, prod, ratio = 0.0, 1.0, p.r / epsilon
-    for i in range(p.m + 1):
-        if i > 0:
-            prod *= profile.lambdas[i - 1]
-            if prod == 0.0:
-                break
-        total = total + prod * ratio**i * eta ** ((p.n - i) / p.d)
+    coeffs = _coefficients(p, profile, epsilon)
+    total = sum(a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
     return _scalar_or_array(p.c * total)
 
 
@@ -189,10 +198,11 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     """Unique ratio eta > 1 at which the forward polynomial equals each count.
 
     Counts and radii broadcast; every count must beat its eta = 1 baseline.
-    With a zero first threshold the polynomial is c * eta^(n/d), so
-    eta = (nu/c)^(d/n).  Otherwise the upper brackets double, then
-    bisection runs to relative width BISECT_REL_TOL, every entry in
-    lockstep and each stopping where its own scalar search would.
+    In t = eta^(1/d) the equation is c * f(t) = nu with the polynomial
+    f(t) = sum_i a_i t^(n-i) and every a_i >= 0, so f is increasing and
+    convex for t > 0.  Newton started at or above the root falls to it
+    monotonically; every entry runs in lockstep and stops at its first
+    step that does not lower it.
     """
     nu, epsilon = (a[()] for a in np.broadcast_arrays(nu, np.asarray(epsilon, dtype=float)))
     baseline = rhs_polynomial(p, profile, epsilon, 1.0)
@@ -201,25 +211,23 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
         k = int(np.argmax(short))
         raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
                          f"{np.ravel(baseline)[k]:.6g}; no ratio above 1")
-    if profile.lambdas[0] == 0.0:
-        # the root lies above 1, even where (nu/c)^(d/n) rounds to 1
-        return _scalar_or_array(np.maximum((nu / p.c) ** (p.d / p.n), np.nextafter(1.0, 2.0)))
-    lo, hi = np.ones(np.shape(nu)), np.full(np.shape(nu), 2.0)
-    for _ in range(BRACKET_MAX_DOUBLINGS + 1):
-        short = rhs_polynomial(p, profile, epsilon, hi) < nu
-        if not short.any():
-            break
-        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
-    else:
-        raise RuntimeError("failed to bracket the ratio; parameters are degenerate")
-    for _ in range(BISECT_MAX_ITER):
-        open_ = hi - lo > BISECT_REL_TOL * hi
-        if not open_.any():
-            break
-        mid = 0.5 * (lo + hi)
-        below = rhs_polynomial(p, profile, epsilon, mid) < nu
-        lo, hi = np.where(open_ & below, mid, lo), np.where(open_ & ~below, mid, hi)
-    return _scalar_or_array((0.5 * (lo + hi))[()])
+    coeffs = _coefficients(p, profile, epsilon)
+    # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
+    # from above; starting at the least bound keeps every term of f finite
+    with np.errstate(divide="ignore", over="ignore"):
+        t = np.min([(nu / (p.c * a)) ** (1.0 / (p.n - i))
+                    for i, a in enumerate(coeffs) if i < p.n], axis=0)
+    coeffs += [0.0] * (p.n + 1 - len(coeffs))
+    falling = True
+    while np.any(falling):
+        f, df = 0.0, 0.0
+        for a in coeffs:  # Horner for f and f'
+            f, df = f * t + a, df * t + f
+        t_next = t - (p.c * f - nu) / (p.c * df)
+        falling = falling & (t_next < t)
+        t = np.where(falling, t_next, t)
+    # the root lies above 1, even where t^d rounds to 1
+    return _scalar_or_array(np.maximum(t ** p.d, np.nextafter(1.0, 2.0))[()])
 
 
 def _cardinality(s: SetDescriptor) -> float:
@@ -243,36 +251,27 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     threshold = p.c + 1.0
 
     if isinstance(s, PowerSequence):
-        lo = 0.25
+        # a ball of radius 1/2 covers (0, 1] entirely, so the count is 1 there;
+        # the power counter itself is only defined below 1
+        lo, hi = 0.25, 0.5
+        shrinks = 0
+        while count_at(lo) < threshold:
+            lo /= 2.0
+            shrinks += 1
+            if shrinks > 200:
+                raise RuntimeError("failed to find a qualifying radius")
     else:
-        lo = min_gap(s) / 4.0
-    shrinks = 0
-    while count_at(lo) < threshold:
-        if not isinstance(s, PowerSequence):
+        # one ball of radius diameter(s) covers the set: the count there is 1,
+        # below the threshold unless c + 1 rounds to 1
+        if not threshold > 1.0:
+            raise RuntimeError("failed to find a disqualifying radius")
+        lo, hi = min_gap(s) / 4.0, diameter(s)
+        if count_at(lo) < threshold:
             # finite sets max out at their cardinality; shrinking cannot help
             raise ValueError(
                 f"covering count never reaches c + 1 = {threshold:g} "
                 f"(only {int(card)} distinct values)"
             )
-        lo /= 2.0
-        shrinks += 1
-        if shrinks > 200:
-            raise RuntimeError("failed to find a qualifying radius")
-
-    if isinstance(s, PowerSequence):
-        # a ball of radius 1/2 covers (0, 1] entirely, so the count is 1 there;
-        # the power counter itself is only defined below 1
-        hi = 0.5
-    else:
-        hi = diameter(s)
-        if hi <= lo:
-            hi = 2.0 * lo
-        grows = 0
-        while count_at(hi) >= threshold:
-            hi *= 2.0
-            grows += 1
-            if grows > 200:
-                raise RuntimeError("failed to find a disqualifying radius")
 
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_REL_TOL * hi:

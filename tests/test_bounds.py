@@ -1,6 +1,6 @@
 """Tests for the inverse-bound machinery.
 
-Covers the ratio polynomial and its bisection inverse, the count-threshold
+Covers the ratio polynomial and its Newton inverse, the count-threshold
 radius, closed-form agreement on the canonical equally-spaced instance, the
 power-sequence dichotomy, and the report invariants.
 """
@@ -286,8 +286,9 @@ class TestArraySolver:
         assert solve_eta(p, Z1, 7, 0.05) > 1.0
 
     def test_lockstep_entries_stop_on_their_own(self):
-        # entries needing very different bracket lengths give the same ratios
-        # as one call each; with n = d = 1 the polynomial needs no inexact pow
+        # entries whose Newton runs take very different numbers of steps give
+        # the same ratios as one call each; with n = d = 1 the start
+        # (nu/c)^(1/n) and the final t^d need no inexact pow
         p = ProblemParams(n=1, m=1, d=1)
         profile = LambdaProfile((1e-3,))
         eps = np.array([0.5, 0.01, 1e-4])
@@ -312,6 +313,50 @@ class TestArraySolver:
                     exact = (mpmath.mpf(nu) / mpmath.mpf(c)) ** (mpmath.mpf(d) / n)
                     worst = max(worst, float(abs(mpmath.mpf(eta) / exact - 1)))
         assert worst <= 1e-13
+
+    def test_matches_exact_root(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(p, profile, nu, eps):
+            """40-digit root eta and its condition number f / (t f') in t."""
+            ratio, prod, coeffs = mpmath.mpf(p.r) / mpmath.mpf(eps), mpmath.mpf(1), []
+            for i in range(p.m + 1):
+                prod *= mpmath.mpf(profile.lambdas[i - 1]) if i > 0 else 1
+                coeffs.append(prod * ratio**i)
+            f = lambda t: sum(a * t ** (p.n - i) for i, a in enumerate(coeffs))
+            df = lambda t: sum((p.n - i) * a * t ** (p.n - i - 1) for i, a in enumerate(coeffs))
+            top = (mpmath.mpf(nu) / p.c) ** (mpmath.mpf(1) / p.n)
+            t = mpmath.findroot(lambda t: p.c * f(t) - nu, (mpmath.mpf(1), top), solver="anderson")
+            return t ** p.d, f(t) / (t * df(t))
+
+        rng = np.random.default_rng(2308)
+        with mpmath.workdps(40):
+            for _ in range(100):
+                n = int(rng.integers(1, 4))
+                m, d = int(rng.integers(1, n + 1)), int(rng.integers(1, 16))
+                c = float(rng.uniform(0.5, 8.0)) + (d + 1 if n == 1 else 0)
+                p = ProblemParams(n=n, m=m, d=d, r=float(rng.uniform(0.5, 2.0)), c=c)
+                profile = LambdaProfile(tuple(np.sort(rng.uniform(1e-3, 2.0, m))))
+                eps = 10.0 ** rng.uniform(-3, 0, 10)
+                baseline = rhs_polynomial(p, profile, eps, 1.0)
+                nu = np.maximum(np.floor(baseline) + 1,
+                                np.ceil(baseline * 10.0 ** rng.uniform(0, 4, 10))).astype(np.int64)
+                for k, e, eta in zip(nu.tolist(), eps.tolist(), solve_eta(p, profile, nu, eps).tolist()):
+                    root, kappa = exact(p, profile, k, e)
+                    # float coefficients and a float polynomial resolve t only
+                    # to a few kappa ulps, and eta = t^d multiplies that by d;
+                    # kappa <= 1 for m < n, large near the baseline for m = n
+                    assert abs(eta / root - 1) <= 8 * d * kappa * 2.0**-53
+            # counts one above the baseline put the root just above 1; for m = n
+            # the start is about r/eps, far above it
+            for n, m, low in ((3, 1, -9), (2, 2, -4), (3, 3, -3)):
+                p, profile = ProblemParams(n=n, m=m, d=15, c=1.0), LambdaProfile((1.0,) * m)
+                eps = np.logspace(low, 0, 19)
+                nu = np.floor(rhs_polynomial(p, profile, eps, 1.0)).astype(np.int64) + 1
+                for k, e, eta in zip(nu.tolist(), eps.tolist(), solve_eta(p, profile, nu, eps).tolist()):
+                    root, kappa = exact(p, profile, k, e)
+                    assert eta > 1.0
+                    assert abs(eta / root - 1) <= 8 * 15 * kappa * 2.0**-53
 
 
 class TestEpsilon0:
@@ -351,6 +396,12 @@ class TestEpsilon0:
         except ValueError:
             return
         assert covering_counts(pts, [eps0 * (1 - 1e-9)])[0] >= 3
+
+    def test_constant_below_an_ulp_of_one(self):
+        # c + 1 rounds to 1, so even the one-ball count reaches it
+        p = ProblemParams(2, 1, 1, c=1e-300)
+        with pytest.raises(RuntimeError, match="disqualifying radius"):
+            epsilon0(FinitePoints([0.0, 1.0, 2.0]), p)
 
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
@@ -574,14 +625,14 @@ class TestRigidityBound:
 
     @pytest.mark.parametrize("lam, gamma", [
         (0.0, 61361.437578057434),
-        (1e-3, 55766.6910181239),
+        (1e-3, 55766.69101813091),
     ])
     def test_gamma_pinned_on_seeded_set(self, lam, gamma):
-        # values recorded with the one-ball-at-a-time counter and the scalar
-        # bisection; the array counter and the lockstep bisection must not
-        # move them.  With lambda_1 = 0 the ratio now comes from the closed
-        # form instead of a bisection midpoint, which may move gamma by up
-        # to a relative 1e-12 (here -1.6e-13).
+        # the lambda_1 = 0 value was recorded with the one-ball-at-a-time
+        # counter and a scalar bisection, whose midpoint the Newton root may
+        # move by up to a relative 1e-12 (here -1.6e-13).  The 1e-3 value is
+        # the Newton root; the 50-digit gamma is 55766.691018130888..., and
+        # the bisection's 55766.6910181239 sat -1.25e-13 from it.
         rng = np.random.default_rng(2308)
         pts = (np.arange(200) + rng.uniform(0.25, 0.75, 200)) / 200
         report = rigidity_bound(P15, LambdaProfile((lam,)), FinitePoints(pts))

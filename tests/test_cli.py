@@ -304,14 +304,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("solver", ["solve_eta", "epsilon0"])
     def test_degenerate_solver_search_exits_3(self, tmp_path, capsys, monkeypatch, solver):
         def fail(*args, **kwargs):
-            raise RuntimeError("failed to bracket the ratio; parameters are degenerate")
+            raise RuntimeError("failed to find a qualifying radius")
 
         monkeypatch.setattr(f"rigidity.bounds.{solver}", fail)
         set_path = write_set(tmp_path, SEVEN)
         code = main(["bound", "--set", set_path, "--d", "5", "--out", "rep.json"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "error: failed to bracket the ratio" in err
+        assert "error: failed to find a qualifying radius" in err
         assert "Traceback" not in err
 
     def test_huge_extract_grid_exits_3_before_allocating(self, capsys, monkeypatch):
