@@ -15,6 +15,7 @@ soundness.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .sets import PowerSequence, SetDescriptor, diameter, min_gap
 from .util import sorted_distinct
 
 BISECT_REL_TOL = 1e-12
-BISECT_MAX_ITER = 200
 # boundary refinements are placed just inside the qualifying region
 _BOUNDARY_SHRINK = 1.0 - 1e-9
 
@@ -230,58 +230,48 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     return _scalar_or_array(np.maximum(t ** p.d, np.nextafter(1.0, 2.0))[()])
 
 
-def _cardinality(s: SetDescriptor) -> float:
-    if isinstance(s, PowerSequence):
-        return math.inf
-    return float(sorted_distinct(s.values).size)
-
-
 def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     """Largest radius at which the covering count still reaches c + 1.
 
-    Bisection between a radius separating every point and one collapsing
-    the set into a single ball, run to relative width BISECT_REL_TOL.
-    With closed balls the qualifying region is open on the right; the
-    returned value is its boundary, approached from inside.
+    Bisection between a qualifying radius and one where a single ball
+    covers the set (the diameter, or 1/2 for a power sequence), until the
+    bracket is BISECT_REL_TOL wide relative to its top.  The qualifying
+    start is min_gap/4 for finite sets and 1/4, halved until it qualifies,
+    for power sequences.  With closed balls the qualifying region is open
+    on the right; the returned value is its boundary, approached from
+    inside, or the qualifying end of a subnormal bracket with no float
+    inside.  Raises ValueError when no positive radius qualifies, and
+    RuntimeError when c + 1 rounds to 1 for a finite set, so that even the
+    one-ball count reaches it.
     """
     count_at = exact_counter(s)
-    card = _cardinality(s)
-    if not card > p.c:
-        raise ValueError("the set must have more than c distinct values")
     threshold = p.c + 1.0
 
     if isinstance(s, PowerSequence):
-        # a ball of radius 1/2 covers (0, 1] entirely, so the count is 1 there;
         # the power counter itself is only defined below 1
         lo, hi = 0.25, 0.5
-        shrinks = 0
-        while count_at(lo) < threshold:
+        while lo > 0.0 and count_at(lo) < threshold:
             lo /= 2.0
-            shrinks += 1
-            if shrinks > 200:
-                raise RuntimeError("failed to find a qualifying radius")
+        qualifies = lo > 0.0
     else:
-        # one ball of radius diameter(s) covers the set: the count there is 1,
-        # below the threshold unless c + 1 rounds to 1
         if not threshold > 1.0:
             raise RuntimeError("failed to find a disqualifying radius")
-        lo, hi = min_gap(s) / 4.0, diameter(s)
-        if count_at(lo) < threshold:
-            # finite sets max out at their cardinality; shrinking cannot help
-            raise ValueError(
-                f"covering count never reaches c + 1 = {threshold:g} "
-                f"(only {int(card)} distinct values)"
-            )
+        # the diameter overflows to inf for values near the float limits
+        lo, hi = min_gap(s) / 4.0, min(diameter(s), sys.float_info.max)
+        qualifies = lo > 0.0 and count_at(lo) >= threshold
+    if not qualifies:
+        raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
 
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
+    # halving each end is exact and cannot overflow where lo + hi would
+    while hi - lo > BISECT_REL_TOL * hi:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:  # adjacent subnormals: lo is the last qualifying float
+            return lo
         if count_at(mid) >= threshold:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
@@ -375,12 +365,10 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
         if grid.size == 0:
             raise ValueError("epsilon grid has no entries below 1 for a power sequence")
 
-    eps0 = None
-    if _cardinality(s) > p.c:
-        try:
-            eps0 = epsilon0(s, p)
-        except ValueError:
-            eps0 = None
+    try:
+        eps0 = epsilon0(s, p)
+    except ValueError:
+        eps0 = None
     boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
     scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
 

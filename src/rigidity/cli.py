@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
 input (unreadable files, bad descriptors, unknown maps, usage errors), 3
-invalid parameters, a degenerate solver search or a size beyond memory, 4
-witness check falsified.
+invalid parameters, an epsilon0 search made degenerate by c + 1 rounding
+to 1 or a size beyond memory, 4 witness check falsified.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, RuntimeError, MemoryError) as exc:  # RuntimeError: solver search failed
+    except (ValueError, RuntimeError, MemoryError) as exc:  # RuntimeError: epsilon0 at c + 1 == 1
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

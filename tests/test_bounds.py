@@ -7,6 +7,7 @@ power-sequence dichotomy, and the report invariants.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from rigidity.bounds import (
     rigidity_bound,
     solve_eta,
 )
-from rigidity.covering import covering_counts, covering_number_power
+from rigidity.covering import (
+    BRUTE_FORCE_LIMIT,
+    brute_force_covering_oracle,
+    covering_counts,
+    covering_number_power,
+)
 from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, min_gap
 from rigidity.util import log_grid
 
@@ -421,6 +427,62 @@ class TestEpsilon0:
         assert 0.0 < eps0 < 0.5
         assert covering_number_power(-1.0, eps0 * (1 - 1e-9)) >= 5
         assert covering_number_power(-1.0, eps0 * (1 + 1e-9)) <= 4
+
+    def test_magnitudes_far_apart_converge(self):
+        # from the bracket [1/4, 1e200] the bisection needs about 700 halvings
+        p = ProblemParams(1, 1, 1)  # c = 2
+        eps0 = epsilon0(FinitePoints([0.0, 1e-200, 1.0, 1e200]), p)
+        assert eps0 == pytest.approx(0.5, rel=1e-12)
+
+    def test_diameter_past_the_float_limit(self):
+        # the diameter 2e308 overflows; the bracket stops at the largest float
+        pts = [-1e308, 0.0, 1.0, 1e308]
+        eps0 = epsilon0(FinitePoints(pts), ProblemParams(1, 1, 1))
+        assert math.isfinite(eps0)
+        with np.errstate(over="ignore"):  # the oracle's ball ends pass the float limit
+            assert brute_force_covering_oracle(pts, eps0 * (1 - 1e-9)) >= 3
+            assert brute_force_covering_oracle(pts, eps0 * (1 + 1e-9)) < 3
+
+    def test_power_sequence_with_a_far_boundary(self):
+        # 2^-700 is about 2e-211: the lower end halves about 700 times
+        eps0 = epsilon0(PowerSequence(-700.0), ProblemParams(1, 1, 1))
+        assert covering_number_power(-700.0, eps0 * (1 - 1e-9)) >= 3
+        assert covering_number_power(-700.0, eps0 * (1 + 1e-9)) < 3
+
+    @pytest.mark.parametrize("alpha", [-700.0, -2000.0])
+    def test_power_sequence_that_never_qualifies(self, alpha):
+        # 3^alpha underflows, so no positive radius separates four terms
+        p = ProblemParams(1, 1, 2)  # c = 3
+        with pytest.raises(ValueError, match="never reaches"):
+            epsilon0(PowerSequence(alpha), p)
+        report = rigidity_bound(p, LambdaProfile.zeros(1), PowerSequence(alpha),
+                                log_grid(1e-3, 0.4, 10))
+        assert report.epsilon0 is None and report.gamma_closed_form is None
+
+    def test_subnormal_gaps_never_qualify(self):
+        # min_gap/4 underflows to zero, which is no radius
+        pts = FinitePoints([0.0, 5e-324, 1e-323, 1.5e-323])
+        with pytest.raises(ValueError, match="never reaches"):
+            epsilon0(pts, ProblemParams(1, 1, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        logs=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=BRUTE_FORCE_LIMIT),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=BRUTE_FORCE_LIMIT,
+                       max_size=BRUTE_FORCE_LIMIT),
+        d=st.integers(1, 6),
+    )
+    def test_two_sided_certificate(self, logs, signs, d):
+        pts = [s * 10.0**u for s, u in zip(signs, logs)]
+        p = ProblemParams(1, 1, d)
+        try:
+            eps0 = epsilon0(FinitePoints(pts), p)
+        except ValueError:
+            return
+        # a relative margin of 1e-9 is only resolved in normal floats
+        assume(eps0 >= sys.float_info.min)
+        assert brute_force_covering_oracle(pts, eps0 * (1 - 1e-9)) >= p.c + 1
+        assert brute_force_covering_oracle(pts, eps0 * (1 + 1e-9)) < p.c + 1
 
 
 class TestGammaClosedForm:
