@@ -35,6 +35,8 @@ GRID_CSV_BYTES_PER_NODE = 100
 # a 2 x n differential whose sigma_max is below this share of the largest
 # entry in its batch gets its own scale: its squares would lose bits
 _RESCALE_BELOW = 2.0**-200
+# cells dropped at each grid edge, where the difference stencil is one-sided
+_EDGE = 1
 
 __all__ = [
     "SampledMap",
@@ -207,8 +209,8 @@ def _jacobian_field(sm: SampledMap) -> np.ndarray:
     return jac
 
 
-def _interior(sm: SampledMap, margin: int = 1) -> tuple:
-    return (slice(margin, -margin),) * sm.n
+def _interior(sm: SampledMap) -> tuple:
+    return (slice(_EDGE, -_EDGE),) * sm.n
 
 
 def _two_row_singular_values(jac: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from .util import sorted_distinct
 
 # every plateau is this fraction of a transition's width
 _PLATEAU_RATIO = 0.5
+# relative rounding allowance when the bound is compared with the witness scale
+_SLACK = 1e-9
 
 __all__ = [
     "smoothstep_coefficients",
@@ -265,14 +267,14 @@ class SandwichResult:
 
 
 def sandwich_check(p: ProblemParams, profile: LambdaProfile, s: SetDescriptor,
-                   eps_grid=None, slack: float = 1e-9) -> SandwichResult:
+                   eps_grid=None) -> SandwichResult:
     """Run the bound and an explicit witness on the same set and compare.
 
     The witness attains the set as exact critical values, which are
     near-critical under every threshold profile, so the certified lower
     bound must not exceed the witness's measured derivative scale.  A
-    violation (beyond relative slack) falsifies the implementation, not
-    the witness.  Univariate scalar sets only.
+    violation (beyond the relative slack _SLACK) falsifies the
+    implementation, not the witness.  Univariate scalar sets only.
     """
     if p.n != 1 or p.m != 1:
         raise ValueError("the witness construction is univariate (n = m = 1)")
@@ -280,5 +282,5 @@ def sandwich_check(p: ProblemParams, profile: LambdaProfile, s: SetDescriptor,
     values = materialize(s)
     witness = build_witness(values, p.d, p.r)
     scale = witness_derivative_scale(witness)
-    ok = report.gamma <= scale * (1.0 + slack)
+    ok = report.gamma <= scale * (1.0 + _SLACK)
     return SandwichResult(report.gamma, scale, ok, report, witness)
