@@ -27,6 +27,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 CASES = Path(__file__).resolve().parent / "cases"
 HASH_ABOVE = 32 * 1024
@@ -95,18 +96,14 @@ def run(case: Path, workdir: Path) -> dict:
 
     argv = stage(case, workdir)
     out, err = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(workdir)
-    os.environ["COLUMNS"] = COLUMNS
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return record(case, workdir, code, out.getvalue(), err.getvalue())
 
 

@@ -465,6 +465,16 @@ class TestEpsilon0:
         with pytest.raises(ValueError, match="never reaches"):
             epsilon0(pts, ProblemParams(1, 1, 1))
 
+    def test_subnormal_bracket_returns_its_qualifying_end(self):
+        # the bracket closes on adjacent subnormals, where its midpoint
+        # could round onto the end that no longer qualifies
+        p = ProblemParams(1, 1, 2)  # c = 3
+        for k in range(3, 40):
+            pts = FinitePoints(np.arange(4) * k * 5e-324)
+            eps0 = epsilon0(pts, p)
+            above = math.nextafter(eps0, 1.0)
+            assert covering_counts(pts, [eps0, above]).tolist() == [4, 2]
+
     @settings(max_examples=150, deadline=None)
     @given(
         logs=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=BRUTE_FORCE_LIMIT),
