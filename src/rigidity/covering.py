@@ -113,6 +113,11 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     at zero.  Unfinished sweeps step together while more than _SCALAR_TAIL
     are live; the rest finish one at a time with ``_next_anchor``.
 
+    No sweep walks its prefix of one-term balls: down to the index K where
+    the gap between terms falls to 2*eps, each term is an anchor, so every
+    sweep starts at anchor K**alpha with K - 1 balls counted, K from
+    ``_prefix_length``.
+
     Anchors are m**alpha from libm, as Python's ``**`` computes them, so
     the counts are bit-identical to a scalar sweep.  numpy only guesses the
     index m; a guess that is wrong, or whose neighbour (m-1)**alpha (SIMD
@@ -120,8 +125,8 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     ``_next_anchor``.  Past index 1e15 adjacent terms are denser than float
     ulps near t, and the next anchor is nextafter(t, 0).
     """
-    if not alpha < 0:
-        raise ValueError("alpha must be negative")
+    if not -math.inf < alpha < 0:
+        raise ValueError("alpha must be a finite negative number")
     eps = np.asarray(epsilons, dtype=float)
     if not np.all((eps > 0) & (eps < 1)):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -131,7 +136,12 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     two_eps = 2.0 * eps
     counts = np.ones(two_eps.size, dtype=np.int64)  # the final ball over the tail
     live = np.flatnonzero(two_eps < 1.0)
-    te, q = two_eps[live], np.ones(live.size)
+    te = two_eps[live]
+    k = _prefix_length(alpha, te)
+    q = np.fromiter(map(math.pow, k.tolist(), repeat(alpha)), float, k.size)
+    counts[live] += k.astype(np.int64) - 1  # one ball per term before K
+    keep = q > te  # else K**alpha <= 2*eps: the final ball covers it
+    live, te, q = live[keep], te[keep], q[keep]
     steps = 0
     while live.size > _SCALAR_TAIL:
         steps += 1
@@ -165,6 +175,27 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
             qj = _next_anchor(qj - tej, alpha)
         counts[j] += n
     return counts
+
+
+def _prefix_length(alpha: float, two_eps: np.ndarray) -> np.ndarray:
+    """Per radius 2*eps, an index K (a float >= 1) such that the greedy
+    sweep's first K anchors are the terms 1, 2**alpha, ..., K**alpha.
+
+    The gap k**alpha - (k+1)**alpha exceeds |alpha|*(k+1)**(alpha-1), which
+    falls as k grows, so every k < K has a gap over 2*eps once
+    |alpha|*K**(alpha-1) >= max(2*eps, 2**-1000)*(1 + 2**-20).  With K capped
+    at 2**28*|alpha|, each such gap then exceeds 2*eps by more than
+    2**-20*max(2*eps, 2**-1000) and by about 2**-48*k**alpha, while the float
+    test (k+1)**alpha < k**alpha - 2*eps carries three roundings (two libm
+    pows, one subtraction) of under 3 ulps of k**alpha, or 3 subnormal ulps:
+    the float sweep takes the same anchors.  Without the 2**-1000 floor,
+    subnormal radii break this (alpha = -80 at eps = 5e-324).  K is solved in
+    logs, so tiny radii and exponents stay finite; the 1e-9 shrink absorbs
+    numpy's log and exp rounding.
+    """
+    log_k = np.log(np.maximum(two_eps, 2.0**-1000)) + (math.log1p(2.0**-20) - math.log(-alpha))
+    log_k = np.minimum(log_k / (alpha - 1.0), math.log(2.0**28 * -alpha)) - 1e-9
+    return np.maximum(np.floor(np.exp(log_k)), 1.0)
 
 
 def _next_anchor(t: float, alpha: float) -> float:

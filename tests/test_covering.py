@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -86,14 +87,17 @@ def near_tie_radii(draw):
     return np.array(pts), np.array([e for e in eps if e > 0])
 
 
+def scalar_power_anchors(alpha, epsilon):
+    """Reference power-sequence sweep: its anchors, one scalar index search
+    per ball; the last one is the final ball's, at or below 2*epsilon."""
+    anchors = [1.0]
+    while anchors[-1] > 2.0 * epsilon:
+        anchors.append(scalar_next_term_below(alpha, anchors[-1] - 2.0 * epsilon))
+    return anchors
+
+
 def scalar_power_count(alpha, epsilon):
-    """Reference power-sequence sweep: one scalar index search per ball."""
-    count = 0
-    q = 1.0
-    while q > 2.0 * epsilon:
-        count += 1
-        q = scalar_next_term_below(alpha, q - 2.0 * epsilon)
-    return count + 1
+    return len(scalar_power_anchors(alpha, epsilon))
 
 
 def scalar_next_term_below(alpha, t):
@@ -396,6 +400,60 @@ class TestPowerLockstep:
         expected = [scalar_power_count(-0.05, e) for e in eps.tolist()]
         got = at_every_handover(lambda: covering_counts(PowerSequence(-0.05), eps).tolist())
         assert got == every_handover(expected)
+
+    def test_prefix_boundary_ties_identical(self):
+        # eps = (k**alpha - (k+1)**alpha) / 2 ends the one-term-per-ball
+        # prefix exactly at k: the prefix jump must not pass it
+        for alpha in np.linspace(-3.0, -0.05, 30).tolist():
+            eps = []
+            for k in range(1, 61):
+                half = (k ** alpha - (k + 1) ** alpha) / 2.0
+                eps += [math.nextafter(half, 0.0), half, math.nextafter(half, 1.0)]
+            expected = [scalar_power_count(alpha, e) for e in eps]
+            got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+            assert got == every_handover(expected)
+
+    def test_tiny_radii_with_long_prefixes(self):
+        # about 6,200 of the 7,923 balls at eps = 1e-15 are in the prefix,
+        # whose end sits where the float margin argument binds
+        eps = np.geomspace(1e-12, 1e-15, 13)
+        expected = [scalar_power_count(-3.0, e) for e in eps.tolist()]
+        got = at_every_handover(lambda: covering_counts(PowerSequence(-3.0), eps).tolist())
+        assert got == every_handover(expected)
+
+    @pytest.mark.parametrize("alpha, eps", [
+        (-1e-3, np.geomspace(0.4, 1e-3, 12)),
+        (-0.05, np.geomspace(0.4, 1e-3, 12)),
+        (-80.0, [5e-324, 1e-322, 1e-320, 1e-310, 1e-200, 1e-50, 0.1]),
+        (-120.0, [5e-324, 1e-320, 1e-310, 1e-100, 0.1]),
+        (-700.0, [5e-324, 1e-320, 1e-300, 1e-212, 1e-100, 0.1]),
+        (-2000.0, [5e-324, 1e-320, 1e-300, 1e-100, 0.1]),
+    ], ids=["alpha-1e-3", "alpha-0.05", "alpha-80", "alpha-120", "alpha-700", "alpha-2000"])
+    def test_extreme_exponents_identical(self, alpha, eps):
+        # subnormal radii at alpha = -80 and -120 need the prefix's
+        # 2**-1000 floor; none of these may warn
+        expected = [scalar_power_count(alpha, e) for e in np.asarray(eps).tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+        assert got == every_handover(expected)
+
+    def test_prefix_never_passes_the_one_term_balls(self):
+        # the jump's K against the scalar sweep's own anchors: its first K
+        # must be 1, 2**alpha, ..., K**alpha.  K stops a term or two short
+        # of the true prefix, except below the 2**-1000 floor
+        cases = [(alpha, e) for alpha in (-3.0, -1.0, -0.5, -0.05)
+                 for e in np.geomspace(0.4, 1e-4, 13).tolist()]
+        cases += [(-80.0, e) for e in (5e-324, 1e-320, 1e-300, 1e-100)]
+        cases += [(-120.0, 5e-324), (-3.0, 1e-15)]
+        for alpha, e in cases:
+            anchors = scalar_power_anchors(alpha, e)
+            prefix = next((i for i, q in enumerate(anchors) if q != (i + 1) ** alpha),
+                          len(anchors))
+            k = covering._prefix_length(alpha, np.array([2.0 * e]))[0]
+            assert 1 <= k <= prefix, (alpha, e)
+            if 2.0 * e >= 2.0**-1000:
+                assert k >= prefix - 2, (alpha, e)
 
     def test_one_radius_over_the_limit_fails_the_batch(self):
         assert (2e-16) ** (1.0 / (-1.0 - 1.0)) > POWER_COUNT_LIMIT
