@@ -113,10 +113,8 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     at zero.  Unfinished sweeps step together while more than _SCALAR_TAIL
     are live; the rest finish one at a time with ``_next_anchor``.
 
-    No sweep walks its prefix of one-term balls: down to the index K where
-    the gap between terms falls to 2*eps, each term is an anchor, so every
-    sweep starts at anchor K**alpha with K - 1 balls counted, K from
-    ``_prefix_length``.
+    No sweep walks its prefix of one-term balls: each starts at the anchor
+    K**alpha of ``_prefix_length`` with K - 1 balls counted.
 
     Anchors are m**alpha from libm, as Python's ``**`` computes them, so
     the counts are bit-identical to a scalar sweep.  numpy only guesses the
@@ -130,8 +128,9 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     eps = np.asarray(epsilons, dtype=float)
     if not np.all((eps > 0) & (eps < 1)):
         raise ValueError("epsilon must lie in (0, 1)")
-    # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans
-    if eps.size and (2.0 * float(eps.min())) ** (1.0 / (alpha - 1.0)) > POWER_COUNT_LIMIT:
+    # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans,
+    # comparing logs (the power overflows for alpha near 0 and tiny eps)
+    if eps.size and math.log(2.0 * eps.min()) / (alpha - 1.0) > math.log(POWER_COUNT_LIMIT):
         raise ValueError("covering count would exceed the iteration limit; raise epsilon")
     two_eps = 2.0 * eps
     counts = np.ones(two_eps.size, dtype=np.int64)  # the final ball over the tail
@@ -178,19 +177,18 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
 
 
 def _prefix_length(alpha: float, two_eps: np.ndarray) -> np.ndarray:
-    """Per radius 2*eps, an index K (a float >= 1) such that the greedy
-    sweep's first K anchors are the terms 1, 2**alpha, ..., K**alpha.
+    """Per radius 2*eps, a K (a float >= 1) whose terms 1, 2**alpha, ...,
+    K**alpha are the greedy sweep's first K anchors: the largest integer
+    up to 2**28*|alpha| with |alpha|*K**(alpha-1) >= max(2*eps, 2**-1000)
+    * (1 + mu), mu = 2**-20.
 
-    The gap k**alpha - (k+1)**alpha exceeds |alpha|*(k+1)**(alpha-1), which
-    falls as k grows, so every k < K has a gap over 2*eps once
-    |alpha|*K**(alpha-1) >= max(2*eps, 2**-1000)*(1 + 2**-20).  With K capped
-    at 2**28*|alpha|, each such gap then exceeds 2*eps by more than
-    2**-20*max(2*eps, 2**-1000) and by about 2**-48*k**alpha, while the float
-    test (k+1)**alpha < k**alpha - 2*eps carries three roundings (two libm
-    pows, one subtraction) of under 3 ulps of k**alpha, or 3 subnormal ulps:
-    the float sweep takes the same anchors.  Without the 2**-1000 floor,
-    subnormal radii break this (alpha = -80 at eps = 5e-324).  K is solved in
-    logs, so tiny radii and exponents stay finite; the 1e-9 shrink absorbs
+    Each gap k**alpha - (k+1)**alpha exceeds |alpha|*(k+1)**(alpha-1), so
+    for k < K it tops 2*eps by mu*max(2*eps, 2**-1000) and, by the cap on
+    K, by about 2**-48*k**alpha: more than the roundings of
+    the float test (k+1)**alpha < k**alpha - 2*eps (two libm pows and a
+    subtraction, under 3 ulps of k**alpha or 3 subnormal ulps).  Without
+    the 2**-1000 floor alpha = -80 at eps = 5e-324 breaks.  K is solved in
+    logs, finite for any radius and exponent; the 1e-9 shrink absorbs
     numpy's log and exp rounding.
     """
     log_k = np.log(np.maximum(two_eps, 2.0**-1000)) + (math.log1p(2.0**-20) - math.log(-alpha))
@@ -328,7 +326,7 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
     full = (1 << n) - 1
     masks = []
     for idx in range(n):
-        hi = int(np.searchsorted(pts, pts[idx] + 2.0 * epsilon, side="right"))
+        hi = int(np.searchsorted(pts, float(pts[idx]) + 2.0 * epsilon, side="right"))
         masks.append(((1 << (hi - idx)) - 1) << idx)
     for k in range(1, n + 1):
         for combo in combinations(masks, k):
