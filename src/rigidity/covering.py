@@ -184,12 +184,12 @@ def _prefix_length(alpha: float, two_eps: np.ndarray) -> np.ndarray:
 
     Each gap k**alpha - (k+1)**alpha exceeds |alpha|*(k+1)**(alpha-1), so
     for k < K it tops 2*eps by mu*max(2*eps, 2**-1000) and, by the cap on
-    K, by about 2**-48*k**alpha: more than the roundings of
-    the float test (k+1)**alpha < k**alpha - 2*eps (two libm pows and a
-    subtraction, under 3 ulps of k**alpha or 3 subnormal ulps).  Without
-    the 2**-1000 floor alpha = -80 at eps = 5e-324 breaks.  K is solved in
-    logs, finite for any radius and exponent; the 1e-9 shrink absorbs
-    numpy's log and exp rounding.
+    K, by about 2**-48*k**alpha: more than the roundings of the float test
+    (k+1)**alpha < k**alpha - 2*eps (two libm pows and a subtraction, under
+    3 ulps of k**alpha or 3 subnormal ulps).  Without the 2**-1000 floor
+    alpha = -80 at eps = 5e-324 breaks.  K is solved in logs, finite for
+    any radius and exponent; the 1e-9 shrink absorbs numpy's log and exp
+    rounding.
     """
     log_k = np.log(np.maximum(two_eps, 2.0**-1000)) + (math.log1p(2.0**-20) - math.log(-alpha))
     log_k = np.minimum(log_k / (alpha - 1.0), math.log(2.0**28 * -alpha)) - 1e-9

@@ -317,6 +317,8 @@ class TestPowerCovering:
             covering_number_power(-1.0, 0.0)
         with pytest.raises(ValueError):
             covering_number_power(0.5, 0.1)
+        with pytest.raises(ValueError):
+            covering_number_power(-math.inf, 0.1)
 
     def test_refuses_astronomical_counts(self):
         with pytest.raises(ValueError):
