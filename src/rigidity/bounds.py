@@ -289,14 +289,16 @@ def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
 class BoundReport:
     """Outcome of a rigidity scan over a resolution grid.
 
-    e_intervals: the evaluated resolutions that qualified; eta_curve: the
-    solved ratio at each of them; gamma: best eps * eta product (zero
+    e_intervals: the evaluated resolutions that qualified, a read-only
+    (k,) float64 array; eta_curve: the read-only (k, 2) float64 array of
+    (resolution, solved ratio) rows; gamma: best eps * eta product (zero
     exactly when nothing qualified); epsilon0 / gamma_closed_form: the
-    count-(c+1) boundary and its closed-form bound when applicable.
+    count-(c+1) boundary and its closed-form bound when applicable.  Any
+    sequences are accepted and converted.
     """
 
-    e_intervals: tuple
-    eta_curve: tuple
+    e_intervals: np.ndarray
+    eta_curve: np.ndarray
     gamma: float
     gamma_closed_form: float | None
     epsilon0: float | None
@@ -304,21 +306,30 @@ class BoundReport:
     profile: LambdaProfile
 
     def __post_init__(self):
-        if any(eta <= 1.0 for _, eta in self.eta_curve):
+        radii = _read_only(self.e_intervals)
+        curve = _read_only(self.eta_curve)
+        if curve.size == 0:
+            curve = curve.reshape(0, 2)
+        if radii.ndim != 1 or curve.ndim != 2 or curve.shape[1] != 2:
+            raise ValueError("need a 1-d array of radii and a (k, 2) eta curve")
+        if np.any(curve[:, 1] <= 1.0):
             raise ValueError("every solved ratio must exceed 1")
-        best = max((e * eta for e, eta in self.eta_curve), default=0.0)
+        products = curve[:, 0] * curve[:, 1]
+        best = products.max().item() if products.size else 0.0
         if not math.isclose(best, self.gamma, rel_tol=1e-12, abs_tol=0.0) and best != self.gamma:
             raise ValueError("gamma must equal the best eps*eta product")
-        if (self.gamma == 0.0) != (len(self.e_intervals) == 0):
+        if (self.gamma == 0.0) != (radii.size == 0):
             raise ValueError("gamma is zero exactly when nothing qualified")
+        object.__setattr__(self, "e_intervals", radii)
+        object.__setattr__(self, "eta_curve", curve)
 
     def to_json_dict(self) -> dict:
         return {
             "gamma": self.gamma,
             "epsilon0": self.epsilon0,
             "gamma_closed_form": self.gamma_closed_form,
-            "eta_curve": [[e, eta] for e, eta in self.eta_curve],
-            "E_intervals": list(self.e_intervals),
+            "eta_curve": self.eta_curve.tolist(),
+            "E_intervals": self.e_intervals.tolist(),
             "params": {
                 "n": self.params.n,
                 "m": self.params.m,
@@ -331,8 +342,15 @@ class BoundReport:
 
     def eta_curve_csv_text(self) -> str:
         lines = ["epsilon,eta,product"]
-        lines += [f"{e!r},{eta!r},{e * eta!r}" for e, eta in self.eta_curve]
+        lines += [f"{e!r},{eta!r},{e * eta!r}" for e, eta in self.eta_curve.tolist()]
         return "\n".join(lines) + "\n"
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``values``."""
+    arr = np.array(values, dtype=float, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
@@ -376,13 +394,13 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     hit = counts > rhs_polynomial(p, profile, scan, 1.0)
     qualifying = scan[hit]
     etas = solve_eta(p, profile, counts[hit], qualifying)
+    curve = np.column_stack((qualifying, etas))
     gamma = float(np.max(qualifying * etas, initial=0.0))
-    curve = tuple(zip(qualifying.tolist(), etas.tolist()))
 
     closed = None
     if eps0 is not None and profile.lambdas[0] == 0.0:
         closed = gamma_closed_form(eps0, p)
-    return BoundReport(tuple(qualifying.tolist()), curve, gamma, closed, eps0, p, profile)
+    return BoundReport(qualifying, curve, gamma, closed, eps0, p, profile)
 
 
 @dataclass(frozen=True)

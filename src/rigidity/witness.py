@@ -13,6 +13,7 @@ a function that visibly realizes the set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,8 @@ class WitnessFunction:
                 raise ValueError("pieces must be contiguous")
         if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
             raise ValueError("order must be a positive integer")
+        # a numpy integer order would wrap in the step maximum's factorials
+        object.__setattr__(self, "order", int(self.order))
 
     @property
     def plateau_values(self) -> np.ndarray:
@@ -241,11 +244,16 @@ def witness_derivative_scale(w: WitnessFunction) -> float:
     if not transitions:
         return 0.0
     d = w.order
+    peak = max(abs(t.jump) / t.width**d for t in transitions)
+    return float(peak * _step_max(d) * w.radius**d / math.factorial(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _step_max(d: int) -> float:
+    """max|s^(d)| on [0, 1] for the order-d unit step; see ``witness_derivative_scale``."""
     nodes = legendre.legroots([0] * d + [1])
     peak_legendre = np.max(np.abs(legendre.legval(nodes, [0] * (d - 1) + [1])))
-    step_max = math.factorial(2 * d + 1) / (2 * math.factorial(d) * (d + 1)) * peak_legendre
-    peak = max(abs(t.jump) / t.width**d for t in transitions)
-    return float(peak * step_max * w.radius**d / math.factorial(d))
+    return math.factorial(2 * d + 1) / (2 * math.factorial(d) * (d + 1)) * peak_legendre
 
 
 @dataclass(frozen=True, eq=False)

@@ -599,7 +599,7 @@ class TestRigidityBound:
         grid = log_grid(1e-5, 4.0, per_decade)
         report = rigidity_bound(p, profile, s, grid)
         qualifying, curve = _scalar_scan(p, profile, s, grid)
-        assert report.e_intervals == qualifying
+        assert report.e_intervals.tolist() == list(qualifying)
         assert len(report.eta_curve) == len(curve)
         for (e_new, eta_new), (e_old, eta_old) in zip(report.eta_curve, curve):
             assert e_new == e_old
@@ -622,8 +622,8 @@ class TestRigidityBound:
         p = ProblemParams(1, 1, 2)  # c = 3
         report = rigidity_bound(p, Z1, FinitePoints([0.0, 1.0]))
         assert report.gamma == 0.0
-        assert report.e_intervals == ()
-        assert report.eta_curve == ()
+        assert report.e_intervals.tolist() == []
+        assert report.eta_curve.tolist() == []
         assert report.epsilon0 is None
         assert report.gamma_closed_form is None
 

@@ -1,8 +1,10 @@
-"""The bulk JSON writer against the standard library's encoder.
+"""The bulk JSON writer against the standard library's encoder, and
+``sorted_distinct`` against ``np.unique``.
 
 ``dump_json`` must write exactly what ``json.dump(obj, fh, indent=2,
 sort_keys=True)`` writes, on the float lists and tables it formats in bulk
-and on everything it hands back to ``json.dumps``.
+and on everything it hands back to ``json.dumps``.  ``sorted_distinct``
+must return the bits ``np.unique`` returns.
 """
 
 import io
@@ -164,3 +166,56 @@ class TestDumpJsonArrays:
                 reference(arr)
             with pytest.raises(TypeError):
                 written(arr)
+
+
+def unique(values, axis=None):
+    return np.unique(values, axis=axis, return_inverse=True)[0]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# a pool per example, drawn from with repeats: duplicates, signed zeros
+# (one sign or both), subnormals, huge magnitudes, NaN payloads
+distinct_pools = st.lists(
+    st.one_of(st.sampled_from(SPECIAL + [nan_with_payload(3)]),
+              st.floats(allow_subnormal=True)),
+    max_size=8)
+flat_inputs = distinct_pools.flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40) if pool else st.just([]))
+
+
+class TestSortedDistinct:
+    @settings(max_examples=400, deadline=None)
+    @given(values=flat_inputs)
+    def test_matches_np_unique_bit_for_bit(self, values):
+        arr = np.array(values, dtype=float)
+        assert_same_bits(util.sorted_distinct(arr), unique(arr))
+        assert_same_bits(util.sorted_distinct(values), unique(values))
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [0.0, 0.0, -1.0],
+        [-0.0, 2.0, -0.0],
+        [1e308, -1e308, 5e-324, -5e-324, 5e-324],
+        [3, 1, 1, 2],
+        np.float64(2.5),
+        [[2.0, 1.0], [1.0, 2.0]],
+    ], ids=["empty", "zeros", "negative-zeros", "extremes", "ints", "scalar", "2-d"])
+    def test_edge_inputs(self, values):
+        assert_same_bits(util.sorted_distinct(values), unique(values))
+
+    def test_both_zero_signs_and_nans_take_np_unique(self):
+        rng = np.random.default_rng(5)
+        for size in (2, 17, 300):
+            arr = rng.choice([0.0, -0.0, 1.0, math.nan], size)
+            with mock.patch.object(util.np, "unique", wraps=np.unique) as spy:
+                got = util.sorted_distinct(arr)
+            assert spy.called == (np.isnan(arr).any() or np.signbit(arr[arr == 0]).ptp() > 0)
+            assert_same_bits(got, unique(arr))
+
+    def test_rows_keep_np_unique(self):
+        rows = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [-0.0, 5.0]])
+        assert_same_bits(util.sorted_distinct(rows, axis=0), unique(rows, axis=0))

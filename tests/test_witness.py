@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from rigidity.bounds import LambdaProfile, ProblemParams
+from rigidity import witness
 from rigidity.sets import FinitePoints
 from rigidity.witness import (
     Plateau,
@@ -244,6 +246,27 @@ class TestDerivativeScale:
                 ]
                 want = max(abs(mpmath.polyval(list(reversed(deriv)), u)) for u in roots)
                 assert abs(got - want) <= 1e-14 * want, order
+
+    def test_memoized_step_maximum_is_the_uncached_expression(self):
+        for order in range(1, 31):
+            nodes = legendre.legroots([0] * order + [1])
+            peak = np.max(np.abs(legendre.legval(nodes, [0] * (order - 1) + [1])))
+            want = (math.factorial(2 * order + 1)
+                    / (2 * math.factorial(order) * (order + 1)) * peak)
+            for _ in range(2):  # computed, then cached
+                got = witness._step_max(order)
+                assert type(got) is type(want) and got == want, order
+
+    @pytest.mark.parametrize("order", [3, 16, 20, 25])
+    def test_numpy_integer_order_is_a_python_int(self, order):
+        # in np.int64 the step maximum's factorials round at 16, wrap
+        # negative at 20 and overflow at 21
+        pieces = (Plateau(-1.0, -0.5, 0.0), Transition(-0.5, 0.5, 0.0, 1.0),
+                  Plateau(0.5, 1.0, 1.0))
+        w = WitnessFunction(pieces, order=np.int64(order), radius=1.0)
+        assert type(w.order) is int
+        plain = WitnessFunction(pieces, order=order, radius=1.0)
+        assert witness_derivative_scale(w) == witness_derivative_scale(plain) > 0.0
 
     def test_witness_needs_a_positive_integer_order(self):
         pieces = (Plateau(-1.0, 1.0, 0.0),)
