@@ -33,7 +33,8 @@ MAX_GRID_NODES = 25_000_000
 # grid holds four numbers of up to 24 characters and their separators
 GRID_CSV_BYTES_PER_NODE = 100
 # a 2 x n differential whose sigma_max is below this share of the largest
-# entry in its batch gets its own scale: its squares would lose bits
+# entry in its batch, or a gradient whose norm is below it, gets its own
+# scale: its squares would lose bits
 _RESCALE_BELOW = 2.0**-200
 # cells dropped at each grid edge, where the difference stencil is one-sided
 _EDGE = 1
@@ -121,6 +122,8 @@ class SampledMap:
         """
         if not 1 <= n <= MAX_DIM:
             raise ValueError(f"domain dimension must be in [1, {MAX_DIM}]")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError("radius must be positive and finite")
         if divisions is None:
             divisions = DEFAULT_DIVISIONS[n]
         if divisions < 2:
@@ -131,7 +134,9 @@ class SampledMap:
         axis = np.linspace(-radius, radius, npts)
         grids = np.meshgrid(*([axis] * n), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        out = np.asarray(func(pts), dtype=float)
+        # a value that overflows is refused below as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(func(pts), dtype=float)
         if out.ndim == 1:
             out = out[:, None]
         if out.shape != (pts.shape[0], m):
@@ -256,6 +261,23 @@ def _scaled_two_row(jac: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gradient_norms(grad: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (k, n) stack of gradients.
+
+    ``np.linalg.norm`` squares the entries, which underflow below about
+    1e-154; the rows whose norm falls below ``_RESCALE_BELOW`` are redone
+    divided by their own largest entry, and every other row keeps its bits.
+    """
+    out = np.linalg.norm(grad, axis=1)
+    low = np.flatnonzero(out < _RESCALE_BELOW)
+    if low.size:
+        sub = grad[low]
+        own = np.max(np.abs(sub), axis=1, keepdims=True)
+        own[own == 0.0] = 1.0
+        out[low] = np.linalg.norm(sub / own, axis=1) * own[:, 0]
+    return out
+
+
 def semi_axis_field(sm: SampledMap) -> tuple:
     """Singular values of the differential at interior grid points in the ball.
 
@@ -278,7 +300,7 @@ def semi_axis_field(sm: SampledMap) -> tuple:
     pts = pts[keep]
     jflat = jflat[keep]
     if sm.m == 1:
-        sig = np.linalg.norm(jflat[:, 0, :], axis=1)[:, None]
+        sig = _gradient_norms(jflat[:, 0, :])[:, None]
     elif sm.m == 2:
         sig = _two_row_singular_values(jflat)
     else:
@@ -389,9 +411,10 @@ def _sign_change_roots(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     the threshold selection; only strict sign changes hide a root between
     nodes.
     """
-    # an overflowed product or difference keeps its sign
+    # signs, since the product of two tiny derivatives underflows to zero;
+    # an overflowed difference keeps its sign
     with np.errstate(over="ignore"):
-        i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+        i = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)
         a = g[i]
         return x[i] - a * (x[i + 1] - x[i]) / (g[i + 1] - a)
 

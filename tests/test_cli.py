@@ -232,6 +232,19 @@ class TestExtract:
         blob = json.loads((tmp_path / "tiny.set.json").read_text())
         assert blob == {"type": "finite", "points": [0.0]}
 
+    @pytest.mark.parametrize("argv", [
+        ["--map", "poly10", "--check", "--r", "1e400"],
+        ["--map", "bowl2d", "--r", "1e300"],
+    ], ids=["infinite-radius", "overflowing-samples"])
+    def test_out_of_range_radius_exits_3_quietly(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["extract", *argv, "--out-prefix", "big"])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_grid_csv_source(self, tmp_path, capsys):
         entry = builtin_map("parabola1d")
         sm = SampledMap.from_callable(entry.func, 1, 1)
@@ -505,9 +518,13 @@ class TestArgumentFuzz:
     @given(argv=cli_argv())
     def test_exit_code_is_documented_and_no_traceback(self, argv):
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+        # a RuntimeWarning raised here fails the example with its argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
         event(f"exit {code}")
         # exit 4 would mean a falsified bound
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        assert "Warning" not in err.getvalue()

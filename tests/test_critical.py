@@ -7,6 +7,7 @@ maps whose behavior is known in closed form.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,21 @@ class TestSampledMap:
         bad[4] = np.nan
         with pytest.raises(ValueError):
             SampledMap(axis, bad, 1.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius_refused_before_sampling(self, radius):
+        def never(pts):
+            raise AssertionError("a bad radius must not be sampled")
+
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            SampledMap.from_callable(never, 1, 1, radius)
+
+    def test_overflowing_samples_are_refused_quietly(self):
+        entry = builtin_map("bowl2d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sampled values must be finite"):
+                SampledMap.from_callable(entry.func, 2, 1, 1e300, 8)
 
     def test_shape_mismatch(self):
         axis = np.linspace(-1, 1, 9)
@@ -202,6 +218,27 @@ class TestSemiAxes:
         assert got.shape == want.shape == (73, 2)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200, 1e-300])
+    def test_tiny_gradients_scale_with_the_map(self, scale):
+        # the squares of these gradient entries underflow
+        entry = builtin_map("bowl2d")
+        unit = SampledMap.from_callable(entry.func, 2, 1, 1.0, 8)
+        tiny = SampledMap.from_callable(lambda p: scale * entry.func(p), 2, 1, 1.0, 8)
+        got, want = semi_axis_field(tiny)[1] / scale, semi_axis_field(unit)[1]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+    def test_gradient_norms_above_the_rescale_line_keep_their_bits(self):
+        rng = np.random.default_rng(3)
+        grad = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-300, 150, (200, 1))
+        grad[::7] = 0.0
+        got = critical._gradient_norms(grad)
+        plain = np.linalg.norm(grad, axis=1)
+        high = plain >= critical._RESCALE_BELOW
+        assert np.array_equal(got[high], plain[high])
+        want = [math.hypot(*row) for row in grad[~high].tolist()]
+        assert np.allclose(got[~high], want, rtol=1e-15, atol=0.0)
+
     def test_halving_the_step_quarters_the_error(self):
         # on x**3 the central-difference derivative error is exactly h**2
         cube = lambda p: p[:, 0] ** 3
@@ -288,11 +325,15 @@ class TestClosedFormSemiAxes:
 
 
 def loop_sign_change_roots(x, g):
-    """The per-pair loop the array code replaced, kept as its reference."""
+    """The per-pair loop the array code replaced, kept as its reference.
+
+    Opposite signs are compared, not tested by ``a * b < 0``: that product
+    underflows to zero for two tiny derivatives and hides their root.
+    """
     locs = []
     for i in range(g.size - 1):
         a, b = g[i], g[i + 1]
-        if a * b < 0.0:
+        if a < 0.0 < b or b < 0.0 < a:
             locs.append(x[i] - a * (x[i + 1] - x[i]) / (b - a))
     return np.asarray(locs, dtype=float)
 
@@ -374,6 +415,18 @@ class TestNearCriticalSet:
         assert vals.shape == (2,)
         assert vals[0] == pytest.approx(-target, abs=1e-6)
         assert vals[1] == pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200, 1e-300])
+    def test_tiny_cubic_keeps_its_two_critical_values(self, scale):
+        # the gradient's squares and the products of neighbouring
+        # derivatives underflow here; neither may create or hide a value
+        entry = builtin_map("cubic1d")
+        sm = SampledMap.from_callable(lambda p: scale * entry.func(p), 1, 1)
+        ext = near_critical_set(sm, LambdaProfile((0.0,)))
+        target = 2.0 / (3.0 * math.sqrt(3.0))
+        assert ext.descriptor.values.size == 2
+        assert np.allclose(ext.descriptor.values / scale, [-target, target],
+                           rtol=0.0, atol=1e-6)
 
     def test_vector_target_componentwise_thresholds(self):
         sm = sampled("stretch2d", divisions=16)
