@@ -22,7 +22,7 @@ import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
-from .util import sorted_distinct
+from .util import frozen_array, sorted_distinct
 
 BISECT_REL_TOL = 1e-12
 # boundary refinements are placed just inside the qualifying region
@@ -306,8 +306,8 @@ class BoundReport:
     profile: LambdaProfile
 
     def __post_init__(self):
-        radii = _read_only(self.e_intervals)
-        curve = _read_only(self.eta_curve)
+        radii = np.asarray(self.e_intervals, dtype=float)
+        curve = np.asarray(self.eta_curve, dtype=float)
         if curve.size == 0:
             curve = curve.reshape(0, 2)
         if radii.ndim != 1 or curve.ndim != 2 or curve.shape[1] != 2:
@@ -320,8 +320,8 @@ class BoundReport:
             raise ValueError("gamma must equal the best eps*eta product")
         if (self.gamma == 0.0) != (radii.size == 0):
             raise ValueError("gamma is zero exactly when nothing qualified")
-        object.__setattr__(self, "e_intervals", radii)
-        object.__setattr__(self, "eta_curve", curve)
+        object.__setattr__(self, "e_intervals", frozen_array(radii))
+        object.__setattr__(self, "eta_curve", frozen_array(curve))
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,13 +344,6 @@ class BoundReport:
         lines = ["epsilon,eta,product"]
         lines += [f"{e!r},{eta!r},{e * eta!r}" for e, eta in self.eta_curve.tolist()]
         return "\n".join(lines) + "\n"
-
-
-def _read_only(values) -> np.ndarray:
-    """A read-only C-contiguous float64 copy of ``values``."""
-    arr = np.array(values, dtype=float, order="C")
-    arr.setflags(write=False)
-    return arr
 
 
 def rigidity_bound(p: ProblemParams, profile: LambdaProfile,

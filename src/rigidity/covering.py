@@ -18,7 +18,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor, diameter
-from .util import DEFAULT_EPS_MIN, log_grid
+from .util import DEFAULT_EPS_MIN, frozen_array, log_grid
 
 BRUTE_FORCE_LIMIT = 12
 POWER_COUNT_LIMIT = 2 * 10**7
@@ -227,12 +227,8 @@ class CoveringCurve:
             raise ValueError("counts must be positive")
         if cnt.size > 1 and np.any(np.diff(cnt) < 0):
             raise ValueError("counts must be nondecreasing as epsilon shrinks")
-        eps = np.ascontiguousarray(eps)
-        cnt = np.ascontiguousarray(cnt)
-        eps.setflags(write=False)
-        cnt.setflags(write=False)
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "counts", cnt)
+        object.__setattr__(self, "epsilons", frozen_array(eps))
+        object.__setattr__(self, "counts", frozen_array(cnt, np.int64))
 
     def __len__(self) -> int:
         return self.epsilons.size

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import sorted_distinct
+from .util import frozen_array, sorted_distinct
 
 MATERIALIZE_LIMIT = 10**8
 DEFAULT_POWER_COUNT = 10**5
@@ -42,12 +42,6 @@ class DescriptorError(ValueError):
     """Raised for malformed or unloadable set descriptors."""
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class FinitePoints:
     """Explicit finite point set, lexicographically sorted and deduplicated.
@@ -70,7 +64,7 @@ class FinitePoints:
         if not np.all(np.isfinite(arr)):
             raise DescriptorError("points must be finite numbers")
         arr = sorted_distinct(arr, axis=0)  # lexicographic sort + exact dedup
-        object.__setattr__(self, "points", _frozen(arr))
+        object.__setattr__(self, "points", frozen_array(arr))
 
     @property
     def m(self) -> int:
@@ -122,7 +116,7 @@ class SampledCloud:
             raise DescriptorError("cloud needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise DescriptorError("points must be finite numbers")
-        object.__setattr__(self, "points", _frozen(arr))
+        object.__setattr__(self, "points", frozen_array(arr))
 
     @property
     def m(self) -> int:

@@ -19,6 +19,14 @@ DEFAULT_POINTS_PER_DECADE = 200
 _ROW_BLOCK = 16384
 
 
+def frozen_array(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array, not copied when it
+    already is one of that dtype."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def sorted_distinct(values, axis=None) -> np.ndarray:
     """``np.unique(values, axis=axis)``: the sorted distinct values or rows.
 

@@ -712,6 +712,22 @@ class TestRigidityBound:
         else:
             assert report.gamma == gamma
 
+    def test_report_fields_are_read_only_arrays(self):
+        report = rigidity_bound(P15, Z1, seven_points())
+        k = len(report.e_intervals)
+        assert report.e_intervals.shape == (k,) and report.eta_curve.shape == (k, 2)
+        for arr in (report.e_intervals, report.eta_curve):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array_equal(report.eta_curve[:, 0], report.e_intervals)
+        # sequences in, the same arrays out
+        again = BoundReport(report.e_intervals.tolist(), report.eta_curve.tolist(),
+                            report.gamma, None, None, P15, Z1)
+        assert np.array_equal(again.eta_curve, report.eta_curve)
+        empty = BoundReport((), (), 0.0, None, None, P15, Z1)
+        assert empty.e_intervals.shape == (0,) and empty.eta_curve.shape == (0, 2)
+        with pytest.raises(ValueError):
+            BoundReport((0.1,), (0.1, 2.0, 3.0), 0.2, None, None, P15, Z1)
+
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             BoundReport((0.1,), ((0.1, 0.5),), 0.05, None, None, P15, Z1)
