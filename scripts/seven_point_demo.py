@@ -53,8 +53,9 @@ def main():
     print(f"certified <= realized    : {res.ok}")
 
     if args.curve_out:
+        rows = [f"{e!r},{eta!r},{e * eta!r}" for e, eta in report.eta_curve.tolist()]
         with open(args.curve_out, "w") as fh:
-            fh.write(report.eta_curve_csv_text())
+            fh.write("\n".join(["epsilon,eta,product"] + rows) + "\n")
         print(f"wrote {args.curve_out}")
 
 

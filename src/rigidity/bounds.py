@@ -116,10 +116,6 @@ class LambdaProfile:
     def __len__(self) -> int:
         return len(self.lambdas)
 
-    @property
-    def all_zero(self) -> bool:
-        return all(v == 0.0 for v in self.lambdas)
-
 
 def _scalar_or_array(x):
     """Plain Python scalar for a numpy scalar, anything else unchanged."""
@@ -340,11 +336,6 @@ class BoundReport:
             },
         }
 
-    def eta_curve_csv_text(self) -> str:
-        lines = ["epsilon,eta,product"]
-        lines += [f"{e!r},{eta!r},{e * eta!r}" for e, eta in self.eta_curve.tolist()]
-        return "\n".join(lines) + "\n"
-
 
 def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
                    s: SetDescriptor, eps_grid=None) -> BoundReport:
@@ -402,10 +393,6 @@ class PowerVerdict:
 
     exponent: float
     verdict: str
-
-    @property
-    def excluded(self) -> bool:
-        return self.verdict == EXCLUDED
 
 
 def classify_power_sequence(alpha: float, d: int, n: int = 1) -> PowerVerdict:

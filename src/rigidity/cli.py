@@ -298,10 +298,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code
         return EXIT_OK if code is None else int(code)
-    except (DescriptorError, UnknownMapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    # must precede the ValueError clause: all but OSError subclass ValueError
+    except (DescriptorError, UnknownMapError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, RuntimeError, MemoryError) as exc:  # RuntimeError: epsilon0 at c + 1 == 1

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor, diameter
 from .util import DEFAULT_EPS_MIN, frozen_array, log_grid
 
-BRUTE_FORCE_LIMIT = 12
 POWER_COUNT_LIMIT = 2 * 10**7
 # log of the power-sequence index past which adjacent terms are denser
 # than float ulps
@@ -31,13 +30,11 @@ _DENSE_LOG_INDEX = 34.5
 _SCALAR_TAIL = 32
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
     "CoveringCurve",
     "covering_number_1d",
     "covering_number_power",
     "covering_counts",
     "covering_curve",
-    "brute_force_covering_oracle",
     "exact_counter",
     "default_grid",
 ]
@@ -301,35 +298,3 @@ def covering_curve(s: SetDescriptor, eps_grid) -> CoveringCurve:
     if np.any(eps <= 0) or (eps.size > 1 and np.any(np.diff(eps) >= 0)):
         raise ValueError("epsilon grid must be positive and strictly decreasing")
     return CoveringCurve(eps, covering_counts(s, eps))
-
-
-def brute_force_covering_oracle(points, epsilon: float) -> int:
-    """Exhaustive minimal covering count for small point sets (test oracle).
-
-    Every minimal cover can slide each interval right until its left end
-    hits a covered point, so it suffices to search covers anchored at the
-    points.  Subset sizes are enumerated in increasing order with bitmask
-    coverage tracking.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    pts = np.unique(np.asarray(points, dtype=float))
-    n = pts.size
-    if n == 0:
-        raise ValueError("need at least one point")
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"oracle is exhaustive; at most {BRUTE_FORCE_LIMIT} points")
-    full = (1 << n) - 1
-    masks = []
-    for idx in range(n):
-        hi = int(np.searchsorted(pts, float(pts[idx]) + 2.0 * epsilon, side="right"))
-        masks.append(((1 << (hi - idx)) - 1) << idx)
-    for k in range(1, n + 1):
-        for combo in combinations(masks, k):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == full:
-                return k
-    return n  # unreachable: n singleton anchors always cover
-

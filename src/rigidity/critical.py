@@ -185,18 +185,6 @@ class SampledMap:
             # parameter choice
             raise DescriptorError(str(exc)) from exc
 
-    def to_grid_csv_text(self) -> str:
-        header = ",".join(
-            [f"x{i + 1}" for i in range(self.n)] + [f"f{j + 1}" for j in range(self.m)]
-        )
-        grids = self.coordinate_grids()
-        coords = np.stack([g.ravel() for g in grids], axis=-1)
-        flat = self.values.reshape(-1, self.m)
-        lines = [header]
-        for row_c, row_v in zip(coords, flat):
-            lines.append(",".join(repr(float(v)) for v in (*row_c, *row_v)))
-        return "\n".join(lines) + "\n"
-
 
 def _unit_gradient(sm: SampledMap, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Central-difference gradient of ``values`` along the unit coordinate
@@ -312,18 +300,14 @@ def semi_axis_field(sm: SampledMap) -> tuple:
 class Extraction:
     """Result of a near-critical sweep over a sampled map.
 
-    ``points``/``values``/``sigmas`` are aligned rows; ``descriptor`` is
-    the value set ready for covering analysis (sorted FinitePoints for
-    scalar targets, a SampledCloud otherwise), or None when nothing
-    qualified.  ``grid_step`` records the resolution the extraction can
-    resolve, which downstream covering analysis should not undercut.
+    ``points``/``values`` are aligned rows; ``descriptor`` is the value set
+    ready for covering analysis (sorted FinitePoints for scalar targets, a
+    SampledCloud otherwise), or None when nothing qualified.
     """
 
     points: np.ndarray
     values: np.ndarray
-    sigmas: np.ndarray
     descriptor: SampledCloud | None
-    grid_step: float
 
     @property
     def count(self) -> int:
@@ -346,42 +330,27 @@ def near_critical_set(sm: SampledMap, profile: LambdaProfile) -> Extraction:
     """
     if len(profile) != sm.m:
         raise ValueError("profile length must equal the map's target dimension")
-    lams = np.asarray(profile.lambdas)
     pts, sig = semi_axis_field(sm)
-    keep = np.all(sig <= lams[None, :], axis=1)
-    sel_pts = pts[keep]
-    sel_sig = sig[keep]
-    sel_vals_list = []
-    if sel_pts.size:
-        # selected points are grid nodes, so their indices invert exactly
-        idx = np.rint((sel_pts + sm.radius) / sm.grid_step).astype(int)
-        sel_vals_list.append(sm.values[tuple(idx.T)])
-    points = [sel_pts]
-    sigmas = [sel_sig]
+    sel_pts = pts[np.all(sig <= np.asarray(profile.lambdas), axis=1)]
+    # selected points are grid nodes, so their indices invert exactly
+    idx = np.rint((sel_pts + sm.radius) / sm.grid_step).astype(int)
+    points, values = [sel_pts], [sm.values[tuple(idx.T)]]
 
     if profile.lambdas[0] == 0.0 and sm.n == 1 and sm.m == 1:
         bp, bv = _bracketed_derivative_roots(sm)
-        if bp.size:
-            points.append(bp[:, None])
-            sel_vals_list.append(bv[:, None])
-            sigmas.append(np.zeros((bp.size, 1)))
+        points.append(bp[:, None])
+        values.append(bv[:, None])
 
-    pts_all = np.concatenate(points, axis=0) if points else np.empty((0, sm.n))
-    vals_all = (
-        np.concatenate(sel_vals_list, axis=0) if sel_vals_list else np.empty((0, sm.m))
-    )
-    sig_all = np.concatenate(sigmas, axis=0) if sigmas else np.empty((0, sm.m))
+    pts_all = np.concatenate(points, axis=0)
+    vals_all = np.concatenate(values, axis=0)
     if pts_all.shape[0] == 0:
-        return Extraction(
-            np.empty((0, sm.n)), np.empty((0, sm.m)), np.empty((0, sm.m)),
-            None, sm.grid_step,
-        )
+        return Extraction(pts_all, vals_all, None)
     if sm.m == 1:
         # scalar value sets go straight into the exact-covering pipeline
         descriptor = FinitePoints(np.sort(vals_all[:, 0]))
     else:
         descriptor = SampledCloud(vals_all.copy())
-    return Extraction(pts_all, vals_all, sig_all, descriptor, sm.grid_step)
+    return Extraction(pts_all, vals_all, descriptor)
 
 
 def _bracketed_derivative_roots(sm: SampledMap) -> tuple:

@@ -19,6 +19,7 @@ import numpy as np
 from .util import frozen_array, sorted_distinct
 
 MATERIALIZE_LIMIT = 10**8
+TAIL_CUTOFF = 1e-9
 DEFAULT_POWER_COUNT = 10**5
 # largest descriptor file read, about five million values at 25 characters each
 MAX_DESCRIPTOR_BYTES = 2**27
@@ -149,29 +150,27 @@ def _power_top_index(alpha: float, cutoff: float, limit: int) -> int:
     return top
 
 
-def materialize(s: SetDescriptor, tail_cutoff: float = 1e-9) -> np.ndarray:
+def materialize(s: SetDescriptor) -> np.ndarray:
     """Explicit points of a descriptor.
 
     Finite sets and clouds are returned as stored (flat values for m = 1,
     a row array otherwise); the cutoff does not apply to them.  A power
-    sequence yields every term at or above ``tail_cutoff`` plus the cutoff
-    itself as a marker standing for the residual tail in [0, tail_cutoff];
+    sequence yields every term at or above ``TAIL_CUTOFF`` plus the cutoff
+    itself as a marker standing for the residual tail in [0, TAIL_CUTOFF];
     the result is ascending.  Materializations that would emit more than
     ``MATERIALIZE_LIMIT`` points raise instead of silently truncating.
     """
     if isinstance(s, (FinitePoints, SampledCloud)):
         return s.values if s.m == 1 else s.points
     if isinstance(s, PowerSequence):
-        if not (isinstance(tail_cutoff, (int, float)) and tail_cutoff > 0):
-            raise ValueError("tail_cutoff must be positive")
-        top = _power_top_index(s.alpha, float(tail_cutoff), s.count)
+        top = _power_top_index(s.alpha, TAIL_CUTOFF, s.count)
         if top > MATERIALIZE_LIMIT:
             raise ValueError(
                 f"materialization would emit {top} points "
-                f"(limit {MATERIALIZE_LIMIT}); raise tail_cutoff"
+                f"(limit {MATERIALIZE_LIMIT}); lower the power sequence's count"
             )
         terms = np.arange(1, top + 1, dtype=float) ** s.alpha
-        return sorted_distinct(np.concatenate([terms, [float(tail_cutoff)]]))
+        return sorted_distinct(np.concatenate([terms, [TAIL_CUTOFF]]))
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
 

@@ -121,11 +121,6 @@ class WitnessFunction:
     def transitions(self) -> tuple:
         return tuple(p for p in self.pieces if isinstance(p, Transition))
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Interior junction locations between consecutive pieces."""
-        return np.array([p.hi for p in self.pieces[:-1]])
-
     def evaluate(self, x, deriv: int = 0) -> np.ndarray:
         """Value of the deriv-th derivative at x (scalar or array)."""
         if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
@@ -158,17 +153,15 @@ class WitnessFunction:
     def __call__(self, x):
         return self.evaluate(x, 0)
 
-    def sample_csv_text(self, num: int = 2001) -> str:
+    def sample_csv_text(self) -> str:
         """Plot-ready samples of the function and its first ``order`` derivatives.
 
-        Header is x,f,f1,..,fd; one row per sample point.
+        Header is x,f,f1,..,fd; one row at each of 2001 evenly spaced points.
         """
-        xs = np.linspace(-self.radius, self.radius, num)
+        xs = np.linspace(-self.radius, self.radius, 2001)
         columns = [xs] + [self.evaluate(xs, j) for j in range(self.order + 1)]
-        header = ",".join(["x", "f"] + [f"f{j}" for j in range(1, self.order + 1)])
-        lines = [header]
-        for row in zip(*columns):
-            lines.append(",".join(repr(float(v)) for v in row))
+        lines = [",".join(["x", "f"] + [f"f{j}" for j in range(1, self.order + 1)])]
+        lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rigidity.bounds import (
+    EXCLUDED,
     BoundReport,
     LambdaProfile,
     ProblemParams,
@@ -29,8 +30,6 @@ from rigidity.bounds import (
     solve_eta,
 )
 from rigidity.covering import (
-    BRUTE_FORCE_LIMIT,
-    brute_force_covering_oracle,
     covering_counts,
     covering_number_power,
 )
@@ -38,6 +37,7 @@ from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, min_gap
 from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
+from oracles import BRUTE_FORCE_LIMIT, brute_force_covering_oracle
 
 
 def seven_points():
@@ -93,7 +93,7 @@ class TestLambdaProfile:
     def test_zeros(self):
         prof = LambdaProfile.zeros(3)
         assert prof.lambdas == (0.0, 0.0, 0.0)
-        assert prof.all_zero
+        assert not any(prof.lambdas)
         assert len(prof) == 3
 
     def test_nondecreasing_required(self):
@@ -105,9 +105,6 @@ class TestLambdaProfile:
     def test_rejects_bad_thresholds(self, bad):
         with pytest.raises(ValueError):
             LambdaProfile(bad)
-
-    def test_not_all_zero(self):
-        assert not LambdaProfile((0.0, 0.5)).all_zero
 
 
 class TestRhsPolynomial:
@@ -671,14 +668,6 @@ class TestRigidityBound:
         text = json.dumps(blob)  # must be plain python scalars throughout
         assert json.loads(text)["gamma"] == report.gamma
 
-    def test_eta_curve_csv(self):
-        report = rigidity_bound(P15, Z1, seven_points())
-        lines = report.eta_curve_csv_text().strip().split("\n")
-        assert lines[0] == "epsilon,eta,product"
-        for line in lines[1:]:
-            e, eta, prod = map(float, line.split(","))
-            assert prod == e * eta
-
     def test_refuses_estimated_covering(self):
         cloud = SampledCloud(np.zeros((5, 2)))
         p = ProblemParams(2, 2, 3, c=2.0)
@@ -742,18 +731,18 @@ class TestClassifyPowerSequence:
         verdict = classify_power_sequence(-1.0, 5)
         assert verdict.exponent == pytest.approx(-1.5, rel=1e-14)
         assert verdict.verdict == "Excluded"
-        assert verdict.excluded
+        assert verdict.verdict == EXCLUDED
 
     def test_low_smoothness_not_excluded(self):
         verdict = classify_power_sequence(-1.0, 1)
         assert verdict.exponent == pytest.approx(0.5, rel=1e-14)
         assert verdict.verdict == "NotExcludedByThisBound"
-        assert not verdict.excluded
+        assert verdict.verdict != EXCLUDED
 
     def test_very_fast_decay_escapes(self):
         verdict = classify_power_sequence(-200.0, 5)
         assert verdict.exponent > 0.9
-        assert not verdict.excluded
+        assert verdict.verdict != EXCLUDED
 
     @given(alpha=st.floats(-4.0, -0.2), n=st.integers(1, 3))
     @settings(max_examples=100)
@@ -762,7 +751,7 @@ class TestClassifyPowerSequence:
         for d in range(1, int(thresh) + 3):
             assume(abs(d - thresh) > 1e-9 or d == thresh)
             verdict = classify_power_sequence(alpha, d, n)
-            assert verdict.excluded == (d > thresh)
+            assert (verdict.verdict == EXCLUDED) == (d > thresh)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, math.nan, -math.inf])
     def test_rejects_bad_alpha(self, alpha):
@@ -772,7 +761,7 @@ class TestClassifyPowerSequence:
     def test_higher_dimensions_need_no_constant(self):
         verdict = classify_power_sequence(-1.0, 3, n=2)
         assert verdict.exponent == 0.25
-        assert not verdict.excluded
+        assert verdict.verdict != EXCLUDED
 
     @pytest.mark.parametrize("d, n", [(0, 1), (1, 0), (2.0, 1), (1, 1.5)])
     def test_rejects_bad_dimensions(self, d, n):

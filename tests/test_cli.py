@@ -24,6 +24,8 @@ from rigidity.cli import main
 from rigidity.critical import SampledMap
 from rigidity.maps import builtin_map
 
+from oracles import grid_csv_text
+
 SEVEN = {"type": "finite", "points": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]}
 GAMMA7 = (7.0 / 6.0) ** 5 * 0.05
 
@@ -249,7 +251,7 @@ class TestExtract:
         entry = builtin_map("parabola1d")
         sm = SampledMap.from_callable(entry.func, 1, 1)
         grid_path = tmp_path / "grid.csv"
-        grid_path.write_text(sm.to_grid_csv_text())
+        grid_path.write_text(grid_csv_text(sm))
         code = main([
             "extract", "--grid", str(grid_path), "--lambda", "0.2",
             "--out-prefix", "g",
@@ -308,7 +310,7 @@ class TestErrorPaths:
     def test_grid_file_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         entry = builtin_map("parabola1d")
         grid_path = tmp_path / "grid.csv"
-        grid_path.write_text(SampledMap.from_callable(entry.func, 1, 1).to_grid_csv_text())
+        grid_path.write_text(grid_csv_text(SampledMap.from_callable(entry.func, 1, 1)))
         monkeypatch.setattr("rigidity.critical.MAX_GRID_NODES", 10)
         assert main(["extract", "--grid", str(grid_path), "--lambda", "0.2"]) == 3
         err = capsys.readouterr().err

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from rigidity import covering
 from rigidity.covering import (
-    BRUTE_FORCE_LIMIT,
     POWER_COUNT_LIMIT,
     CoveringCurve,
-    brute_force_covering_oracle,
     covering_curve,
     covering_counts,
     covering_number_1d,
@@ -24,6 +22,7 @@ from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
 from rigidity.util import log_grid
 
 from conftest import cantor_like, downward_greedy_power_count, stratified_uniform
+from oracles import BRUTE_FORCE_LIMIT, brute_force_covering_oracle
 
 point_sets = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),

@@ -29,6 +29,8 @@ from rigidity.critical import (
 from rigidity.maps import builtin_map
 from rigidity.sets import DescriptorError, FinitePoints, SampledCloud
 
+from oracles import grid_csv_text
+
 
 def sampled(name, divisions=None):
     entry = builtin_map(name)
@@ -118,7 +120,7 @@ class TestSampledMap:
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
         sm = sampled("bowl2d", divisions=6)
-        text = sm.to_grid_csv_text()
+        text = grid_csv_text(sm)
         assert text.splitlines()[0] == "x1,x2,f1"
         path = tmp_path / "bowl.csv"
         path.write_text(text)
@@ -130,7 +132,7 @@ class TestGridCsv:
     def test_round_trip_vector_target(self, tmp_path):
         sm = sampled("stretch2d", divisions=5)
         path = tmp_path / "stretch.csv"
-        path.write_text(sm.to_grid_csv_text())
+        path.write_text(grid_csv_text(sm))
         back = SampledMap.from_grid_csv(path)
         assert back.m == 2
         assert np.allclose(back.values, sm.values)
@@ -143,7 +145,7 @@ class TestGridCsv:
 
     def test_truncated_rows(self, tmp_path):
         sm = sampled("parabola1d", divisions=4)
-        lines = sm.to_grid_csv_text().splitlines()
+        lines = grid_csv_text(sm).splitlines()
         path = tmp_path / "short.csv"
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
@@ -151,7 +153,7 @@ class TestGridCsv:
 
     def test_byte_budget_follows_node_budget(self, tmp_path, monkeypatch):
         path = tmp_path / "bowl.csv"
-        path.write_text(sampled("bowl2d", divisions=6).to_grid_csv_text())
+        path.write_text(grid_csv_text(sampled("bowl2d", divisions=6)))
         nodes = -(-path.stat().st_size // GRID_CSV_BYTES_PER_NODE)
         monkeypatch.setattr("rigidity.critical.MAX_GRID_NODES", nodes)
         assert SampledMap.from_grid_csv(path).values.shape == (13, 13, 1)
@@ -441,11 +443,6 @@ class TestNearCriticalSet:
         sm = sampled("parabola1d")
         with pytest.raises(ValueError):
             near_critical_set(sm, LambdaProfile((0.1, 0.2)))
-
-    def test_extraction_records_the_grid_step(self):
-        sm = sampled("parabola1d")
-        ext = near_critical_set(sm, LambdaProfile((0.2,)))
-        assert ext.grid_step == sm.grid_step
 
 
 class TestMeasuredDerivativeScale:

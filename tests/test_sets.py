@@ -100,25 +100,22 @@ class TestMaterialize:
         assert np.array_equal(materialize(s), [1.0, 2.0])
 
     def test_power_terms_and_tail_marker(self):
-        s = PowerSequence(-1.0)
-        out = materialize(s, tail_cutoff=0.25)
-        # terms 1, 1/2, 1/3, 1/4 survive the cutoff; 0.25 doubles as marker
-        assert np.allclose(out, [0.25, 1 / 3, 0.5, 1.0])
+        s = PowerSequence(-10.0)
+        out = materialize(s)
+        # terms 1 .. 7**-10 survive the 1e-9 cutoff (8**-10 < 1e-9); the
+        # cutoff itself is the tail marker
+        assert np.allclose(out, [1e-9] + [k**-10.0 for k in range(7, 0, -1)], rtol=1e-15, atol=0)
         assert np.all(np.diff(out) > 0)
 
     def test_power_refuses_giant_materializations(self):
         huge = PowerSequence(-0.5, count=10**9)
-        with pytest.raises(ValueError):
-            materialize(huge, tail_cutoff=1e-12)
+        with pytest.raises(ValueError, match="count"):
+            materialize(huge)
 
     def test_power_truncation_count_caps_emission(self):
         # the declared truncation stops emission before the cutoff does
-        out = materialize(PowerSequence(-1.0, count=5), tail_cutoff=0.1)
-        assert np.allclose(out, [0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0])
-
-    def test_cutoff_must_be_positive(self):
-        with pytest.raises(ValueError):
-            materialize(PowerSequence(-1.0), tail_cutoff=0.0)
+        out = materialize(PowerSequence(-1.0, count=5))
+        assert np.allclose(out, [1e-9, 0.2, 0.25, 1 / 3, 0.5, 1.0], rtol=1e-15, atol=0)
 
 
 class TestGeometry:

@@ -121,7 +121,7 @@ class TestBuildWitness:
         # ratio 0.5 with two values: transition width 1 centered at 0
         w = build_witness([0.0, 1.0], order=1, radius=1.0)
         # interior junctions only; the domain endpoints are not breakpoints
-        assert np.allclose(w.breakpoints, [-0.5, 0.5])
+        assert np.allclose([p.hi for p in w.pieces[:-1]], [-0.5, 0.5])
         trans = w.transitions
         assert len(trans) == 1
         assert trans[0].width == pytest.approx(1.0, rel=1e-12)
@@ -298,7 +298,7 @@ class TestJunctionContinuity:
         tiny = 1e-9
         for j in range(order + 1):
             gmax = max(float(np.max(np.abs(w.evaluate(xs, j)))), 1e-30)
-            for b in w.breakpoints:
+            for b in [p.hi for p in w.pieces[:-1]]:
                 if abs(b) >= 1.0 - tiny:
                     continue
                 left = w.evaluate(b - tiny, j)
@@ -319,7 +319,7 @@ class TestJunctionContinuity:
             def g(t, jj=j):
                 return w.evaluate(t, jj - 1)
 
-            for b in w.breakpoints:
+            for b in [p.hi for p in w.pieces[:-1]]:
                 if abs(b) >= 1.0 - 5 * h:
                     continue
                 forward = (
@@ -338,9 +338,9 @@ class TestJunctionContinuity:
 class TestSerialization:
     def test_sample_csv_header_tracks_the_order(self):
         w = build_witness([0.0, 1.0], order=2)
-        lines = w.sample_csv_text(num=11).strip().split("\n")
+        lines = w.sample_csv_text().strip().split("\n")
         assert lines[0] == "x,f,f1,f2"
-        assert len(lines) == 12
+        assert len(lines) == 2002
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == -1.0 and first[1] == 0.0
 
