@@ -213,6 +213,8 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     with np.errstate(divide="ignore", over="ignore"):
         t = np.min([(nu / (p.c * a)) ** (1.0 / (p.n - i))
                     for i, a in enumerate(coeffs) if i < p.n], axis=0)
+    if not np.isfinite(t).all():  # a bound above the root would be unsound
+        raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
     coeffs += [0.0] * (p.n + 1 - len(coeffs))
     falling = True
     while np.any(falling):
@@ -236,22 +238,20 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     for power sequences.  With closed balls the qualifying region is open
     on the right; the returned value is its boundary, approached from
     inside, or the qualifying end of a subnormal bracket with no float
-    inside.  Raises ValueError when no positive radius qualifies, and
-    RuntimeError when c + 1 rounds to 1 for a finite set, so that even the
-    one-ball count reaches it.
+    inside.  Raises ValueError when no positive radius qualifies, or when
+    c + 1 rounds to 1, which even the one-ball count reaches.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
+    if not threshold > 1.0:
+        raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
 
     if isinstance(s, PowerSequence):
-        # the power counter itself is only defined below 1
         lo, hi = 0.25, 0.5
         while lo > 0.0 and count_at(lo) < threshold:
             lo /= 2.0
         qualifies = lo > 0.0
     else:
-        if not threshold > 1.0:
-            raise RuntimeError("failed to find a disqualifying radius")
         # the diameter overflows to inf for values near the float limits
         lo, hi = min_gap(s) / 4.0, min(diameter(s), sys.float_info.max)
         qualifies = lo > 0.0 and count_at(lo) >= threshold
@@ -360,12 +360,6 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
             raise ValueError("epsilon grid must be a non-empty 1-d array")
         if np.any(grid <= 0):
             raise ValueError("epsilon grid must be positive")
-
-    if isinstance(s, PowerSequence):
-        # the power counter is only defined below 1; above 1/2 the count is 1 anyway
-        grid = grid[grid < 1.0]
-        if grid.size == 0:
-            raise ValueError("epsilon grid has no entries below 1 for a power sequence")
 
     try:
         eps0 = epsilon0(s, p)

@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
 input (unreadable files, bad descriptors, unknown maps, usage errors), 3
-invalid parameters, an epsilon0 search made degenerate by c + 1 rounding
-to 1 or a size beyond memory, 4 witness check falsified.
+invalid parameters, a count / c or a witness sample beyond float range, or
+a size beyond memory, 4 witness check falsified.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except (DescriptorError, UnknownMapError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, RuntimeError, MemoryError) as exc:  # RuntimeError: epsilon0 at c + 1 == 1
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

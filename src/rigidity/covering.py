@@ -123,8 +123,8 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     if not -math.inf < alpha < 0:
         raise ValueError("alpha must be a finite negative number")
     eps = np.asarray(epsilons, dtype=float)
-    if not np.all((eps > 0) & (eps < 1)):
-        raise ValueError("epsilon must lie in (0, 1)")
+    if not np.all(eps > 0):
+        raise ValueError("epsilon must be positive")
     # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans,
     # comparing logs (the power overflows for alpha near 0 and tiny eps)
     if eps.size and math.log(2.0 * eps.min()) / (alpha - 1.0) > math.log(POWER_COUNT_LIMIT):
@@ -237,16 +237,16 @@ class CoveringCurve:
 
 
 def _sorted_line(s: SetDescriptor) -> np.ndarray:
-    """Sorted values of a finite m = 1 descriptor, or raise.
+    """Sorted values of a finite set or a one-column cloud, or raise.
 
     Multi-dimensional clouds have no exact routine; they are rejected here
     so they never reach the bound solver.
     """
-    if isinstance(s, (FinitePoints, SampledCloud)):
-        if s.m != 1:
-            raise ValueError("exact covering requires m = 1; clouds have no exact count")
+    if isinstance(s, FinitePoints):
+        return s.values  # stored sorted and distinct
+    if isinstance(s, SampledCloud) and s.m == 1:
         return np.sort(s.values)
-    raise TypeError(f"unsupported descriptor {type(s).__name__}")
+    raise ValueError("exact covering requires m = 1; clouds have no exact count")
 
 
 def exact_counter(s: SetDescriptor):

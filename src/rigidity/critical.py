@@ -189,7 +189,8 @@ class SampledMap:
 def _unit_gradient(sm: SampledMap, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Central-difference gradient of ``values`` along the unit coordinate
     u = x / radius, whose step products do not underflow at tiny radii."""
-    return np.gradient(values, sm.axis / sm.radius, axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan fail every threshold
+        return np.gradient(values, sm.axis / sm.radius, axis=axis)
 
 
 def _jacobian_field(sm: SampledMap) -> np.ndarray:

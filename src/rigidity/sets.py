@@ -45,37 +45,36 @@ class DescriptorError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FinitePoints:
-    """Explicit finite point set, lexicographically sorted and deduplicated.
+    """Explicit finite set of scalars, sorted and deduplicated.
 
-    Points live in value space and have shape ``(k, m)``; scalar input is
-    treated as m = 1.  Deduplication uses exact float equality on purpose:
-    covering counts are discontinuous in the points, and tolerance merging
-    would silently move threshold radii.  Callers wanting fuzzy dedup must
-    pre-process.
+    Input is flat or one column; ``points`` has shape ``(k, 1)``.  Vectors
+    belong in a ``SampledCloud``.  Deduplication uses exact float equality
+    on purpose: covering counts are discontinuous in the points, and
+    tolerance merging would silently move threshold radii.  Callers wanting
+    fuzzy dedup must pre-process.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] == 0:
+        if arr.ndim == 2 and arr.shape[1] == 1:
+            arr = arr[:, 0]
+        if arr.ndim > 1:
+            raise DescriptorError("finite points must be scalars; vectors belong in a cloud")
+        if arr.ndim == 0 or arr.size == 0:
             raise DescriptorError("finite set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise DescriptorError("points must be finite numbers")
-        arr = sorted_distinct(arr, axis=0)  # lexicographic sort + exact dedup
-        object.__setattr__(self, "points", frozen_array(arr))
+        object.__setattr__(self, "points", frozen_array(sorted_distinct(arr)[:, None]))
 
     @property
     def m(self) -> int:
-        return self.points.shape[1]
+        return 1
 
     @property
     def values(self) -> np.ndarray:
-        """Sorted scalar values; defined for one-dimensional sets only."""
-        if self.m != 1:
-            raise ValueError("values requires a one-dimensional set")
+        """The sorted distinct values, flat."""
         return self.points[:, 0]
 
 
@@ -153,15 +152,15 @@ def _power_top_index(alpha: float, cutoff: float, limit: int) -> int:
 def materialize(s: SetDescriptor) -> np.ndarray:
     """Explicit points of a descriptor.
 
-    Finite sets and clouds are returned as stored (flat values for m = 1,
-    a row array otherwise); the cutoff does not apply to them.  A power
-    sequence yields every term at or above ``TAIL_CUTOFF`` plus the cutoff
-    itself as a marker standing for the residual tail in [0, TAIL_CUTOFF];
-    the result is ascending.  Materializations that would emit more than
-    ``MATERIALIZE_LIMIT`` points raise instead of silently truncating.
+    Finite sets and one-column clouds are returned as their flat values;
+    the cutoff does not apply to them.  A power sequence yields every term
+    at or above ``TAIL_CUTOFF`` plus the cutoff itself as a marker standing
+    for the residual tail in [0, TAIL_CUTOFF]; the result is ascending.
+    Materializations that would emit more than ``MATERIALIZE_LIMIT`` points
+    raise instead of silently truncating.
     """
     if isinstance(s, (FinitePoints, SampledCloud)):
-        return s.values if s.m == 1 else s.points
+        return s.values
     if isinstance(s, PowerSequence):
         top = _power_top_index(s.alpha, TAIL_CUTOFF, s.count)
         if top > MATERIALIZE_LIMIT:
@@ -176,10 +175,6 @@ def materialize(s: SetDescriptor) -> np.ndarray:
 
 def min_gap(s: SetDescriptor) -> float:
     """Smallest distance between consecutive sorted values (m = 1 only)."""
-    if isinstance(s, PowerSequence):
-        # gaps shrink monotonically along the sequence, so the truncated
-        # minimum sits between the last two explicit terms
-        return float((s.count - 1) ** s.alpha - s.count ** s.alpha)
     vals = sorted_distinct(s.values)  # clouds may repeat values
     if vals.size < 2:
         raise ValueError("min_gap needs at least two distinct points")
@@ -187,13 +182,11 @@ def min_gap(s: SetDescriptor) -> float:
 
 
 def diameter(s: SetDescriptor) -> float:
-    """Extent of the set.
+    """Extent of a finite set or cloud.
 
-    Power sequences report 1 (sup 1, accumulation at 0).  For m >= 2 the
-    bounding-box diagonal is returned, which is enough for grid sizing.
+    For m >= 2 the bounding-box diagonal is returned, which is enough for
+    grid sizing.
     """
-    if isinstance(s, PowerSequence):
-        return 1.0
     # Python floats overflow to inf silently, where numpy scalars warn
     hi, lo = s.points.max(axis=0).tolist(), s.points.min(axis=0).tolist()
     return math.hypot(*(h - l for h, l in zip(hi, lo)))
@@ -207,8 +200,7 @@ def descriptor_to_json_dict(s: SetDescriptor) -> dict:
     for ``points.tolist()``; finite points come back as lists.
     """
     if isinstance(s, FinitePoints):
-        pts = s.values.tolist() if s.m == 1 else s.points.tolist()
-        return {"type": "finite", "points": pts}
+        return {"type": "finite", "points": s.values.tolist()}
     if isinstance(s, PowerSequence):
         return {"type": "power", "alpha": s.alpha, "count": s.count}
     if isinstance(s, SampledCloud):

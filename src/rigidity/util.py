@@ -27,36 +27,35 @@ def frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def sorted_distinct(values, axis=None) -> np.ndarray:
-    """``np.unique(values, axis=axis)``: the sorted distinct values or rows.
+def sorted_distinct(values) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values, flat.
 
-    Flat input is sorted and kept where it differs from its left
-    neighbour, the bits ``np.unique`` gives without its argsort.  Rows
-    (``axis=0``) and flat input with ties of different bits go to
-    ``np.unique`` itself.  Asking it for the inverse index keeps numpy
-    from importing ``numpy.ma``, which a bare ``np.unique`` does (15-20 ms
-    per process).
+    The values are sorted and kept where they differ from their left
+    neighbour, the bits ``np.unique`` gives without its argsort.  Ties of
+    different bits go to ``np.unique`` itself.  Asking it for the inverse
+    index keeps numpy from importing ``numpy.ma``, which a bare
+    ``np.unique`` does (15-20 ms per process).
     """
-    if axis is None:
-        out = np.sort(values, axis=None)
-        if not _mixed_ties(out):
-            keep = np.empty(out.shape, dtype=bool)
-            keep[:1] = True
-            np.not_equal(out[1:], out[:-1], out=keep[1:])
-            return out[keep]
-    return np.unique(values, axis=axis, return_inverse=True)[0]
+    out = np.sort(values, axis=None)
+    if not _mixed_ties(values, out):
+        keep = np.empty(out.shape, dtype=bool)
+        keep[:1] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        return out[keep]
+    return np.unique(values, return_inverse=True)[0]
 
 
-def _mixed_ties(out: np.ndarray) -> bool:
-    """Whether sorted ``out`` holds a NaN, or both -0.0 and 0.0: equal
-    values of different bits, of which ``np.unique`` keeps the one its
-    argsort puts first, an order a plain sort need not share."""
+def _mixed_ties(values, out: np.ndarray) -> bool:
+    """Whether ``values`` (sorted: ``out``) hold a NaN, or both -0.0 and 0.0:
+    ties whose kept bits follow ``np.unique``'s argsort, not a plain sort.
+    Zero signs are read from ``values``; numpy's SIMD sort may unify them."""
     if out.size and out[-1] != out[-1]:
         return True
     lo, hi = out.searchsorted(0), out.searchsorted(0, side="right")
     if hi - lo < 2:
         return False
-    signs = np.signbit(out[lo:hi])
+    flat = np.ravel(values)
+    signs = np.signbit(flat[flat == 0])
     return bool(signs.any()) and not signs.all()
 
 

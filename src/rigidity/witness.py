@@ -142,7 +142,7 @@ class WitnessFunction:
             if isinstance(piece, Plateau):
                 out[mask] = piece.value if deriv == 0 else 0.0
             else:
-                width = piece.width
+                width = np.float64(piece.width)  # its power overflows to inf, not raises
                 u = (arr[mask] - piece.lo) / width
                 vals = piece.jump / width**deriv * npoly.polyval(u, coeffs)
                 if deriv == 0:
@@ -157,9 +157,13 @@ class WitnessFunction:
         """Plot-ready samples of the function and its first ``order`` derivatives.
 
         Header is x,f,f1,..,fd; one row at each of 2001 evenly spaced points.
+        Raises ValueError when a sample is beyond float range.
         """
         xs = np.linspace(-self.radius, self.radius, 2001)
-        columns = [xs] + [self.evaluate(xs, j) for j in range(self.order + 1)]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            columns = [xs] + [self.evaluate(xs, j) for j in range(self.order + 1)]
+        if not np.isfinite(columns).all():
+            raise ValueError(f"witness derivative samples overflow at radius {self.radius:g}")
         lines = [",".join(["x", "f"] + [f"f{j}" for j in range(1, self.order + 1)])]
         lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
         return "\n".join(lines) + "\n"
@@ -226,7 +230,7 @@ def witness_derivative_scale(w: WitnessFunction) -> float:
     """Derivative scale sup|f^(d)| * radius**d / d! of an order-d witness.
 
     The maximum lives on a transition: a step of jump J over width t
-    contributes |J| / t**d times max|s^(d)| on [0, 1], a closed form.
+    contributes |J| / (t/radius)**d times max|s^(d)| on [0, 1], a closed form.
     s' = u**d (1-u)**d / B(d+1, d+1), so by Rodrigues' formula s^(d+1) is
     a multiple of the shifted Legendre polynomial P_d, and integrating gives
     s^(d) = (-1)**d (2d)! / (2 d!) * (P_{d+1} - P_{d-1})(2u - 1).  It peaks
@@ -237,8 +241,8 @@ def witness_derivative_scale(w: WitnessFunction) -> float:
     if not transitions:
         return 0.0
     d = w.order
-    peak = max(abs(t.jump) / t.width**d for t in transitions)
-    return float(peak * _step_max(d) * w.radius**d / math.factorial(d))
+    peak = max(abs(t.jump) / (t.width / w.radius)**d for t in transitions)
+    return float(peak * _step_max(d) / math.factorial(d))
 
 
 @functools.lru_cache(maxsize=None)

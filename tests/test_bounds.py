@@ -226,6 +226,13 @@ class TestSolveEta:
         with pytest.raises(ValueError):
             solve_eta(P15, Z1, 6, 0.05)
 
+    def test_overflowing_count_over_c_is_refused(self):
+        # nu/c overflows, so every start bound is inf; any finite start
+        # would lie above the root and be unsound
+        p = ProblemParams(2, 1, 1, c=1e-300)
+        with pytest.raises(ValueError, match="c = 1e-300"):
+            solve_eta(p, LambdaProfile((0.5,)), 10**10, 0.5)
+
     @given(
         n=st.integers(1, 3),
         d=st.integers(1, 6),
@@ -401,10 +408,15 @@ class TestEpsilon0:
         assert covering_counts(pts, [eps0 * (1 - 1e-9)])[0] >= 3
 
     def test_constant_below_an_ulp_of_one(self):
-        # c + 1 rounds to 1, so even the one-ball count reaches it
+        # c + 1 rounds to 1, so even the one-ball count reaches it: there
+        # is no boundary, but the scan still certifies
         p = ProblemParams(2, 1, 1, c=1e-300)
-        with pytest.raises(RuntimeError, match="disqualifying radius"):
-            epsilon0(FinitePoints([0.0, 1.0, 2.0]), p)
+        for s in (FinitePoints([0.0, 1.0, 2.0]), PowerSequence(-1.0)):
+            with pytest.raises(ValueError, match="rounds to 1"):
+                epsilon0(s, p)
+            report = rigidity_bound(p, Z1, s, log_grid(1e-3, 1.0, 3))
+            assert report.epsilon0 is None
+            assert 0.0 < report.gamma < math.inf
 
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
@@ -679,9 +691,12 @@ class TestRigidityBound:
             rigidity_bound(P15, Z1, seven_points(), np.array([]))
         with pytest.raises(ValueError):
             rigidity_bound(P15, Z1, seven_points(), np.array([0.1, -0.2]))
+        # radii above 1/2 count the whole power sequence in one ball, which
+        # never beats the baseline c = 4: only the epsilon0 point qualifies
         p = ProblemParams(1, 1, 3)
-        with pytest.raises(ValueError):
-            rigidity_bound(p, Z1, PowerSequence(-1.0), np.array([1.5, 2.0]))
+        report = rigidity_bound(p, Z1, PowerSequence(-1.0), np.array([1.5, 2.0]))
+        assert report.e_intervals.tolist() == [report.epsilon0 * (1 - 1e-9)]
+        assert report.gamma == report.eta_curve[0, 0] * report.eta_curve[0, 1]
 
     @pytest.mark.parametrize("lam, gamma", [
         (0.0, 61361.437578057434),

@@ -104,6 +104,26 @@ class TestBound:
         err = capsys.readouterr().err
         assert "--set" in err and "--power" in err
 
+    def test_constant_below_an_ulp_of_one_still_scans(self, tmp_path, capsys):
+        # c + 1 rounds to 1: no epsilon0, but the scan certifies
+        points = json.dumps({"type": "finite", "points": [0, 0.1, 0.2, 0.3]})
+        code = main(["bound", "--set", points, "--n", "2", "--c", "1e-300", "--d", "1",
+                     "--eps", "1e-3:1:3", "--out", "r.json"])
+        assert code == 0
+        blob = json.loads((tmp_path / "r.json").read_text())
+        assert blob["epsilon0"] is None
+        assert 0.0 < blob["gamma"] < float("inf")
+        assert capsys.readouterr().err == ""
+
+    def test_subnormal_constant_exits_3_quietly(self, capsys):
+        # count / c overflows, so no finite ratio can be certified
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["bound", "--power", "-1", "--n", "2", "--c", "1e-310", "--d", "1",
+                         "--lambda", "0.5", "--eps", "1e-3:0.4:3", "--out", "r.json"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: count / c overflows the float range at c = 1e-310\n"
+
     def test_threshold_count_mismatch(self, tmp_path):
         set_path = write_set(tmp_path, SEVEN)
         code = main(["bound", "--set", set_path, "--d", "5", "--lambda", "0", "0.1"])
@@ -184,6 +204,30 @@ class TestWitness:
         f = np.loadtxt(tmp_path / "w15.csv", delimiter=",", skiprows=1, usecols=1)
         assert np.max(np.abs(np.diff(f))) < 0.1
 
+    @pytest.mark.parametrize("radius", ["1e70", "1e-70"])
+    def test_extreme_radius_keeps_the_unit_radius_scale(self, capsys, radius):
+        points = json.dumps({"type": "finite", "points": [0, 0.1, 0.2, 0.3]})
+        argv = ["witness", "--set", points, "--d", "5", "--eps", "1e-3:1:3", "--out", "w.json"]
+        assert main(argv) == 0
+        scale = json.loads(Path("w.json").read_text())["witness_derivative_scale"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--r", radius]) == 0
+        assert capsys.readouterr().err == ""
+        wide = json.loads(Path("w.json").read_text())["witness_derivative_scale"]
+        assert wide == pytest.approx(scale, rel=1e-12)
+
+    def test_overflowing_samples_exit_3(self, capsys):
+        # at r = 1e-70 the fifth derivative reaches 1e350
+        points = json.dumps({"type": "finite", "points": [0, 0.1, 0.2, 0.3]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["witness", "--set", points, "--d", "5", "--r", "1e-70",
+                         "--eps", "1e-3:1:3", "--out", "w.json", "--samples", "w.csv"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: witness derivative samples overflow at radius 1e-70\n"
+        assert not Path("w.csv").exists()
+
     def test_univariate_flags_only(self, capsys):
         seven = json.dumps(SEVEN)
         assert main(["witness", "--set", seven, "--n", "2", "--out", "w.json"]) == 2
@@ -233,6 +277,16 @@ class TestExtract:
         assert code == 0
         blob = json.loads((tmp_path / "tiny.set.json").read_text())
         assert blob == {"type": "finite", "points": [0.0]}
+
+    def test_radius_near_the_float_limit_extracts_quietly(self, tmp_path, capsys):
+        # the samples are finite, their differences overflow and fail the threshold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["extract", "--map", "bowl2d", "--r", "9e153", "--lambda", "0.5",
+                         "--out-prefix", "big"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "big.set.json").read_text())["type"] == "finite"
 
     @pytest.mark.parametrize("argv", [
         ["--map", "poly10", "--check", "--r", "1e400"],
@@ -444,7 +498,8 @@ _SETS = ([json.dumps(SEVEN), '{"type": "power", "alpha": -2, "count": 50}',
           '{"type": "cloud", "points": [[0.0, 1.0], [1.0, 0.5]]}'],
          ['{"type": "finite", "points": []}', '{"type": "finite", "points": [1e308, -1e308, NaN]}',
           '{"type": "finite", "points": [0, Infinity]}', '{"type": "finite", "points": ["a"]}',
-          '{"type": "finite", "points": [[0, 1], [1]]}', '{"type": "finite"}',
+          '{"type": "finite", "points": [[0, 1], [1]]}',
+          '{"type": "finite", "points": [[0, 1], [1, 0]]}', '{"type": "finite"}',
           '{"type": "power", "alpha": "x"}', '{"type": "power", "alpha": 0.5}',
           '{"type": "power", "alpha": -2, "count": -3}', '{"type": "nope"}',
           "{", "[]", "null", "", "missing.json"])
@@ -454,6 +509,9 @@ _EPS = (["1e-3:0.5:5", "1e-2:0.5:3", "1e-4:1:2"],
 _INTS = (["1", "2", "3", "5"], ["-1", "0", "x", "", "0.5", "1e400"])
 _FLOATS = (["0.5", "1", "2.5", "1e-3"],
            ["-1", "0", "nan", "inf", "-inf", "x", "", "1e-300", "1e400"])
+# radii near both float limits, and constants below an ulp of one (valid for n >= 2)
+_RADII = (_FLOATS[0] + ["9e153", "1e300", "1e-70"], _FLOATS[1])
+_CONSTANTS = (_FLOATS[0] + ["1e-17", "1e-300", "1e-310"], _FLOATS[1])
 _LAMBDAS = (["0", "1e-3", "0.5", "1", "3"], ["-1", "nan", "inf", "x", ""])
 _POWERS = (["-2", "-3"], ["0.5", "0", "nan", "-inf", "x"])
 _MAPS = (["linear1d", "parabola1d", "const1d", "cubic1d", "poly10", "stretch2d", "bowl2d",
@@ -497,7 +555,7 @@ def cli_argv(draw):
         argv += ["--out-prefix", "ex"]
     if command == "classify":
         argv += ["--alpha", pick("alpha", _POWERS)]
-    options = {"--d": _INTS, "--r": _FLOATS, "--c": _FLOATS}
+    options = {"--d": _INTS, "--r": _RADII, "--c": _CONSTANTS}
     if command == "bound":  # witness and extract take no --n/--m
         options.update({"--n": _INTS, "--m": _INTS})
     if command == "classify":  # classify reads alpha, n and d only

@@ -310,8 +310,8 @@ class TestPowerCovering:
         assert covering_number_power(-2.0, 0.6) == 1
 
     def test_epsilon_range_enforced(self):
-        with pytest.raises(ValueError):
-            covering_number_power(-1.0, 1.0)
+        # one ball covers the whole sequence from 2*eps >= 1 on
+        assert covering_number_power(-1.0, 1.0) == 1
         with pytest.raises(ValueError):
             covering_number_power(-1.0, 0.0)
         with pytest.raises(ValueError):

@@ -1,28 +1,38 @@
-"""The seven-point demo script, run in-process on its defaults."""
+"""The scripts under ``scripts/``, each run in-process: the seven-point
+demo on its defaults, the power scan and the sandwich sweep on small
+arguments."""
 
+import csv
 import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rigidity.bounds import LambdaProfile, ProblemParams, rigidity_bound
 from rigidity.sets import FinitePoints
 
-DEMO = Path(__file__).resolve().parents[1] / "scripts" / "seven_point_demo.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_demo(monkeypatch, *argv):
-    spec = importlib.util.spec_from_file_location("seven_point_demo", DEMO)
+def run_script(monkeypatch, name, *argv):
+    path = SCRIPTS / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(DEMO), *argv])
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
     module.main()
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_curve_csv_holds_one_row_per_eta_curve_row(monkeypatch, tmp_path, capsys):
     out = tmp_path / "curve.csv"
-    run_demo(monkeypatch, "--curve-out", str(out))
+    run_script(monkeypatch, "seven_point_demo", "--curve-out", str(out))
     assert f"wrote {out}" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == "epsilon,eta,product"
@@ -34,3 +44,27 @@ def test_curve_csv_holds_one_row_per_eta_curve_row(monkeypatch, tmp_path, capsys
                             FinitePoints(np.arange(7) * 0.1))
     assert len(rows) == report.eta_curve.shape[0] > 0
     assert [[e, eta] for e, eta, _ in rows] == report.eta_curve.tolist()
+
+
+def test_power_scan_prints_one_row_per_alpha(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    run_script(monkeypatch, "power_scan", "--alphas=-1,-2", "--points-per-decade", "5",
+               "--csv", str(out))
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+    rows = read_rows(out)
+    assert [float(row["alpha"]) for row in rows] == [-1.0, -2.0]
+    for row in rows:
+        # the measured slope tracks 1/(alpha - 1) on this short grid
+        assert float(row["measured_slope"]) == pytest.approx(
+            float(row["predicted_slope"]), rel=0.1)
+
+
+def test_sandwich_sweep_holds_on_every_trial(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as stop:
+        run_script(monkeypatch, "sandwich_sweep", "--trials", "10", "--csv", str(out))
+    assert stop.value.code == 0
+    assert "trials: 10   failures: 0" in capsys.readouterr().out
+    rows = read_rows(out)
+    assert [int(row["trial"]) for row in rows] == list(range(10))
+    assert all(row["ok"] == "True" for row in rows)

@@ -168,8 +168,8 @@ class TestDumpJsonArrays:
                 written(arr)
 
 
-def unique(values, axis=None):
-    return np.unique(values, axis=axis, return_inverse=True)[0]
+def unique(values):
+    return np.unique(values, return_inverse=True)[0]
 
 
 def assert_same_bits(got, want):
@@ -203,7 +203,10 @@ class TestSortedDistinct:
         [3, 1, 1, 2],
         np.float64(2.5),
         [[2.0, 1.0], [1.0, 2.0]],
-    ], ids=["empty", "zeros", "negative-zeros", "extremes", "ints", "scalar", "2-d"])
+        # numpy's SIMD sort can return the zeros of this list all positive
+        [0.0, 0.0, 0.0, -0.0, 0.0, -math.inf, -math.inf, -math.inf, -math.inf],
+    ], ids=["empty", "zeros", "negative-zeros", "extremes", "ints", "scalar", "2-d",
+            "zero-signs-the-sort-drops"])
     def test_edge_inputs(self, values):
         assert_same_bits(util.sorted_distinct(values), unique(values))
 
@@ -215,7 +218,3 @@ class TestSortedDistinct:
                 got = util.sorted_distinct(arr)
             assert spy.called == (np.isnan(arr).any() or np.signbit(arr[arr == 0]).ptp() > 0)
             assert_same_bits(got, unique(arr))
-
-    def test_rows_keep_np_unique(self):
-        rows = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [-0.0, 5.0]])
-        assert_same_bits(util.sorted_distinct(rows, axis=0), unique(rows, axis=0))

@@ -222,6 +222,14 @@ class TestDerivativeScale:
             scaled = witness_derivative_scale(build_witness(a * delta, order=3))
             assert scaled == pytest.approx(a * base, rel=1e-12)
 
+    @pytest.mark.parametrize("order", [3, 5, 15])
+    def test_scale_does_not_depend_on_the_radius(self, order):
+        # power-of-two radii scale every width exactly, so the bits agree
+        values = [0.0, 0.1, 0.25, 0.3, 1.7]
+        base = witness_derivative_scale(build_witness(values, order))
+        for radius in (2.0**200, 2.0**-200):
+            assert witness_derivative_scale(build_witness(values, order, radius)) == base
+
     def test_step_maximum_matches_a_50_digit_oracle(self):
         mpmath = pytest.importorskip("mpmath")
         for order in range(1, 31):
