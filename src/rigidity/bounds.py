@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
-from .util import frozen_array, sorted_distinct
+from .util import check_grid, frozen_array, sorted_distinct
 
 BISECT_REL_TOL = 1e-12
 # boundary refinements are placed just inside the qualifying region
@@ -224,8 +224,11 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
         t_next = t - (p.c * f - nu) / (p.c * df)
         falling = falling & (t_next < t)
         t = np.where(falling, t_next, t)
-    # the root lies above 1, even where t^d rounds to 1
-    return _scalar_or_array(np.maximum(t ** p.d, np.nextafter(1.0, 2.0))[()])
+    with np.errstate(over="ignore"):  # the root lies above 1, even where t^d rounds to 1
+        eta = np.maximum(t ** p.d, np.nextafter(1.0, 2.0))[()]
+    if not np.isfinite(eta).all():  # an infinite eta would make gamma infinite
+        raise ValueError(f"eta overflows the float range at c = {p.c:g}")
+    return _scalar_or_array(eta)
 
 
 def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
@@ -326,14 +329,7 @@ class BoundReport:
             "gamma_closed_form": self.gamma_closed_form,
             "eta_curve": self.eta_curve.tolist(),
             "E_intervals": self.e_intervals.tolist(),
-            "params": {
-                "n": self.params.n,
-                "m": self.params.m,
-                "d": self.params.d,
-                "r": self.params.r,
-                "c": self.params.c,
-                "lambdas": list(self.profile.lambdas),
-            },
+            "params": {**asdict(self.params), "lambdas": list(self.profile.lambdas)},
         }
 
 
@@ -352,14 +348,7 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     """
     if len(profile) != p.m:
         raise ValueError("profile length must equal m")
-    if eps_grid is None:
-        grid = default_grid(s)
-    else:
-        grid = np.asarray(eps_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("epsilon grid must be a non-empty 1-d array")
-        if np.any(grid <= 0):
-            raise ValueError("epsilon grid must be positive")
+    grid = default_grid(s) if eps_grid is None else check_grid(eps_grid)
 
     try:
         eps0 = epsilon0(s, p)

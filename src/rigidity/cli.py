@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
 input (unreadable files, bad descriptors, unknown maps, usage errors), 3
-invalid parameters, a count / c or a witness sample beyond float range, or
-a size beyond memory, 4 witness check falsified.
+invalid parameters, a count / c, eta, a witness scale or sample beyond
+float range, or a size beyond memory, 4 witness check falsified.
 """
 
 from __future__ import annotations
@@ -182,9 +182,7 @@ def _cmd_witness(args) -> int:
 def _cmd_extract(args) -> int:
     if args.map is not None:
         entry = builtin_map(args.map)
-        sm = SampledMap.from_callable(
-            entry.func, entry.n, entry.m, args.r, args.divisions
-        )
+        sm = SampledMap.from_callable(entry.func, entry.n, entry.m, args.r, args.divisions)
     else:
         sm = SampledMap.from_grid_csv(args.grid)
     profile = _resolve_profile(args, sm.m)

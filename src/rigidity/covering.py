@@ -4,8 +4,10 @@ All counts here are minimal-cover cardinalities, exact by construction:
 one-dimensional sets and power sequences via the optimal greedy sweep,
 run for all radii at once while many sweeps are live, the last few
 finished one at a time by an exact scalar search; the power sweep
-completes the accumulation tail with one final ball.  Multi-dimensional
-clouds have no exact count and are refused.
+completes the accumulation tail with one final ball.  Sweeps skip the
+balls a float-safe bound proves: a finite sweep its leading one-point
+balls, a power sweep each run of balls with equal strides (terms per
+ball).  Multi-dimensional clouds have no exact count and are refused.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from itertools import repeat
 import numpy as np
 
 from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor, diameter
-from .util import DEFAULT_EPS_MIN, frozen_array, log_grid
+from .util import DEFAULT_EPS_MIN, check_grid, frozen_array, log_grid
 
 POWER_COUNT_LIMIT = 2 * 10**7
 # log of the power-sequence index past which adjacent terms are denser
 # than float ulps
 _DENSE_LOG_INDEX = 34.5
-# a lockstep step costs one numpy call (~20-35 us) however few sweeps are
-# live, a scalar step ~0.5 us (finite) or ~1 us (power): below this many
-# live sweeps the scalar finish is cheaper
+# a lockstep step costs ~10 us (finite) or ~40 us (power) however few
+# sweeps are live, a scalar step ~0.45 us or ~1.4 us: below about this
+# many live sweeps the scalar finish is cheaper
 _SCALAR_TAIL = 32
 
 __all__ = [
@@ -47,37 +49,34 @@ def covering_number_1d(points, epsilon: float) -> int:
     which is optimal on the line.  A point at distance exactly 2*epsilon
     from the anchor counts as covered (closed balls).
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ValueError("need a non-empty flat point list")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite numbers")
-    if pts.size > 1 and np.any(np.diff(pts) < 0):
-        pts = np.sort(pts)
-    return int(_sweep_counts(pts, [float(epsilon)])[0])
+    return int(covering_counts(SampledCloud(points), [float(epsilon)])[0])
 
 
 def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
     """Greedy sweep counts of sorted points, one sweep per radius, in lockstep.
 
-    Each step moves every unfinished sweep past all points within
-    2*epsilon of its anchor with one vectorised searchsorted, then drops
-    the sweeps that reached the end.  Once at most _SCALAR_TAIL sweeps are
-    live, each finishes alone in ``_sweep_from``, which makes the same
-    float addition and right-side comparison, so counts do not depend on
-    where the handover happens.
+    A sweep starts past its leading one-point balls: x_i's ball holds x_i
+    alone if G_i = nextafter(fl(pred(x_{i+1}) - x_i), -inf) >= 2*epsilon,
+    as G_i is at most the exact gap from x_i to the float pred(x_{i+1})
+    below x_{i+1}, so fl(x_i + 2*epsilon) <= pred(x_{i+1}).  Each step
+    moves every unfinished sweep past all points within 2*epsilon of its
+    anchor with one vectorised searchsorted, then drops the sweeps that
+    reached the end.  Once at most _SCALAR_TAIL sweeps are live, each
+    finishes alone in ``_sweep_from``, which makes the same float addition
+    and right-side comparison, so counts do not depend on where the
+    handover happens.
     """
-    two_eps = 2.0 * np.asarray(epsilons, dtype=float)
-    counts = np.zeros(two_eps.shape, dtype=np.int64)
-    live = np.arange(two_eps.size)
-    pos = np.zeros(two_eps.size, dtype=np.intp)
-    while live.size > _SCALAR_TAIL:
-        counts[live] += 1
-        pos = np.searchsorted(pts, pts[pos] + two_eps[live], side="right")
-        more = pos < pts.size
-        live, pos = live[more], pos[more]
+    with np.errstate(over="ignore"):  # 2*eps, a gap or a reach may be inf
+        two_eps = 2.0 * np.asarray(epsilons, dtype=float)
+        gap = np.nextafter(np.nextafter(pts[1:], -np.inf) - pts[:-1], -np.inf)
+        pos = np.searchsorted(-np.minimum.accumulate(gap), -two_eps, side="right")
+        counts = pos.astype(np.int64)
+        live = np.arange(two_eps.size)
+        while live.size > _SCALAR_TAIL:
+            counts[live] += 1
+            pos = np.searchsorted(pts, pts[pos] + two_eps[live], side="right")
+            more = pos < pts.size
+            live, pos = live[more], pos[more]
     if live.size:
         xs = pts.tolist()
         for j, i, te in zip(live.tolist(), pos.tolist(), two_eps[live].tolist()):
@@ -96,10 +95,10 @@ def _sweep_from(xs: list, i: int, two_eps: float) -> int:
 
 def covering_number_power(alpha: float, epsilon: float) -> int:
     """Exact covering count of the full sequence {m**alpha : m >= 1}."""
-    return int(_power_counts(alpha, [float(epsilon)])[0])
+    return int(covering_counts(PowerSequence(alpha), [float(epsilon)])[0])
 
 
-def _power_counts(alpha: float, epsilons) -> np.ndarray:
+def _power_counts(alpha: float, eps: np.ndarray) -> np.ndarray:
     """Greedy counts of the power sequence, one sweep per radius, in lockstep.
 
     Each sweep runs from the largest term downward: the ball anchored at
@@ -107,11 +106,10 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     anchor is the largest term strictly below t.  Once q drops to 2*eps or
     below, the whole remainder lies in (0, q] and one further ball finishes
     the cover, so the count is finite and exact despite the accumulation
-    at zero.  Unfinished sweeps step together while more than _SCALAR_TAIL
-    are live; the rest finish one at a time with ``_next_anchor``.
-
-    No sweep walks its prefix of one-term balls: each starts at the anchor
-    K**alpha of ``_prefix_length`` with K - 1 balls counted.
+    at zero.  Sweeps step together while more than _SCALAR_TAIL are live,
+    the rest one at a time with ``_next_anchor``; after each step a sweep
+    jumps the run of balls whose stride provably equals the one just
+    found (``_run_length``), from the term 1 first with stride 1.
 
     Anchors are m**alpha from libm, as Python's ``**`` computes them, so
     the counts are bit-identical to a scalar sweep.  numpy only guesses the
@@ -120,27 +118,42 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
     ``_next_anchor``.  Past index 1e15 adjacent terms are denser than float
     ulps near t, and the next anchor is nextafter(t, 0).
     """
-    if not -math.inf < alpha < 0:
-        raise ValueError("alpha must be a finite negative number")
-    eps = np.asarray(epsilons, dtype=float)
-    if not np.all(eps > 0):
-        raise ValueError("epsilon must be positive")
     # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans,
     # comparing logs (the power overflows for alpha near 0 and tiny eps)
     if eps.size and math.log(2.0 * eps.min()) / (alpha - 1.0) > math.log(POWER_COUNT_LIMIT):
         raise ValueError("covering count would exceed the iteration limit; raise epsilon")
-    two_eps = 2.0 * eps
-    counts = np.ones(two_eps.size, dtype=np.int64)  # the final ball over the tail
-    live = np.flatnonzero(two_eps < 1.0)
-    te = two_eps[live]
-    k = _prefix_length(alpha, te)
-    q = np.fromiter(map(math.pow, k.tolist(), repeat(alpha)), float, k.size)
-    counts[live] += k.astype(np.int64) - 1  # one ball per term before K
-    keep = q > te  # else K**alpha <= 2*eps: the final ball covers it
-    live, te, q = live[keep], te[keep], q[keep]
-    steps = 0
-    while live.size > _SCALAR_TAIL:
-        steps += 1
+    counts = np.ones(eps.size, dtype=np.int64)  # the final ball over the tail
+    live = np.flatnonzero(eps < 0.5)  # one ball covers all from 2*eps >= 1 on
+    te = 2.0 * eps[live]
+    hi = np.exp((math.log(-alpha) - math.log1p(2.0**-20)
+                 - np.log(np.maximum(te, 2.0**-1000))) / (1.0 - alpha)) * (1.0 - 1e-9)
+    lo = np.where(te < 2.0**-1000, 0.0, te * ((1.0 - 2.0**-20) * (1.0 - 1e-12) / -alpha))
+    # per sweep: radius index, 2*eps, run scales, the anchor m before the
+    # one just found (k, of value q) and the n balls anchored before m;
+    # sweeps start at k = 1 after a virtual anchor 0, whose ball n = -1 cancels
+    state = np.vstack([live, te, hi, lo, np.repeat([[0.0], [1.0], [-1.0]], te.size, 1)])
+    k, jumping = np.ones(live.size), True
+    while True:
+        live, te, hi, lo, m, q, n = state
+        if jumping:
+            s = k - m
+            run = _run_length(alpha, k, s, q, hi, lo)
+            k += run * s
+            n += run
+            jumped = run.nonzero()[0]
+            # runs shorten as strides grow: once no sweep jumps, none tries again
+            jumping = jumped.size > 0
+            q[jumped] = np.fromiter(map(math.pow, k[jumped].tolist(), repeat(alpha)),
+                                    float, jumped.size)
+        m[:] = k
+        n += 1.0
+        done = q <= te
+        if np.count_nonzero(done):
+            counts[live[done].astype(np.intp)] += n[done].astype(np.int64)
+            state = state.compress(~done, axis=1)
+            live, te, hi, lo, m, q, n = state
+        if live.size <= _SCALAR_TAIL:
+            break
         t = q - te
         log_m = np.log(t) / alpha
         dense = None
@@ -150,60 +163,62 @@ def _power_counts(alpha: float, epsilons) -> np.ndarray:
                 log_m[i] = math.log(t[i]) / alpha
             dense = log_m > _DENSE_LOG_INDEX
             log_m[dense] = _DENSE_LOG_INDEX  # keeps exp finite; set below
-        m = np.floor(np.exp(log_m)) + 1.0
-        q = np.fromiter(map(math.pow, m.tolist(), repeat(alpha)), float, m.size)
-        redo = (q >= t) | (np.power(m - 1.0, alpha) <= t * (1.0 + 1e-13))
+        k = np.floor(np.exp(log_m)) + 1.0
+        q[:] = np.fromiter(map(math.pow, k.tolist(), repeat(alpha)), float, k.size)
+        redo = (q >= t) | (np.power(k - 1.0, alpha) <= t * (1.0 + 1e-13))
         if dense is not None:
             redo &= ~dense
             q[dense] = np.nextafter(t[dense], 0.0)
-        if redo.any():
-            for i in np.flatnonzero(redo).tolist():
-                q[i] = _next_anchor(float(t[i]), alpha)
-        done = q <= te
-        if done.any():
-            counts[live[done]] += steps
-            keep = ~done
-            live, te, q = live[keep], te[keep], q[keep]
-    for j, tej, qj in zip(live.tolist(), te.tolist(), q.tolist()):
-        n = steps
+            k[dense] += m[dense]  # not a term: its stride passes any run's end
+        for i in redo.nonzero()[0].tolist():
+            k[i], q[i] = _next_anchor(float(t[i]), alpha)
+    for j, tej, qj, nj in zip(live.astype(np.intp).tolist(), te.tolist(), q.tolist(), n.tolist()):
         while qj > tej:
-            n += 1
-            qj = _next_anchor(qj - tej, alpha)
-        counts[j] += n
+            nj += 1
+            qj = _next_anchor(qj - tej, alpha)[1]
+        counts[j] += int(nj)
     return counts
 
 
-def _prefix_length(alpha: float, two_eps: np.ndarray) -> np.ndarray:
-    """Per radius 2*eps, a K (a float >= 1) whose terms 1, 2**alpha, ...,
-    K**alpha are the greedy sweep's first K anchors: the largest integer
-    up to 2**28*|alpha| with |alpha|*K**(alpha-1) >= max(2*eps, 2**-1000)
-    * (1 + mu), mu = 2**-20.
+def _run_length(alpha: float, k, s, q, hi, lo) -> np.ndarray:
+    """How many balls anchored at k, k+s, k+2s, ... provably cover s terms
+    each, per sweep with the anchor k, q = k**alpha and the stride s to try:
+    those whose anchor a has a+s <= min(s**p*hi, 2**28*|alpha|*s, e**33.5),
+    p = 1/(1-alpha), if (s-1)*q/k <= lo.  ``_power_counts`` sets
+    hi = (|alpha| / (max(2*eps, 2**-1000) * (1 + mu)))**p, solved in logs
+    and shrunk by 1e-9, and lo = 2*eps*(1 - mu)/|alpha|, shrunk by 1e-12,
+    or 0 below 2*eps = 2**-1000; mu = 2**-20.
 
-    Each gap k**alpha - (k+1)**alpha exceeds |alpha|*(k+1)**(alpha-1), so
-    for k < K it tops 2*eps by mu*max(2*eps, 2**-1000) and, by the cap on
-    K, by about 2**-48*k**alpha: more than the roundings of the float test
-    (k+1)**alpha < k**alpha - 2*eps (two libm pows and a subtraction, under
-    3 ulps of k**alpha or 3 subnormal ulps).  Without the 2**-1000 floor
-    alpha = -80 at eps = 5e-324 breaks.  K is solved in logs, finite for
-    any radius and exponent; the 1e-9 shrink absorbs numpy's log and exp
-    rounding.
+    By the mean value theorem the gap a**alpha - (a+g)**alpha lies between
+    g*|alpha|*(a+g)**(alpha-1) and g*|alpha|*a**(alpha-1), and falls as a
+    grows.  So from k on the ball at a reaches a+s-1, its gap for g = s-1
+    being 2*eps*mu under 2*eps; up to the hi bound it misses a+s, that gap
+    topping 2*eps by mu*max(2*eps, 2**-1000).  By the cap 2**28*|alpha|*s,
+    which the lo side turns into 2*eps >= 2**-29*a**alpha, both margins
+    exceed about 2**-49*a**alpha: more than the roundings of the float test
+    (a+g)**alpha < a**alpha - 2*eps (two libm pows and a subtraction,
+    under 3 ulps of a**alpha or 3 subnormal ulps).  Below 2**-1000 only
+    stride 1, with no lo side, may run; without the floor alpha = -80 at
+    eps = 5e-324 breaks.  Runs end short of the dense terms.
     """
-    log_k = np.log(np.maximum(two_eps, 2.0**-1000)) + (math.log1p(2.0**-20) - math.log(-alpha))
-    log_k = np.minimum(log_k / (alpha - 1.0), math.log(2.0**28 * -alpha)) - 1e-9
-    return np.maximum(np.floor(np.exp(log_k)), 1.0)
+    top = np.minimum(s ** (1.0 / (1.0 - alpha)) * hi, (2.0**28 * -alpha) * s)
+    top = np.minimum(top, math.exp(_DENSE_LOG_INDEX - 1.0))
+    run = np.maximum(np.floor((top - k) / s), 0.0)
+    return np.where((s - 1.0) * q / k <= lo, run, 0.0)
 
 
-def _next_anchor(t: float, alpha: float) -> float:
-    """Largest term m**alpha strictly below t, or nextafter(t, 0) past index 1e15."""
+def _next_anchor(t: float, alpha: float):
+    """Index and value of the largest term m**alpha strictly below t; past
+    index 1e15 the value is nextafter(t, 0), with no index."""
     log_m = math.log(t) / alpha
     if log_m > _DENSE_LOG_INDEX:
-        return math.nextafter(t, 0.0)
+        return math.nan, math.nextafter(t, 0.0)
     k = max(1, int(math.exp(log_m)) + 1)
     while k > 1 and (k - 1) ** alpha < t:
         k -= 1
     while k ** alpha >= t:
         k += 1
-    return k ** alpha
+    return k, k ** alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +229,10 @@ class CoveringCurve:
     counts: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
+        eps = check_grid(self.epsilons)
         cnt = np.asarray(self.counts, dtype=np.int64)
-        if eps.ndim != 1 or eps.size == 0 or eps.shape != cnt.shape:
-            raise ValueError("curve needs matching non-empty epsilon and count arrays")
-        if np.any(eps <= 0) or (eps.size > 1 and np.any(np.diff(eps) >= 0)):
-            raise ValueError("epsilons must be positive and strictly decreasing")
+        if eps.shape != cnt.shape or np.any(np.diff(eps) >= 0):
+            raise ValueError("curve needs strictly decreasing epsilons, one count each")
         if np.any(cnt < 1):
             raise ValueError("counts must be positive")
         if cnt.size > 1 and np.any(np.diff(cnt) < 0):
@@ -264,10 +277,10 @@ def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
     lockstep sweep with a scalar finish.  Every radius must be positive.
     """
     eps = np.asarray(epsilons, dtype=float)
-    if isinstance(s, PowerSequence):
-        return _power_counts(s.alpha, eps)
     if not np.all(eps > 0):
         raise ValueError("epsilon must be positive")
+    if isinstance(s, PowerSequence):
+        return _power_counts(s.alpha, eps)
     return _sweep_counts(_sorted_line(s), eps)
 
 
@@ -289,12 +302,8 @@ def covering_curve(s: SetDescriptor, eps_grid) -> CoveringCurve:
     """Exact covering counts for every grid radius.
 
     The grid must be strictly decreasing and positive.  Counts come from
-    the exact routine for the set family; the nondecreasing-count invariant
-    is re-checked after the scan.
+    the exact routine for the set family; ``CoveringCurve`` checks the grid
+    and the nondecreasing-count invariant after the scan.
     """
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("epsilon grid must be a non-empty 1-d array")
-    if np.any(eps <= 0) or (eps.size > 1 and np.any(np.diff(eps) >= 0)):
-        raise ValueError("epsilon grid must be positive and strictly decreasing")
+    eps = check_grid(eps_grid)
     return CoveringCurve(eps, covering_counts(s, eps))

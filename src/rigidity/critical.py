@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import LambdaProfile, ProblemParams, forward_upper_bound
 from .covering import covering_counts
 from .sets import DescriptorError, FinitePoints, SampledCloud
-from .util import fit_loglog_slope, log_grid, sorted_distinct
+from .util import check_grid, fit_loglog_slope, log_grid, sorted_distinct
 
 # grid resolution per unit radius, by dimension; n = 3 grids get coarse fast
 DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
@@ -480,12 +480,7 @@ def empirical_forward_check(sm: SampledMap, p: ProblemParams, profile: LambdaPro
     scale = measured_derivative_scale(sm, p.d)
     if extraction is None:
         extraction = near_critical_set(sm, profile)
-    if eps_grid is None:
-        eps_grid = log_grid(1e-4, 1e-2, 50)
-    else:
-        eps_grid = np.asarray(eps_grid, dtype=float)
-        if eps_grid.ndim != 1 or eps_grid.size == 0 or np.any(eps_grid <= 0):
-            raise ValueError("epsilon grid must be a non-empty positive 1-d array")
+    eps_grid = log_grid(1e-4, 1e-2, 50) if eps_grid is None else check_grid(eps_grid)
 
     if extraction.descriptor is None:
         return ForwardCheckReport(

@@ -59,6 +59,14 @@ def _mixed_ties(values, out: np.ndarray) -> bool:
     return bool(signs.any()) and not signs.all()
 
 
+def check_grid(eps_grid) -> np.ndarray:
+    """The radii as a float array; raise unless they are non-empty, 1-d and positive."""
+    grid = np.asarray(eps_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > 0):
+        raise ValueError("epsilon grid must be a non-empty 1-d array of positive radii")
+    return grid
+
+
 def log_grid(eps_min: float, eps_max: float,
              points_per_decade: int = DEFAULT_POINTS_PER_DECADE) -> np.ndarray:
     """Strictly decreasing log-spaced grid from eps_max down to eps_min."""

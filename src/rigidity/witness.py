@@ -169,15 +169,10 @@ class WitnessFunction:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        pieces = []
-        for p in self.pieces:
-            if isinstance(p, Plateau):
-                pieces.append({"kind": "plateau", "lo": p.lo, "hi": p.hi, "value": p.value})
-            else:
-                pieces.append(
-                    {"kind": "transition", "lo": p.lo, "hi": p.hi,
-                     "from": p.v_lo, "to": p.v_hi}
-                )
+        pieces = [{"kind": "plateau", "lo": p.lo, "hi": p.hi, "value": p.value}
+                  if isinstance(p, Plateau) else
+                  {"kind": "transition", "lo": p.lo, "hi": p.hi, "from": p.v_lo, "to": p.v_hi}
+                  for p in self.pieces]
         return {
             "order": self.order,
             "radius": self.radius,
@@ -241,8 +236,14 @@ def witness_derivative_scale(w: WitnessFunction) -> float:
     if not transitions:
         return 0.0
     d = w.order
-    peak = max(abs(t.jump) / (t.width / w.radius)**d for t in transitions)
-    return float(peak * _step_max(d) / math.factorial(d))
+    try:  # past float range (width/radius)**d underflows to 0 or the factorials overflow
+        peak = max(abs(t.jump) / (t.width / w.radius)**d for t in transitions)
+        scale = float(peak * _step_max(d) / math.factorial(d))
+    except (ZeroDivisionError, OverflowError):
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"the order-{d} witness's derivative scale is beyond float range")
+    return scale
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ power-sequence dichotomy, and the report invariants.
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ class TestSolveEta:
         p = ProblemParams(2, 1, 1, c=1e-300)
         with pytest.raises(ValueError, match="c = 1e-300"):
             solve_eta(p, LambdaProfile((0.5,)), 10**10, 0.5)
+
+    def test_overflowing_eta_is_refused(self):
+        # the root t is finite but t**d is not: eta, and gamma with it,
+        # would read inf, where numpy used to warn of an overflow
+        p = ProblemParams(2, 1, 3, c=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eta overflows"):
+                solve_eta(p, LambdaProfile((0.0,)), 7, 0.6)
 
     @given(
         n=st.integers(1, 3),

@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -99,16 +101,78 @@ def scalar_power_count(alpha, epsilon):
     return len(scalar_power_anchors(alpha, epsilon))
 
 
-def scalar_next_term_below(alpha, t):
+def scalar_next_index(alpha, t):
+    """Index of the largest term strictly below t, or None past index 1e15."""
     log_m = math.log(t) / alpha
     if log_m > 34.5:
-        return math.nextafter(t, 0.0)
+        return None
     m = max(1, int(math.exp(log_m)) + 1)
     while m > 1 and (m - 1) ** alpha < t:
         m -= 1
     while m ** alpha >= t:
         m += 1
-    return m ** alpha
+    return m
+
+
+def scalar_next_term_below(alpha, t):
+    m = scalar_next_index(alpha, t)
+    return math.nextafter(t, 0.0) if m is None else m ** alpha
+
+
+def scalar_anchor_indices(alpha, epsilon):
+    """Term indices of the reference sweep's anchors, up to the first one at
+    or below 2*epsilon, or up to the last before the dense terms."""
+    indices = [1]
+    while indices[-1] ** alpha > 2.0 * epsilon:
+        m = scalar_next_index(alpha, indices[-1] ** alpha - 2.0 * epsilon)
+        if m is None:
+            break
+        indices.append(m)
+    return indices
+
+
+def run_scales(alpha, epsilon):
+    """The scales hi and lo the power kernel hands ``_run_length`` for one radius."""
+    seen, real = [], covering._run_length
+
+    def spy(*args):
+        seen.append(args[4:])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_run_length", spy)
+        covering_number_power(alpha, epsilon)
+    return seen[0]
+
+
+@functools.lru_cache(maxsize=None)
+def runs_at_every_anchor(alpha, epsilon, offset=0):
+    """The reference sweep's anchor indices, the stride s tried at each
+    anchor k and the run ``_run_length`` proves from k at stride s.  s is
+    the stride of the ball that reached k, plus offset (at least 1); the
+    first anchor 1 comes from a virtual anchor 0 at stride 1."""
+    indices = scalar_anchor_indices(alpha, epsilon)
+    k = np.array(indices, dtype=float)
+    s = np.maximum(np.diff(k, prepend=0.0) + offset, 1.0)
+    q = np.array([m ** alpha for m in indices])
+    return indices, s, covering._run_length(alpha, k, s, q, *run_scales(alpha, epsilon))
+
+
+def identical_at_every_handover(alpha, eps):
+    """The power kernel's counts equal the reference sweep's at every
+    handover, with every warning raised as an error."""
+    expected = [scalar_power_count(alpha, e) for e in eps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+    return got == every_handover(expected)
+
+
+# radii for the run checks, down to subnormal ones below the 2**-1000 floor
+RUN_CASES = [(alpha, e) for alpha in (-3.0, -1.0, -0.5, -0.05)
+             for e in np.geomspace(0.4, 1e-4, 13).tolist()]
+RUN_CASES += [(-80.0, e) for e in (5e-324, 1e-320, 1e-300, 1e-100)]
+RUN_CASES += [(-120.0, 5e-324), (-3.0, 1e-15), (-0.5, 2e-6), (-1.0, 1e-7), (-2.0, 1e-9)]
 
 
 @st.composite
@@ -289,6 +353,74 @@ class TestNoOvercount:
             assert np.all(counts <= exact)
 
 
+def gap_radii(pts):
+    """Radii whose 2*eps is a gap between sorted neighbours, or one ulp off it."""
+    xs = np.sort(np.asarray(pts, dtype=float))
+    with np.errstate(over="ignore"):
+        gaps = np.diff(xs)
+    eps = []
+    for g in gaps[(gaps > 0) & np.isfinite(gaps)].tolist():
+        eps += [math.nextafter(g, 0.0) / 2.0, g / 2.0, math.nextafter(g, math.inf) / 2.0]
+    return [e for e in eps if e > 0]
+
+
+def finite_prefix_identical(s, eps):
+    """Counts of a finite set equal the scalar sweep's from its first point,
+    one ball at a time, at every handover, with warnings raised as errors."""
+    xs = covering._sorted_line(s).tolist()
+    expected = [covering._sweep_from(xs, 0, 2.0 * e) for e in eps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = at_every_handover(lambda: covering_counts(s, eps).tolist())
+    return got == every_handover(expected)
+
+
+magnitudes = st.floats(-300.0, 300.0).map(lambda x: 10.0**x)
+
+
+class TestFinitePrefix:
+    """Finite sweeps start past their leading one-point balls, at gaps
+    G_i = nextafter(fl(pred(x_{i+1}) - x_i), -inf) of at least 2*eps; the
+    counts must not move where 2*eps meets a gap or the float range ends."""
+
+    @given(point_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_gap_ties_identical(self, vals):
+        assert finite_prefix_identical(SampledCloud(vals), gap_radii(vals) + [1e-3, 1.0])
+
+    def test_points_an_ulp_apart(self):
+        u = 2.0**-52
+        pts = [1.0 + u, 1.0 + 2 * u, 1.0 + 3 * u]
+        eps = gap_radii(pts) + [u / 4, u / 2, u, 1.5 * u, 2 * u, 1e-3]
+        assert finite_prefix_identical(FinitePoints(pts), eps)
+
+    def test_gap_past_float_range(self):
+        # the exact gap 2e308 overflows: G rounds it down to the top float.
+        # A margin gap*(1 - 2**-50) would keep it at inf and count 2 balls
+        # at 2*eps = inf, where the sweep counts 1
+        half = sys.float_info.max / 2.0
+        eps = np.linspace(8e307, 1.7e308, 37).tolist()
+        eps += [math.nextafter(half, 0.0), half, math.nextafter(half, math.inf)]
+        s = FinitePoints([-1e308, 1e308])
+        assert finite_prefix_identical(s, eps)
+        assert covering_counts(s, [8.9e307, 9e307, 1.7e308]).tolist() == [2, 1, 1]
+
+    def test_subnormal_gaps(self):
+        tiny = 5e-324
+        steps = np.array([0, 1, 2, 4, 7, 11, 100, 2**20, 2**40], dtype=float)
+        pts = np.concatenate([-steps * tiny, steps * tiny, [1e-300, 1.0]])
+        eps = gap_radii(pts) + [tiny, 2 * tiny, 1e-320, 1e-310, 1e-300]
+        assert finite_prefix_identical(SampledCloud(pts), eps)
+
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes),
+                    min_size=1, max_size=30),
+           st.lists(magnitudes, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_wide_magnitudes_identical(self, signed, radii_drawn):
+        pts = [sign * mag for sign, mag in signed]
+        assert finite_prefix_identical(SampledCloud(pts), gap_radii(pts) + radii_drawn)
+
+
 class TestBruteForceOracle:
     def test_worked_example(self):
         assert brute_force_covering_oracle(np.array([0.0, 0.5, 1.0, 2.5]), 0.5) == 2
@@ -423,13 +555,15 @@ class TestPowerLockstep:
         assert got == every_handover(expected)
 
     @pytest.mark.parametrize("alpha, eps", [
+        (-1e-300, np.geomspace(0.45, 0.05, 40)),
         (-1e-3, np.geomspace(0.4, 1e-3, 12)),
         (-0.05, np.geomspace(0.4, 1e-3, 12)),
         (-80.0, [5e-324, 1e-322, 1e-320, 1e-310, 1e-200, 1e-50, 0.1]),
         (-120.0, [5e-324, 1e-320, 1e-310, 1e-100, 0.1]),
         (-700.0, [5e-324, 1e-320, 1e-300, 1e-212, 1e-100, 0.1]),
         (-2000.0, [5e-324, 1e-320, 1e-300, 1e-100, 0.1]),
-    ], ids=["alpha-1e-3", "alpha-0.05", "alpha-80", "alpha-120", "alpha-700", "alpha-2000"])
+    ], ids=["alpha-1e-300", "alpha-1e-3", "alpha-0.05", "alpha-80", "alpha-120", "alpha-700",
+            "alpha-2000"])
     def test_extreme_exponents_identical(self, alpha, eps):
         # subnormal radii at alpha = -80 and -120 need the prefix's
         # 2**-1000 floor; none of these may warn
@@ -440,21 +574,56 @@ class TestPowerLockstep:
         assert got == every_handover(expected)
 
     def test_prefix_never_passes_the_one_term_balls(self):
-        # the jump's K against the scalar sweep's own anchors: its first K
-        # must be 1, 2**alpha, ..., K**alpha.  K stops a term or two short
-        # of the true prefix, except below the 2**-1000 floor
-        cases = [(alpha, e) for alpha in (-3.0, -1.0, -0.5, -0.05)
-                 for e in np.geomspace(0.4, 1e-4, 13).tolist()]
-        cases += [(-80.0, e) for e in (5e-324, 1e-320, 1e-300, 1e-100)]
-        cases += [(-120.0, 5e-324), (-3.0, 1e-15)]
-        for alpha, e in cases:
-            anchors = scalar_power_anchors(alpha, e)
-            prefix = next((i for i, q in enumerate(anchors) if q != (i + 1) ** alpha),
-                          len(anchors))
-            k = covering._prefix_length(alpha, np.array([2.0 * e]))[0]
-            assert 1 <= k <= prefix, (alpha, e)
+        # the first jump, stride 1 from the term 1, against the scalar
+        # sweep's own anchors: it lands on an anchor K with 1, 2, ..., K
+        # the anchors before it.  K stops a term or two short of the true
+        # prefix, except below the 2**-1000 floor
+        for alpha, e in RUN_CASES:
+            indices, _, runs = runs_at_every_anchor(alpha, e)
+            prefix = next((i for i, m in enumerate(indices) if m != i + 1), len(indices))
+            assert 1 <= 1 + runs[0] <= prefix, (alpha, e)
             if 2.0 * e >= 2.0**-1000:
-                assert k >= prefix - 2, (alpha, e)
+                assert 1 + runs[0] >= prefix - 2, (alpha, e)
+
+    @pytest.mark.parametrize("offset", [0, -1, 1, 2])
+    def test_runs_never_pass_a_stride_change(self, offset):
+        # the run from every anchor k of the scalar sweep, at the stride s
+        # of the ball that reached k or a wrong one: k, k+s, ..., k+run*s
+        # must be anchors in a row.  Below 2*eps = 2**-1000 only stride 1 runs
+        strided = 0
+        for alpha, e in RUN_CASES:
+            indices, tried, runs = runs_at_every_anchor(alpha, e, offset)
+            strides = np.diff(indices, prepend=0)
+            for i in np.flatnonzero(runs).tolist():
+                run, s = int(runs[i]), tried[i]
+                assert np.all(strides[i + 1:i + run + 1] == s) and i + run < len(indices)
+                assert s == 1 or 2.0 * e >= 2.0**-1000, (alpha, e)
+                strided += s > 1
+        assert strided > 1000 or offset
+
+    def test_stride_boundary_ties_identical(self):
+        # eps = (k**alpha - (k+s)**alpha) / 2 makes the ball at k reach the
+        # term k+s exactly: the edge of a stride-s run, which a jump must
+        # not pass
+        for alpha in np.linspace(-3.0, -0.05, 10).tolist():
+            eps = []
+            for s in range(2, 9):
+                for k in range(1, 25):
+                    half = (k ** alpha - (k + s) ** alpha) / 2.0
+                    eps += [math.nextafter(half, 0.0), half, math.nextafter(half, 1.0)]
+            assert identical_at_every_handover(alpha, eps), alpha
+
+    @pytest.mark.parametrize("alpha, eps", [
+        (-80.0, 5e-324), (-80.0, 2.0**-1001), (-80.0, 2.0**-999),
+        (-120.0, 5e-324), (-1e4, 5e-324), (-1e8, 5e-324), (-1e300, 1e-300),
+    ])
+    def test_subnormal_radii_huge_exponents_identical(self, alpha, eps):
+        # below 2*eps = 2**-1000 the cannot-reach side takes the floor and
+        # only stride 1 may run; without the floor alpha = -80 at
+        # eps = 5e-324 counted 21,474,836,481 balls for the true 10,324
+        assert identical_at_every_handover(alpha, [eps])
+        if (alpha, eps) == (-80.0, 5e-324):
+            assert covering_number_power(alpha, eps) == 10_324
 
     def test_one_radius_over_the_limit_fails_the_batch(self):
         assert (2e-16) ** (1.0 / (-1.0 - 1.0)) > POWER_COUNT_LIMIT

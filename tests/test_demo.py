@@ -68,3 +68,16 @@ def test_sandwich_sweep_holds_on_every_trial(monkeypatch, tmp_path, capsys):
     rows = read_rows(out)
     assert [int(row["trial"]) for row in rows] == list(range(10))
     assert all(row["ok"] == "True" for row in rows)
+
+
+def test_kernel_timing_prints_one_row_per_input(monkeypatch, capsys):
+    run_script(monkeypatch, "kernel_timing", "--repeat", "1", "--thin", "40",
+               "--sandwich-sets", "3")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["input", "calls", "radii", "best_ms", "us/call", "steps"]
+    labels = [row.split()[0] for row in rows]
+    assert labels == ["power-0.5", "power-1", "uniform-600", "cantor-1024", "sandwich-3"]
+    for row in rows:
+        calls, radii, best_ms, per_call, steps = row.split()[1:]
+        assert int(calls) >= 1 and int(radii) >= 1 and int(steps) >= 0
+        assert float(best_ms) > 0 and float(per_call) > 0
