@@ -15,8 +15,7 @@ soundness.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "EXCLUDED",
     "NOT_EXCLUDED",
     "rhs_polynomial",
-    "forward_upper_bound",
     "in_E",
     "solve_eta",
     "epsilon0",
@@ -74,6 +72,8 @@ class ProblemParams:
             raise ValueError("m must be an integer with 1 <= m <= n")
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
             raise ValueError("d must be a positive integer")
+        for name in ("n", "m", "d"):  # numpy integers do not serialize to JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r > 0):
             raise ValueError("r must be a positive finite number")
         object.__setattr__(self, "r", float(self.r))
@@ -156,26 +156,9 @@ def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
     if not (eta >= 1.0).all():
         raise ValueError("eta must be at least 1")
     coeffs = _coefficients(p, profile, epsilon)
-    total = sum(a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
-    return _scalar_or_array(p.c * total)
-
-
-def forward_upper_bound(p: ProblemParams, profile: LambdaProfile,
-                        derivative_scale: float, epsilon: float) -> float:
-    """Upper bound on the covering count of near-critical values at resolution epsilon.
-
-    Above the derivative scale the bound is the baseline polynomial
-    (eta = 1); below it each term picks up the ratio power.  The two
-    expressions agree at epsilon = derivative_scale, so the bound is
-    continuous across the seam.
-    """
-    if not (isinstance(derivative_scale, (int, float)) and derivative_scale >= 0):
-        raise ValueError("derivative scale must be nonnegative")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if epsilon >= derivative_scale:
-        return rhs_polynomial(p, profile, epsilon, 1.0)
-    return rhs_polynomial(p, profile, epsilon, derivative_scale / epsilon)
+    with np.errstate(over="ignore"):  # +inf, as in _coefficients
+        total = sum(a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
+        return _scalar_or_array(p.c * total)
 
 
 def in_E(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
@@ -255,8 +238,7 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
             lo /= 2.0
         qualifies = lo > 0.0
     else:
-        # the diameter overflows to inf for values near the float limits
-        lo, hi = min_gap(s) / 4.0, min(diameter(s), sys.float_info.max)
+        lo, hi = min_gap(s) / 4.0, diameter(s)
         qualifies = lo > 0.0 and count_at(lo) >= threshold
     if not qualifies:
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
@@ -288,39 +270,37 @@ def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
 class BoundReport:
     """Outcome of a rigidity scan over a resolution grid.
 
-    e_intervals: the evaluated resolutions that qualified, a read-only
-    (k,) float64 array; eta_curve: the read-only (k, 2) float64 array of
-    (resolution, solved ratio) rows; gamma: best eps * eta product (zero
-    exactly when nothing qualified); epsilon0 / gamma_closed_form: the
-    count-(c+1) boundary and its closed-form bound when applicable.  Any
-    sequences are accepted and converted.
+    eta_curve: the read-only (k, 2) float64 array of (resolution, solved
+    ratio) rows, any sequence accepted and converted; epsilon0 /
+    gamma_closed_form: the count-(c+1) boundary and its closed-form bound
+    when applicable.  Derived from the curve: e_intervals, the read-only
+    (k,) array of qualifying resolutions, and gamma, the best eps * eta
+    product (zero exactly when nothing qualified).
     """
 
-    e_intervals: np.ndarray
     eta_curve: np.ndarray
-    gamma: float
     gamma_closed_form: float | None
     epsilon0: float | None
     params: ProblemParams
     profile: LambdaProfile
+    e_intervals: np.ndarray = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
-        radii = np.asarray(self.e_intervals, dtype=float)
         curve = np.asarray(self.eta_curve, dtype=float)
         if curve.size == 0:
             curve = curve.reshape(0, 2)
-        if radii.ndim != 1 or curve.ndim != 2 or curve.shape[1] != 2:
-            raise ValueError("need a 1-d array of radii and a (k, 2) eta curve")
+        if curve.ndim != 2 or curve.shape[1] != 2:
+            raise ValueError("need a (k, 2) eta curve")
         if np.any(curve[:, 1] <= 1.0):
             raise ValueError("every solved ratio must exceed 1")
-        products = curve[:, 0] * curve[:, 1]
-        best = products.max().item() if products.size else 0.0
-        if not math.isclose(best, self.gamma, rel_tol=1e-12, abs_tol=0.0) and best != self.gamma:
-            raise ValueError("gamma must equal the best eps*eta product")
-        if (self.gamma == 0.0) != (radii.size == 0):
-            raise ValueError("gamma is zero exactly when nothing qualified")
-        object.__setattr__(self, "e_intervals", frozen_array(radii))
         object.__setattr__(self, "eta_curve", frozen_array(curve))
+        object.__setattr__(self, "e_intervals", frozen_array(curve[:, 0]))
+        with np.errstate(over="ignore"):  # refused below, as solve_eta refuses eta = inf
+            gamma = float(np.max(curve[:, 0] * curve[:, 1], initial=0.0))
+        if not math.isfinite(gamma):
+            raise ValueError("gamma = eps * eta overflows the float range")
+        object.__setattr__(self, "gamma", gamma)
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,8 +326,6 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     precision.  Sets with only estimated covering curves (m >= 2 clouds)
     are refused.
     """
-    if len(profile) != p.m:
-        raise ValueError("profile length must equal m")
     grid = default_grid(s) if eps_grid is None else check_grid(eps_grid)
 
     try:
@@ -360,14 +338,12 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     counts = covering_counts(s, scan)
     hit = counts > rhs_polynomial(p, profile, scan, 1.0)
     qualifying = scan[hit]
-    etas = solve_eta(p, profile, counts[hit], qualifying)
-    curve = np.column_stack((qualifying, etas))
-    gamma = float(np.max(qualifying * etas, initial=0.0))
+    curve = np.column_stack((qualifying, solve_eta(p, profile, counts[hit], qualifying)))
 
     closed = None
     if eps0 is not None and profile.lambdas[0] == 0.0:
         closed = gamma_closed_form(eps0, p)
-    return BoundReport(qualifying, curve, gamma, closed, eps0, p, profile)
+    return BoundReport(curve, closed, eps0, p, profile)
 
 
 @dataclass(frozen=True)

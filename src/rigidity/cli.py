@@ -28,7 +28,7 @@ from .bounds import (
     classify_power_sequence,
     rigidity_bound,
 )
-from .covering import covering_curve, default_grid
+from .covering import CoveringCurve, covering_counts, default_grid
 from .critical import (
     SampledMap,
     empirical_forward_check,
@@ -123,13 +123,12 @@ def _write_text(path, text: str) -> None:
 def _cmd_cover(args) -> int:
     s = _resolve_set(args)
     grid = args.eps if args.eps is not None else default_grid(s)
-    curve = covering_curve(s, grid)
+    curve = CoveringCurve(grid, covering_counts(s, grid))
     _write_text(args.out, curve.to_csv_text())
-    counts = np.asarray(curve.counts, dtype=float)
-    grow = counts > 1
+    grow = curve.counts > 1
     print(f"wrote {args.out} ({len(curve)} resolutions)")
     if np.count_nonzero(grow) >= 2:
-        slope = fit_loglog_slope(curve.epsilons[grow], counts[grow])
+        slope = fit_loglog_slope(curve.epsilons[grow], curve.counts[grow])
         print(f"log-log slope over growing counts: {slope:.4f}")
     return EXIT_OK
 

@@ -36,7 +36,6 @@ __all__ = [
     "covering_number_1d",
     "covering_number_power",
     "covering_counts",
-    "covering_curve",
     "exact_counter",
     "default_grid",
 ]
@@ -296,14 +295,3 @@ def default_grid(s: SetDescriptor) -> np.ndarray:
         d = diameter(s)
         hi = d if d > 10 * DEFAULT_EPS_MIN else 1.0
     return log_grid(DEFAULT_EPS_MIN, hi)
-
-
-def covering_curve(s: SetDescriptor, eps_grid) -> CoveringCurve:
-    """Exact covering counts for every grid radius.
-
-    The grid must be strictly decreasing and positive.  Counts come from
-    the exact routine for the set family; ``CoveringCurve`` checks the grid
-    and the nondecreasing-count invariant after the scan.
-    """
-    eps = check_grid(eps_grid)
-    return CoveringCurve(eps, covering_counts(s, eps))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import LambdaProfile, ProblemParams, forward_upper_bound
+from .bounds import LambdaProfile, ProblemParams, rhs_polynomial
 from .covering import covering_counts
 from .sets import DescriptorError, FinitePoints, SampledCloud
 from .util import check_grid, fit_loglog_slope, log_grid, sorted_distinct
@@ -419,6 +419,8 @@ def measured_derivative_scale(sm: SampledMap, order: int) -> float:
     if g.size <= 2 * trim:
         raise ValueError("grid too coarse for this differentiation order")
     peak = float(np.max(np.abs(g[trim:-trim])))
+    if math.isnan(peak):  # inf - inf in an overflowed difference
+        raise ValueError(f"the order-{order} differences of the samples are not a number")
     return peak / math.factorial(order)
 
 
@@ -491,7 +493,8 @@ def empirical_forward_check(sm: SampledMap, p: ProblemParams, profile: LambdaPro
     grid = sorted((float(e) for e in eps_grid), reverse=True)
     rows = []
     for eps, measured in zip(grid, covering_counts(extraction.descriptor, grid).tolist()):
-        bound = forward_upper_bound(p, profile, scale, eps)
+        # above the scale the ratio is 1: the baseline polynomial
+        bound = rhs_polynomial(p, profile, eps, max(scale / eps, 1.0))
         regime = "baseline" if eps >= scale else "scaled"
         rows.append(CheckRow(eps, measured, bound, regime, measured <= bound))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,18 +179,20 @@ def min_gap(s: SetDescriptor) -> float:
     vals = sorted_distinct(s.values)  # clouds may repeat values
     if vals.size < 2:
         raise ValueError("min_gap needs at least two distinct points")
-    return float(np.min(np.diff(vals)))
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        return float(np.min(np.diff(vals)))
 
 
 def diameter(s: SetDescriptor) -> float:
     """Extent of a finite set or cloud.
 
     For m >= 2 the bounding-box diagonal is returned, which is enough for
-    grid sizing.
+    grid sizing.  An extent past the float range is capped at the largest
+    float.
     """
     # Python floats overflow to inf silently, where numpy scalars warn
     hi, lo = s.points.max(axis=0).tolist(), s.points.min(axis=0).tolist()
-    return math.hypot(*(h - l for h, l in zip(hi, lo)))
+    return min(math.hypot(*(h - l for h, l in zip(hi, lo))), sys.float_info.max)
 
 
 def descriptor_to_json_dict(s: SetDescriptor) -> dict:

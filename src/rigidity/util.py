@@ -76,9 +76,15 @@ def log_grid(eps_min: float, eps_max: float,
         raise ValueError("grid needs eps_min < eps_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
-    decades = math.log10(eps_max / eps_min)
+    ratio = eps_max / eps_min
+    if math.isfinite(ratio):
+        decades = math.log10(ratio)
+    else:  # the ratio of a range wider than the floats overflows
+        decades = math.log10(eps_max) - math.log10(eps_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
-    return np.geomspace(eps_max, eps_min, count)
+    # geomspace pins both ends, but at the largest float its power warns
+    with np.errstate(over="ignore"):
+        return np.geomspace(eps_max, eps_min, count)
 
 
 def fit_loglog_slope(x, y) -> float:

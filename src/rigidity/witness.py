@@ -238,7 +238,8 @@ def witness_derivative_scale(w: WitnessFunction) -> float:
     d = w.order
     try:  # past float range (width/radius)**d underflows to 0 or the factorials overflow
         peak = max(abs(t.jump) / (t.width / w.radius)**d for t in transitions)
-        scale = float(peak * _step_max(d) / math.factorial(d))
+        # a Python float product overflows to inf without a numpy warning
+        scale = peak * float(_step_max(d)) / math.factorial(d)
     except (ZeroDivisionError, OverflowError):
         scale = math.inf
     if not math.isfinite(scale):

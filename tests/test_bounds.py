@@ -23,7 +23,6 @@ from rigidity.bounds import (
     classify_power_sequence,
     critical_point_rigidity_reduction,
     epsilon0,
-    forward_upper_bound,
     gamma_closed_form,
     in_E,
     rhs_polynomial,
@@ -89,6 +88,14 @@ class TestProblemParams:
         with pytest.raises(AttributeError):
             P15.n = 2
 
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        p = ProblemParams(np.int64(1), np.int64(1), np.int64(3))
+        assert [type(v) for v in (p.n, p.m, p.d)] == [int, int, int]
+        assert p.c == 4.0
+        report = rigidity_bound(p, Z1, seven_points())
+        blob = json.loads(json.dumps(report.to_json_dict()))
+        assert blob["params"] == {"n": 1, "m": 1, "d": 3, "r": 1.0, "c": 4.0, "lambdas": [0.0]}
+
 
 class TestLambdaProfile:
     def test_zeros(self):
@@ -128,6 +135,11 @@ class TestRhsPolynomial:
         got = rhs_polynomial(p2, LambdaProfile.zeros(2), 1.0, eta)
         assert got == pytest.approx(1.5 * eta ** 1.5, rel=1e-14)
 
+    def test_overflow_reads_inf_without_a_warning(self):
+        # r/eps = 9e307 is finite, c times it is not: that radius never qualifies
+        p = ProblemParams(1, 1, 1, r=9e153)  # c = 2
+        assert rhs_polynomial(p, LambdaProfile((1.0,)), 1e-154, 1.0) == math.inf
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             rhs_polynomial(P15, Z1, 0.0, 2.0)
@@ -159,15 +171,18 @@ class TestRhsPolynomial:
 
 
 class TestForwardUpperBound:
+    """The forward bound at derivative scale R is rhs_polynomial at eta = max(R/eps, 1)."""
+
     def test_coarse_regime_is_flat(self):
         for d in (1, 2, 5):
             p = ProblemParams(1, 1, d)
             for eps in (1.0, 2.0, 10.0):
-                assert forward_upper_bound(p, Z1, 1.0, eps) == d + 1.0
+                assert rhs_polynomial(p, Z1, eps, max(1.0 / eps, 1.0)) == d + 1.0
 
     def test_fine_regime_hand_value(self):
         # (scale/eps)^(1/5) = 32^(1/5) = 2, so the bound doubles the constant
-        assert forward_upper_bound(P15, Z1, 1.0, 1.0 / 32.0) == pytest.approx(
+        eps = 1.0 / 32.0
+        assert rhs_polynomial(P15, Z1, eps, max(1.0 / eps, 1.0)) == pytest.approx(
             12.0, rel=1e-14
         )
 
@@ -186,12 +201,13 @@ class TestForwardUpperBound:
         assert abs(flat - ratio) <= 1e-12 * flat
 
     def test_rejects_negative_scale(self):
-        with pytest.raises(ValueError):
-            forward_upper_bound(P15, Z1, -1.0, 0.5)
+        # a negative scale gives a ratio below 1, which the polynomial refuses
+        with pytest.raises(ValueError, match="eta must be at least 1"):
+            rhs_polynomial(P15, Z1, 0.5, -1.0 / 0.5)
 
     def test_rejects_zero_resolution(self):
-        with pytest.raises(ValueError):
-            forward_upper_bound(P15, Z1, 1.0, 0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            rhs_polynomial(P15, Z1, 0.0, 1.0)
 
 
 class TestInE:
@@ -690,6 +706,10 @@ class TestRigidityBound:
         text = json.dumps(blob)  # must be plain python scalars throughout
         assert json.loads(text)["gamma"] == report.gamma
 
+    def test_refuses_a_profile_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="profile length must equal m"):
+            rigidity_bound(P15, LambdaProfile.zeros(2), seven_points())
+
     def test_refuses_estimated_covering(self):
         cloud = SampledCloud(np.zeros((5, 2)))
         p = ProblemParams(2, 2, 3, c=2.0)
@@ -733,22 +753,43 @@ class TestRigidityBound:
         for arr in (report.e_intervals, report.eta_curve):
             assert arr.dtype == np.float64 and not arr.flags.writeable
         assert np.array_equal(report.eta_curve[:, 0], report.e_intervals)
-        # sequences in, the same arrays out
-        again = BoundReport(report.e_intervals.tolist(), report.eta_curve.tolist(),
-                            report.gamma, None, None, P15, Z1)
+        # sequences in, the same arrays out, and the same derived fields
+        again = BoundReport(report.eta_curve.tolist(), None, None, P15, Z1)
         assert np.array_equal(again.eta_curve, report.eta_curve)
-        empty = BoundReport((), (), 0.0, None, None, P15, Z1)
+        assert np.array_equal(again.e_intervals, report.e_intervals)
+        assert not again.e_intervals.flags.writeable
+        assert again.gamma == report.gamma
+        empty = BoundReport((), None, None, P15, Z1)
         assert empty.e_intervals.shape == (0,) and empty.eta_curve.shape == (0, 2)
+        assert empty.gamma == 0.0
         with pytest.raises(ValueError):
-            BoundReport((0.1,), (0.1, 2.0, 3.0), 0.2, None, None, P15, Z1)
+            BoundReport((0.1, 2.0, 3.0), None, None, P15, Z1)
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
-            BoundReport((0.1,), ((0.1, 0.5),), 0.05, None, None, P15, Z1)
-        with pytest.raises(ValueError):
-            BoundReport((0.1,), ((0.1, 2.0),), 0.7, None, None, P15, Z1)
-        with pytest.raises(ValueError):
-            BoundReport((0.1,), (), 0.0, None, None, P15, Z1)
+            BoundReport(((0.1, 0.5),), None, None, P15, Z1)
+        # gamma and the qualifying radii come from the curve, not the caller
+        for name in ("gamma", "e_intervals"):
+            with pytest.raises(TypeError):
+                BoundReport(((0.1, 2.0),), None, None, P15, Z1, **{name: 0.2})
+
+    def test_overflowing_gamma_is_refused(self):
+        # a product past the float range would report gamma = inf
+        with pytest.raises(ValueError, match="overflows the float range"):
+            BoundReport(((1e308, 2.0), (1.0, 2.0)), None, None, P15, Z1)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            rigidity_bound(ProblemParams(2, 1, 1, c=0.5), Z1,
+                           FinitePoints([-1e308, 0.0, 1e308]))
+
+    def test_gamma_is_the_best_row_product_exactly(self):
+        rows = ((0.3, 1.5), (0.2, 2.5), (0.1, 4.0000000000001))
+        report = BoundReport(rows, None, None, P15, Z1)
+        assert report.gamma == max(e * eta for e, eta in rows) == 0.2 * 2.5
+        for seed in range(5):
+            report = rigidity_bound(P15, Z1, FinitePoints(
+                stratified_uniform(np.random.default_rng(seed), 40)))
+            products = report.eta_curve[:, 0] * report.eta_curve[:, 1]
+            assert report.gamma == products.max()
 
 
 class TestClassifyPowerSequence:

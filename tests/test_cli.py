@@ -409,16 +409,34 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["bound", "cover", "witness"])
-    def test_values_spanning_past_the_float_range_exit_3_quietly(self, capsys, command):
-        # the extent 2e308 overflows to inf: refused, without a numpy warning
+    def test_values_spanning_past_the_float_range_end_quietly(self, capsys, command):
+        # the extent 2e308 overflows: bound and cover scan up to the largest
+        # float, the witness's scale is refused, all without a numpy warning
         desc = json.dumps({"type": "finite", "points": [1e308, -1e308]})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([command, "--set", desc, "--out", "out"])
-        assert code == 3
+        assert code == (3 if command == "witness" else 0)
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["bound", "--set", '{"type": "finite", "points": [-1e308, 1e308]}',
+          "--eps", "1e307:1.7e308:5"], 0),
+        (["witness", "--set", '{"type": "finite", "points": [-1e308, 0, 1e308]}',
+          "--eps", "1e-3:1:2"], 3),
+        (["cover", "--set", '{"type": "finite", "points": [0, 1]}', "--eps", "1e-300:1e10:2"], 0),
+        (["bound", "--set", json.dumps(SEVEN), "--eps", "1e-160:1e-150:2", "--r", "9e153",
+          "--lambda", "1"], 0),
+    ], ids=["overflowing-gap", "overflowing-witness-scale", "overflowing-eps-ratio",
+            "overflowing-baseline"])
+    def test_overflows_raise_no_warning(self, capsys, argv, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", "out"]) == expected
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "Traceback" not in err
 
 
 def run_fresh(body):
@@ -495,7 +513,8 @@ class TestJsonLayout:
 # fraction of a second or a few megabytes.
 _SETS = ([json.dumps(SEVEN), '{"type": "power", "alpha": -2, "count": 50}',
           '{"type": "finite", "points": [0.5]}', '{"type": "finite", "points": [0, 0.25, 1e-9]}',
-          '{"type": "cloud", "points": [[0.0, 1.0], [1.0, 0.5]]}'],
+          '{"type": "cloud", "points": [[0.0, 1.0], [1.0, 0.5]]}',
+          '{"type": "finite", "points": [-1e308, 0, 1e308]}'],
          ['{"type": "finite", "points": []}', '{"type": "finite", "points": [1e308, -1e308, NaN]}',
           '{"type": "finite", "points": [0, Infinity]}', '{"type": "finite", "points": ["a"]}',
           '{"type": "finite", "points": [[0, 1], [1]]}',
@@ -503,7 +522,7 @@ _SETS = ([json.dumps(SEVEN), '{"type": "power", "alpha": -2, "count": 50}',
           '{"type": "power", "alpha": "x"}', '{"type": "power", "alpha": 0.5}',
           '{"type": "power", "alpha": -2, "count": -3}', '{"type": "nope"}',
           "{", "[]", "null", "", "missing.json"])
-_EPS = (["1e-3:0.5:5", "1e-2:0.5:3", "1e-4:1:2"],
+_EPS = (["1e-3:0.5:5", "1e-2:0.5:3", "1e-4:1:2", "1e-300:1e10:2", "1e-6:1.7e308:1"],
         ["1e-3:0.5", "0.5:1e-3:5", "a:b:c", "0:1:5", "1e-3:0.5:0", "1e-3:0.5:-2",
          "1e-3:inf:5", "nan:1:3", "", ":::", "1e-3:0.5:2.5"])
 _INTS = (["1", "2", "3", "5"], ["-1", "0", "x", "", "0.5", "1e400"])

@@ -13,7 +13,6 @@ from rigidity import covering
 from rigidity.covering import (
     POWER_COUNT_LIMIT,
     CoveringCurve,
-    covering_curve,
     covering_counts,
     covering_number_1d,
     covering_number_power,
@@ -315,7 +314,8 @@ class TestLockstepCounts:
         grid = default_grid(s)
         expected = [scalar_greedy(pts, e) for e in grid.tolist()]
         got = at_every_handover(lambda: (
-            covering_counts(s, grid).tolist(), covering_curve(s, grid).counts.tolist()
+            covering_counts(s, grid).tolist(),
+            CoveringCurve(grid, covering_counts(s, grid)).counts.tolist(),
         ))
         assert got == every_handover((expected, expected))
 
@@ -633,18 +633,19 @@ class TestPowerLockstep:
 
 class TestCoveringCurve:
     def test_two_point_example(self):
-        curve = covering_curve(FinitePoints([0.0, 1.0]), [1.0, 0.4])
+        s, grid = FinitePoints([0.0, 1.0]), [1.0, 0.4]
+        curve = CoveringCurve(grid, covering_counts(s, grid))
         assert list(curve.counts) == [1, 2]
 
     def test_single_entry_matches_pointwise_routine(self):
         s = FinitePoints([0.0, 0.3, 0.9])
-        curve = covering_curve(s, [0.2])
+        curve = CoveringCurve([0.2], covering_counts(s, [0.2]))
         assert curve.counts[0] == covering_number_1d(s.values, 0.2)
 
     def test_power_curve_entries_reverified(self):
         s = PowerSequence(-1.0)
         grid = log_grid(1e-3, 0.5, 10)
-        curve = covering_curve(s, grid)
+        curve = CoveringCurve(grid, covering_counts(s, grid))
         assert np.all(np.diff(curve.counts) >= 0)  # counts grow as eps shrinks
         for eps, count in zip(curve.epsilons, curve.counts):
             assert count == covering_number_power(-1.0, eps)
@@ -656,7 +657,7 @@ class TestCoveringCurve:
             CoveringCurve(np.array([0.2, 0.1]), np.array([3, 2]))  # counts drop
 
     def test_csv_text(self):
-        curve = covering_curve(FinitePoints([0.0, 1.0]), [0.4])
+        curve = CoveringCurve([0.4], covering_counts(FinitePoints([0.0, 1.0]), [0.4]))
         text = curve.to_csv_text()
         lines = text.strip().split("\n")
         assert lines[0] == "epsilon,count"

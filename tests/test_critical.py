@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidity import critical
-from rigidity.bounds import LambdaProfile, ProblemParams
+from rigidity.bounds import LambdaProfile, ProblemParams, rhs_polynomial
 from rigidity.critical import (
     GRID_CSV_BYTES_PER_NODE,
     MAX_GRID_NODES,
@@ -466,6 +466,17 @@ class TestMeasuredDerivativeScale:
         with pytest.raises(ValueError):
             measured_derivative_scale(sampled("bowl2d", divisions=8), 2)
 
+    def test_differences_that_are_not_a_number_are_refused(self):
+        # the first differences overflow to +-inf and the third meet inf - inf
+        values = np.zeros((9, 1))
+        values[[3, 5], 0] = 1.7e308
+        sm = SampledMap(np.linspace(-1.0, 1.0, 9), values, 1.0)
+        assert measured_derivative_scale(sm, 2) == math.inf
+        with pytest.raises(ValueError, match="not a number"):
+            measured_derivative_scale(sm, 3)
+        with pytest.raises(ValueError, match="not a number"):
+            empirical_forward_check(sm, ProblemParams(1, 1, 3), LambdaProfile((0.0,)))
+
 
 class TestEmpiricalForwardCheck:
     def test_low_degree_polynomial_stays_at_the_baseline(self):
@@ -495,6 +506,23 @@ class TestEmpiricalForwardCheck:
         eps = [r.epsilon for r in report.rows]
         assert eps == sorted(eps, reverse=True)
         assert set(r.regime for r in report.rows) <= {"baseline", "scaled"}
+
+    def test_rows_are_the_polynomial_at_the_clamped_ratio(self):
+        # the forward bound is rhs_polynomial at eta = max(R/eps, 1): the
+        # baseline at and above the scale R, the ratio power below it
+        sm = sampled("poly10")
+        p = ProblemParams(1, 1, 3)  # c = 4
+        profile = LambdaProfile((0.1,))
+        scale = measured_derivative_scale(sm, 3)
+        grid = [8.0 * scale, scale, scale / 8.0, scale / 1e3]
+        report = empirical_forward_check(sm, p, profile, eps_grid=grid)
+        assert [r.regime for r in report.rows] == ["baseline", "baseline", "scaled", "scaled"]
+        assert [r.bound for r in report.rows] == [
+            rhs_polynomial(p, profile, grid[0], 1.0),
+            rhs_polynomial(p, profile, scale, 1.0),
+            rhs_polynomial(p, profile, grid[2], 8.0),
+            rhs_polynomial(p, profile, grid[3], scale / grid[3]),
+        ]
 
     def test_vacuous_when_nothing_extracted(self):
         sm = sampled("linear1d")
