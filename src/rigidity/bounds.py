@@ -263,7 +263,10 @@ def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
     """
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
-    return (1.0 + 1.0 / p.c) ** (p.d / p.n) * eps0
+    try:
+        return (1.0 + 1.0 / p.c) ** (p.d / p.n) * eps0
+    except OverflowError:  # a float power raises where a product goes to inf
+        raise ValueError(f"(1 + 1/c)^(d/n) overflows at c={p.c!r}, d/n={p.d / p.n!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .bounds import LambdaProfile, ProblemParams, rhs_polynomial
 from .covering import covering_counts
 from .sets import DescriptorError, FinitePoints, SampledCloud
-from .util import check_grid, fit_loglog_slope, log_grid, sorted_distinct
+from .util import check_grid, fit_loglog_slope, frozen_array, log_grid, sorted_distinct
 
 # grid resolution per unit radius, by dimension; n = 3 grids get coarse fast
 DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
@@ -109,8 +110,10 @@ class SampledMap:
     def grid_step(self) -> float:
         return float(self.axis[1] - self.axis[0])
 
-    def coordinate_grids(self) -> tuple:
-        return np.meshgrid(*([self.axis] * self.n), indexing="ij")
+    @cached_property
+    def _unit_derivative(self) -> np.ndarray:
+        """Central-difference derivative of an n = 1 map in u = x / radius, made once."""
+        return frozen_array(_unit_gradient(self, self.values[:, 0]))
 
     @classmethod
     def from_callable(cls, func: Callable, n: int, m: int, radius: float = 1.0,
@@ -132,8 +135,8 @@ class SampledMap:
         if npts**n > MAX_GRID_NODES:
             raise ValueError(f"{npts}^{n} grid nodes exceed the budget of {MAX_GRID_NODES}")
         axis = np.linspace(-radius, radius, npts)
-        grids = np.meshgrid(*([axis] * n), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        grids = np.meshgrid(*([axis] * n), indexing="ij", copy=False)  # views, stacked once
+        pts = np.stack(grids, axis=-1).reshape(-1, n)
         # a value that overflows is refused below as not finite
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.asarray(func(pts), dtype=float)
@@ -174,9 +177,9 @@ class SampledMap:
             npts = axis.size
             if data.shape[0] != npts**n:
                 raise ValueError("grid rows do not form a full cartesian product")
-            grids = np.meshgrid(*([axis] * n), indexing="ij")
-            for j, g in enumerate(grids):
-                if not np.allclose(data[:, j], g.ravel(), rtol=0.0, atol=1e-12):
+            # each coordinate column against the axis broadcast along its dimension
+            for j, along in enumerate(np.meshgrid(*([axis] * n), indexing="ij", sparse=True)):
+                if not np.allclose(data[:, j].reshape((npts,) * n), along, rtol=0.0, atol=1e-12):
                     raise ValueError("grid coordinates are not in row-major axis order")
             values = data[:, n:].reshape((npts,) * n + (m,))
             return cls(axis, values, float(axis[-1]))
@@ -191,20 +194,6 @@ def _unit_gradient(sm: SampledMap, values: np.ndarray, axis: int = 0) -> np.ndar
     u = x / radius, whose step products do not underflow at tiny radii."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan fail every threshold
         return np.gradient(values, sm.axis / sm.radius, axis=axis)
-
-
-def _jacobian_field(sm: SampledMap) -> np.ndarray:
-    """Central-difference Jacobian on the full grid, shape grid + (m, n)."""
-    shape = sm.values.shape[:-1]
-    jac = np.empty(shape + (sm.m, sm.n))
-    for a in range(sm.m):
-        for b in range(sm.n):
-            jac[..., a, b] = _unit_gradient(sm, sm.values[..., a], b) / sm.radius
-    return jac
-
-
-def _interior(sm: SampledMap) -> tuple:
-    return (slice(_EDGE, -_EDGE),) * sm.n
 
 
 def _two_row_singular_values(jac: np.ndarray) -> np.ndarray:
@@ -254,16 +243,19 @@ def _gradient_norms(grad: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of a (k, n) stack of gradients.
 
     ``np.linalg.norm`` squares the entries, which underflow below about
-    1e-154; the rows whose norm falls below ``_RESCALE_BELOW`` are redone
-    divided by their own largest entry, and every other row keeps its bits.
+    1e-154 and overflow above about 1e154; the rows whose norm falls below
+    ``_RESCALE_BELOW`` or is not finite are redone divided by their own
+    largest entry, and every other row keeps its bits.
     """
-    out = np.linalg.norm(grad, axis=1)
-    low = np.flatnonzero(out < _RESCALE_BELOW)
-    if low.size:
-        sub = grad[low]
-        own = np.max(np.abs(sub), axis=1, keepdims=True)
-        own[own == 0.0] = 1.0
-        out[low] = np.linalg.norm(sub / own, axis=1) * own[:, 0]
+    with np.errstate(over="ignore"):  # an overflowed square leaves an inf norm, redone
+        out = np.linalg.norm(grad, axis=1)
+        redo = np.flatnonzero((out < _RESCALE_BELOW) | ~np.isfinite(out))
+        if redo.size:
+            sub = grad[redo]
+            own = np.max(np.abs(sub), axis=1, keepdims=True)
+            # a row holding inf or nan keeps the norm it has
+            own[(own == 0.0) | ~np.isfinite(own)] = 1.0
+            out[redo] = np.linalg.norm(sub / own, axis=1) * own[:, 0]
     return out
 
 
@@ -274,26 +266,25 @@ def semi_axis_field(sm: SampledMap) -> tuple:
     singular values of shape (k, m).  The one-cell boundary layer is
     dropped because the difference stencil is one-sided there, and points
     outside the ball are masked away.  For m = 1 the value is the gradient
-    norm; for m = 2 it is the closed form of ``_two_row_singular_values``
-    (sigma_max = sqrt((p + q)/2 + hypot((p - q)/2, r)) from the rows' Gram
-    entries p, q, r, and sigma_min = sqrt(det(J J^T)) / sigma_max); only
-    m = 3 runs ``np.linalg.svd``.
+    norm and for m = 2 the closed form of ``_two_row_singular_values``;
+    only m = 3 runs ``np.linalg.svd``.
     """
-    jac = _jacobian_field(sm)
-    inner = _interior(sm)
-    grids = sm.coordinate_grids()
-    pts = np.stack([g[inner].ravel() for g in grids], axis=-1)
-    jflat = jac[inner].reshape(-1, sm.m, sm.n)
-    # in units of the radius, so a tiny one does not underflow to zero
-    keep = np.sum((pts / sm.radius) ** 2, axis=1) <= 1.0
-    pts = pts[keep]
-    jflat = jflat[keep]
+    # the interior nodes in the ball, in units of the radius so a tiny one
+    # does not underflow to zero; only their coordinates and Jacobians are made
+    sq = (sm.axis[_EDGE:-_EDGE] / sm.radius) ** 2
+    keep = reduce(np.add.outer, [sq] * sm.n) <= 1.0
+    pts = np.stack([sm.axis[i + _EDGE] for i in np.nonzero(keep)], axis=-1)
+    jac = np.empty((pts.shape[0], sm.m, sm.n))
+    for a, b in itertools.product(range(sm.m), range(sm.n)):
+        grad = sm._unit_derivative if sm.n == 1 else _unit_gradient(sm, sm.values[..., a], b)
+        jac[:, a, b] = grad[(slice(_EDGE, -_EDGE),) * sm.n][keep]
+    jac /= sm.radius
     if sm.m == 1:
-        sig = _gradient_norms(jflat[:, 0, :])[:, None]
+        sig = _gradient_norms(jac[:, 0, :])[:, None]
     elif sm.m == 2:
-        sig = _two_row_singular_values(jflat)
+        sig = _two_row_singular_values(jac)
     else:
-        sig = np.linalg.svd(jflat, compute_uv=False)[:, ::-1]
+        sig = np.linalg.svd(jac, compute_uv=False)[:, ::-1]
     return pts, sig
 
 
@@ -332,10 +323,13 @@ def near_critical_set(sm: SampledMap, profile: LambdaProfile) -> Extraction:
     if len(profile) != sm.m:
         raise ValueError("profile length must equal the map's target dimension")
     pts, sig = semi_axis_field(sm)
-    sel_pts = pts[np.all(sig <= np.asarray(profile.lambdas), axis=1)]
+    # column by column: a reduction over the short last axis is slow
+    sel = np.logical_and.reduce([sig[:, j] <= lam for j, lam in enumerate(profile.lambdas)])
+    sel_pts = np.compress(sel, pts, axis=0)
     # selected points are grid nodes, so their indices invert exactly
     idx = np.rint((sel_pts + sm.radius) / sm.grid_step).astype(int)
-    points, values = [sel_pts], [sm.values[tuple(idx.T)]]
+    flat = np.ravel_multi_index(tuple(idx.T), sm.values.shape[:-1])
+    points, values = [sel_pts], [np.take(sm.values.reshape(-1, sm.m), flat, axis=0)]
 
     if profile.lambdas[0] == 0.0 and sm.n == 1 and sm.m == 1:
         bp, bv = _bracketed_derivative_roots(sm)
@@ -362,7 +356,7 @@ def _bracketed_derivative_roots(sm: SampledMap) -> tuple:
     values come from the exact callable when available, otherwise from the
     parabola through the three nearest samples.
     """
-    deriv = _unit_gradient(sm, sm.values[:, 0]) / sm.radius
+    deriv = sm._unit_derivative / sm.radius
     # central-difference interior
     locs = _sign_change_roots(sm.axis[1:-1], deriv[1:-1])
     if not locs.size:
@@ -412,8 +406,8 @@ def measured_derivative_scale(sm: SampledMap, order: int) -> float:
         raise ValueError("order must be a positive integer")
     # differenced against u = x / radius, the order-th derivative already
     # carries the factor radius**order of the scale
-    g = sm.values[:, 0]
-    for _ in range(order):
+    g = sm._unit_derivative
+    for _ in range(order - 1):
         g = _unit_gradient(sm, g)
     trim = order + 1
     if g.size <= 2 * trim:

@@ -124,8 +124,8 @@ def dump_json(obj, fh) -> None:
     arrays (written as their ``tolist()``) go out in blocks of
     ``_ROW_BLOCK`` rows.  Each block's distinct values (by bit pattern,
     so -0.0 and 0.0 stay apart) are formatted by one call of the C encoder
-    and gathered back into a row template.  Dicts with string keys recurse
-    in sorted key order; anything else is left to ``json.dumps``.
+    and written as one join of the cells and their separators.  Dicts with
+    string keys recurse in sorted key order; the rest goes to ``json.dumps``.
     """
     _dump(obj, fh.write, "")
 
@@ -170,17 +170,20 @@ def _dump(obj, write, pad: str) -> None:
         write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
         return
     values, width = table
-    if width == 0:
-        row = inner + "%s"
-    else:
-        slots = ",\n".join([inner + "  %s"] * width)
-        row = inner + "[\n" + slots + "\n" + inner + "]"
+    opening = inner + ("[\n" + inner + "  " if width else "")
+    close = "\n" + inner + "]" if width else ""
+    # the text after a cell, by column: the row's next cell, or the next row
+    seps = [",\n" + inner + "  "] * (width - 1) + [close + ",\n" + opening]
     bits = values.view(np.int64).reshape(len(obj), -1)
-    write("[\n")
+    write("[\n" + opening)
     for start in range(0, len(obj), _ROW_BLOCK):
         block = bits[start:start + _ROW_BLOCK]
         distinct, index = np.unique(block, return_inverse=True)
         tokens = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
-        cells = tuple(np.array(tokens, dtype=object)[index.ravel()])
-        write((",\n" if start else "") + ",\n".join([row] * len(block)) % cells)
-    write("\n" + pad + "]")
+        # each distinct value with each column's separator, picked per cell
+        cells = np.array([t + sep for t in tokens for sep in seps], dtype=object)
+        pick = index.reshape(block.shape) * len(seps) + np.arange(len(seps))
+        text = "".join(cells[pick.ravel()].tolist())
+        # the last row is followed by the table's end, not by another row
+        write(text if start + _ROW_BLOCK < len(obj) else text[:-len(seps[-1])])
+    write(close + "\n" + pad + "]")

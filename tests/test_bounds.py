@@ -542,6 +542,12 @@ class TestGammaClosedForm:
         with pytest.raises(ValueError):
             gamma_closed_form(0.0, P15)
 
+    def test_overflowing_power_is_a_value_error(self):
+        # (1 + 1/c)^(d/n) = (4.3e15)^30 is past the float range
+        with pytest.raises(ValueError, match="overflows") as info:
+            gamma_closed_form(0.5, ProblemParams(2, 1, 60, c=2.3e-16))
+        assert not isinstance(info.value, OverflowError)
+
 
 def _scalar_rhs(p, profile, epsilon, eta):
     """The forward polynomial for one (epsilon, eta), in Python floats."""

@@ -288,6 +288,17 @@ class TestExtract:
         assert capsys.readouterr().err == ""
         assert json.loads((tmp_path / "big.set.json").read_text())["type"] == "finite"
 
+    def test_gradient_squares_past_the_float_range_extract_quietly(self, tmp_path, capsys):
+        # saddle2d's gradient entries reach 1.8e154, whose squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["extract", "--map", "saddle2d", "--divisions", "5", "--r", "9e153",
+                         "--out-prefix", "saddle"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        blob = json.loads((tmp_path / "saddle.set.json").read_text())
+        assert blob == {"type": "finite", "points": [0.0]}
+
     @pytest.mark.parametrize("argv", [
         ["--map", "poly10", "--check", "--r", "1e400"],
         ["--map", "bowl2d", "--r", "1e300"],
@@ -443,15 +454,17 @@ def run_fresh(body):
     """Stdout lines and stderr of ``body`` run in a fresh interpreter after ``main`` is imported."""
     script = "import sys\nfrom rigidity.cli import main\n" + body
     src = str(Path(rigidity.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    # -B: the bare environment drops PYTHONDONTWRITEBYTECODE, and no run
+    # should leave compiled modules in src/
+    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=60)
     return proc.stdout.splitlines(), proc.stderr
 
 
 def test_module_entry_point_runs_the_cli():
     src = str(Path(rigidity.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "rigidity.cli", "classify", "--alpha", "-1",
-                           "--d", "5"], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-B", "-m", "rigidity.cli", "classify", "--alpha",
+                           "-1", "--d", "5"], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "Excluded, exponent -1.5\n"

@@ -29,7 +29,7 @@ from rigidity.critical import (
 from rigidity.maps import builtin_map
 from rigidity.sets import DescriptorError, FinitePoints, SampledCloud
 
-from oracles import grid_csv_text
+from oracles import grid_csv_text, reference_semi_axis_field
 
 
 def sampled(name, divisions=None):
@@ -173,6 +173,35 @@ class TestGridCsv:
         with pytest.raises(DescriptorError):
             SampledMap.from_grid_csv(path)
 
+    @staticmethod
+    def _with_coordinate(sm, row, column, shift):
+        """The grid CSV of ``sm`` with one coordinate of one data row moved by ``shift``."""
+        lines = grid_csv_text(sm).splitlines()
+        cells = lines[1 + row].split(",")
+        cells[column] = repr(float(cells[column]) + shift)
+        lines[1 + row] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n, column", [(2, 0), (3, 0), (3, 1)])
+    def test_coordinate_tolerance_is_1e_12_along_every_leading_axis(self, tmp_path, n, column):
+        # the last coordinate defines the axis, so the leading ones are checked against it
+        sm = SampledMap.from_callable(lambda p: np.sum(p**2, axis=1), n, 1, 1.0, 3)
+        path = tmp_path / "grid.csv"
+        row = 3 * 7 ** (n - 1) // 2 + 5  # an interior row, away from zero coordinates
+        path.write_text(self._with_coordinate(sm, row, column, 0.9e-12))
+        assert np.array_equal(SampledMap.from_grid_csv(path).values, sm.values)
+        path.write_text(self._with_coordinate(sm, row, column, 1.1e-12))
+        with pytest.raises(DescriptorError, match="row-major"):
+            SampledMap.from_grid_csv(path)
+
+    def test_swapped_rows_are_refused(self, tmp_path):
+        lines = grid_csv_text(sampled("bowl2d", divisions=3)).splitlines()
+        lines[2], lines[20] = lines[20], lines[2]
+        path = tmp_path / "swapped.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DescriptorError, match="row-major"):
+            SampledMap.from_grid_csv(path)
+
 
 class TestSemiAxes:
     def test_linear_map_is_exact(self):
@@ -230,6 +259,17 @@ class TestSemiAxes:
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.array_equal(got == 0.0, want == 0.0)
 
+    def test_gradient_norms_whose_squares_overflow_are_rescaled(self):
+        grad = np.array([[3e200, 4e200], [1e300, -1e300], [2e154, 0.0], [np.inf, 1.0],
+                         [np.nan, 1.0], [1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = critical._gradient_norms(grad)
+        want = [math.hypot(*row) for row in grad[:3].tolist()]
+        assert np.allclose(got[:3], want, rtol=1e-15, atol=0.0)
+        assert got[3] == math.inf and math.isnan(got[4])
+        assert got[5] == np.linalg.norm(grad[5])
+
     def test_gradient_norms_above_the_rescale_line_keep_their_bits(self):
         rng = np.random.default_rng(3)
         grad = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-300, 150, (200, 1))
@@ -281,6 +321,34 @@ def two_row_stacks(draw):
         factor = draw(scales)
         return np.stack(mats) * factor
     return np.stack([mat * draw(scales) for mat in mats])
+
+
+class TestMaskFirstSemiAxes:
+    """``semi_axis_field`` gathers only the interior nodes in the ball; the
+    full-grid reference computes every node and picks afterwards."""
+
+    @pytest.mark.parametrize("radius", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("divisions", [4, 5])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in range(1, n + 1)])
+    def test_bits_match_the_full_grid_reference(self, n, m, radius, divisions):
+        rng = np.random.default_rng([n, m, divisions])
+        npts = 2 * divisions + 1
+        values = rng.standard_normal((npts,) * n + (m,)) * radius
+        sm = SampledMap(np.linspace(-radius, radius, npts), values, radius)
+        got_pts, got_sig = semi_axis_field(sm)
+        want_pts, want_sig = reference_semi_axis_field(sm)
+        assert got_pts.shape == want_pts.shape and got_sig.shape == want_sig.shape
+        assert np.array_equal(got_pts.view(np.int64), want_pts.view(np.int64))
+        assert np.array_equal(got_sig.view(np.int64), want_sig.view(np.int64))
+
+    def test_one_first_derivative_serves_every_n1_consumer(self):
+        sm = sampled("poly10", divisions=50)
+        with mock.patch.object(critical, "_unit_gradient", wraps=critical._unit_gradient) as grad:
+            near_critical_set(sm, LambdaProfile((0.0,)))
+            measured_derivative_scale(sm, 1)
+            assert grad.call_count == 1
+            measured_derivative_scale(sm, 3)
+            assert grad.call_count == 3
 
 
 class TestClosedFormSemiAxes:

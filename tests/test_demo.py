@@ -81,3 +81,19 @@ def test_kernel_timing_prints_one_row_per_input(monkeypatch, capsys):
         calls, radii, best_ms, per_call, steps = row.split()[1:]
         assert int(calls) >= 1 and int(radii) >= 1 and int(steps) >= 0
         assert float(best_ms) > 0 and float(per_call) > 0
+
+
+def test_extract_timing_prints_one_row_per_stage(monkeypatch, capsys):
+    run_script(monkeypatch, "extract_timing", "--repeat", "1", "--scale", "20")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["input", "stage", "best_ms"]
+    stages = [tuple(row.split()[:2]) for row in rows]
+    assert stages == [
+        ("grid3d", "from_grid_csv"), ("grid3d", "semi_axis_field"),
+        ("grid3d", "near_critical_set"), ("grid3d", "dump_json"),
+        ("poly10", "semi_axis_field"), ("poly10", "near_critical_set"),
+        ("poly10", "measured_derivative_scale"), ("poly10", "dump_json"),
+        ("stretch2d", "semi_axis_field"), ("stretch2d", "near_critical_set"),
+        ("stretch2d", "dump_json"),
+    ]
+    assert all(float(row.split()[2]) >= 0 for row in rows)
