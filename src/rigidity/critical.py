@@ -364,7 +364,7 @@ def _bracketed_derivative_roots(sm: SampledMap) -> tuple:
     if sm.func is not None:
         vals = np.asarray(sm.func(locs[:, None]), dtype=float).reshape(-1)
     else:
-        vals = np.array([_parabola_value(sm, loc) for loc in locs])
+        vals = _parabola_values(sm, locs)
     return locs, vals
 
 
@@ -383,13 +383,18 @@ def _sign_change_roots(x: np.ndarray, g: np.ndarray) -> np.ndarray:
         return x[i] - a * (x[i + 1] - x[i]) / (g[i + 1] - a)
 
 
-def _parabola_value(sm: SampledMap, loc: float) -> float:
-    i = int(np.argmin(np.abs(sm.axis - loc)))
-    i = min(max(i, 1), sm.axis.size - 2)
-    xs = sm.axis[i - 1:i + 2]
-    ys = sm.values[i - 1:i + 2, 0]
-    coeffs = np.polynomial.polynomial.polyfit(xs - loc, ys, 2)
-    return float(coeffs[0])
+def _parabola_values(sm: SampledMap, locs: np.ndarray) -> np.ndarray:
+    """The parabola through the samples at nodes i - 1, i, i + 1, at each loc.
+
+    Node i is the one nearest loc (the lower on a tie), kept off the ends.
+    The offset s of loc from it is in grid steps, so no coordinate is squared.
+    """
+    axis, y = sm.axis, sm.values[:, 0]
+    hi = np.clip(np.searchsorted(axis, locs), 1, axis.size - 1)
+    i = np.clip(hi - (locs - axis[hi - 1] <= axis[hi] - locs), 1, axis.size - 2)
+    s = (locs - axis[i]) / sm.grid_step
+    left, mid, right = y[i - 1], y[i], y[i + 1]
+    return mid + s * ((0.5 * right - 0.5 * left) + s * (0.5 * right + 0.5 * left - mid))
 
 
 def measured_derivative_scale(sm: SampledMap, order: int) -> float:

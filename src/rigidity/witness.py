@@ -14,6 +14,7 @@ a function that visibly realizes the set.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,6 @@ _SLACK = 1e-9
 
 __all__ = [
     "smoothstep_coefficients",
-    "Plateau",
-    "Transition",
     "WitnessFunction",
     "build_witness",
     "witness_derivative_scale",
@@ -61,65 +60,35 @@ def smoothstep_coefficients(order: int) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Plateau:
-    """Constant piece of a witness."""
-
-    lo: float
-    hi: float
-    value: float
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Monotone step piece climbing from one plateau value to the next."""
-
-    lo: float
-    hi: float
-    v_lo: float
-    v_hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def jump(self) -> float:
-        return self.v_hi - self.v_lo
-
-
 @dataclass(frozen=True, eq=False)
 class WitnessFunction:
     """Piecewise staircase with analytic derivatives of every order.
 
-    ``pieces`` tile [-radius, radius] left to right, alternating plateaus
-    and transitions.
+    ``edges`` holds 2k nondecreasing floats from -radius to radius and
+    ``values`` the k plateau values: plateau i is [edges[2i], edges[2i+1]],
+    and transition i climbs from values[i] to values[i+1] over
+    [edges[2i+1], edges[2i+2]].
     """
 
-    pieces: tuple
+    edges: tuple
+    values: tuple
     order: int
     radius: float
 
     def __post_init__(self):
-        if len(self.pieces) == 0:
-            raise ValueError("a witness needs at least one piece")
-        if self.pieces[0].lo != -self.radius or self.pieces[-1].hi != self.radius:
-            raise ValueError("pieces must tile the full domain")
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if left.hi != right.lo:
-                raise ValueError("pieces must be contiguous")
+        edges, values = tuple(map(float, self.edges)), tuple(map(float, self.values))
+        if not values or len(edges) != 2 * len(values):
+            raise ValueError("a witness needs k >= 1 values and 2k edges")
+        if edges[0] != -self.radius or edges[-1] != self.radius:
+            raise ValueError("edges must tile the full domain")
+        if any(a > b for a, b in zip(edges, edges[1:])):
+            raise ValueError("edges must be nondecreasing")
         if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
             raise ValueError("order must be a positive integer")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "values", values)
         # a numpy integer order would wrap in the step maximum's factorials
         object.__setattr__(self, "order", int(self.order))
-
-    @property
-    def plateau_values(self) -> np.ndarray:
-        return np.array([p.value for p in self.pieces if isinstance(p, Plateau)])
-
-    @property
-    def transitions(self) -> tuple:
-        return tuple(p for p in self.pieces if isinstance(p, Transition))
 
     def evaluate(self, x, deriv: int = 0) -> np.ndarray:
         """Value of the deriv-th derivative at x (scalar or array)."""
@@ -131,27 +100,23 @@ class WitnessFunction:
         tol = 1e-12 * max(self.radius, 1.0)
         if np.any(arr < -self.radius - tol) or np.any(arr > self.radius + tol):
             raise ValueError("evaluation point outside the witness domain")
-        edges = np.array([p.lo for p in self.pieces][1:])
-        idx = np.searchsorted(edges, arr, side="right")
-        out = np.zeros_like(arr)
-        coeffs = npoly.polyder(smoothstep_coefficients(self.order), m=deriv)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if not np.any(mask):
-                continue
-            if isinstance(piece, Plateau):
-                out[mask] = piece.value if deriv == 0 else 0.0
-            else:
-                width = np.float64(piece.width)  # its power overflows to inf, not raises
-                u = (arr[mask] - piece.lo) / width
-                vals = piece.jump / width**deriv * npoly.polyval(u, coeffs)
-                if deriv == 0:
-                    vals += piece.v_lo
-                out[mask] = vals
+        e, v = self.edges, self.values
+        # piece 2i is plateau i, piece 2i + 1 transition i
+        i, odd = np.divmod(np.searchsorted(np.array(e[1:-1]), arr, side="right"), 2)
+        out = np.array(v)[i] if deriv == 0 else np.zeros_like(arr)
+        step = odd == 1
+        if step.any():
+            widths = [hi - lo for lo, hi in zip(e[1:-1:2], e[2::2])]
+            # numpy's array power is not libm's, so each factor is a scalar power;
+            # past float range it is inf or 0, and the samples show it
+            with np.errstate(over="ignore", divide="ignore"):
+                factors = [(b - a) / np.float64(w)**deriv for a, b, w in zip(v, v[1:], widths)]
+            it = i[step]
+            u = (arr[step] - np.array(e[1:-1:2])[it]) / np.array(widths)[it]
+            rise = np.array(factors)[it] * npoly.polyval(
+                u, npoly.polyder(smoothstep_coefficients(self.order), m=deriv))
+            out[step] = rise + out[step] if deriv == 0 else rise
         return out[0] if scalar else out
-
-    def __call__(self, x):
-        return self.evaluate(x, 0)
 
     def sample_csv_text(self) -> str:
         """Plot-ready samples of the function and its first ``order`` derivatives.
@@ -159,7 +124,10 @@ class WitnessFunction:
         Header is x,f,f1,..,fd; one row at each of 2001 evenly spaced points.
         Raises ValueError when a sample is beyond float range.
         """
-        xs = np.linspace(-self.radius, self.radius, 2001)
+        # past half the float range the span 2r overflows: space the samples
+        # at half scale and double them, an exact rescaling there
+        shrink = 2.0 if 2.0 * self.radius == math.inf else 1.0
+        xs = shrink * np.linspace(-self.radius / shrink, self.radius / shrink, 2001)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             columns = [xs] + [self.evaluate(xs, j) for j in range(self.order + 1)]
         if not np.isfinite(columns).all():
@@ -169,15 +137,17 @@ class WitnessFunction:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        pieces = [{"kind": "plateau", "lo": p.lo, "hi": p.hi, "value": p.value}
-                  if isinstance(p, Plateau) else
-                  {"kind": "transition", "lo": p.lo, "hi": p.hi, "from": p.v_lo, "to": p.v_hi}
-                  for p in self.pieces]
+        e, v = self.edges, self.values
+        pieces = [None] * (len(e) - 1)
+        pieces[::2] = [{"kind": "plateau", "lo": lo, "hi": hi, "value": a}
+                       for lo, hi, a in zip(e[::2], e[1::2], v)]
+        pieces[1::2] = [{"kind": "transition", "lo": lo, "hi": hi, "from": a, "to": b}
+                        for lo, hi, a, b in zip(e[1::2], e[2::2], v, v[1:])]
         return {
             "order": self.order,
             "radius": self.radius,
             "plateau_ratio": _PLATEAU_RATIO,
-            "plateau_values": [float(v) for v in self.plateau_values],
+            "plateau_values": list(v),
             "pieces": pieces,
         }
 
@@ -199,26 +169,16 @@ def build_witness(values, order: int, radius: float = 1.0) -> WitnessFunction:
     radius = float(radius)
 
     k = vals.size
-    if k == 1:
-        pieces = (Plateau(-radius, radius, float(vals[0])),)
-        return WitnessFunction(pieces, int(order), radius)
-
-    width_t = 2.0 * radius / (k * _PLATEAU_RATIO + (k - 1))
+    if k == 1:  # one plateau; the widths below would sum to 4 * radius
+        return WitnessFunction((-radius, radius), vals.tolist(), int(order), radius)
+    # radius / (D/2), not 2 * radius / D: the same bits, without overflowing 2 * radius
+    width_t = radius / (0.5 * (k * _PLATEAU_RATIO + (k - 1)))
     width_p = _PLATEAU_RATIO * width_t
-    pieces = []
-    x = -radius
-    for i, v in enumerate(vals):
-        pieces.append(Plateau(x, x + width_p, float(v)))
-        x += width_p
-        if i < k - 1:
-            pieces.append(Transition(x, x + width_t, float(v), float(vals[i + 1])))
-            x += width_t
-    if abs(x - radius) > 1e-9 * radius:
+    edges = list(itertools.accumulate([width_p] + [width_t, width_p] * (k - 1), initial=-radius))
+    if abs(edges[-1] - radius) > 1e-9 * radius:
         raise RuntimeError("piece layout failed to tile the domain")
-    # snap the accumulated right edge onto the exact domain end
-    last = pieces[-1]
-    pieces[-1] = Plateau(last.lo, radius, last.value)
-    return WitnessFunction(tuple(pieces), int(order), radius)
+    edges[-1] = radius  # snap the accumulated right edge onto the exact domain end
+    return WitnessFunction(edges, vals.tolist(), int(order), radius)
 
 
 def witness_derivative_scale(w: WitnessFunction) -> float:
@@ -232,12 +192,13 @@ def witness_derivative_scale(w: WitnessFunction) -> float:
     at the roots x_i of P_d, where P_{d+1} = -d/(d+1) P_{d-1}, so
     max|s^(d)| = (2d+1)! / (2 d! (d+1)) * max_i |P_{d-1}(x_i)|.
     """
-    transitions = w.transitions
-    if not transitions:
+    e, v = w.edges, w.values
+    if len(v) == 1:
         return 0.0
     d = w.order
     try:  # past float range (width/radius)**d underflows to 0 or the factorials overflow
-        peak = max(abs(t.jump) / (t.width / w.radius)**d for t in transitions)
+        peak = max(abs(b - a) / ((hi - lo) / w.radius)**d
+                   for a, b, lo, hi in zip(v, v[1:], e[1:-1:2], e[2::2]))
         # a Python float product overflows to inf without a numpy warning
         scale = peak * float(_step_max(d)) / math.factorial(d)
     except (ZeroDivisionError, OverflowError):

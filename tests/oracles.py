@@ -1,18 +1,23 @@
 """Test-only reference code: an exhaustive covering oracle, a grid CSV
-writer and a full-grid formulation of the semi-axis field.
+writer, a full-grid formulation of the semi-axis field and a piece-by-piece
+staircase witness.
 
 Nothing in the package runs these; tests use them to check the exact
 covering counters, to write grid samples that ``rigidity extract --grid``
-and ``SampledMap.from_grid_csv`` read back, and to check that
+and ``SampledMap.from_grid_csv`` read back, to check that
 ``critical.semi_axis_field`` gives the bits of the straightforward
-full-grid computation.
+full-grid computation, and to check that ``witness.WitnessFunction`` gives
+the bits of a witness stored and evaluated one piece object at a time.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -87,3 +92,116 @@ def reference_semi_axis_field(sm) -> tuple:
     else:
         sig = np.linalg.svd(jflat, compute_uv=False)[:, ::-1]
     return pts, sig
+
+
+@dataclass(frozen=True)
+class Plateau:
+    """Constant piece of a reference witness."""
+
+    lo: float
+    hi: float
+    value: float
+
+
+@dataclass(frozen=True)
+class Transition:
+    """Monotone step piece climbing from one plateau value to the next."""
+
+    lo: float
+    hi: float
+    v_lo: float
+    v_hi: float
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def jump(self) -> float:
+        return self.v_hi - self.v_lo
+
+
+def reference_witness_pieces(values, radius: float, ratio: float = 0.5) -> tuple:
+    """``witness.build_witness``'s layout, one piece object at a time: the
+    distinct values ascending, every plateau ``ratio`` times the width of a
+    transition, the running edge summed left to right."""
+    vals = sorted(set(float(v) for v in values))
+    k = len(vals)
+    if k == 1:
+        return (Plateau(-radius, radius, vals[0]),)
+    width_t = 2.0 * radius / (k * ratio + (k - 1))
+    width_p = ratio * width_t
+    pieces = []
+    x = -radius
+    for i, v in enumerate(vals):
+        pieces.append(Plateau(x, x + width_p, v))
+        x += width_p
+        if i < k - 1:
+            pieces.append(Transition(x, x + width_t, v, vals[i + 1]))
+            x += width_t
+    last = pieces[-1]
+    pieces[-1] = Plateau(last.lo, radius, last.value)
+    return tuple(pieces)
+
+
+def pieces_from_sequences(edges, values) -> tuple:
+    """The piece objects of a witness given as 2k edges and k values."""
+    pieces = []
+    for i, v in enumerate(values):
+        pieces.append(Plateau(edges[2 * i], edges[2 * i + 1], v))
+        if i + 1 < len(values):
+            pieces.append(Transition(edges[2 * i + 1], edges[2 * i + 2], v, values[i + 1]))
+    return tuple(pieces)
+
+
+def reference_witness_evaluate(pieces, order: int, x, deriv: int) -> np.ndarray:
+    """The deriv-th derivative at the points x, filled in one piece at a time."""
+    from rigidity.witness import smoothstep_coefficients
+
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.searchsorted(np.array([p.lo for p in pieces][1:]), arr, side="right")
+    out = np.zeros_like(arr)
+    coeffs = npoly.polyder(smoothstep_coefficients(order), m=deriv)
+    for i, piece in enumerate(pieces):
+        mask = idx == i
+        if not np.any(mask):
+            continue
+        if isinstance(piece, Plateau):
+            out[mask] = piece.value if deriv == 0 else 0.0
+        else:
+            width = np.float64(piece.width)
+            u = (arr[mask] - piece.lo) / width
+            vals = piece.jump / width**deriv * npoly.polyval(u, coeffs)
+            if deriv == 0:
+                vals += piece.v_lo
+            out[mask] = vals
+    return out
+
+
+def reference_witness_scale(pieces, order: int, radius: float) -> float:
+    """The derivative scale as the largest |jump| / (width/radius)**d over the
+    transition objects, times the step maximum over d!; inf past float range."""
+    from rigidity.witness import _step_max
+
+    transitions = [p for p in pieces if isinstance(p, Transition)]
+    if not transitions:
+        return 0.0
+    try:
+        peak = max(abs(t.jump) / (t.width / radius)**order for t in transitions)
+        return peak * float(_step_max(order)) / math.factorial(order)
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def reference_witness_json(pieces, order: int, radius: float) -> dict:
+    """The witness JSON written from the piece objects."""
+    return {
+        "order": order,
+        "radius": radius,
+        "plateau_ratio": 0.5,
+        "plateau_values": [p.value for p in pieces if isinstance(p, Plateau)],
+        "pieces": [{"kind": "plateau", "lo": p.lo, "hi": p.hi, "value": p.value}
+                   if isinstance(p, Plateau) else
+                   {"kind": "transition", "lo": p.lo, "hi": p.hi, "from": p.v_lo, "to": p.v_hi}
+                   for p in pieces],
+    }

@@ -169,7 +169,7 @@ def test_witness_regularity():
 
         # finite differences recover the derivative scale within 1%
         xs = np.linspace(-1.0, 1.0, 1001)
-        g = w(xs)
+        g = w.evaluate(xs)
         for _ in range(d):
             g = np.gradient(g, xs)
         trim = 4 * d
@@ -180,7 +180,7 @@ def test_witness_regularity():
         dense = np.linspace(-1.0, 1.0, 4001)
         gmax = [np.max(np.abs(w.evaluate(dense, j))) for j in range(d + 1)]
         tiny, h = 1e-9, 1e-4
-        for b in [p.hi for p in w.pieces[:-1]]:
+        for b in w.edges[1:-1]:
             for j in range(d + 1):
                 left = w.evaluate(b - tiny, j)
                 right = w.evaluate(b + tiny, j)

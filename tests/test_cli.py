@@ -228,6 +228,22 @@ class TestWitness:
         assert capsys.readouterr().err == "error: witness derivative samples overflow at radius 1e-70\n"
         assert not Path("w.csv").exists()
 
+    @pytest.mark.parametrize("points, radius", [([0.5], 1e308), ([0, 1], 1e308), ([0.5], 5e-324)])
+    def test_samples_span_the_domain_at_extreme_radii(self, capsys, points, radius):
+        # past half the float range the span 2r overflows, but neither the
+        # layout nor the samples need it; at the least subnormal radius the
+        # half span is not a float
+        argv = ["witness", "--set", json.dumps({"type": "finite", "points": points}),
+                "--d", "2", "--r", repr(radius), "--out", "w.json", "--samples", "w.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        xs = np.loadtxt("w.csv", delimiter=",", skiprows=1, usecols=0)
+        assert (xs[0], xs[-1]) == (-radius, radius) and np.all(np.diff(xs) >= 0)
+        pieces = json.loads(Path("w.json").read_text())["witness"]["pieces"]
+        assert (pieces[0]["lo"], pieces[-1]["hi"]) == (-radius, radius)
+
     def test_univariate_flags_only(self, capsys):
         seven = json.dumps(SEVEN)
         assert main(["witness", "--set", seven, "--n", "2", "--out", "w.json"]) == 2

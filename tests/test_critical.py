@@ -498,6 +498,41 @@ class TestNearCriticalSet:
         assert np.allclose(ext.descriptor.values / scale, [-target, target],
                            rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_sampled_root_values_match_a_parabola_fit(self, radius):
+        # a seeded cubic with both critical points inside, sampled without
+        # its callable, so the values at the bracketed roots come from the
+        # three-point parabola; the reference fits it with polyfit per root
+        rng = np.random.default_rng(int(radius * 1e3))
+        for _ in range(10):
+            p, q = rng.uniform(-0.8, -0.1), rng.uniform(0.1, 0.8)
+            c3 = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            coeffs = [rng.uniform(2.0, 5.0), 3 * c3 * p * q, -1.5 * c3 * (p + q), c3]
+            full = SampledMap.from_callable(
+                lambda x: np.polynomial.polynomial.polyval(x[:, 0] / radius, coeffs),
+                1, 1, radius, int(rng.integers(20, 300)))
+            sm = SampledMap(full.axis, full.values, radius)
+            locs, vals = critical._bracketed_derivative_roots(sm)
+            assert locs.size == 2
+            for loc, val in zip(locs, vals):
+                i = min(max(int(np.argmin(np.abs(sm.axis - loc))), 1), sm.axis.size - 2)
+                fit = np.polynomial.polynomial.polyfit(
+                    sm.axis[i - 1:i + 2] - loc, sm.values[i - 1:i + 2, 0], 2)
+                assert abs(val - fit[0]) <= 1e-12 * abs(fit[0])
+
+    def test_sampled_root_values_past_1e154(self, tmp_path):
+        # a fit in the coordinates themselves squares 1e150 and overflows
+        sm = SampledMap.from_callable(lambda p: (p[:, 0] / 1e150 - 0.013) ** 2, 1, 1, 1e150, 8)
+        assert sm.axis.size == 17
+        path = tmp_path / "wide.csv"
+        path.write_text(grid_csv_text(sm))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext = near_critical_set(SampledMap.from_grid_csv(path), LambdaProfile((0.0,)))
+        # the parabola through samples of a parabola is the function itself
+        assert ext.points[:, 0] / 1e150 == pytest.approx([0.013], rel=1e-12)
+        assert abs(ext.values[0, 0]) <= 1e-15
+
     def test_vector_target_componentwise_thresholds(self):
         sm = sampled("stretch2d", divisions=16)
         wide = near_critical_set(sm, LambdaProfile((0.6, 2.5)))

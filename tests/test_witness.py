@@ -15,12 +15,11 @@ import pytest
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
+import oracles
 from rigidity.bounds import LambdaProfile, ProblemParams
 from rigidity import witness
 from rigidity.sets import FinitePoints
 from rigidity.witness import (
-    Plateau,
-    Transition,
     WitnessFunction,
     build_witness,
     sandwich_check,
@@ -48,6 +47,10 @@ def smoothstep_binomial(order):
 
 def integer_polyder(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+# one step of jump 1 over width 1 between plateaus of width 1/2
+UNIT_STEP = (-1.0, -0.5, 0.5, 1.0)
 
 
 class TestSmoothstep:
@@ -111,9 +114,9 @@ class TestSmoothstep:
 class TestBuildWitness:
     def test_single_value_is_constant(self):
         w = build_witness([0.7], order=3, radius=2.0)
-        assert len(w.pieces) == 1
+        assert w.edges == (-2.0, 2.0) and w.values == (0.7,)
         xs = np.linspace(-2.0, 2.0, 101)
-        assert np.all(w(xs) == 0.7)
+        assert np.all(w.evaluate(xs) == 0.7)
         assert np.all(w.evaluate(xs, 1) == 0.0)
         assert witness_derivative_scale(w) == 0.0
 
@@ -121,34 +124,32 @@ class TestBuildWitness:
         # ratio 0.5 with two values: transition width 1 centered at 0
         w = build_witness([0.0, 1.0], order=1, radius=1.0)
         # interior junctions only; the domain endpoints are not breakpoints
-        assert np.allclose([p.hi for p in w.pieces[:-1]], [-0.5, 0.5])
-        trans = w.transitions
-        assert len(trans) == 1
-        assert trans[0].width == pytest.approx(1.0, rel=1e-12)
-        assert w(0.0) == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(w.edges[1:-1], [-0.5, 0.5])
+        assert len(w.edges) == 4
+        assert w.edges[2] - w.edges[1] == pytest.approx(1.0, rel=1e-12)
+        assert w.evaluate(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_pieces_tile_the_domain(self):
         rng = np.random.default_rng(3)
         w = build_witness(rng.standard_normal(6), order=2, radius=1.5)
-        assert w.pieces[0].lo == -1.5
-        assert w.pieces[-1].hi == 1.5
-        for a, b in zip(w.pieces, w.pieces[1:]):
-            assert b.lo == pytest.approx(a.hi, abs=1e-12)
-            # strict alternation plateau / transition
-            assert isinstance(a, Plateau) != isinstance(b, Plateau)
+        assert len(w.edges) == 12 and len(w.values) == 6
+        assert (w.edges[0], w.edges[-1]) == (-1.5, 1.5)
+        widths = np.diff(w.edges)
+        # plateaus are half as wide as the transitions between them
+        assert np.allclose(widths[::2], 0.5 * widths[1], rtol=1e-12)
+        assert np.allclose(widths[1::2], widths[1], rtol=1e-12)
+        assert all(type(v) is float for v in w.edges + w.values)
 
     def test_values_deduplicated_and_sorted(self):
         w = build_witness([3.0, -1.0, 3.0, 0.5], order=1)
-        assert np.array_equal(w.plateau_values, [-1.0, 0.5, 3.0])
-        jumps = [t.jump for t in w.transitions]
-        assert all(j > 0 for j in jumps)  # monotone staircase
+        assert w.values == (-1.0, 0.5, 3.0)  # ascending: a monotone staircase
 
     def test_critical_values_are_exactly_the_prescribed_set(self):
         rng = np.random.default_rng(11)
         delta = np.sort(rng.uniform(-2.0, 2.0, size=7))
         w = build_witness(delta, order=5)
         xs = np.linspace(-1.0, 1.0, 20001)
-        fx = w(xs)
+        fx = w.evaluate(xs)
         slope = w.evaluate(xs, 1)
         flat = np.abs(slope) < 1e-10
         # interior criterion: drop the domain endpoints themselves
@@ -166,8 +167,7 @@ class TestBuildWitness:
         def staircase(width):
             # the same two plateaus, joined by one step of the given width
             h = width / 2.0
-            pieces = (Plateau(-1.0, -h, 0.0), Transition(-h, h, 0.0, 2.5), Plateau(h, 1.0, 2.5))
-            return WitnessFunction(pieces, order=2, radius=1.0)
+            return WitnessFunction((-1.0, -h, h, 1.0), (0.0, 2.5), order=2, radius=1.0)
 
         gentle, steep = staircase(1.0), staircase(0.25)
         assert witness_derivative_scale(gentle) < witness_derivative_scale(steep)
@@ -179,6 +179,22 @@ class TestBuildWitness:
             build_witness([0.0, math.nan], order=1)
         with pytest.raises(ValueError):
             build_witness([0.0, 1.0], order=1, radius=0.0)
+
+    @pytest.mark.parametrize("edges, values", [
+        ((-1.0, 1.0), ()),                        # no value
+        ((-1.0, 0.0, 1.0), (0.0, 1.0)),           # 3 edges for 2 values
+        ((-0.9, 0.0, 0.5, 1.0), (0.0, 1.0)),      # misses the left end
+        ((-1.0, 0.0, 0.5, 0.9), (0.0, 1.0)),      # misses the right end
+        ((-1.0, 0.5, 0.0, 1.0), (0.0, 1.0)),      # decreasing edge
+    ])
+    def test_sequences_must_tile_the_domain(self, edges, values):
+        with pytest.raises(ValueError):
+            WitnessFunction(edges, values, order=1, radius=1.0)
+
+    def test_zero_width_pieces_are_allowed(self):
+        w = WitnessFunction((-1.0, -1.0, 1.0, 1.0), (0.0, 2.0), order=1, radius=1.0)
+        assert w.evaluate(-1.0) == 0.0 and w.evaluate(1.0) == 2.0
+        assert w.evaluate(0.0) == 1.0
 
 
 class TestEvaluate:
@@ -199,8 +215,8 @@ class TestEvaluate:
 
     def test_endpoints_hit_the_extreme_plateaus(self):
         w = build_witness([-2.0, 5.0], order=3, radius=0.5)
-        assert w(-0.5) == -2.0
-        assert w(0.5) == 5.0
+        assert w.evaluate(-0.5) == -2.0
+        assert w.evaluate(0.5) == 5.0
 
     def test_derivatives_beyond_the_degree_vanish(self):
         w = build_witness([0.0, 1.0], order=1)  # cubic transitions
@@ -234,9 +250,7 @@ class TestDerivativeScale:
         mpmath = pytest.importorskip("mpmath")
         for order in range(1, 31):
             # jump 1 over width 1 at radius 1: the scale is max|s^(order)| / order!
-            pieces = (Plateau(-1.0, -0.5, 0.0), Transition(-0.5, 0.5, 0.0, 1.0),
-                      Plateau(0.5, 1.0, 1.0))
-            w = WitnessFunction(pieces, order=order, radius=1.0)
+            w = WitnessFunction(UNIT_STEP, (0.0, 1.0), order=order, radius=1.0)
             got = witness_derivative_scale(w) * math.factorial(order)
             # extremes of s^(order) sit at the roots of s^(order+1), refined by
             # mpmath's secant solver from the shifted Gauss nodes and evaluated
@@ -269,18 +283,15 @@ class TestDerivativeScale:
     def test_numpy_integer_order_is_a_python_int(self, order):
         # in np.int64 the step maximum's factorials round at 16, wrap
         # negative at 20 and overflow at 21
-        pieces = (Plateau(-1.0, -0.5, 0.0), Transition(-0.5, 0.5, 0.0, 1.0),
-                  Plateau(0.5, 1.0, 1.0))
-        w = WitnessFunction(pieces, order=np.int64(order), radius=1.0)
+        w = WitnessFunction(UNIT_STEP, (0.0, 1.0), order=np.int64(order), radius=1.0)
         assert type(w.order) is int
-        plain = WitnessFunction(pieces, order=order, radius=1.0)
+        plain = WitnessFunction(UNIT_STEP, (0.0, 1.0), order=order, radius=1.0)
         assert witness_derivative_scale(w) == witness_derivative_scale(plain) > 0.0
 
     def test_witness_needs_a_positive_integer_order(self):
-        pieces = (Plateau(-1.0, 1.0, 0.0),)
         for order in (0, -1, 2.0):
             with pytest.raises(ValueError):
-                WitnessFunction(pieces, order=order, radius=1.0)
+                WitnessFunction((-1.0, 1.0), (0.0,), order=order, radius=1.0)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_finite_difference_cross_check(self, order):
@@ -289,7 +300,7 @@ class TestDerivativeScale:
         exact = witness_derivative_scale(w)
         h = 0.002
         xs = np.linspace(-1.0, 1.0, 1001)
-        g = w(xs)
+        g = w.evaluate(xs)
         for _ in range(order):
             g = np.gradient(g, h)
         trim = 4 * order
@@ -306,7 +317,7 @@ class TestJunctionContinuity:
         tiny = 1e-9
         for j in range(order + 1):
             gmax = max(float(np.max(np.abs(w.evaluate(xs, j)))), 1e-30)
-            for b in [p.hi for p in w.pieces[:-1]]:
+            for b in w.edges[1:-1]:
                 if abs(b) >= 1.0 - tiny:
                     continue
                 left = w.evaluate(b - tiny, j)
@@ -327,7 +338,7 @@ class TestJunctionContinuity:
             def g(t, jj=j):
                 return w.evaluate(t, jj - 1)
 
-            for b in [p.hi for p in w.pieces[:-1]]:
+            for b in w.edges[1:-1]:
                 if abs(b) >= 1.0 - 5 * h:
                     continue
                 forward = (
@@ -341,6 +352,58 @@ class TestJunctionContinuity:
                 exact = w.evaluate(b, j)
                 assert abs(forward - exact) <= 1e-6 * gmax
                 assert abs(backward - exact) <= 1e-6 * gmax
+
+
+def _bits(values) -> list:
+    """Each float's exact bits, so that -0.0 and 0.0 differ and a NaN matches itself."""
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+def _assert_matches_pieces(w, pieces):
+    d, r = w.order, w.radius
+    edges = np.array(w.edges)
+    assert _bits(edges) == _bits([p.lo for p in pieces] + [r])
+    xs = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1]), np.linspace(-r, r, 513),
+                         np.random.default_rng(len(pieces)).uniform(-r, r, 256)])
+    # tiny radii push high derivatives past float range on both sides alike
+    with np.errstate(all="ignore"):
+        for j in range(d + 2):
+            want = oracles.reference_witness_evaluate(pieces, d, xs, j)
+            assert _bits(w.evaluate(xs, j)) == _bits(want), j
+    want = oracles.reference_witness_scale(pieces, d, r)
+    if math.isfinite(want):
+        assert _bits([witness_derivative_scale(w)]) == _bits([want])
+    else:
+        with pytest.raises(ValueError, match="beyond float range"):
+            witness_derivative_scale(w)
+    blob = json.dumps(w.to_json_dict(), sort_keys=True)
+    assert blob == json.dumps(oracles.reference_witness_json(pieces, d, r), sort_keys=True)
+
+
+class TestMatchesPieceOracle:
+    """The two-sequence witness gives the bits of one stored and evaluated
+    one piece object at a time (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_built_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        k, d = int(rng.integers(1, 201)), int(rng.integers(1, 16))
+        radius = [1.0, 0.37, 1e5, 2.0**200, 2.0**-200][seed % 5]
+        values = rng.uniform(-3.0, 3.0, k) * 10.0 ** rng.integers(-5, 6)
+        w = build_witness(values, d, radius)
+        _assert_matches_pieces(w, oracles.reference_witness_pieces(values, radius))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_uneven_edges(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        k, d = int(rng.integers(1, 30)), int(rng.integers(1, 16))
+        radius = [1.0, 0.37, 1e5, 2.0**200, 2.0**-200][seed % 5]
+        inner = np.sort(rng.uniform(-radius, radius, 2 * k - 2))
+        inner[rng.random(inner.size) < 0.2] = inner[0]  # some zero-width pieces
+        edges = [-radius] + np.sort(inner).tolist() + [radius]
+        values = rng.normal(size=k).tolist()  # neither sorted nor distinct is required
+        w = WitnessFunction(edges, values, d, radius)
+        _assert_matches_pieces(w, oracles.pieces_from_sequences(edges, values))
 
 
 class TestSerialization:
