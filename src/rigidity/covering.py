@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .sets import FinitePoints, PowerSequence, SampledCloud, SetDescriptor, diameter
+from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter
 from .util import DEFAULT_EPS_MIN, check_grid, frozen_array, log_grid
 
 POWER_COUNT_LIMIT = 2 * 10**7
@@ -46,9 +46,10 @@ def covering_number_1d(points, epsilon: float) -> int:
 
     Greedy sweep anchoring each interval at the leftmost uncovered point,
     which is optimal on the line.  A point at distance exactly 2*epsilon
-    from the anchor counts as covered (closed balls).
+    from the anchor counts as covered (closed balls).  Repeated points
+    count once, which never changes a greedy count.
     """
-    return int(covering_counts(SampledCloud(points), [float(epsilon)])[0])
+    return int(covering_counts(FinitePoints(points), [float(epsilon)])[0])
 
 
 def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
@@ -249,15 +250,10 @@ class CoveringCurve:
 
 
 def _sorted_line(s: SetDescriptor) -> np.ndarray:
-    """Sorted values of a finite set or a one-column cloud, or raise.
-
-    Multi-dimensional clouds have no exact routine; they are rejected here
-    so they never reach the bound solver.
-    """
+    """Sorted distinct values of a finite set; a cloud has no exact count,
+    so it is rejected here and never reaches the bound solver."""
     if isinstance(s, FinitePoints):
-        return s.values  # stored sorted and distinct
-    if isinstance(s, SampledCloud) and s.m == 1:
-        return np.sort(s.values)
+        return s.values
     raise ValueError("exact covering requires m = 1; clouds have no exact count")
 
 

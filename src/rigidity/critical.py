@@ -299,7 +299,7 @@ class Extraction:
 
     points: np.ndarray
     values: np.ndarray
-    descriptor: SampledCloud | None
+    descriptor: FinitePoints | SampledCloud | None
 
     @property
     def count(self) -> int:

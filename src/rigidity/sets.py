@@ -1,9 +1,9 @@
 """Descriptors for the value sets whose covering geometry drives all bounds.
 
-Three families are supported: explicit finite point lists, power-law
-sequences ``1, 2**alpha, 3**alpha, ...`` accumulating at zero, and point
-clouds produced by near-critical extraction.  Descriptors are immutable;
-every analysis routine takes them by value.
+Three families are supported, one shape each: explicit finite sets of
+scalars, power-law sequences ``1, 2**alpha, 3**alpha, ...`` accumulating
+at zero, and clouds of vectors produced by near-critical extraction.
+Descriptors are immutable; every analysis routine takes them by value.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class FinitePoints:
         object.__setattr__(self, "points", frozen_array(sorted_distinct(arr)[:, None]))
 
     @property
-    def m(self) -> int:
-        return 1
-
-    @property
     def values(self) -> np.ndarray:
         """The sorted distinct values, flat."""
         return self.points[:, 0]
@@ -98,36 +94,25 @@ class PowerSequence:
         if not (math.isfinite(self.alpha) and self.alpha < 0):
             raise DescriptorError("alpha must be a finite negative number")
 
-    @property
-    def m(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True, eq=False)
 class SampledCloud:
-    """Point cloud of shape ``(k, m)``, kept in the order given."""
+    """Cloud of vectors of shape ``(k, m)``, m >= 2, kept in the order given.
+
+    Scalars belong in a ``FinitePoints``.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] == 0:
+        if arr.ndim != 2 or arr.shape[1] < 2:
+            raise DescriptorError("cloud points must be vectors; scalars belong in FinitePoints")
+        if arr.shape[0] == 0:
             raise DescriptorError("cloud needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise DescriptorError("points must be finite numbers")
         object.__setattr__(self, "points", frozen_array(arr))
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def values(self) -> np.ndarray:
-        if self.m != 1:
-            raise ValueError("values requires a one-dimensional cloud")
-        return self.points[:, 0]
 
 
 SetDescriptor = FinitePoints | PowerSequence | SampledCloud
@@ -153,14 +138,14 @@ def _power_top_index(alpha: float, cutoff: float, limit: int) -> int:
 def materialize(s: SetDescriptor) -> np.ndarray:
     """Explicit points of a descriptor.
 
-    Finite sets and one-column clouds are returned as their flat values;
-    the cutoff does not apply to them.  A power sequence yields every term
+    A finite set is returned as its flat values; the cutoff does not apply
+    to it.  A power sequence yields every term
     at or above ``TAIL_CUTOFF`` plus the cutoff itself as a marker standing
     for the residual tail in [0, TAIL_CUTOFF]; the result is ascending.
     Materializations that would emit more than ``MATERIALIZE_LIMIT`` points
     raise instead of silently truncating.
     """
-    if isinstance(s, (FinitePoints, SampledCloud)):
+    if isinstance(s, FinitePoints):
         return s.values
     if isinstance(s, PowerSequence):
         top = _power_top_index(s.alpha, TAIL_CUTOFF, s.count)
@@ -174,13 +159,12 @@ def materialize(s: SetDescriptor) -> np.ndarray:
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
 
-def min_gap(s: SetDescriptor) -> float:
-    """Smallest distance between consecutive sorted values (m = 1 only)."""
-    vals = sorted_distinct(s.values)  # clouds may repeat values
-    if vals.size < 2:
+def min_gap(s: FinitePoints) -> float:
+    """Smallest distance between consecutive values of a finite set."""
+    if s.values.size < 2:
         raise ValueError("min_gap needs at least two distinct points")
     with np.errstate(over="ignore"):  # a gap past the float range is inf
-        return float(np.min(np.diff(vals)))
+        return float(np.min(np.diff(s.values)))
 
 
 def diameter(s: SetDescriptor) -> float:
@@ -223,7 +207,9 @@ def descriptor_from_json(obj) -> SetDescriptor:
             count = int(obj.get("count", DEFAULT_POWER_COUNT))
             return PowerSequence(alpha, count)
         if kind == "cloud":
-            return SampledCloud(np.asarray(obj["points"], dtype=float))
+            pts = np.asarray(obj["points"], dtype=float)
+            # flat or one-column points are scalars, read as a finite set
+            return FinitePoints(pts) if pts.ndim < 2 or pts.shape[1] == 1 else SampledCloud(pts)
     except KeyError as exc:
         raise DescriptorError(f"descriptor is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

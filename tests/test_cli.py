@@ -521,6 +521,20 @@ class TestDeterminism:
         assert (tmp_path / "rep.json").read_bytes() == first
 
 
+class TestScalarCloud:
+    @pytest.mark.parametrize("command", ["bound", "cover", "witness"])
+    def test_one_column_cloud_runs_as_a_finite_set(self, tmp_path, command):
+        # unsorted and with a repeat, a one-column cloud is the finite set of its values
+        column = [[x] for x in SEVEN["points"][::-1]] + [[0.3]]
+        params = [] if command == "cover" else ["--d", "3"]
+        outputs = []
+        for name, desc in (("cloud", {"type": "cloud", "points": column}), ("finite", SEVEN)):
+            set_path = write_set(tmp_path, desc, f"{name}.json")
+            assert main([command, "--set", set_path, *params, "--out", f"{name}.out"]) == 0
+            outputs.append((tmp_path / f"{name}.out").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestJsonLayout:
     def test_reports_and_set_files_keep_the_json_dump_layout(self, tmp_path):
         seven = json.dumps(SEVEN)

@@ -19,7 +19,7 @@ from rigidity.covering import (
     default_grid,
     exact_counter,
 )
-from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, descriptor_from_json
 from rigidity.util import log_grid
 
 from conftest import cantor_like, downward_greedy_power_count, stratified_uniform
@@ -279,19 +279,20 @@ class TestLockstepCounts:
     @given(sets_with_ties())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_with_duplicates_and_ties(self, case):
+        # the kernel itself on sorted points that repeat
         pts, eps = case
         expected = [brute_force_covering_oracle(pts, e) for e in eps]
-        got = at_every_handover(lambda: covering_counts(SampledCloud(pts), eps).tolist())
+        got = at_every_handover(lambda: covering._sweep_counts(np.sort(pts), eps).tolist())
         assert got == every_handover(expected)
 
     @given(sets_with_ties())
     @settings(max_examples=100, deadline=None)
     def test_one_call_equals_one_radius_calls(self, case):
         pts, eps = case
-        count = exact_counter(SampledCloud(pts))
+        count = exact_counter(FinitePoints(pts))
         singles = [count(e) for e in eps]
         got = at_every_handover(lambda: (
-            covering_counts(SampledCloud(pts), eps).tolist(),
+            covering_counts(FinitePoints(pts), eps).tolist(),
             [covering_number_1d(pts, e) for e in eps],
         ))
         assert got == every_handover((singles, singles))
@@ -301,7 +302,7 @@ class TestLockstepCounts:
     def test_counts_never_drop_as_epsilon_shrinks(self, case):
         pts, eps = case
         order = np.argsort(-eps, kind="stable")
-        for counts in at_every_handover(lambda: covering_counts(SampledCloud(pts), eps)).values():
+        for counts in at_every_handover(lambda: covering_counts(FinitePoints(pts), eps)).values():
             assert np.all(np.diff(counts[order]) >= 0)
 
     @pytest.mark.parametrize("make", [
@@ -349,7 +350,7 @@ class TestNoOvercount:
     def test_never_exceeds_exact_rational_greedy(self, case):
         pts, eps = case
         exact = np.array([fraction_greedy(pts, e) for e in eps.tolist()])
-        for counts in at_every_handover(lambda: covering_counts(SampledCloud(pts), eps)).values():
+        for counts in at_every_handover(lambda: covering_counts(FinitePoints(pts), eps)).values():
             assert np.all(counts <= exact)
 
 
@@ -386,7 +387,7 @@ class TestFinitePrefix:
     @given(point_sets)
     @settings(max_examples=150, deadline=None)
     def test_gap_ties_identical(self, vals):
-        assert finite_prefix_identical(SampledCloud(vals), gap_radii(vals) + [1e-3, 1.0])
+        assert finite_prefix_identical(FinitePoints(vals), gap_radii(vals) + [1e-3, 1.0])
 
     def test_points_an_ulp_apart(self):
         u = 2.0**-52
@@ -410,7 +411,7 @@ class TestFinitePrefix:
         steps = np.array([0, 1, 2, 4, 7, 11, 100, 2**20, 2**40], dtype=float)
         pts = np.concatenate([-steps * tiny, steps * tiny, [1e-300, 1.0]])
         eps = gap_radii(pts) + [tiny, 2 * tiny, 1e-320, 1e-310, 1e-300]
-        assert finite_prefix_identical(SampledCloud(pts), eps)
+        assert finite_prefix_identical(FinitePoints(pts), eps)
 
     @given(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes),
                     min_size=1, max_size=30),
@@ -418,7 +419,7 @@ class TestFinitePrefix:
     @settings(max_examples=150, deadline=None)
     def test_wide_magnitudes_identical(self, signed, radii_drawn):
         pts = [sign * mag for sign, mag in signed]
-        assert finite_prefix_identical(SampledCloud(pts), gap_radii(pts) + radii_drawn)
+        assert finite_prefix_identical(FinitePoints(pts), gap_radii(pts) + radii_drawn)
 
 
 class TestBruteForceOracle:
@@ -672,8 +673,9 @@ class TestExactCounter:
         assert g(0.4) == 2
 
     def test_cloud_m1_allowed(self):
-        f = exact_counter(SampledCloud([0.9, 0.1, 0.5]))
-        assert f(0.5) == 1
+        # a one-column cloud loads as a finite set
+        f = exact_counter(descriptor_from_json({"type": "cloud", "points": [[0.9], [0.1], [0.5]]}))
+        assert f(0.5) == 1 and f(0.1) == 3
 
     def test_m2_cloud_refused(self):
         cloud = SampledCloud([[0.0, 0.0], [1.0, 1.0]])

@@ -32,7 +32,6 @@ class TestFinitePoints:
 
     def test_scalar_input_becomes_column(self):
         s = FinitePoints(np.array([0.5, -0.5]))
-        assert s.m == 1
         assert s.points.shape == (2, 1)
 
     def test_empty_rejected(self):
@@ -62,7 +61,6 @@ class TestFinitePoints:
 class TestPowerSequence:
     def test_basic(self):
         s = PowerSequence(-1.0)
-        assert s.m == 1
         assert s.alpha == -1.0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, float("nan"), float("inf")])
@@ -79,18 +77,24 @@ class TestPowerSequence:
 
 class TestSampledCloud:
     def test_preserves_order(self):
-        c = SampledCloud([3.0, 1.0, 2.0])
-        assert np.array_equal(c.values, [3.0, 1.0, 2.0])
+        c = SampledCloud([[3.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        assert c.points.tolist() == [[3.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
 
     def test_two_dimensional(self):
         c = SampledCloud([[0.0, 1.0], [1.0, 0.0]])
-        assert c.m == 2
-        with pytest.raises(ValueError):
-            _ = c.values
+        assert c.points.shape == (2, 2)
+        assert not hasattr(c, "values")
+
+    @pytest.mark.parametrize("pts", [[3.0, 1.0, 2.0], [[3.0], [1.0]], 0.5],
+                             ids=["flat", "one-column", "scalar"])
+    def test_scalars_refused(self, pts):
+        # scalars belong in a finite set
+        with pytest.raises(DescriptorError, match="FinitePoints"):
+            SampledCloud(pts)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            SampledCloud(np.empty((0, 1)))
+            SampledCloud(np.empty((0, 2)))
 
 
 class TestMaterialize:
@@ -156,6 +160,13 @@ class TestJson:
         back = descriptor_from_json(descriptor_to_json_dict(s))
         assert isinstance(back, SampledCloud)
         assert np.array_equal(back.points, s.points)
+
+    @pytest.mark.parametrize("pts", [[0.5, -1.0, 0.5], [[0.5], [-1.0], [0.5]]],
+                             ids=["flat", "one-column"])
+    def test_scalar_cloud_loads_as_finite_set(self, pts):
+        back = descriptor_from_json({"type": "cloud", "points": pts})
+        assert isinstance(back, FinitePoints)
+        assert back.values.tolist() == [-1.0, 0.5]
 
     def test_cloud_provenance_key_is_ignored(self):
         back = descriptor_from_json(
