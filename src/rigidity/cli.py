@@ -17,7 +17,9 @@ float range, or a size beyond memory, 4 witness check falsified.
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -43,12 +45,19 @@ from .sets import (
 )
 from .util import atomic_write, dump_json, fit_loglog_slope, log_grid
 
-import argparse
-
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_BAD_PARAMS = 3
 EXIT_FALSIFIED = 4
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads ``-1e-1`` as a negative number, where argparse's own pattern takes
+    no exponent and reads an option; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
 
 def _parse_eps_spec(text: str) -> np.ndarray:
@@ -224,7 +233,7 @@ def _cmd_classify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rigidity",
         description=(
             "Certified lower bounds on derivative scales from the covering "

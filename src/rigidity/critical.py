@@ -115,6 +115,12 @@ class SampledMap:
         """Central-difference derivative of an n = 1 map in u = x / radius, made once."""
         return frozen_array(_unit_gradient(self, self.values[:, 0]))
 
+    @cached_property
+    def _in_ball(self) -> np.ndarray:
+        """Mask of the interior nodes in the ball, made in radius units against underflow."""
+        sq = (self.axis[_EDGE:-_EDGE] / self.radius) ** 2
+        return frozen_array(reduce(np.add.outer, [sq] * self.n) <= 1.0, bool)
+
     @classmethod
     def from_callable(cls, func: Callable, n: int, m: int, radius: float = 1.0,
                       divisions: int | None = None) -> "SampledMap":
@@ -134,7 +140,11 @@ class SampledMap:
         npts = 2 * int(divisions) + 1
         if npts**n > MAX_GRID_NODES:
             raise ValueError(f"{npts}^{n} grid nodes exceed the budget of {MAX_GRID_NODES}")
-        axis = np.linspace(-radius, radius, npts)
+        # past half the float range 2r overflows: space at half scale, double exactly
+        shrink = 2.0 if 2.0 * float(radius) == math.inf else 1.0
+        axis = shrink * np.linspace(-radius / shrink, radius / shrink, npts)
+        if not np.all(np.diff(axis) > 0):
+            raise ValueError(f"radius {radius:g} is too small to space {npts} grid nodes")
         grids = np.meshgrid(*([axis] * n), indexing="ij", copy=False)  # views, stacked once
         pts = np.stack(grids, axis=-1).reshape(-1, n)
         # a value that overflows is refused below as not finite
@@ -191,9 +201,15 @@ class SampledMap:
 
 def _unit_gradient(sm: SampledMap, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Central-difference gradient of ``values`` along the unit coordinate
-    u = x / radius, whose step products do not underflow at tiny radii."""
+    u = x / radius, whose step products do not underflow at tiny radii.
+    The stencil multiplies samples by about divisions / 2, so samples past
+    2**512 are divided by 2**e above the largest and the result multiplied
+    back, both exactly."""
+    peak = float(max(values.max(), -values.min()))
+    e = math.frexp(peak)[1] if 2.0**512 < peak < math.inf else 0
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan fail every threshold
-        return np.gradient(values, sm.axis / sm.radius, axis=axis)
+        grad = np.gradient(np.ldexp(values, -e) if e else values, sm.axis / sm.radius, axis=axis)
+        return np.ldexp(grad, e) if e else grad
 
 
 def _two_row_singular_values(jac: np.ndarray) -> np.ndarray:
@@ -269,15 +285,12 @@ def semi_axis_field(sm: SampledMap) -> tuple:
     norm and for m = 2 the closed form of ``_two_row_singular_values``;
     only m = 3 runs ``np.linalg.svd``.
     """
-    # the interior nodes in the ball, in units of the radius so a tiny one
-    # does not underflow to zero; only their coordinates and Jacobians are made
-    sq = (sm.axis[_EDGE:-_EDGE] / sm.radius) ** 2
-    keep = reduce(np.add.outer, [sq] * sm.n) <= 1.0
-    pts = np.stack([sm.axis[i + _EDGE] for i in np.nonzero(keep)], axis=-1)
+    # only the coordinates and Jacobians of the interior nodes in the ball are made
+    pts = np.stack([sm.axis[i + _EDGE] for i in np.nonzero(sm._in_ball)], axis=-1)
     jac = np.empty((pts.shape[0], sm.m, sm.n))
     for a, b in itertools.product(range(sm.m), range(sm.n)):
         grad = sm._unit_derivative if sm.n == 1 else _unit_gradient(sm, sm.values[..., a], b)
-        jac[:, a, b] = grad[(slice(_EDGE, -_EDGE),) * sm.n][keep]
+        jac[:, a, b] = grad[(slice(_EDGE, -_EDGE),) * sm.n][sm._in_ball]
     jac /= sm.radius
     if sm.m == 1:
         sig = _gradient_norms(jac[:, 0, :])[:, None]
@@ -325,11 +338,9 @@ def near_critical_set(sm: SampledMap, profile: LambdaProfile) -> Extraction:
     pts, sig = semi_axis_field(sm)
     # column by column: a reduction over the short last axis is slow
     sel = np.logical_and.reduce([sig[:, j] <= lam for j, lam in enumerate(profile.lambdas)])
-    sel_pts = np.compress(sel, pts, axis=0)
-    # selected points are grid nodes, so their indices invert exactly
-    idx = np.rint((sel_pts + sm.radius) / sm.grid_step).astype(int)
-    flat = np.ravel_multi_index(tuple(idx.T), sm.values.shape[:-1])
-    points, values = [sel_pts], [np.take(sm.values.reshape(-1, sm.m), flat, axis=0)]
+    # the values at the nodes semi_axis_field kept, in its order
+    inner = sm.values[(slice(_EDGE, -_EDGE),) * sm.n][sm._in_ball]
+    points, values = [np.compress(sel, pts, axis=0)], [np.compress(sel, inner, axis=0)]
 
     if profile.lambdas[0] == 0.0 and sm.n == 1 and sm.m == 1:
         bp, bv = _bracketed_derivative_roots(sm)

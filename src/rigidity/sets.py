@@ -97,10 +97,8 @@ class PowerSequence:
 
 @dataclass(frozen=True, eq=False)
 class SampledCloud:
-    """Cloud of vectors of shape ``(k, m)``, m >= 2, kept in the order given.
-
-    Scalars belong in a ``FinitePoints``.
-    """
+    """Cloud of k vectors, shape ``(k, m)`` with m >= 2, kept in the order given.
+    Scalars belong in a ``FinitePoints``."""
 
     points: np.ndarray
 

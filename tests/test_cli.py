@@ -521,6 +521,25 @@ class TestDeterminism:
         assert (tmp_path / "rep.json").read_bytes() == first
 
 
+class TestNegativeNumbers:
+    # argparse's own pattern for a negative number takes no exponent
+    @pytest.mark.parametrize("argv, plain, scientific", [
+        (["bound", "--d", "1", "--out", "out", "--power"], "-0.1", "-1e-1"),
+        (["cover", "--out", "out", "--power"], "-50", "-5E+1"),
+        (["classify", "--alpha"], "-0.25", "-2.5e-1"),
+    ], ids=["bound", "cover", "classify"])
+    def test_scientific_spelling_runs_as_the_plain_one(self, tmp_path, capsys, argv, plain,
+                                                      scientific):
+        runs = []
+        for value in (plain, scientific):
+            code = main(argv + [value])
+            out = tmp_path / "out"
+            runs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else b""))
+            out.unlink(missing_ok=True)
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+
 class TestScalarCloud:
     @pytest.mark.parametrize("command", ["bound", "cover", "witness"])
     def test_one_column_cloud_runs_as_a_finite_set(self, tmp_path, command):
@@ -557,6 +576,7 @@ class TestJsonLayout:
 _SETS = ([json.dumps(SEVEN), '{"type": "power", "alpha": -2, "count": 50}',
           '{"type": "finite", "points": [0.5]}', '{"type": "finite", "points": [0, 0.25, 1e-9]}',
           '{"type": "cloud", "points": [[0.0, 1.0], [1.0, 0.5]]}',
+          '{"type": "cloud", "points": [[0.3], [0.1], [0.3]]}',
           '{"type": "finite", "points": [-1e308, 0, 1e308]}'],
          ['{"type": "finite", "points": []}', '{"type": "finite", "points": [1e308, -1e308, NaN]}',
           '{"type": "finite", "points": [0, Infinity]}', '{"type": "finite", "points": ["a"]}',
@@ -572,10 +592,10 @@ _INTS = (["1", "2", "3", "5"], ["-1", "0", "x", "", "0.5", "1e400"])
 _FLOATS = (["0.5", "1", "2.5", "1e-3"],
            ["-1", "0", "nan", "inf", "-inf", "x", "", "1e-300", "1e400"])
 # radii near both float limits, and constants below an ulp of one (valid for n >= 2)
-_RADII = (_FLOATS[0] + ["9e153", "1e300", "1e-70"], _FLOATS[1])
+_RADII = (_FLOATS[0] + ["9e153", "1e300", "1e-70", "1e307", "1.7e308"], _FLOATS[1])
 _CONSTANTS = (_FLOATS[0] + ["1e-17", "1e-300", "1e-310"], _FLOATS[1])
 _LAMBDAS = (["0", "1e-3", "0.5", "1", "3"], ["-1", "nan", "inf", "x", ""])
-_POWERS = (["-2", "-3"], ["0.5", "0", "nan", "-inf", "x"])
+_POWERS = (["-2", "-3", "-1e-1", "-2.5E0"], ["0.5", "0", "nan", "-inf", "x"])
 _MAPS = (["linear1d", "parabola1d", "const1d", "cubic1d", "poly10", "stretch2d", "bowl2d",
           "saddle2d", "tilt2d"], ["nope", "linear", ""])
 _DIVISIONS = (["2", "5", "9"], ["-1", "0", "1", "x", "2.5", "1e3"])

@@ -111,6 +111,20 @@ class TestSampledMap:
             with pytest.raises(ValueError, match="sampled values must be finite"):
                 SampledMap.from_callable(entry.func, 2, 1, 1e300, 8)
 
+    def test_axis_past_half_the_float_range(self):
+        # the span 2r overflows: the nodes are spaced at half scale and doubled
+        entry = builtin_map("tilt2d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sm = SampledMap.from_callable(entry.func, 2, 1, 1e308, 5)
+        half = 1e308 / 2.0
+        assert np.array_equal(sm.axis, 2.0 * np.linspace(-half, half, 11))
+        assert sm.axis[-1] == 1e308
+
+    def test_radius_too_small_to_space_the_nodes(self):
+        with pytest.raises(ValueError, match="too small to space 11 grid nodes"):
+            SampledMap.from_callable(lambda p: p[:, 0], 1, 1, 5e-324, 5)
+
     def test_shape_mismatch(self):
         axis = np.linspace(-1, 1, 9)
         with pytest.raises(ValueError):
@@ -533,6 +547,27 @@ class TestNearCriticalSet:
         assert ext.points[:, 0] / 1e150 == pytest.approx([0.013], rel=1e-12)
         assert abs(ext.values[0, 0]) <= 1e-15
 
+    def test_samples_past_2_to_512_keep_every_node(self):
+        # the difference stencil multiplies each sample by about divisions / 2;
+        # unscaled, that overflowed and silently dropped nodes past about 1e306.
+        # At 256 divisions no node lies on the sphere, so the count is the same
+        entry = builtin_map("tilt2d")
+        counts = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in (1.0, 1e307):
+                sm = SampledMap.from_callable(entry.func, 2, 1, radius)
+                counts.append(near_critical_set(sm, LambdaProfile((1.0,))).count)
+        assert counts[0] == counts[1] > 0
+
+    def test_values_are_read_by_node_index(self):
+        # past half the float range, where x + r overflows
+        entry = builtin_map("tilt2d")
+        sm = SampledMap.from_callable(entry.func, 2, 1, 1e308, 5)
+        ex = near_critical_set(sm, LambdaProfile((1.0,)))
+        assert ex.count > 0
+        assert np.array_equal(ex.values[:, 0], entry.func(ex.points))
+
     def test_vector_target_componentwise_thresholds(self):
         sm = sampled("stretch2d", divisions=16)
         wide = near_critical_set(sm, LambdaProfile((0.6, 2.5)))
@@ -568,6 +603,22 @@ class TestMeasuredDerivativeScale:
             measured_derivative_scale(sm, 0)
         with pytest.raises(ValueError):
             measured_derivative_scale(sampled("bowl2d", divisions=8), 2)
+
+    def test_samples_past_2_to_512_are_differenced_scaled(self):
+        # the unit-coordinate slope of x is r; unscaled, its differences overflowed
+        entry = builtin_map("linear1d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sm = SampledMap.from_callable(entry.func, 1, 1, 1e307)
+            assert measured_derivative_scale(sm, 1) == pytest.approx(1e307, rel=1e-12)
+
+    def test_scaled_differences_keep_their_bits(self):
+        # dividing by a power of two and multiplying back is exact
+        sm = sampled("poly10", divisions=50)
+        big = SampledMap(sm.axis, np.ldexp(sm.values, 600), 1.0)
+        assert np.array_equal(big._unit_derivative, np.ldexp(sm._unit_derivative, 600))
+        scale = measured_derivative_scale(sm, 3)
+        assert measured_derivative_scale(big, 3) == math.ldexp(scale, 600)
 
     def test_differences_that_are_not_a_number_are_refused(self):
         # the first differences overflow to +-inf and the third meet inf - inf
