@@ -137,11 +137,11 @@ def materialize(s: SetDescriptor) -> np.ndarray:
     """Explicit points of a descriptor.
 
     A finite set is returned as its flat values; the cutoff does not apply
-    to it.  A power sequence yields every term
-    at or above ``TAIL_CUTOFF`` plus the cutoff itself as a marker standing
-    for the residual tail in [0, TAIL_CUTOFF]; the result is ascending.
-    Materializations that would emit more than ``MATERIALIZE_LIMIT`` points
-    raise instead of silently truncating.
+    to it.  A power sequence yields every term at or above ``TAIL_CUTOFF``
+    plus the cutoff itself as a marker standing for the residual tail in
+    [0, TAIL_CUTOFF]; the result is ascending.  Materializations that would
+    emit more than ``MATERIALIZE_LIMIT`` points raise instead of silently
+    truncating.
     """
     if isinstance(s, FinitePoints):
         return s.values

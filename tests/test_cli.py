@@ -524,7 +524,7 @@ class TestDeterminism:
 class TestNegativeNumbers:
     # argparse's own pattern for a negative number takes no exponent
     @pytest.mark.parametrize("argv, plain, scientific", [
-        (["bound", "--d", "1", "--out", "out", "--power"], "-0.1", "-1e-1"),
+        (["bound", "--d", "1", "--eps", "1e-3:0.5:5", "--out", "out", "--power"], "-0.1", "-1e-1"),
         (["cover", "--out", "out", "--power"], "-50", "-5E+1"),
         (["classify", "--alpha"], "-0.25", "-2.5e-1"),
     ], ids=["bound", "cover", "classify"])
