@@ -169,13 +169,15 @@ def _cmd_witness(args) -> int:
     params = ProblemParams(n=1, m=1, d=args.d, r=args.r, c=args.c)
     profile = _resolve_profile(args, params.m)
     result = sandwich_check(params, profile, s, args.eps)
+    # every computation ends before the first write, so a refusal leaves no file
+    samples = None if args.samples is None else result.witness.sample_csv_text()
     _write_json(args.out, result.to_json_dict())
     print(f"gamma = {result.gamma!r}")
     print(f"witness derivative scale = {result.witness_scale!r}")
     print(f"ok = {result.ok}")
     print(f"wrote {args.out}")
-    if args.samples is not None:
-        _write_text(args.samples, result.witness.sample_csv_text())
+    if samples is not None:
+        _write_text(args.samples, samples)
         print(f"wrote {args.samples}")
     if not result.ok:
         print(
@@ -195,6 +197,10 @@ def _cmd_extract(args) -> int:
         sm = SampledMap.from_grid_csv(args.grid)
     profile = _resolve_profile(args, sm.m)
     extraction = near_critical_set(sm, profile)
+    if args.check:  # before the first write, so a refused check leaves no file
+        params = ProblemParams(n=sm.n, m=sm.m, d=args.d, r=sm.radius, c=args.c)
+        report = empirical_forward_check(sm, params, profile, args.eps, extraction)
+        check_text = report.to_csv_text()
     set_path = f"{args.out_prefix}.set.json"
     if extraction.descriptor is None:
         _write_json(set_path, {"type": "finite", "points": []})
@@ -207,12 +213,8 @@ def _cmd_extract(args) -> int:
     print(f"extracted {extraction.count} near-critical point(s)")
     print(f"wrote {set_path}")
     if args.check:
-        params = ProblemParams(n=sm.n, m=sm.m, d=args.d, r=sm.radius, c=args.c)
-        report = empirical_forward_check(
-            sm, params, profile, args.eps, extraction
-        )
         check_path = f"{args.out_prefix}.check.csv"
-        _write_text(check_path, report.to_csv_text())
+        _write_text(check_path, check_text)
         print(f"measured derivative scale = {report.derivative_scale!r}")
         if report.slope is not None:
             print(

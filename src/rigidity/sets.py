@@ -19,9 +19,6 @@ import numpy as np
 
 from .util import frozen_array, sorted_distinct
 
-MATERIALIZE_LIMIT = 10**8
-TAIL_CUTOFF = 1e-9
-DEFAULT_POWER_COUNT = 10**5
 # largest descriptor file read, about five million values at 25 characters each
 MAX_DESCRIPTOR_BYTES = 2**27
 
@@ -31,7 +28,6 @@ __all__ = [
     "PowerSequence",
     "SampledCloud",
     "SetDescriptor",
-    "materialize",
     "min_gap",
     "diameter",
     "descriptor_to_json_dict",
@@ -80,17 +76,12 @@ class PowerSequence:
     """The decreasing sequence ``1, 2**alpha, ...`` for negative alpha.
 
     The descriptor stands for the full infinite sequence with accumulation
-    point 0.  ``count`` only truncates explicit materialization; covering
-    routines account for the residual tail exactly, so reported covering
-    numbers are those of the untruncated sequence.
+    point 0, which the covering routines count exactly.
     """
 
     alpha: float
-    count: int = DEFAULT_POWER_COUNT
 
     def __post_init__(self):
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 2):
-            raise DescriptorError("count must be an integer >= 2")
         if not (math.isfinite(self.alpha) and self.alpha < 0):
             raise DescriptorError("alpha must be a finite negative number")
 
@@ -114,47 +105,6 @@ class SampledCloud:
 
 
 SetDescriptor = FinitePoints | PowerSequence | SampledCloud
-
-
-def _power_top_index(alpha: float, cutoff: float, limit: int) -> int:
-    """Largest index <= limit whose term alpha-power stays at or above cutoff."""
-    if cutoff > 1.0:
-        return 0
-    try:
-        est = cutoff ** (1.0 / alpha)
-    except OverflowError:
-        est = math.inf
-    top = limit if not math.isfinite(est) else min(limit, int(est))
-    # nudge against float rounding of the inverted power
-    while top < limit and (top + 1) ** alpha >= cutoff:
-        top += 1
-    while top > 0 and top ** alpha < cutoff:
-        top -= 1
-    return top
-
-
-def materialize(s: SetDescriptor) -> np.ndarray:
-    """Explicit points of a descriptor.
-
-    A finite set is returned as its flat values; the cutoff does not apply
-    to it.  A power sequence yields every term at or above ``TAIL_CUTOFF``
-    plus the cutoff itself as a marker standing for the residual tail in
-    [0, TAIL_CUTOFF]; the result is ascending.  Materializations that would
-    emit more than ``MATERIALIZE_LIMIT`` points raise instead of silently
-    truncating.
-    """
-    if isinstance(s, FinitePoints):
-        return s.values
-    if isinstance(s, PowerSequence):
-        top = _power_top_index(s.alpha, TAIL_CUTOFF, s.count)
-        if top > MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"materialization would emit {top} points "
-                f"(limit {MATERIALIZE_LIMIT}); lower the power sequence's count"
-            )
-        terms = np.arange(1, top + 1, dtype=float) ** s.alpha
-        return sorted_distinct(np.concatenate([terms, [TAIL_CUTOFF]]))
-    raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
 
 def min_gap(s: FinitePoints) -> float:
@@ -187,7 +137,7 @@ def descriptor_to_json_dict(s: SetDescriptor) -> dict:
     if isinstance(s, FinitePoints):
         return {"type": "finite", "points": s.values.tolist()}
     if isinstance(s, PowerSequence):
-        return {"type": "power", "alpha": s.alpha, "count": s.count}
+        return {"type": "power", "alpha": s.alpha}
     if isinstance(s, SampledCloud):
         return {"type": "cloud", "points": s.points}
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
@@ -201,9 +151,7 @@ def descriptor_from_json(obj) -> SetDescriptor:
         if kind == "finite":
             return FinitePoints(np.asarray(obj["points"], dtype=float))
         if kind == "power":
-            alpha = float(obj["alpha"])
-            count = int(obj.get("count", DEFAULT_POWER_COUNT))
-            return PowerSequence(alpha, count)
+            return PowerSequence(float(obj["alpha"]))
         if kind == "cloud":
             pts = np.asarray(obj["points"], dtype=float)
             # flat or one-column points are scalars, read as a finite set

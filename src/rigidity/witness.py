@@ -23,7 +23,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from .bounds import BoundReport, LambdaProfile, ProblemParams, rigidity_bound
-from .sets import SetDescriptor, materialize
+from .sets import FinitePoints, SetDescriptor
 from .util import sorted_distinct
 
 # every plateau is this fraction of a transition's width
@@ -242,13 +242,15 @@ def sandwich_check(p: ProblemParams, profile: LambdaProfile, s: SetDescriptor,
     near-critical under every threshold profile, so the certified lower
     bound must not exceed the witness's measured derivative scale.  A
     violation (beyond the relative slack _SLACK) falsifies the
-    implementation, not the witness.  Univariate scalar sets only.
+    implementation, not the witness.  Univariate finite sets only: a staircase
+    has finitely many plateaus, so it realizes no infinite sequence.
     """
     if p.n != 1 or p.m != 1:
         raise ValueError("the witness construction is univariate (n = m = 1)")
+    if not isinstance(s, FinitePoints):
+        raise ValueError(f"a witness realizes finite sets only, not a {type(s).__name__}")
     report = rigidity_bound(p, profile, s, eps_grid)
-    values = materialize(s)
-    witness = build_witness(values, p.d, p.r)
+    witness = build_witness(s.values, p.d, p.r)
     scale = witness_derivative_scale(witness)
     ok = report.gamma <= scale * (1.0 + _SLACK)
     return SandwichResult(report.gamma, scale, ok, report, witness)

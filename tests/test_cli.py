@@ -226,7 +226,18 @@ class TestWitness:
                          "--eps", "1e-3:1:3", "--out", "w.json", "--samples", "w.csv"])
         assert code == 3
         assert capsys.readouterr().err == "error: witness derivative samples overflow at radius 1e-70\n"
-        assert not Path("w.csv").exists()
+        assert not Path("w.csv").exists() and not Path("w.json").exists()
+
+    @pytest.mark.parametrize("source", [["--power", "-1"],
+                                        ["--set", '{"type":"power","alpha":-1,"count":50}']],
+                             ids=["power", "power-with-count"])
+    def test_power_sequence_is_refused(self, tmp_path, capsys, source):
+        # no staircase realizes an infinite sequence; classify says none of
+        # C^3 does for alpha = -1
+        assert main(["witness", *source, "--d", "3", "--out", "w.json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("points, radius", [([0.5], 1e308), ([0, 1], 1e308), ([0.5], 5e-324)])
     def test_samples_span_the_domain_at_extreme_radii(self, capsys, points, radius):
@@ -347,12 +358,20 @@ class TestExtract:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_two_dimensional_check_needs_the_constant(self):
+    def test_two_dimensional_check_needs_the_constant(self, tmp_path):
         code = main([
             "extract", "--map", "bowl2d", "--lambda", "0.3",
             "--d", "2", "--check",
         ])
         assert code == 3
+        assert list(tmp_path.glob("*.set.json")) == []
+
+    def test_refused_check_writes_and_prints_nothing(self, tmp_path, capsys):
+        argv = ["extract", "--map", "poly10", "--check", "--d", "8", "--divisions", "4",
+                "--out-prefix", "run"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: grid too coarse for this differentiation order\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_map_is_a_usage_error(self, capsys):
         code = main(["extract", "--map", "nosuchmap", "--lambda", "0"])
@@ -583,7 +602,7 @@ _SETS = ([json.dumps(SEVEN), '{"type": "power", "alpha": -2, "count": 50}',
           '{"type": "finite", "points": [[0, 1], [1]]}',
           '{"type": "finite", "points": [[0, 1], [1, 0]]}', '{"type": "finite"}',
           '{"type": "power", "alpha": "x"}', '{"type": "power", "alpha": 0.5}',
-          '{"type": "power", "alpha": -2, "count": -3}', '{"type": "nope"}',
+          '{"type": "power"}', '{"type": "nope"}',
           "{", "[]", "null", "", "missing.json"])
 _EPS = (["1e-3:0.5:5", "1e-2:0.5:3", "1e-4:1:2", "1e-300:1e10:2", "1e-6:1.7e308:1"],
         ["1e-3:0.5", "0.5:1e-3:5", "a:b:c", "0:1:5", "1e-3:0.5:0", "1e-3:0.5:-2",
@@ -615,9 +634,7 @@ def cli_argv(draw):
                                ["nope", "", "--bogus"]))
     argv = [command]
     if command in ("cover", "bound", "witness"):
-        # a witness of a full power sequence takes seconds, so it gets a set
-        sources = ["set"] if command == "witness" else ["set", "set", "power"]
-        source = pick("source", (sources, ["both", "none"]))
+        source = pick("source", (["set", "set", "power"], ["both", "none"]))
         if source in ("set", "both"):
             argv += ["--set", pick("set", _SETS)]
         if source in ("power", "both"):

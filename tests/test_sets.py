@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidity.cli import main
 from rigidity.sets import (
     DescriptorError,
     FinitePoints,
@@ -14,7 +15,6 @@ from rigidity.sets import (
     descriptor_to_json_dict,
     diameter,
     load_descriptor,
-    materialize,
     min_gap,
 )
 
@@ -68,12 +68,6 @@ class TestPowerSequence:
         with pytest.raises(ValueError):
             PowerSequence(alpha)
 
-    def test_count_must_be_integer_at_least_two(self):
-        with pytest.raises(ValueError):
-            PowerSequence(-1.0, count=1)
-        with pytest.raises(ValueError):
-            PowerSequence(-1.0, count=2.5)
-
 
 class TestSampledCloud:
     def test_preserves_order(self):
@@ -95,30 +89,6 @@ class TestSampledCloud:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SampledCloud(np.empty((0, 2)))
-
-
-class TestMaterialize:
-    def test_finite_passthrough(self):
-        s = FinitePoints([2.0, 1.0])
-        assert np.array_equal(materialize(s), [1.0, 2.0])
-
-    def test_power_terms_and_tail_marker(self):
-        s = PowerSequence(-10.0)
-        out = materialize(s)
-        # terms 1 .. 7**-10 survive the 1e-9 cutoff (8**-10 < 1e-9); the
-        # cutoff itself is the tail marker
-        assert np.allclose(out, [1e-9] + [k**-10.0 for k in range(7, 0, -1)], rtol=1e-15, atol=0)
-        assert np.all(np.diff(out) > 0)
-
-    def test_power_refuses_giant_materializations(self):
-        huge = PowerSequence(-0.5, count=10**9)
-        with pytest.raises(ValueError, match="count"):
-            materialize(huge)
-
-    def test_power_truncation_count_caps_emission(self):
-        # the declared truncation stops emission before the cutoff does
-        out = materialize(PowerSequence(-1.0, count=5))
-        assert np.allclose(out, [1e-9, 0.2, 0.25, 1 / 3, 0.5, 1.0], rtol=1e-15, atol=0)
 
 
 class TestGeometry:
@@ -146,14 +116,25 @@ class TestJson:
         assert np.array_equal(back.values, s.values)
 
     def test_power_roundtrip(self):
-        s = PowerSequence(-1.5, count=500)
-        back = descriptor_from_json(descriptor_to_json_dict(s))
-        assert isinstance(back, PowerSequence)
-        assert back.alpha == -1.5 and back.count == 500
+        s = PowerSequence(-1.5)
+        assert descriptor_to_json_dict(s) == {"type": "power", "alpha": -1.5}
+        assert descriptor_from_json(descriptor_to_json_dict(s)) == s
 
     def test_power_count_optional_on_load(self):
         back = descriptor_from_json({"type": "power", "alpha": -1.0})
         assert isinstance(back, PowerSequence)
+
+    def test_power_count_key_is_ignored(self, tmp_path, monkeypatch):
+        # "count" is an unknown key, ignored like any other
+        back = descriptor_from_json({"type": "power", "alpha": -1.0, "count": 50})
+        assert back == PowerSequence(-1.0)
+        monkeypatch.chdir(tmp_path)
+        power = ["--power", "-1"]
+        counted = ["--set", '{"type": "power", "alpha": -1, "count": 50}']
+        for name, source in (("power.json", power), ("counted.json", counted)):
+            argv = ["bound", *source, "--d", "3", "--eps", "1e-4:0.5:10", "--out", name]
+            assert main(argv) == 0
+        assert (tmp_path / "power.json").read_bytes() == (tmp_path / "counted.json").read_bytes()
 
     def test_cloud_roundtrip(self):
         s = SampledCloud([[0.0, 1.0], [2.0, 3.0]])

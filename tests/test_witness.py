@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as npoly
 import oracles
 from rigidity.bounds import LambdaProfile, ProblemParams
 from rigidity import witness
-from rigidity.sets import FinitePoints
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud
 from rigidity.witness import (
     WitnessFunction,
     build_witness,
@@ -445,6 +445,17 @@ class TestSandwich:
         p = ProblemParams(2, 1, 3, c=2.0)
         with pytest.raises(ValueError):
             sandwich_check(p, LambdaProfile.zeros(1), FinitePoints([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("s", [PowerSequence(-1.0), SampledCloud([[0.0, 1.0], [1.0, 0.0]])],
+                             ids=["power", "cloud"])
+    def test_finite_sets_only_refused_before_the_bound(self, monkeypatch, s):
+        # a staircase has finitely many plateaus: it realizes no power sequence
+        def bound_must_not_run(*args):
+            raise AssertionError("rigidity_bound ran before the refusal")
+
+        monkeypatch.setattr(witness, "rigidity_bound", bound_must_not_run)
+        with pytest.raises(ValueError, match="finite sets only"):
+            sandwich_check(ProblemParams(1, 1, 3), LambdaProfile.zeros(1), s)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(1234)
