@@ -21,7 +21,7 @@ import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
-from .util import check_grid, frozen_array, sorted_distinct
+from .util import check_grid, frozen_array
 
 BISECT_REL_TOL = 1e-12
 # boundary refinements are placed just inside the qualifying region
@@ -184,13 +184,16 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     step that does not lower it.
     """
     nu, epsilon = (a[()] for a in np.broadcast_arrays(nu, np.asarray(epsilon, dtype=float)))
-    baseline = rhs_polynomial(p, profile, epsilon, 1.0)
+    if len(profile) != p.m or not (epsilon > 0).all():
+        raise ValueError("profile length must equal m, and epsilon must be positive")
+    coeffs = _coefficients(p, profile, epsilon)
+    with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
+        baseline = p.c * sum(coeffs)
     short = ~(nu > baseline)
     if short.any():
         k = int(np.argmax(short))
         raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
                          f"{np.ravel(baseline)[k]:.6g}; no ratio above 1")
-    coeffs = _coefficients(p, profile, epsilon)
     # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
     # from above; starting at the least bound keeps every term of f finite
     with np.errstate(divide="ignore", over="ignore"):
@@ -336,7 +339,9 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     except ValueError:
         eps0 = None
     boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
-    scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
+    # positive radii hold no NaN and no -0.0: a plain sort gives np.unique's bits
+    scan = np.sort(np.concatenate([grid, boundary]))[::-1]
+    scan = scan[np.append(True, scan[1:] != scan[:-1])]
 
     counts = covering_counts(s, scan)
     hit = counts > rhs_polynomial(p, profile, scan, 1.0)

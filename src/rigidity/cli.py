@@ -118,10 +118,11 @@ def _resolve_profile(args, m: int) -> LambdaProfile:
     return profile
 
 
-def _write_json(path, payload: dict) -> None:
+def _write_json(path, payload: dict, then=lambda: None) -> None:
     with atomic_write(path) as fh:
         dump_json(payload, fh)
         fh.write("\n")
+        then()  # before the file lands: where it fails, no file is left
 
 
 def _write_text(path, text: str) -> None:
@@ -169,15 +170,15 @@ def _cmd_witness(args) -> int:
     params = ProblemParams(n=1, m=1, d=args.d, r=args.r, c=args.c)
     profile = _resolve_profile(args, params.m)
     result = sandwich_check(params, profile, s, args.eps)
-    # every computation ends before the first write, so a refusal leaves no file
+    # all work ends before the first write, and both files land or neither
     samples = None if args.samples is None else result.witness.sample_csv_text()
-    _write_json(args.out, result.to_json_dict())
+    _write_json(args.out, result.to_json_dict(),
+                lambda: samples is None or _write_text(args.samples, samples))
     print(f"gamma = {result.gamma!r}")
     print(f"witness derivative scale = {result.witness_scale!r}")
     print(f"ok = {result.ok}")
     print(f"wrote {args.out}")
     if samples is not None:
-        _write_text(args.samples, samples)
         print(f"wrote {args.samples}")
     if not result.ok:
         print(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -58,20 +57,22 @@ def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
     A sweep starts past its leading one-point balls: x_i's ball holds x_i
     alone if G_i = nextafter(fl(pred(x_{i+1}) - x_i), -inf) >= 2*epsilon,
     as G_i is at most the exact gap from x_i to the float pred(x_{i+1})
-    below x_{i+1}, so fl(x_i + 2*epsilon) <= pred(x_{i+1}).  Each step
-    moves every unfinished sweep past all points within 2*epsilon of its
-    anchor with one vectorised searchsorted, then drops the sweeps that
-    reached the end.  Once at most _SCALAR_TAIL sweeps are live, each
-    finishes alone in ``_sweep_from``, which makes the same float addition
-    and right-side comparison, so counts do not depend on where the
-    handover happens.
+    below x_{i+1}, so fl(x_i + 2*epsilon) <= pred(x_{i+1}); if they reach
+    the last point (most radii below the smallest gap), it ends there.
+    Each step moves every unfinished sweep past all points within
+    2*epsilon of its anchor with one vectorised searchsorted, then drops
+    the sweeps that reached the end.  Once at most _SCALAR_TAIL sweeps are
+    live, each finishes alone in ``_sweep_from``, which makes the same
+    float addition and right-side comparison, so counts do not depend on
+    where the handover happens.
     """
     with np.errstate(over="ignore"):  # 2*eps, a gap or a reach may be inf
         two_eps = 2.0 * np.asarray(epsilons, dtype=float)
         gap = np.nextafter(np.nextafter(pts[1:], -np.inf) - pts[:-1], -np.inf)
         pos = np.searchsorted(-np.minimum.accumulate(gap), -two_eps, side="right")
-        counts = pos.astype(np.int64)
-        live = np.arange(two_eps.size)
+        counts = pos.astype(np.int64) + (pos == gap.size)
+        live = np.flatnonzero(pos < gap.size)
+        pos = pos[live]
         while live.size > _SCALAR_TAIL:
             counts[live] += 1
             pos = np.searchsorted(pts, pts[pos] + two_eps[live], side="right")
@@ -111,12 +112,12 @@ def _power_counts(alpha: float, eps: np.ndarray) -> np.ndarray:
     jumps the run of balls whose stride provably equals the one just
     found (``_run_length``), from the term 1 first with stride 1.
 
-    Anchors are m**alpha from libm, as Python's ``**`` computes them, so
-    the counts are bit-identical to a scalar sweep.  numpy only guesses the
-    index m; a guess that is wrong, or whose neighbour (m-1)**alpha (SIMD
-    pow, not bit-equal to libm) lies within 1e-13*t of t, is redone with
-    ``_next_anchor``.  Past index 1e15 adjacent terms are denser than float
-    ulps near t, and the next anchor is nextafter(t, 0).
+    Anchors are m**alpha from libm's pow, as Python's ``**`` computes them,
+    run in a C loop by ``np.float_power`` (``np.power``'s SIMD pow differs),
+    so the counts are bit-identical to a scalar sweep.  numpy only guesses
+    the index m; a guess with m**alpha >= t or (m-1)**alpha < t is wrong
+    and redone with ``_next_anchor``.  Past index 1e15 adjacent terms are
+    denser than float ulps near t, and the next anchor is nextafter(t, 0).
     """
     # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans,
     # comparing logs (the power overflows for alpha near 0 and tiny eps)
@@ -143,8 +144,7 @@ def _power_counts(alpha: float, eps: np.ndarray) -> np.ndarray:
             jumped = run.nonzero()[0]
             # runs shorten as strides grow: once no sweep jumps, none tries again
             jumping = jumped.size > 0
-            q[jumped] = np.fromiter(map(math.pow, k[jumped].tolist(), repeat(alpha)),
-                                    float, jumped.size)
+            q[jumped] = np.float_power(k[jumped], alpha)
         m[:] = k
         n += 1.0
         done = q <= te
@@ -164,8 +164,8 @@ def _power_counts(alpha: float, eps: np.ndarray) -> np.ndarray:
             dense = log_m > _DENSE_LOG_INDEX
             log_m[dense] = _DENSE_LOG_INDEX  # keeps exp finite; set below
         k = np.floor(np.exp(log_m)) + 1.0
-        q[:] = np.fromiter(map(math.pow, k.tolist(), repeat(alpha)), float, k.size)
-        redo = (q >= t) | (np.power(k - 1.0, alpha) <= t * (1.0 + 1e-13))
+        q[:] = np.float_power(k, alpha)
+        redo = (q >= t) | (np.float_power(k - 1.0, alpha) < t)  # k >= 2, as t < 1
         if dense is not None:
             redo &= ~dense
             q[dense] = np.nextafter(t[dense], 0.0)

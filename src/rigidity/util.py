@@ -69,7 +69,8 @@ def check_grid(eps_grid) -> np.ndarray:
 
 def log_grid(eps_min: float, eps_max: float,
              points_per_decade: int = DEFAULT_POINTS_PER_DECADE) -> np.ndarray:
-    """Strictly decreasing log-spaced grid from eps_max down to eps_min."""
+    """Strictly decreasing log-spaced grid from eps_max down to eps_min: the bits
+    of ``np.geomspace(eps_max, eps_min, count)``, by its arithmetic minus its checks."""
     if not (eps_min > 0 and eps_max > 0 and math.isfinite(eps_min) and math.isfinite(eps_max)):
         raise ValueError("grid endpoints must be positive finite numbers")
     if not eps_min < eps_max:
@@ -82,9 +83,11 @@ def log_grid(eps_min: float, eps_max: float,
     else:  # the ratio of a range wider than the floats overflows
         decades = math.log10(eps_max) - math.log10(eps_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
-    # geomspace pins both ends, but at the largest float its power warns
-    with np.errstate(over="ignore"):
-        return np.geomspace(eps_max, eps_min, count)
+    start, stop = np.log10(eps_max), np.log10(eps_min)
+    with np.errstate(over="ignore"):  # inf at the largest float; both ends are pinned
+        grid = 10.0 ** (np.arange(count, dtype=float) * ((stop - start) / (count - 1)) + start)
+    grid[0], grid[-1] = eps_max, eps_min
+    return grid
 
 
 def fit_loglog_slope(x, y) -> float:
@@ -105,8 +108,10 @@ def atomic_write(path):
     An error mid-write leaves no partial file at the destination.
     """
     path = Path(path)
-    directory = path.parent if str(path.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:  # name the path asked for, not a random temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "w") as handle:

@@ -284,6 +284,59 @@ class TestSolveEta:
         assert eta_bigger > eta
 
 
+LAMBDAS = st.sampled_from([0.0, 1e-300, 2.0**-53, 1e-3, 0.5, 1.0, 3.0, 1e150, 1e300,
+                           sys.float_info.max])
+
+
+class TestSolveEtaBaseline:
+    """``solve_eta`` refuses exactly the counts at or below
+    ``rhs_polynomial(..., 1.0)``, which it takes from its own coefficient
+    table: a count one ulp above it passes the check, a count equal to it
+    is refused, entry by entry."""
+
+    @given(
+        n=st.integers(1, 3),
+        drop=st.integers(0, 2),
+        d=st.integers(1, 6),
+        c=st.floats(0.5, 8.0) | st.sampled_from([1e-300, 1e300]),
+        r=st.floats(0.25, 4.0),
+        lams=st.lists(LAMBDAS | st.floats(0.0, 1e308), min_size=3, max_size=3),
+        eps=st.lists(st.floats(1e-300, 4.0) | st.sampled_from([5e-324, 1e-100]),
+                     min_size=1, max_size=4),
+    )
+    @example(n=3, drop=0, d=2, c=1e300, r=4.0, lams=[0.0, 1e300, 1e300], eps=[1e-3, 1.0])
+    @example(n=2, drop=0, d=1, c=1.0, r=1.0, lams=[1e300, 1e300, 1e300], eps=[1e-10, 0.5])
+    # terms 1, u/2, u/2, u/2 (u = ulp(1)): summed in another order they round to 1 + u
+    @example(n=3, drop=0, d=1, c=1.0, r=1.0, lams=[2.0**-53, 1.0, 1.0], eps=[1.0, 0.5])
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_at_the_baseline(self, n, drop, d, c, r, lams, eps):
+        m = max(1, n - drop)
+        profile = LambdaProfile(tuple(sorted(lams))[:m])
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        eps = np.array(eps)
+        base = rhs_polynomial(p, profile, eps, 1.0)
+        # one entry appended at its baseline is refused; the error names the
+        # first refused entry, so naming the last says every other one passed
+        eps_all = np.append(eps, eps[0])
+        above = np.nextafter(base, math.inf)
+        for k in range(eps_all.size):
+            nu = np.append(above, above[0])
+            nu[k] = np.append(base, base[0])[k]
+            first = min([k] + np.flatnonzero(np.isinf(nu)).tolist())
+            with pytest.raises(ValueError, match="does not exceed the baseline") as info:
+                solve_eta(p, profile, nu, eps_all)
+            assert str(info.value).startswith(f"count {nu[first]} does not exceed")
+        for e, b in zip(eps.tolist(), base.tolist()):
+            with pytest.raises(ValueError, match="does not exceed the baseline"):
+                solve_eta(p, profile, b, e)
+
+    def test_refuses_bad_radii_and_profiles(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            solve_eta(P15, Z1, 7, 0.0)
+        with pytest.raises(ValueError, match="profile length must equal m"):
+            solve_eta(P15, LambdaProfile.zeros(2), 7, 0.05)
+
+
 class TestArraySolver:
     def test_arrays_match_scalar_calls(self):
         p = ProblemParams(n=2, m=2, d=3, r=1.5, c=2.0)

@@ -228,6 +228,25 @@ class TestWitness:
         assert capsys.readouterr().err == "error: witness derivative samples overflow at radius 1e-70\n"
         assert not Path("w.csv").exists() and not Path("w.json").exists()
 
+    def test_unwritable_samples_leave_no_report(self, tmp_path, capsys):
+        # the samples land inside the report's write: both files or neither
+        points = json.dumps({"type": "finite", "points": [0, 0.1, 0.2, 0.3]})
+        code = main(["witness", "--set", points, "--d", "3",
+                     "--out", "w.json", "--samples", "nodir/w.csv"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/w.csv'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_report_leaves_no_samples(self, tmp_path, capsys):
+        code = main(["witness", "--set", json.dumps(SEVEN), "--d", "3",
+                     "--out", "nodir/w.json", "--samples", "w.csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/w.json'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("source", [["--power", "-1"],
                                         ["--set", '{"type":"power","alpha":-1,"count":50}']],
                              ids=["power", "power-with-count"])
@@ -396,6 +415,19 @@ class TestErrorPaths:
         set_path = write_set(tmp_path, SEVEN)
         code = main(["bound", "--set", set_path, "--n", "2", "--m", "1", "--d", "3"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv, path", [
+        (["bound", "--set", json.dumps(SEVEN), "--out", "nodir/b.json"], "nodir/b.json"),
+        (["cover", "--power", "-1", "--out", "nodir/c.csv"], "nodir/c.csv"),
+        (["extract", "--map", "parabola1d", "--out-prefix", "nodir/run"], "nodir/run.set.json"),
+    ], ids=["bound", "cover", "extract"])
+    def test_unwritable_output_names_the_path_given(self, tmp_path, capsys, argv, path):
+        # not the random temporary file the write goes through
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_arguments_prints_usage(self):
         assert main([]) == 2

@@ -422,6 +422,67 @@ class TestFinitePrefix:
         assert finite_prefix_identical(FinitePoints(pts), gap_radii(pts) + radii_drawn)
 
 
+def sweep_counts_identical(pts, eps):
+    """``_sweep_counts`` on sorted distinct points equals ``_sweep_from`` from
+    the first point, radius by radius, at every handover."""
+    xs = FinitePoints(pts).values
+    expected = [covering._sweep_from(xs.tolist(), 0, 2.0 * e) for e in eps]
+    radii_in = np.array(eps, dtype=float)
+    got = at_every_handover(lambda: covering._sweep_counts(xs, radii_in).tolist())
+    return got == every_handover(expected)
+
+
+def below_smallest_gap(pts):
+    """Radii at and just around half the smallest gap, and far below it: the
+    sweeps whose one-point balls run to the last point."""
+    xs = FinitePoints(pts).values
+    if xs.size < 2:
+        return [1e-300, 1.0]
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        g = float(np.min(np.diff(xs)))
+    return [e for e in (g / 2.0, math.nextafter(g, 0.0) / 2.0, math.nextafter(g, math.inf) / 2.0,
+                        g / 4.0, g * 1e-6, 5e-324) if e > 0]
+
+
+class TestSweepCountsBeforeTheLockstep:
+    """A finite sweep whose leading one-point balls reach the last point ends
+    before the lockstep; its count must still be the scalar sweep's."""
+
+    def test_points_an_ulp_apart(self):
+        u = 2.0**-52
+        pts = [1.0 + u, 1.0 + 2 * u, 1.0 + 3 * u]
+        eps = below_smallest_gap(pts) + gap_radii(pts) + [u / 4, u / 2, u, 1.5 * u, 1e-3]
+        assert sweep_counts_identical(pts, eps)
+
+    def test_subnormal_gaps(self):
+        tiny = 5e-324
+        steps = np.array([0, 1, 2, 4, 7, 11, 100, 2**20, 2**40], dtype=float)
+        pts = np.concatenate([-steps * tiny, steps * tiny, [1e-300, 1.0]])
+        eps = below_smallest_gap(pts) + gap_radii(pts) + [tiny, 2 * tiny, 1e-320, 1e-300]
+        assert sweep_counts_identical(pts, eps)
+
+    @pytest.mark.parametrize("pts", [[0.5], [0.0, 1.0], [-1e308, 1e308]],
+                             ids=["one-point", "two-points", "gap-past-float-range"])
+    def test_short_sets(self, pts):
+        eps = below_smallest_gap(pts) + gap_radii(pts) + [1e-3, 0.5, 1e308]
+        assert sweep_counts_identical(pts, eps)
+
+    @given(point_sets, st.lists(radii, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_scans_identical(self, vals, drawn):
+        assert sweep_counts_identical(vals, below_smallest_gap(vals) + gap_radii(vals) + drawn)
+
+    def test_every_radius_below_the_smallest_gap_ends_at_once(self):
+        # every sweep ends in its prefix, so none is left for the lockstep or
+        # the scalar finish (handed all live sweeps here, and broken)
+        pts = np.sort(stratified_uniform(np.random.default_rng(17), 200))
+        eps = np.geomspace(np.min(np.diff(pts)) / 2.5, 1e-12, 500)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_SCALAR_TAIL", 10**9)
+            mp.setattr(covering, "_sweep_from", None)
+            assert covering._sweep_counts(pts, eps).tolist() == [200] * eps.size
+
+
 class TestBruteForceOracle:
     def test_worked_example(self):
         assert brute_force_covering_oracle(np.array([0.0, 0.5, 1.0, 2.5]), 0.5) == 2
@@ -493,6 +554,19 @@ class TestPowerLockstep:
         expected = [scalar_power_count(alpha, e) for e in eps]
         got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
         assert got == every_handover(expected)
+
+    def test_float_power_is_libm_pow_bit_for_bit(self):
+        # the kernel's anchors come from np.float_power and must be the bits
+        # of math.pow, which the scalar sweep and _next_anchor use
+        rng = np.random.default_rng(4417)
+        k = np.floor(np.exp(rng.uniform(0.0, covering._DENSE_LOG_INDEX, 50000))) + 1.0
+        k[:3] = [1.0, 2.0, 3.0]
+        alphas = -np.exp(rng.uniform(math.log(1e-3), math.log(80.0), 50000))
+        for alpha in alphas[:20].tolist() + [-1.0, -0.5, -1e-3, -80.0]:
+            want = np.array([math.pow(x, alpha) for x in k.tolist()])
+            assert np.float_power(k, alpha).tobytes() == want.tobytes()
+        want = np.array([math.pow(x, a) for x, a in zip(k.tolist(), alphas.tolist())])
+        assert np.float_power(k, alphas).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size", [
         covering._SCALAR_TAIL - 1, covering._SCALAR_TAIL, covering._SCALAR_TAIL + 1,

@@ -83,6 +83,20 @@ def test_kernel_timing_prints_one_row_per_input(monkeypatch, capsys):
         assert float(best_ms) > 0 and float(per_call) > 0
 
 
+def test_kernel_timing_stages_sum_to_a_sandwich_check(monkeypatch, capsys):
+    run_script(monkeypatch, "kernel_timing", "--stages", "--repeat", "1",
+               "--sandwich-sets", "5")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["stage", "us/call", "share"]
+    names = [row.split()[0] for row in rows]
+    assert names == ["grid", "eps0", "scan", "counts", "baseline", "solve", "report",
+                     "witness", "stage", "whole"]
+    times = [float(row.split()[-1 if row.startswith(("stage", "whole")) else 1])
+             for row in rows]
+    assert all(t > 0 for t in times)
+    assert sum(times[:8]) == pytest.approx(times[8], rel=1e-3, abs=0.2)
+
+
 def test_extract_timing_prints_one_row_per_stage(monkeypatch, capsys):
     run_script(monkeypatch, "extract_timing", "--repeat", "1", "--scale", "20")
     header, *rows = capsys.readouterr().out.splitlines()

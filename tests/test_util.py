@@ -1,16 +1,19 @@
-"""The bulk JSON writer against the standard library's encoder, and
-``sorted_distinct`` against ``np.unique``.
+"""The bulk JSON writer against the standard library's encoder,
+``sorted_distinct`` against ``np.unique``, ``log_grid`` against
+``np.geomspace`` and ``atomic_write``'s errors.
 
 ``dump_json`` must write exactly what ``json.dump(obj, fh, indent=2,
 sort_keys=True)`` writes, on the float lists and tables it formats in bulk
 and on everything it hands back to ``json.dumps``.  ``sorted_distinct``
-must return the bits ``np.unique`` returns.
+must return the bits ``np.unique`` returns, and ``log_grid`` the bits
+``np.geomspace`` returns.
 """
 
 import io
 import json
 import math
 import struct
+import sys
 from unittest import mock
 
 import numpy as np
@@ -218,3 +221,60 @@ class TestSortedDistinct:
                 got = util.sorted_distinct(arr)
             assert spy.called == (np.isnan(arr).any() or np.signbit(arr[arr == 0]).ptp() > 0)
             assert_same_bits(got, unique(arr))
+
+
+def geomspace_grid(eps_min, eps_max, size):
+    with np.errstate(over="ignore"):  # geomspace's power warns at the largest float
+        return np.geomspace(eps_max, eps_min, size)
+
+
+class TestLogGrid:
+    """``log_grid`` makes ``np.geomspace``'s arithmetic itself, so its bits
+    must be geomspace's, with both ends the radii given."""
+
+    def test_bits_of_geomspace_on_seeded_grids(self):
+        rng = np.random.default_rng(7029)
+        top = sys.float_info.max
+        for i in range(3000):
+            lo, hi = np.sort(10.0 ** rng.uniform(-300.0, 300.0, 2)).tolist()
+            if i % 5 == 0:
+                hi = top
+            elif i % 5 == 1:
+                lo = 5e-324
+            ppd = int(rng.integers(1, 60))
+            grid = util.log_grid(lo, hi, ppd)
+            assert_same_bits(grid, geomspace_grid(lo, hi, grid.size))
+            assert (grid[0], grid[-1]) == (hi, lo)
+
+    @pytest.mark.parametrize("lo, hi, ppd", [
+        (1e-6, 2.0, 200),
+        (5e-324, sys.float_info.max, 3),
+        (1e-300, sys.float_info.max, 200),
+        (1.0, math.nextafter(1.0, 2.0), 200),
+        (1e300, math.nextafter(1e300, math.inf), 1),
+        (math.nextafter(sys.float_info.max, 0.0), sys.float_info.max, 7),
+    ], ids=["default", "whole-range", "largest-float", "adjacent", "adjacent-large",
+            "adjacent-top"])
+    def test_edge_ranges(self, lo, hi, ppd):
+        grid = util.log_grid(lo, hi, ppd)
+        assert_same_bits(grid, geomspace_grid(lo, hi, grid.size))
+        assert np.all(np.diff(grid) < 0) and grid.dtype == np.float64
+
+
+class TestAtomicWrite:
+    def test_error_names_the_path_asked_for(self, tmp_path):
+        target = tmp_path / "nodir" / "out.json"
+        with pytest.raises(FileNotFoundError) as info:
+            with util.atomic_write(target) as fh:
+                fh.write("x")
+        assert info.value.filename == str(target)
+        assert ".tmp" not in str(info.value)
+        assert not (tmp_path / "nodir").exists()
+
+    def test_error_mid_write_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        with pytest.raises(RuntimeError):
+            with util.atomic_write(target) as fh:
+                fh.write("x")
+                raise RuntimeError("stop")
+        assert list(tmp_path.iterdir()) == []
