@@ -46,7 +46,7 @@ from rigidity.bounds import (  # noqa: E402
 )
 from rigidity.covering import covering_counts, default_grid  # noqa: E402
 from rigidity.sets import FinitePoints, PowerSequence  # noqa: E402
-from rigidity.util import log_grid  # noqa: E402
+from rigidity.util import log_grid, sorted_distinct  # noqa: E402
 from rigidity.witness import build_witness, sandwich_check, witness_derivative_scale  # noqa: E402
 
 # the line each lockstep step of a kernel runs once: its vectorised guess
@@ -134,8 +134,7 @@ def staged_sandwich(p, profile, s):
         eps0 = None
     marks.append(clock())
     boundary = [] if eps0 is None else [eps0 * bounds._BOUNDARY_SHRINK]
-    scan = np.sort(np.concatenate([grid, boundary]))[::-1]
-    scan = scan[np.append(True, scan[1:] != scan[:-1])]
+    scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
     marks.append(clock())
     counts = covering_counts(s, scan)
     marks.append(clock())
@@ -184,9 +183,9 @@ def print_stages(seed: int, sets: int, repeat: int) -> None:
     per_stage, whole = stage_times(sandwich_calls(seed, sets), repeat)
     print(f"{'stage':<14} {'us/call':>10} {'share':>7}")
     for name, us in zip(STAGES, per_stage.tolist()):
-        print(f"{name:<14} {us:>10.1f} {us / per_stage.sum():>7.1%}")
-    print(f"{'stage sum':<14} {per_stage.sum():>10.1f}")
-    print(f"{'whole call':<14} {whole:>10.1f}")
+        print(f"{name:<14} {us:>10.2f} {us / per_stage.sum():>7.1%}")
+    print(f"{'stage sum':<14} {per_stage.sum():>10.2f}")
+    print(f"{'whole call':<14} {whole:>10.2f}")
 
 
 def main():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
-from .util import check_grid, frozen_array
+from .util import check_grid, frozen_array, sorted_distinct
 
 BISECT_REL_TOL = 1e-12
 # boundary refinements are placed just inside the qualifying region
@@ -124,6 +124,10 @@ def _scalar_or_array(x):
 
 def _coefficients(p: ProblemParams, profile: LambdaProfile, epsilon) -> list:
     """a_i = (threshold product)_i * (r/eps)^i for i = 0..m, up to the first zero product."""
+    if len(profile) != p.m:
+        raise ValueError("profile length must equal m")
+    if not (epsilon > 0).all():
+        raise ValueError("epsilon must be positive")
     coeffs, prod = [], 1.0
     # an overflowing power is +inf, the right value: that radius never qualifies
     with np.errstate(over="ignore"):
@@ -146,16 +150,12 @@ def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
     strictly increasing in eta.  epsilon and eta broadcast; scalars in give
     a scalar out.
     """
-    if len(profile) != p.m:
-        raise ValueError("profile length must equal m")
     # [()] makes 0-d input numpy scalars, whose ** is Python's libm pow
     epsilon = np.asarray(epsilon, dtype=float)[()]
     eta = np.asarray(eta, dtype=float)[()]
-    if not (epsilon > 0).all():
-        raise ValueError("epsilon must be positive")
+    coeffs = _coefficients(p, profile, epsilon)
     if not (eta >= 1.0).all():
         raise ValueError("eta must be at least 1")
-    coeffs = _coefficients(p, profile, epsilon)
     with np.errstate(over="ignore"):  # +inf, as in _coefficients
         total = sum(a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
         return _scalar_or_array(p.c * total)
@@ -184,8 +184,6 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     step that does not lower it.
     """
     nu, epsilon = (a[()] for a in np.broadcast_arrays(nu, np.asarray(epsilon, dtype=float)))
-    if len(profile) != p.m or not (epsilon > 0).all():
-        raise ValueError("profile length must equal m, and epsilon must be positive")
     coeffs = _coefficients(p, profile, epsilon)
     with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
         baseline = p.c * sum(coeffs)
@@ -339,9 +337,7 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     except ValueError:
         eps0 = None
     boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
-    # positive radii hold no NaN and no -0.0: a plain sort gives np.unique's bits
-    scan = np.sort(np.concatenate([grid, boundary]))[::-1]
-    scan = scan[np.append(True, scan[1:] != scan[:-1])]
+    scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
 
     counts = covering_counts(s, scan)
     hit = counts > rhs_polynomial(p, profile, scan, 1.0)

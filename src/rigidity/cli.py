@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -118,11 +119,10 @@ def _resolve_profile(args, m: int) -> LambdaProfile:
     return profile
 
 
-def _write_json(path, payload: dict, then=lambda: None) -> None:
+def _write_json(path, payload: dict) -> None:
     with atomic_write(path) as fh:
         dump_json(payload, fh)
         fh.write("\n")
-        then()  # before the file lands: where it fails, no file is left
 
 
 def _write_text(path, text: str) -> None:
@@ -172,8 +172,18 @@ def _cmd_witness(args) -> int:
     result = sandwich_check(params, profile, s, args.eps)
     # all work ends before the first write, and both files land or neither
     samples = None if args.samples is None else result.witness.sample_csv_text()
-    _write_json(args.out, result.to_json_dict(),
-                lambda: samples is None or _write_text(args.samples, samples))
+    landed = False
+    try:
+        with atomic_write(args.out) as fh:
+            dump_json(result.to_json_dict(), fh)
+            fh.write("\n")
+            if samples is not None:
+                _write_text(args.samples, samples)
+                landed = True
+    except BaseException:
+        if landed:  # the report failed to land after the samples did
+            os.remove(args.samples)
+        raise
     print(f"gamma = {result.gamma!r}")
     print(f"witness derivative scale = {result.witness_scale!r}")
     print(f"ok = {result.ok}")

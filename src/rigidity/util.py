@@ -51,8 +51,8 @@ def _mixed_ties(values, out: np.ndarray) -> bool:
     Zero signs are read from ``values``; numpy's SIMD sort may unify them."""
     if out.size and out[-1] != out[-1]:
         return True
-    lo, hi = out.searchsorted(0), out.searchsorted(0, side="right")
-    if hi - lo < 2:
+    # mixed zero signs need two zeros, and a positive first value leaves none
+    if not out.size or out[0] > 0 or out.searchsorted(0, "right") - out.searchsorted(0) < 2:
         return False
     flat = np.ravel(values)
     signs = np.signbit(flat[flat == 0])
@@ -105,21 +105,29 @@ def fit_loglog_slope(x, y) -> float:
 def atomic_write(path):
     """Write to a temp file in the destination directory, rename on success.
 
-    An error mid-write leaves no partial file at the destination.
+    An error mid-write leaves no partial file at the destination; a failed
+    ``mkstemp`` or rename raises an ``OSError`` naming ``path``, not the temp file.
     """
     path = Path(path)
-    try:
+    with _naming(path):
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    except OSError as exc:  # name the path asked for, not a random temporary one
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle
-        os.replace(tmp, path)
+        with _naming(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _naming(path: Path):
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def dump_json(obj, fh) -> None:

@@ -247,6 +247,17 @@ class TestWitness:
         assert err == "error: [Errno 2] No such file or directory: 'nodir/w.json'\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_report_that_fails_to_land_takes_the_samples_with_it(self, tmp_path, capsys):
+        # the samples land first; the report's rename onto a directory fails after
+        (tmp_path / "out").mkdir()
+        code = main(["witness", "--set", json.dumps(SEVEN), "--d", "3",
+                     "--out", "out", "--samples", "w.csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 21] Is a directory: 'out'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("source", [["--power", "-1"],
                                         ["--set", '{"type":"power","alpha":-1,"count":50}']],
                              ids=["power", "power-with-count"])

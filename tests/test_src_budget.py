@@ -8,7 +8,7 @@ changes a check, so the raise and its reason belong in CHANGES.md.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rigidity"
-SRC_LINE_BUDGET = 2274
+SRC_LINE_BUDGET = 2288
 
 
 def test_src_lines_within_budget():

@@ -222,6 +222,20 @@ class TestSortedDistinct:
             assert spy.called == (np.isnan(arr).any() or np.signbit(arr[arr == 0]).ptp() > 0)
             assert_same_bits(got, unique(arr))
 
+    @pytest.mark.parametrize("values, mixed", [
+        ([0.0, -0.0, 1.0], True),
+        ([-0.0, 0.0], True),
+        ([-1.0, 0.0, -0.0], True),
+        ([0.0, 0.0, 2.0], False),
+        ([2.0, 1.0, 2.0, math.inf], False),
+    ], ids=["zero-first", "zeros-only", "negative-first", "one-zero-sign", "positive"])
+    def test_only_zeros_of_both_signs_take_np_unique(self, values, mixed):
+        arr = np.array(values)
+        with mock.patch.object(util.np, "unique", wraps=np.unique) as spy:
+            got = util.sorted_distinct(arr)
+        assert spy.called == mixed
+        assert_same_bits(got, unique(arr))
+
 
 def geomspace_grid(eps_min, eps_max, size):
     with np.errstate(over="ignore"):  # geomspace's power warns at the largest float
@@ -270,6 +284,16 @@ class TestAtomicWrite:
         assert info.value.filename == str(target)
         assert ".tmp" not in str(info.value)
         assert not (tmp_path / "nodir").exists()
+
+    def test_failed_rename_names_the_path_and_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with util.atomic_write(target) as fh:
+                fh.write("x")
+        assert info.value.filename == str(target) and info.value.filename2 is None
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert list(target.iterdir()) == []
 
     def test_error_mid_write_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.json"
