@@ -9,9 +9,12 @@ steps the kernel took: the power sequences of ``bound_large`` on their
 ``sandwich_small`` sets on their default grids.  With ``--stages`` it
 prints instead where one ``witness.sandwich_check`` call on the
 ``sandwich_small`` sets spends its time, in microseconds per call, stage
-by stage: the default grid, the epsilon0 bisection, the sorted distinct
-scan radii, the covering counts, the eta = 1 baseline, the eta solve, the
-report, and the witness with its scale.  Run it from the repository root:
+by stage: the default grid, epsilon0 (the exact end of the count-(c+1)
+plateau, then the bisection replayed against it), the sorted distinct
+scan radii, the covering counts, the eta = 1 baseline from the
+coefficient table, the eta solve, the report, and the witness with its
+scale; then the mean number of ``exact_counter`` counts per epsilon0
+call.  Run it from the repository root:
 
     PYTHONPATH=src python3 scripts/kernel_timing.py [--seed 1] [--repeat 7] [--stages]
 
@@ -41,7 +44,6 @@ from rigidity.bounds import (  # noqa: E402
     ProblemParams,
     epsilon0,
     gamma_closed_form,
-    rhs_polynomial,
     solve_eta,
 )
 from rigidity.covering import covering_counts, default_grid  # noqa: E402
@@ -138,7 +140,9 @@ def staged_sandwich(p, profile, s):
     marks.append(clock())
     counts = covering_counts(s, scan)
     marks.append(clock())
-    hit = counts > rhs_polynomial(p, profile, scan, 1.0)
+    coeffs = bounds._coefficients(p, profile, scan)
+    with np.errstate(over="ignore"):
+        hit = counts > p.c * sum(coeffs)
     marks.append(clock())
     qualifying = scan[hit]
     curve = np.column_stack((qualifying, solve_eta(p, profile, counts[hit], qualifying)))
@@ -179,13 +183,41 @@ def stage_times(calls, repeat: int):
     return 1e6 * stages / len(calls), 1e6 * best / len(calls)
 
 
+def counts_per_epsilon0(calls) -> float:
+    """Mean ``exact_counter`` counts per epsilon0 call over the calls,
+    made in a separate run, so the counting does not reach the timings."""
+    made = 0
+
+    def counting(s):
+        count_at = covering.exact_counter(s)
+
+        def counted(e):
+            nonlocal made
+            made += 1
+            return count_at(e)
+        return counted
+
+    bounds.exact_counter = counting
+    try:
+        for p, _, s in calls:
+            try:
+                epsilon0(s, p)
+            except ValueError:
+                pass
+    finally:
+        bounds.exact_counter = covering.exact_counter
+    return made / len(calls)
+
+
 def print_stages(seed: int, sets: int, repeat: int) -> None:
-    per_stage, whole = stage_times(sandwich_calls(seed, sets), repeat)
+    calls = sandwich_calls(seed, sets)
+    per_stage, whole = stage_times(calls, repeat)
     print(f"{'stage':<14} {'us/call':>10} {'share':>7}")
     for name, us in zip(STAGES, per_stage.tolist()):
         print(f"{name:<14} {us:>10.2f} {us / per_stage.sum():>7.1%}")
     print(f"{'stage sum':<14} {per_stage.sum():>10.2f}")
     print(f"{'whole call':<14} {whole:>10.2f}")
+    print(f"{'counts/eps0':<14} {counts_per_epsilon0(calls):>10.2f}")
 
 
 def main():

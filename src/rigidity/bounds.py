@@ -15,11 +15,12 @@ soundness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .covering import covering_counts, default_grid, exact_counter
+from .covering import _least_radius, covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
 from .util import check_grid, frozen_array, sorted_distinct
 
@@ -128,16 +129,14 @@ def _coefficients(p: ProblemParams, profile: LambdaProfile, epsilon) -> list:
         raise ValueError("profile length must equal m")
     if not (epsilon > 0).all():
         raise ValueError("epsilon must be positive")
-    coeffs, prod = [], 1.0
-    # an overflowing power is +inf, the right value: that radius never qualifies
-    with np.errstate(over="ignore"):
-        ratio = p.r / epsilon
-        for i in range(p.m + 1):
-            if i > 0:
-                prod *= profile.lambdas[i - 1]
-                if prod == 0.0:
-                    break
-            coeffs.append(prod * ratio**i)
+    coeffs, prod = [np.ones_like(epsilon)], 1.0
+    for i, lam in enumerate(profile.lambdas, 1):
+        prod *= lam
+        if prod == 0.0:
+            break
+        # an overflowing power is +inf, the right value: that radius never qualifies
+        with np.errstate(over="ignore"):
+            coeffs.append(prod * (p.r / epsilon) ** i)
     return coeffs
 
 
@@ -183,7 +182,10 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     monotonically; every entry runs in lockstep and stops at its first
     step that does not lower it.
     """
-    nu, epsilon = (a[()] for a in np.broadcast_arrays(nu, np.asarray(epsilon, dtype=float)))
+    nu, epsilon = np.asarray(nu), np.asarray(epsilon, dtype=float)
+    if nu.shape != epsilon.shape:
+        nu, epsilon = np.broadcast_arrays(nu, epsilon)
+    nu, epsilon = nu[()], epsilon[()]
     coeffs = _coefficients(p, profile, epsilon)
     with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
         baseline = p.c * sum(coeffs)
@@ -195,21 +197,24 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
     # from above; starting at the least bound keeps every term of f finite
     with np.errstate(divide="ignore", over="ignore"):
-        t = np.min([(nu / (p.c * a)) ** (1.0 / (p.n - i))
-                    for i, a in enumerate(coeffs) if i < p.n], axis=0)
+        tops = [(nu / (p.c * a)) ** (1.0 / (p.n - i)) for i, a in enumerate(coeffs) if i < p.n]
+        t = np.asarray(tops[0] if len(tops) == 1 else np.min(tops, axis=0))
     if not np.isfinite(t).all():  # a bound above the root would be unsound
         raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
     coeffs += [0.0] * (p.n + 1 - len(coeffs))
     falling = True
-    while np.any(falling):
-        f, df = 0.0, 0.0
-        for a in coeffs:  # Horner for f and f'
+    while True:
+        # Horner for f and f', from its second step: the first gives a_0 and 0
+        f, df = coeffs[0] * t + coeffs[1], coeffs[0]
+        for a in coeffs[2:]:
             f, df = f * t + a, df * t + f
         t_next = t - (p.c * f - nu) / (p.c * df)
-        falling = falling & (t_next < t)
-        t = np.where(falling, t_next, t)
+        falling &= t_next < t
+        if not falling.any():
+            break
+        np.copyto(t, t_next, where=falling)
     with np.errstate(over="ignore"):  # the root lies above 1, even where t^d rounds to 1
-        eta = np.maximum(t ** p.d, np.nextafter(1.0, 2.0))[()]
+        eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))[()]
     if not np.isfinite(eta).all():  # an infinite eta would make gamma infinite
         raise ValueError(f"eta overflows the float range at c = {p.c:g}")
     return _scalar_or_array(eta)
@@ -225,23 +230,30 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     for power sequences.  With closed balls the qualifying region is open
     on the right; the returned value is its boundary, approached from
     inside, or the qualifying end of a subnormal bracket with no float
-    inside.  Raises ValueError when no positive radius qualifies, or when
-    c + 1 rounds to 1, which even the one-ball count reaches.
+    inside.  A power sequence is counted at each midpoint; a finite set
+    first finds E, the least float radius counting below c + 1, exactly
+    (``_count_drop``), and a midpoint qualifies where mid < E, the bits a
+    count there gives.  Raises ValueError when no positive radius
+    qualifies, or when c + 1 rounds to 1, which even the one-ball count
+    reaches.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
     if not threshold > 1.0:
         raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
 
+    qualifies = None
     if isinstance(s, PowerSequence):
         lo, hi = 0.25, 0.5
         while lo > 0.0 and count_at(lo) < threshold:
             lo /= 2.0
-        qualifies = lo > 0.0
+        if lo > 0.0:
+            qualifies = lambda e: count_at(e) >= threshold  # noqa: E731
     else:
         lo, hi = min_gap(s) / 4.0, diameter(s)
-        qualifies = lo > 0.0 and count_at(lo) >= threshold
-    if not qualifies:
+        if lo > 0.0 and count_at(lo) >= threshold:  # the count at hi is 1
+            qualifies = _count_drop(s.values.tolist(), count_at, threshold, lo, hi).__gt__
+    if qualifies is None:
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
 
     # halving each end is exact and cannot overflow where lo + hi would
@@ -249,11 +261,45 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:  # adjacent subnormals: lo is the last qualifying float
             return lo
-        if count_at(mid) >= threshold:
+        if qualifies(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * lo + 0.5 * hi
+
+
+def _count_drop(xs: list, count_at, threshold: float, lo: float, hi: float) -> float:
+    """E, the least float radius whose count over the sorted floats xs is
+    below threshold, given a radius lo whose count is not and one hi whose is.
+
+    The greedy sweep at the float just below E starts each ball at the
+    first point whose least covering radius (``_least_radius``) from the
+    previous anchor is not below E; E is the least of those radii, as a
+    radius short of all of them leaves that sweep as it is.  Each test
+    "radius < E?" on the way is read off the bracket: points the ball
+    covers at lo are below E, points it misses just below hi are not.  A
+    point in between is the only case counted, and its radius narrows the
+    bracket (Megiddo's parametric search, J. ACM 30 (1983)).
+    """
+    end, a = math.inf, 0
+    reach_lo, reach_hi = 2.0 * lo, 2.0 * math.nextafter(hi, 0.0)
+    while True:
+        x = xs[a]
+        i = bisect_right(xs, x + reach_lo, a)
+        k = bisect_right(xs, x + reach_hi, i)
+        while i < k:
+            e = _least_radius(x, xs[(i + k) // 2])
+            if count_at(e) >= threshold:
+                reach_lo = 2.0 * e
+                i = bisect_right(xs, x + reach_lo, i)
+            else:
+                reach_hi = 2.0 * math.nextafter(e, 0.0)
+                k = bisect_right(xs, x + reach_hi, i, k)
+        if i == len(xs):
+            return end
+        if x + 2.0 * end >= xs[i]:  # else this radius is above end
+            end = _least_radius(x, xs[i])
+        a = i
 
 
 def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
@@ -340,7 +386,9 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
 
     counts = covering_counts(s, scan)
-    hit = counts > rhs_polynomial(p, profile, scan, 1.0)
+    coeffs = _coefficients(p, profile, scan)
+    with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
+        hit = counts > p.c * sum(coeffs)
     qualifying = scan[hit]
     curve = np.column_stack((qualifying, solve_eta(p, profile, counts[hit], qualifying)))
 

@@ -18,6 +18,7 @@ float range, or a size beyond memory, 4 witness check falsified.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -166,6 +167,13 @@ def _cmd_bound(args) -> int:
 def _cmd_witness(args) -> int:
     from .witness import sandwich_check
 
+    # refused before the first write: a report that cannot land takes the
+    # samples with it, and one file cannot hold both
+    for path in (args.out, args.samples):
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if args.samples is not None and os.path.realpath(args.out) == os.path.realpath(args.samples):
+        raise OSError(f"--out and --samples name the same file {args.samples!r}")
     s = _resolve_set(args)
     params = ProblemParams(n=1, m=1, d=args.d, r=args.r, c=args.c)
     profile = _resolve_profile(args, params.m)

@@ -94,6 +94,23 @@ def _sweep_from(xs: list, i: int, two_eps: float) -> int:
     return count
 
 
+def _least_radius(x: float, y: float) -> float:
+    """Least float e with x + 2.0*e >= y in floats, for floats x < y: the
+    radius from which the sweep's ball anchored at x covers y.
+
+    That sum reaches y once it passes the rounding boundary half an ulp
+    below y, so the start is (pred(y) - x + ulp/2) / 2, capped at 2**1023,
+    where 2*e overflows.  Each rounding in it goes at most to the least
+    float at or above its exact value, so the start is never above the
+    answer, and a few ulp steps up reach it.
+    """
+    below = math.nextafter(y, -math.inf)
+    e = min(0.5 * ((below - x) + 0.5 * (y - below)), 2.0**1023)
+    while not x + 2.0 * e >= y:
+        e = math.nextafter(e, math.inf)
+    return e
+
+
 def covering_number_power(alpha: float, epsilon: float) -> int:
     """Exact covering count of the full sequence {m**alpha : m >= 1}."""
     return int(covering_counts(PowerSequence(alpha), [float(epsilon)])[0])

@@ -109,10 +109,11 @@ SetDescriptor = FinitePoints | PowerSequence | SampledCloud
 
 def min_gap(s: FinitePoints) -> float:
     """Smallest distance between consecutive values of a finite set."""
-    if s.values.size < 2:
+    v = s.values
+    if v.size < 2:
         raise ValueError("min_gap needs at least two distinct points")
     with np.errstate(over="ignore"):  # a gap past the float range is inf
-        return float(np.min(np.diff(s.values)))
+        return float((v[1:] - v[:-1]).min())
 
 
 def diameter(s: SetDescriptor) -> float:
@@ -123,7 +124,10 @@ def diameter(s: SetDescriptor) -> float:
     float.
     """
     # Python floats overflow to inf silently, where numpy scalars warn
-    hi, lo = s.points.max(axis=0).tolist(), s.points.min(axis=0).tolist()
+    if isinstance(s, FinitePoints):  # sorted: its ends are its extremes
+        hi, lo = s.points[-1].tolist(), s.points[0].tolist()
+    else:
+        hi, lo = s.points.max(axis=0).tolist(), s.points.min(axis=0).tolist()
     return min(math.hypot(*(h - l for h, l in zip(hi, lo))), sys.float_info.max)
 
 

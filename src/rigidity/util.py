@@ -106,9 +106,16 @@ def atomic_write(path):
     """Write to a temp file in the destination directory, rename on success.
 
     An error mid-write leaves no partial file at the destination; a failed
-    ``mkstemp`` or rename raises an ``OSError`` naming ``path``, not the temp file.
+    ``mkstemp`` or rename raises an ``OSError`` naming ``path``, not the temp
+    file.  A device or a FIFO is written straight into, not replaced.
     """
     path = Path(path)
+    if path.exists() and not (path.is_file() or path.is_dir()):
+        with _naming(path):
+            handle = open(path, "w")
+        with handle:
+            yield handle
+        return
     with _naming(path):
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     tmp = Path(tmp_name)

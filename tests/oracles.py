@@ -1,13 +1,15 @@
-"""Test-only reference code: an exhaustive covering oracle, a grid CSV
-writer, a full-grid formulation of the semi-axis field and a piece-by-piece
-staircase witness.
+"""Test-only reference code: an exhaustive covering oracle, an epsilon0
+that counts at every bisection step, a grid CSV writer, a full-grid
+formulation of the semi-axis field and a piece-by-piece staircase witness.
 
 Nothing in the package runs these; tests use them to check the exact
-covering counters, to write grid samples that ``rigidity extract --grid``
-and ``SampledMap.from_grid_csv`` read back, to check that
-``critical.semi_axis_field`` gives the bits of the straightforward
-full-grid computation, and to check that ``witness.WitnessFunction`` gives
-the bits of a witness stored and evaluated one piece object at a time.
+covering counters, to check that ``bounds.epsilon0`` gives the bits of a
+bisection that counts at each midpoint, to write grid samples that
+``rigidity extract --grid`` and ``SampledMap.from_grid_csv`` read back, to
+check that ``critical.semi_axis_field`` gives the bits of the
+straightforward full-grid computation, and to check that
+``witness.WitnessFunction`` gives the bits of a witness stored and
+evaluated one piece object at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +53,38 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
             if acc == full:
                 return k
     return n  # unreachable: n singleton anchors always cover
+
+
+def bisect_epsilon0(s, p) -> float:
+    """``bounds.epsilon0`` as a bisection that counts at every midpoint,
+    from the same bracket, to the same tolerance, with the same refusals."""
+    from rigidity.bounds import BISECT_REL_TOL
+    from rigidity.covering import exact_counter
+    from rigidity.sets import PowerSequence, diameter, min_gap
+
+    count_at = exact_counter(s)
+    threshold = p.c + 1.0
+    if not threshold > 1.0:
+        raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
+    if isinstance(s, PowerSequence):
+        lo, hi = 0.25, 0.5
+        while lo > 0.0 and count_at(lo) < threshold:
+            lo /= 2.0
+        qualifies = lo > 0.0
+    else:
+        lo, hi = min_gap(s) / 4.0, diameter(s)
+        qualifies = lo > 0.0 and count_at(lo) >= threshold
+    if not qualifies:
+        raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
+    while hi - lo > BISECT_REL_TOL * hi:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:  # adjacent subnormals: lo is the last qualifying float
+            return lo
+        if count_at(mid) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo + 0.5 * hi
 
 
 def grid_csv_text(sm) -> str:

@@ -29,15 +29,17 @@ from rigidity.bounds import (
     rigidity_bound,
     solve_eta,
 )
+from rigidity import bounds
 from rigidity.covering import (
     covering_counts,
     covering_number_power,
+    exact_counter,
 )
 from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, min_gap
 from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
-from oracles import BRUTE_FORCE_LIMIT, brute_force_covering_oracle
+from oracles import BRUTE_FORCE_LIMIT, bisect_epsilon0, brute_force_covering_oracle
 
 
 def seven_points():
@@ -580,6 +582,79 @@ class TestEpsilon0:
         assume(eps0 >= sys.float_info.min)
         assert brute_force_covering_oracle(pts, eps0 * (1 - 1e-9)) >= p.c + 1
         assert brute_force_covering_oracle(pts, eps0 * (1 + 1e-9)) < p.c + 1
+
+
+@st.composite
+def ulp_spaced_sets(draw):
+    """Up to eight points: signed magnitudes from 1e-300 to 1e300, runs of
+    points a few ulps apart, also across a power of two, and the largest floats."""
+    base = draw(st.sampled_from([-1.0, 1.0])) * draw(
+        st.floats(-300.0, 300.0).map(lambda u: 10.0**u)
+        | st.integers(-990, 990).map(lambda k: math.nextafter(2.0**k, 0.0)))
+    points = []
+    for kind in draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)):
+        if kind == 0:
+            points.append(draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 300.0)))
+        elif kind == 1:
+            v = base
+            for _ in range(draw(st.integers(0, 12))):
+                v = math.nextafter(v, math.inf)
+            points.append(v)
+        elif kind == 2:
+            points.append(base * (1.0 + draw(st.integers(0, 20)) * 1e-9))
+        else:
+            points.append(draw(st.sampled_from([-sys.float_info.max, 0.0, sys.float_info.max])))
+    return points
+
+
+class TestEpsilon0Replay:
+    """``epsilon0`` on a finite set gives the bits of a bisection that
+    counts at every midpoint (``oracles.bisect_epsilon0``), or its error."""
+
+    @staticmethod
+    def outcome(f, s, p):
+        try:
+            return f(s, p).hex()
+        except ValueError as exc:
+            return str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=ulp_spaced_sets(), n=st.integers(1, 3), d=st.integers(1, 6),
+           c=st.floats(0.01, 10.0) | st.integers(1, 9).map(float))
+    def test_bits_of_the_counting_bisection(self, points, n, d, c):
+        # c + 1 above the point count raises "never reaches" in both
+        p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else c)
+        s = FinitePoints(points)
+        assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
+
+    @pytest.mark.parametrize("points", [
+        np.arange(7) * 0.1,
+        # three floats an ulp apart count 2 at min_gap/4: the first count refuses c + 1 = 3
+        [1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52],
+        # 1 - u reaches 1 from 3u/8, where 1 + 2*(3u/8) rounds onto 1 + u exactly,
+        # though 1 covers 1 + u from just above u/4: E is the latter
+        [1 - 2.0**-52, 1.0, 1 + 2.0**-52],
+        [-sys.float_info.max, 0.0, sys.float_info.max],
+        [-sys.float_info.max, -1.0, 1.0, sys.float_info.max],
+        [0.0, 1e-200, 1.0, 1e200],
+        np.arange(4) * 7 * 5e-324,
+    ], ids=["seven", "trap", "binade", "largest", "largest-four", "far-apart", "subnormal"])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 4.0, 6.0])
+    def test_pinned_sets(self, points, c):
+        p, s = ProblemParams(2, 1, 1, c=c), FinitePoints(points)
+        assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
+
+    def test_few_counts_on_a_small_set(self, monkeypatch):
+        made = []
+
+        def counting(s):
+            count_at = exact_counter(s)
+            return lambda e: made.append(e) or count_at(e)
+
+        monkeypatch.setattr(bounds, "exact_counter", counting)
+        assert epsilon0(seven_points(), P15) == bisect_epsilon0(seven_points(), P15)
+        # a count per bisection step would be about 45
+        assert len(made) <= 8
 
 
 class TestGammaClosedForm:

@@ -248,7 +248,7 @@ class TestWitness:
         assert list(tmp_path.iterdir()) == []
 
     def test_report_that_fails_to_land_takes_the_samples_with_it(self, tmp_path, capsys):
-        # the samples land first; the report's rename onto a directory fails after
+        # a report that cannot land is refused before the samples are written
         (tmp_path / "out").mkdir()
         code = main(["witness", "--set", json.dumps(SEVEN), "--d", "3",
                      "--out", "out", "--samples", "w.csv"])
@@ -257,6 +257,27 @@ class TestWitness:
         assert err == "error: [Errno 21] Is a directory: 'out'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_report_that_cannot_land_keeps_an_older_samples_file(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "w.csv").write_text("old")
+        code = main(["witness", "--set", json.dumps(SEVEN), "--d", "3",
+                     "--out", "out", "--samples", "w.csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 21] Is a directory: 'out'\n"
+        assert (tmp_path / "w.csv").read_text() == "old"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("samples", ["same.json", "./same.json", "sub/../same.json"])
+    def test_one_path_for_both_files_writes_nothing(self, tmp_path, capsys, samples):
+        (tmp_path / "sub").mkdir()
+        code = main(["witness", "--set", json.dumps(SEVEN), "--d", "3",
+                     "--out", "same.json", "--samples", samples])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: --out and --samples name the same file {samples!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     @pytest.mark.parametrize("source", [["--power", "-1"],
                                         ["--set", '{"type":"power","alpha":-1,"count":50}']],

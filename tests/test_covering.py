@@ -1,5 +1,6 @@
 import functools
 import math
+import struct
 import sys
 import warnings
 from fractions import Fraction
@@ -755,6 +756,74 @@ class TestExactCounter:
         cloud = SampledCloud([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             exact_counter(cloud)
+
+
+def bisected_least_radius(x, y):
+    """Least float e with x + 2.0*e >= y, by bisection over the bit patterns
+    of nonnegative floats, which order as the floats do; 2**1023 always
+    reaches, as 2*e overflows there."""
+    def bits(v):
+        return struct.unpack("<q", struct.pack("<d", v))[0]
+
+    def value(b):
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    lo, hi = 0, bits(2.0**1023)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x + 2.0 * value(mid) >= y:
+            hi = mid
+        else:
+            lo = mid
+    return value(hi)
+
+
+MAX = sys.float_info.max
+
+
+class TestLeastRadius:
+    @pytest.mark.parametrize("x, y", [
+        # one ulp apart: x + 2e rounds onto y from half an ulp on, and the
+        # tie at exactly half goes to whichever of the two is even
+        (1e300, math.nextafter(1e300, math.inf)),
+        (math.nextafter(1e300, math.inf), math.nextafter(math.nextafter(1e300, math.inf), math.inf)),
+        (1.0, math.nextafter(1.0, 2.0)),
+        (math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+        (0.1, 0.1 + 1e-12), (1.0, 1.5), (-1.0, 1.0), (-1e-300, 1e300),
+    ], ids=["ulp-even", "ulp-odd", "one-even", "one-odd", "small-gap", "half", "signs", "wide"])
+    def test_far_below_half_the_gap_and_ordinary_pairs(self, x, y):
+        assert covering._least_radius(x, y) == bisected_least_radius(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        (0.0, 5e-324), (5e-324, 1e-323), (-5e-324, 5e-324), (0.0, 1.5e-323),
+        (1e-310, 1e-310 + 5e-324), (-2.2250738585072014e-308, 2.2250738585072014e-308),
+    ])
+    def test_subnormal_gaps(self, x, y):
+        assert covering._least_radius(x, y) == bisected_least_radius(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        (-MAX, MAX), (-MAX, 0.0), (0.0, MAX), (-MAX, math.nextafter(-MAX, 0.0)),
+        (math.nextafter(MAX, 0.0), MAX), (-1e308, 1e308), (1e308, MAX),
+    ])
+    def test_largest_floats_where_two_e_overflows(self, x, y):
+        e = covering._least_radius(x, y)
+        assert e == bisected_least_radius(x, y)
+        assert x + 2.0 * e >= y and not x + 2.0 * math.nextafter(e, 0.0) >= y
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False) | st.integers(1, 40))
+    def test_random_pairs(self, x, other):
+        # an integer draws y that many ulps above x
+        y = other
+        if isinstance(other, int):
+            y = x
+            for _ in range(other):
+                y = math.nextafter(y, math.inf)
+        x, y = min(x, y), max(x, y)
+        if not (x < y and math.isfinite(y)):
+            return
+        assert covering._least_radius(x, y) == bisected_least_radius(x, y)
 
 
 class TestDefaultGrid:

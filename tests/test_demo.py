@@ -90,11 +90,13 @@ def test_kernel_timing_stages_sum_to_a_sandwich_check(monkeypatch, capsys):
     assert header.split() == ["stage", "us/call", "share"]
     names = [row.split()[0] for row in rows]
     assert names == ["grid", "eps0", "scan", "counts", "baseline", "solve", "report",
-                     "witness", "stage", "whole"]
+                     "witness", "stage", "whole", "counts/eps0"]
     times = [float(row.split()[-1 if row.startswith(("stage", "whole")) else 1])
-             for row in rows]
+             for row in rows[:-1]]
     assert all(t > 0 for t in times)
     assert sum(times[:8]) == pytest.approx(times[8], rel=1e-3, abs=0.2)
+    # the initial count at min_gap/4 and a few in the parametric search
+    assert 1.0 <= float(rows[-1].split()[1]) < 20.0
 
 
 def test_extract_timing_prints_one_row_per_stage(monkeypatch, capsys):

@@ -12,8 +12,11 @@ must return the bits ``np.unique`` returns, and ``log_grid`` the bits
 import io
 import json
 import math
+import os
+import stat
 import struct
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -294,6 +297,28 @@ class TestAtomicWrite:
         assert info.value.filename == str(target) and info.value.filename2 is None
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert list(target.iterdir()) == []
+
+    def test_fifo_is_written_into_not_replaced(self, tmp_path):
+        # a rename would leave a regular file where the FIFO was
+        target = tmp_path / "pipe"
+        os.mkfifo(target)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(target.read_text()), daemon=True)
+        reader.start()
+        with util.atomic_write(target) as fh:
+            fh.write("report\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == ["report\n"]
+        assert stat.S_ISFIFO(target.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_regular_file_is_replaced_whole(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old and longer")
+        with util.atomic_write(target) as fh:
+            fh.write("new")
+        assert target.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_error_mid_write_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.json"
