@@ -9,8 +9,8 @@ steps the kernel took: the power sequences of ``bound_large`` on their
 ``sandwich_small`` sets on their default grids.  With ``--stages`` it
 prints instead where one ``witness.sandwich_check`` call on the
 ``sandwich_small`` sets spends its time, in microseconds per call, stage
-by stage: the default grid, epsilon0 (the exact end of the count-(c+1)
-plateau, then the bisection replayed against it), the sorted distinct
+by stage: the default grid, epsilon0 (the last float of the count-(c+1)
+plateau, found exactly with no bisection), the sorted distinct
 scan radii, the covering counts, the eta = 1 baseline from the
 coefficient table, the eta solve, the report, and the witness with its
 scale; then the mean number of ``exact_counter`` counts per epsilon0

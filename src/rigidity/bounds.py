@@ -15,16 +15,14 @@ soundness.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .covering import _least_radius, covering_counts, default_grid, exact_counter
+from .covering import count_drop, covering_counts, default_grid, exact_counter
 from .sets import PowerSequence, SetDescriptor, diameter, min_gap
 from .util import check_grid, frozen_array, sorted_distinct
 
-BISECT_REL_TOL = 1e-12
 # boundary refinements are placed just inside the qualifying region
 _BOUNDARY_SHRINK = 1.0 - 1e-9
 
@@ -221,92 +219,47 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
 
 
 def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
-    """Largest radius at which the covering count still reaches c + 1.
+    """pred(E), the float just below E, the least float radius whose
+    covering count is below c + 1: the last float of the count-(c+1) plateau.
 
-    Bisection between a qualifying radius and one where a single ball
-    covers the set (the diameter, or 1/2 for a power sequence), until the
-    bracket is BISECT_REL_TOL wide relative to its top.  The qualifying
-    start is min_gap/4 for finite sets and 1/4, halved until it qualifies,
-    for power sequences.  With closed balls the qualifying region is open
-    on the right; the returned value is its boundary, approached from
-    inside, or the qualifying end of a subnormal bracket with no float
-    inside.  A power sequence is counted at each midpoint; a finite set
-    first finds E, the least float radius counting below c + 1, exactly
-    (``_count_drop``), and a midpoint qualifies where mid < E, the bits a
-    count there gives.  Raises ValueError when no positive radius
-    qualifies, or when c + 1 rounds to 1, which even the one-ball count
-    reaches.
+    A finite set finds E exactly (``covering.count_drop``) from min_gap/4,
+    where the count must reach c + 1.  A power sequence halves 1/4 until
+    the count does, then bisects by counting to adjacent floats.  Raises
+    ValueError when no positive radius qualifies, or when c + 1 rounds to
+    1, which even the one-ball count reaches.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
     if not threshold > 1.0:
         raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
-
-    qualifies = None
-    if isinstance(s, PowerSequence):
-        lo, hi = 0.25, 0.5
-        while lo > 0.0 and count_at(lo) < threshold:
-            lo /= 2.0
-        if lo > 0.0:
-            qualifies = lambda e: count_at(e) >= threshold  # noqa: E731
-    else:
-        lo, hi = min_gap(s) / 4.0, diameter(s)
-        if lo > 0.0 and count_at(lo) >= threshold:  # the count at hi is 1
-            qualifies = _count_drop(s.values.tolist(), count_at, threshold, lo, hi).__gt__
-    if qualifies is None:
-        raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
-
-    # halving each end is exact and cannot overflow where lo + hi would
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:  # adjacent subnormals: lo is the last qualifying float
-            return lo
-        if qualifies(mid):
+    never = f"covering count never reaches c + 1 = {threshold:g}"
+    if not isinstance(s, PowerSequence):
+        lo = min_gap(s) / 4.0
+        if not (lo > 0.0 and count_at(lo) >= threshold):
+            raise ValueError(never)
+        # one ball covers the set at its diameter
+        return math.nextafter(count_drop(s.values.tolist(), count_at, threshold, lo,
+                                         diameter(s)), 0.0)
+    lo, hi = 0.25, 0.5  # one ball covers the sequence at 1/2
+    while lo > 0.0 and count_at(lo) < threshold:
+        lo, hi = lo / 2.0, lo
+    if not lo > 0.0:
+        raise ValueError(never)
+    # the rounded midpoint lies strictly inside until lo and hi are adjacent
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if count_at(mid) >= threshold:
             lo = mid
         else:
             hi = mid
-    return 0.5 * lo + 0.5 * hi
-
-
-def _count_drop(xs: list, count_at, threshold: float, lo: float, hi: float) -> float:
-    """E, the least float radius whose count over the sorted floats xs is
-    below threshold, given a radius lo whose count is not and one hi whose is.
-
-    The greedy sweep at the float just below E starts each ball at the
-    first point whose least covering radius (``_least_radius``) from the
-    previous anchor is not below E; E is the least of those radii, as a
-    radius short of all of them leaves that sweep as it is.  Each test
-    "radius < E?" on the way is read off the bracket: points the ball
-    covers at lo are below E, points it misses just below hi are not.  A
-    point in between is the only case counted, and its radius narrows the
-    bracket (Megiddo's parametric search, J. ACM 30 (1983)).
-    """
-    end, a = math.inf, 0
-    reach_lo, reach_hi = 2.0 * lo, 2.0 * math.nextafter(hi, 0.0)
-    while True:
-        x = xs[a]
-        i = bisect_right(xs, x + reach_lo, a)
-        k = bisect_right(xs, x + reach_hi, i)
-        while i < k:
-            e = _least_radius(x, xs[(i + k) // 2])
-            if count_at(e) >= threshold:
-                reach_lo = 2.0 * e
-                i = bisect_right(xs, x + reach_lo, i)
-            else:
-                reach_hi = 2.0 * math.nextafter(e, 0.0)
-                k = bisect_right(xs, x + reach_hi, i, k)
-        if i == len(xs):
-            return end
-        if x + 2.0 * end >= xs[i]:  # else this radius is above end
-            end = _least_radius(x, xs[i])
-        a = i
+    return lo
 
 
 def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
     """Closed-form bound (1 + 1/c)^(d/n) * eps0 for the plain-threshold case.
 
     Valid when the first threshold is zero (the ratio equation collapses to
-    a single power term) and the count c + 1 is achieved down to eps0.
+    a single power term) and the count at eps0 reaches c + 1, as it does at
+    ``epsilon0``, the last float of the count-(c+1) plateau.
     """
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
@@ -321,11 +274,12 @@ class BoundReport:
     """Outcome of a rigidity scan over a resolution grid.
 
     eta_curve: the read-only (k, 2) float64 array of (resolution, solved
-    ratio) rows, any sequence accepted and converted; epsilon0 /
-    gamma_closed_form: the count-(c+1) boundary and its closed-form bound
-    when applicable.  Derived from the curve: e_intervals, the read-only
-    (k,) array of qualifying resolutions, and gamma, the best eps * eta
-    product (zero exactly when nothing qualified).
+    ratio) rows, any sequence accepted and converted; epsilon0: the last
+    float counting c + 1, and gamma_closed_form: its closed-form bound when
+    the first threshold is zero, each None where it does not apply.
+    Derived from the curve: e_intervals, the read-only (k,) array of
+    qualifying resolutions, and gamma, the best eps * eta product (zero
+    exactly when nothing qualified).
     """
 
     eta_curve: np.ndarray

@@ -211,8 +211,13 @@ def _cmd_witness(args) -> int:
 def _cmd_extract(args) -> int:
     if args.map is not None:
         entry = builtin_map(args.map)
-        sm = SampledMap.from_callable(entry.func, entry.n, entry.m, args.r, args.divisions)
+        r = 1.0 if args.r is None else args.r
+        sm = SampledMap.from_callable(entry.func, entry.n, entry.m, r, args.divisions)
     else:
+        for option, value in (("--divisions", args.divisions), ("--r", args.r)):
+            if value is not None:
+                print(f"error: the --grid file fixes {option}", file=sys.stderr)
+                return EXIT_BAD_INPUT
         sm = SampledMap.from_grid_csv(args.grid)
     profile = _resolve_profile(args, sm.m)
     extraction = near_critical_set(sm, profile)
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--eps", type=_parse_eps_spec, default=None,
                          help="resolution grid for --check")
     extract.add_argument("--out-prefix", default="extraction")
-    extract.set_defaults(handler=_cmd_extract)
+    extract.set_defaults(handler=_cmd_extract, r=None)  # --r is refused with --grid
 
     classify = sub.add_parser(
         "classify", help="decay-rate dichotomy for power sequences"

@@ -36,6 +36,7 @@ __all__ = [
     "covering_number_power",
     "covering_counts",
     "exact_counter",
+    "count_drop",
     "default_grid",
 ]
 
@@ -109,6 +110,39 @@ def _least_radius(x: float, y: float) -> float:
     while not x + 2.0 * e >= y:
         e = math.nextafter(e, math.inf)
     return e
+
+
+def count_drop(xs: list, count_at, threshold: float, lo: float, hi: float) -> float:
+    """E, the least float radius whose count of the sorted floats xs, by
+    their exact counter count_at, is below threshold, given a radius lo
+    whose count is not and one hi whose is.
+
+    The sweep just below E starts each ball at the first point whose
+    ``_least_radius`` from the previous anchor is not below E, and E is the
+    least of those radii.  Each "radius < E?" is read off the bracket: a
+    point covered at lo is below E, one missed just below hi is not.  Only
+    a point in between is counted, and its radius narrows the bracket
+    (Megiddo's parametric search, J. ACM 30 (1983)).
+    """
+    end, a = math.inf, 0
+    reach_lo, reach_hi = 2.0 * lo, 2.0 * math.nextafter(hi, 0.0)
+    while True:
+        x = xs[a]
+        i = bisect_right(xs, x + reach_lo, a)
+        k = bisect_right(xs, x + reach_hi, i)
+        while i < k:
+            e = _least_radius(x, xs[(i + k) // 2])
+            if count_at(e) >= threshold:
+                reach_lo = 2.0 * e
+                i = bisect_right(xs, x + reach_lo, i)
+            else:
+                reach_hi = 2.0 * math.nextafter(e, 0.0)
+                k = bisect_right(xs, x + reach_hi, i, k)
+        if i == len(xs):
+            return end
+        if x + 2.0 * end >= xs[i]:  # else this radius is above end
+            end = _least_radius(x, xs[i])
+        a = i
 
 
 def covering_number_power(alpha: float, epsilon: float) -> int:

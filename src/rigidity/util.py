@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -103,27 +102,32 @@ def fit_loglog_slope(x, y) -> float:
 
 @contextmanager
 def atomic_write(path):
-    """Write to a temp file in the destination directory, rename on success.
+    """Write to a temp file beside the destination, rename on success.
 
     An error mid-write leaves no partial file at the destination; a failed
-    ``mkstemp`` or rename raises an ``OSError`` naming ``path``, not the temp
-    file.  A device or a FIFO is written straight into, not replaced.
+    create or rename raises an ``OSError`` naming ``path``, not the temp
+    file.  As ``open(path, "w")`` does, a symlink is written through, a
+    replaced file keeps its mode and a new one gets 0o666 less the umask; a
+    device or a FIFO is written straight into, not replaced.
     """
     path = Path(path)
-    if path.exists() and not (path.is_file() or path.is_dir()):
+    target = Path(os.path.realpath(path))
+    if target.exists() and not (target.is_file() or target.is_dir()):
         with _naming(path):
             handle = open(path, "w")
         with handle:
             yield handle
         return
-    with _naming(path):
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    tmp = Path(tmp_name)
+    tmp = target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+    with _naming(path):  # 0o666 less the umask, applied by the kernel
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if target.is_file():
+                os.chmod(fd, target.stat().st_mode & 0o7777)
             yield handle
         with _naming(path):
-            os.replace(tmp, path)
+            os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -57,8 +57,9 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
 
 def bisect_epsilon0(s, p) -> float:
     """``bounds.epsilon0`` as a bisection that counts at every midpoint,
-    from the same bracket, to the same tolerance, with the same refusals."""
-    from rigidity.bounds import BISECT_REL_TOL
+    with the same refusals, from min_gap/4 or the first of 1/4, 1/8, ...
+    that qualifies up to the diameter or 1/2, until its ends are adjacent
+    floats: the lower end is the last float counting c + 1."""
     from rigidity.covering import exact_counter
     from rigidity.sets import PowerSequence, diameter, min_gap
 
@@ -76,15 +77,16 @@ def bisect_epsilon0(s, p) -> float:
         qualifies = lo > 0.0 and count_at(lo) >= threshold
     if not qualifies:
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:  # adjacent subnormals: lo is the last qualifying float
-            return lo
+    # one ball covers the set at hi, the diameter or 1/2
+    while math.nextafter(lo, math.inf) < hi:
+        # a midpoint rounded onto an end moves to the float beside it
+        mid = lo + (hi - lo) / 2.0
+        mid = min(max(mid, math.nextafter(lo, math.inf)), math.nextafter(hi, 0.0))
         if count_at(mid) >= threshold:
             lo = mid
         else:
             hi = mid
-    return 0.5 * lo + 0.5 * hi
+    return lo
 
 
 def grid_csv_text(sm) -> str:

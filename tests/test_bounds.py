@@ -501,15 +501,18 @@ class TestEpsilon0:
 
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
-         0.08265462534826103),
+         0.08265462534823777),
         (lambda: FinitePoints(cantor_like(np.random.default_rng(2308), 10)),
-         0.04956656147781427),
-        (lambda: PowerSequence(-0.5), 0.06487825599844044),
+         0.04956656147781058),
+        (lambda: PowerSequence(-0.5), 0.06487825599846088),
     ], ids=["stratified600", "cantor1024", "power-0.5"])
     def test_pinned_bits(self, make, eps0):
         # recorded with the all-lockstep counters; where the counter hands
-        # over to the scalar finish must not move a bit of the bisection
-        assert epsilon0(make(), P15) == eps0
+        # over to the scalar finish must not move a bit of the search
+        s = make()
+        assert epsilon0(s, P15) == eps0
+        # the last float of the count-7 plateau
+        assert covering_counts(s, [eps0, math.nextafter(eps0, math.inf)]).tolist() == [7, 6]
 
     def test_power_sequence_boundary_certificate(self):
         p = ProblemParams(1, 1, 3)  # c = 4
@@ -608,8 +611,9 @@ def ulp_spaced_sets(draw):
 
 
 class TestEpsilon0Replay:
-    """``epsilon0`` on a finite set gives the bits of a bisection that
-    counts at every midpoint (``oracles.bisect_epsilon0``), or its error."""
+    """``epsilon0`` gives the bits of a bisection that counts at every
+    midpoint down to adjacent floats (``oracles.bisect_epsilon0``), or its
+    error."""
 
     @staticmethod
     def outcome(f, s, p):
@@ -644,6 +648,13 @@ class TestEpsilon0Replay:
         p, s = ProblemParams(2, 1, 1, c=c), FinitePoints(points)
         assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
 
+    @pytest.mark.parametrize("alpha", [-0.2, -0.5, -1.0, -3.0, -10.0, -100.0, -700.0])
+    def test_power_sequences(self, alpha):
+        # the bisection starts from the last halving's bracket, the oracle from 1/2
+        for d in (1, 3, 6):
+            p, s = ProblemParams(1, 1, d), PowerSequence(alpha)
+            assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
+
     def test_few_counts_on_a_small_set(self, monkeypatch):
         made = []
 
@@ -655,6 +666,56 @@ class TestEpsilon0Replay:
         assert epsilon0(seven_points(), P15) == bisect_epsilon0(seven_points(), P15)
         # a count per bisection step would be about 45
         assert len(made) <= 8
+
+    def test_power_bisection_starts_at_the_last_halving(self, monkeypatch):
+        made = []
+
+        def counting(s):
+            count_at = exact_counter(s)
+            return lambda e: made.append(e) or count_at(e)
+
+        monkeypatch.setattr(bounds, "exact_counter", counting)
+        eps0 = epsilon0(PowerSequence(-100.0), P15)
+        # one count per halving down to eps0, about 2**-259.5, then about 53
+        # from that halving's bracket to adjacent floats; from 1/2 it would be 570
+        assert len(made) <= -math.log2(eps0) + 60
+
+
+class TestEpsilon0Plateau:
+    """``epsilon0`` is the last float of the count-(c+1) plateau: the count
+    reaches c + 1 there and falls below it one float up."""
+
+    @staticmethod
+    def assert_last_float(count, eps0, p):
+        assert count(eps0) >= p.c + 1 > count(math.nextafter(eps0, math.inf))
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=BRUTE_FORCE_LIMIT)
+           | ulp_spaced_sets(),
+           n=st.integers(1, 3), d=st.integers(1, 6),
+           c=st.floats(0.01, 10.0) | st.integers(1, 9).map(float))
+    @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=5, c=6.0)
+    @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=4, c=5.0)
+    def test_finite_sets_by_the_exhaustive_oracle(self, points, n, d, c):
+        p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else c)
+        try:
+            eps0 = epsilon0(FinitePoints(points), p)
+        except ValueError:  # one distinct point, or a count short of c + 1
+            return
+        self.assert_last_float(lambda e: brute_force_covering_oracle(points, e), eps0, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(-100.0, -0.2) | st.just(-700.0), d=st.integers(1, 6))
+    @example(alpha=-0.5, d=5)
+    @example(alpha=-1.0, d=3)
+    def test_power_sequences(self, alpha, d):
+        p = ProblemParams(1, 1, d)
+        try:
+            eps0 = epsilon0(PowerSequence(alpha), p)
+        except ValueError as exc:  # far terms underflow to 0 at alpha = -700
+            assert alpha == -700.0 and "never reaches" in str(exc)
+            return
+        self.assert_last_float(lambda e: covering_number_power(alpha, e), eps0, p)
 
 
 class TestGammaClosedForm:

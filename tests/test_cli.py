@@ -402,6 +402,18 @@ class TestExtract:
         assert code == 0
         assert "extracted 51 near-critical point(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option, value", [("--divisions", "5"), ("--r", "2")])
+    def test_grid_refuses_the_options_its_file_fixes(self, tmp_path, capsys, monkeypatch,
+                                                      option, value):
+        # refused before the grid is read or anything is written
+        monkeypatch.chdir(tmp_path)
+        grid_path = tmp_path / "grid.csv"
+        grid_path.write_text("not read\n")
+        code = main(["extract", "--grid", str(grid_path), option, value, "--lambda", "0.2"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: the --grid file fixes {option}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
     def test_malformed_grid_is_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "junk.csv"
         bad.write_text("not,a,grid\n1,2\n")

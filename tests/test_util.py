@@ -320,6 +320,32 @@ class TestAtomicWrite:
         assert target.read_text() == "new"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_symlink_is_written_through_to_its_target(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("target")
+        link = tmp_path / "link.json"
+        link.symlink_to(real.name)
+        with util.atomic_write(link) as fh:
+            fh.write("new")
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_new_file_mode_follows_the_umask_and_a_replaced_file_keeps_its_own(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            with util.atomic_write(tmp_path / "new.json") as fh:
+                fh.write("x")
+            kept = tmp_path / "kept.json"
+            kept.write_text("old")
+            kept.chmod(0o640)
+            with util.atomic_write(kept) as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+
     def test_error_mid_write_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.json"
         with pytest.raises(RuntimeError):
