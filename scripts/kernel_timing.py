@@ -5,23 +5,23 @@ on the benchmark's seeded inputs.
 For each input the script prints the best of ``--repeat`` wall times of
 ``covering_counts`` over the input's grid, and the number of lockstep
 steps the kernel took: the power sequences of ``bound_large`` on their
-``--eps`` grids, its uniform-600 and Cantor-1024 sets and the
-``sandwich_small`` sets on their default grids.  With ``--stages`` it
-prints instead where one ``witness.sandwich_check`` call on the
-``sandwich_small`` sets spends its time, in microseconds per call, stage
-by stage: the default grid, epsilon0 (the last float of the count-(c+1)
-plateau, found exactly with no bisection), the sorted distinct
-scan radii, the covering counts, the eta = 1 baseline from the
-coefficient table, the eta solve, the report, and the witness with its
-scale; then the mean number of ``exact_counter`` counts per epsilon0
-call.  Run it from the repository root:
+``--eps`` grids, its uniform-600 and Cantor-1024 sets on their default
+grids and the ``sandwich_small`` sets on their plateau ends.  With
+``--stages`` it prints instead where one ``witness.sandwich_check`` call
+on the ``sandwich_small`` sets spends its time, in microseconds per
+call, stage by stage.  Those sets are small, so the bound scans their plateau ends
+(the last float of each plateau of the count) instead of a grid: the
+ends, their covering counts, the eta = 1 baseline from the coefficient
+table, the eta solve, the report with epsilon0 read off the ends, and
+the witness with its scale.  Run it from the repository root:
 
     PYTHONPATH=src python3 scripts/kernel_timing.py [--seed 1] [--repeat 7] [--stages]
 
 Steps are counted in a separate, traced run, so the tracing does not
 reach the timings.  ``--thin K`` keeps every K-th radius of each kernel
 grid and ``--sandwich-sets N`` the first N sandwich sets, for quick runs.
-The stages repeat ``bounds.rigidity_bound``'s steps; the script stops if
+The stages repeat ``bounds.rigidity_bound``'s steps on a set of at most
+``bounds._PLATEAU_SCAN_MAX`` points with no grid; the script stops if
 their gamma, epsilon0 or witness scale differs from ``sandwich_check``'s.
 """
 
@@ -42,13 +42,12 @@ from rigidity.bounds import (  # noqa: E402
     BoundReport,
     LambdaProfile,
     ProblemParams,
-    epsilon0,
     gamma_closed_form,
     solve_eta,
 )
-from rigidity.covering import covering_counts, default_grid  # noqa: E402
-from rigidity.sets import FinitePoints, PowerSequence  # noqa: E402
-from rigidity.util import log_grid, sorted_distinct  # noqa: E402
+from rigidity.covering import covering_counts, default_grid, plateau_ends  # noqa: E402
+from rigidity.sets import FinitePoints, PowerSequence, min_gap  # noqa: E402
+from rigidity.util import log_grid  # noqa: E402
 from rigidity.witness import build_witness, sandwich_check, witness_derivative_scale  # noqa: E402
 
 # the line each lockstep step of a kernel runs once: its vectorised guess
@@ -75,7 +74,7 @@ def inputs(seed: int, thin: int, sandwich_sets: int) -> list:
         s = FinitePoints(values)
         rows.append((label, [(s, default_grid(s)[::thin])]))
     sets = [FinitePoints(t["values"]) for t in workloads.sandwich_trials(seed)[:sandwich_sets]]
-    rows.append((f"sandwich-{len(sets)}", [(s, default_grid(s)[::thin]) for s in sets]))
+    rows.append((f"sandwich-{len(sets)}", [(s, plateau_ends(s)[::thin]) for s in sets]))
     return rows
 
 
@@ -120,7 +119,7 @@ def lockstep_steps(calls) -> int:
     return hits
 
 
-STAGES = ("grid", "eps0", "scan", "counts", "baseline", "solve", "report", "witness")
+STAGES = ("ends", "counts", "baseline", "solve", "report", "witness")
 
 
 def staged_sandwich(p, profile, s):
@@ -128,15 +127,7 @@ def staged_sandwich(p, profile, s):
     (gamma, epsilon0, witness scale, seconds per stage)."""
     clock = time.perf_counter
     marks = [clock()]
-    grid = default_grid(s)
-    marks.append(clock())
-    try:
-        eps0 = epsilon0(s, p)
-    except ValueError:
-        eps0 = None
-    marks.append(clock())
-    boundary = [] if eps0 is None else [eps0 * bounds._BOUNDARY_SHRINK]
-    scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
+    scan = plateau_ends(s)
     marks.append(clock())
     counts = covering_counts(s, scan)
     marks.append(clock())
@@ -147,6 +138,8 @@ def staged_sandwich(p, profile, s):
     qualifying = scan[hit]
     curve = np.column_stack((qualifying, solve_eta(p, profile, counts[hit], qualifying)))
     marks.append(clock())
+    top = scan[counts >= p.c + 1.0]
+    eps0 = top[0].item() if top.size and top[0] >= min_gap(s) / 4.0 > 0.0 else None
     closed = None
     if eps0 is not None and profile.lambdas[0] == 0.0:
         closed = gamma_closed_form(eps0, p)
@@ -183,32 +176,6 @@ def stage_times(calls, repeat: int):
     return 1e6 * stages / len(calls), 1e6 * best / len(calls)
 
 
-def counts_per_epsilon0(calls) -> float:
-    """Mean ``exact_counter`` counts per epsilon0 call over the calls,
-    made in a separate run, so the counting does not reach the timings."""
-    made = 0
-
-    def counting(s):
-        count_at = covering.exact_counter(s)
-
-        def counted(e):
-            nonlocal made
-            made += 1
-            return count_at(e)
-        return counted
-
-    bounds.exact_counter = counting
-    try:
-        for p, _, s in calls:
-            try:
-                epsilon0(s, p)
-            except ValueError:
-                pass
-    finally:
-        bounds.exact_counter = covering.exact_counter
-    return made / len(calls)
-
-
 def print_stages(seed: int, sets: int, repeat: int) -> None:
     calls = sandwich_calls(seed, sets)
     per_stage, whole = stage_times(calls, repeat)
@@ -217,7 +184,6 @@ def print_stages(seed: int, sets: int, repeat: int) -> None:
         print(f"{name:<14} {us:>10.2f} {us / per_stage.sum():>7.1%}")
     print(f"{'stage sum':<14} {per_stage.sum():>10.2f}")
     print(f"{'whole call':<14} {whole:>10.2f}")
-    print(f"{'counts/eps0':<14} {counts_per_epsilon0(calls):>10.2f}")
 
 
 def main():

@@ -8,8 +8,9 @@ wherever the observed covering count of a value set strictly beats the
 eta = 1 baseline, the monotone equation for eta has a unique root above 1,
 and eps * eta(eps) is a certified lower bound on R for any smooth map
 realizing the set.  The reported bound gamma is the best such product over
-a resolution grid, so grid coarseness can cost sharpness but never
-soundness.
+the radii scanned: the last float of every plateau of a small finite set's
+count, where the product peaks on that plateau, or else a resolution grid,
+whose coarseness can cost sharpness but never soundness.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .covering import count_drop, covering_counts, default_grid, exact_counter
-from .sets import PowerSequence, SetDescriptor, diameter, min_gap
+from .covering import count_drop, covering_counts, default_grid, exact_counter, plateau_ends
+from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter, min_gap
 from .util import check_grid, frozen_array, sorted_distinct
 
 # boundary refinements are placed just inside the qualifying region
 _BOUNDARY_SHRINK = 1.0 - 1e-9
+# a finite set of at most this many points and no grid scans its k(k-1)/2
+# plateau ends; above it the default grid is cheaper
+_PLATEAU_SCAN_MAX = 24
 
 EXCLUDED = "Excluded"
 NOT_EXCLUDED = "NotExcludedByThisBound"
@@ -235,7 +239,7 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     never = f"covering count never reaches c + 1 = {threshold:g}"
     if not isinstance(s, PowerSequence):
         lo = min_gap(s) / 4.0
-        if not (lo > 0.0 and count_at(lo) >= threshold):
+        if not (lo > 0.0 and covering_counts(s, [lo])[0] >= threshold):
             raise ValueError(never)
         # one ball covers the set at its diameter
         return math.nextafter(count_drop(s.values.tolist(), count_at, threshold, lo,
@@ -271,7 +275,7 @@ def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """Outcome of a rigidity scan over a resolution grid.
+    """Outcome of a rigidity scan over a grid or the plateau ends of a set.
 
     eta_curve: the read-only (k, 2) float64 array of (resolution, solved
     ratio) rows, any sequence accepted and converted; epsilon0: the last
@@ -319,27 +323,34 @@ class BoundReport:
 
 def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
                    s: SetDescriptor, eps_grid=None) -> BoundReport:
-    """Best certified lower bound on the derivative scale over a grid.
+    """Best certified lower bound on the derivative scale over a scan.
 
-    Scans the grid, keeps resolutions whose exact covering count beats the
-    baseline, solves the ratio equation on each, and takes the best
-    eps * eta product.  Every qualifying resolution certifies a bound on
-    its own, so a coarse grid costs sharpness, never validity.  When the
-    count-(c+1) boundary is computable the scan is augmented with a point
-    just inside it, which recovers the closed-form value to solver
-    precision.  Sets with only estimated covering curves (m >= 2 clouds)
-    are refused.
+    Keeps the scanned radii whose exact covering count beats the baseline,
+    solves the ratio equation on each, and takes the best eps * eta
+    product.  With no grid, a finite set of at most _PLATEAU_SCAN_MAX
+    points scans its ``plateau_ends``, which gives the best product over
+    every radius, and reads epsilon0 off them.  Otherwise the grid (by
+    default ``default_grid``) plus a point just inside epsilon0 is scanned;
+    a coarse grid costs sharpness, never validity.  Sets with only
+    estimated covering curves (m >= 2 clouds) are refused.
     """
-    grid = default_grid(s) if eps_grid is None else check_grid(eps_grid)
-
-    try:
-        eps0 = epsilon0(s, p)
-    except ValueError:
-        eps0 = None
-    boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
-    scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
-
-    counts = covering_counts(s, scan)
+    # count 1 beats the baseline only for c < 1, on a plateau with no end
+    if (eps_grid is None and isinstance(s, FinitePoints)
+            and s.values.size <= _PLATEAU_SCAN_MAX and p.c >= 1.0):
+        scan = plateau_ends(s)
+        counts = covering_counts(s, scan)
+        top = scan[counts >= p.c + 1.0]  # largest first
+        # epsilon0 refuses where its first count, at min_gap/4, is below c + 1
+        eps0 = top[0].item() if top.size and top[0] >= min_gap(s) / 4.0 > 0.0 else None
+    else:
+        grid = default_grid(s) if eps_grid is None else check_grid(eps_grid)
+        try:
+            eps0 = epsilon0(s, p)
+        except ValueError:
+            eps0 = None
+        boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
+        scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
+        counts = covering_counts(s, scan)
     coeffs = _coefficients(p, profile, scan)
     with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
         hit = counts > p.c * sum(coeffs)

@@ -36,6 +36,7 @@ __all__ = [
     "covering_number_power",
     "covering_counts",
     "exact_counter",
+    "plateau_ends",
     "count_drop",
     "default_grid",
 ]
@@ -110,6 +111,19 @@ def _least_radius(x: float, y: float) -> float:
     while not x + 2.0 * e >= y:
         e = math.nextafter(e, math.inf)
     return e
+
+
+def plateau_ends(s: SetDescriptor) -> np.ndarray:
+    """The last float of every plateau of a finite set's count, largest
+    first: the distinct positive pred(e) over the radii e =
+    ``_least_radius(x, y)`` of its pairs x < y, where the sweep's test
+    flips.  The count is constant from one such e up to the next end, so a
+    scan of the ends sees every count at its largest radius but one: count
+    1, from the largest e on."""
+    xs = _sorted_line(s).tolist()
+    ends = {math.nextafter(_least_radius(x, y), 0.0) for i, x in enumerate(xs) for y in xs[i + 1:]}
+    ends.discard(0.0)
+    return np.array(sorted(ends, reverse=True))
 
 
 def count_drop(xs: list, count_at, threshold: float, lo: float, hi: float) -> float:

@@ -1,10 +1,13 @@
 """Test-only reference code: an exhaustive covering oracle, an epsilon0
-that counts at every bisection step, a grid CSV writer, a full-grid
-formulation of the semi-axis field and a piece-by-piece staircase witness.
+that counts at every bisection step, the best certified product over
+every float radius, a grid CSV writer, a full-grid formulation of the
+semi-axis field and a piece-by-piece staircase witness.
 
 Nothing in the package runs these; tests use them to check the exact
 covering counters, to check that ``bounds.epsilon0`` gives the bits of a
-bisection that counts at each midpoint, to write grid samples that
+bisection that counts at each midpoint, to check that a small set's
+``bounds.rigidity_bound`` is the best bound over every radius, to write
+grid samples that
 ``rigidity extract --grid`` and ``SampledMap.from_grid_csv`` read back, to
 check that ``critical.semi_axis_field`` gives the bits of the
 straightforward full-grid computation, and to check that
@@ -15,6 +18,7 @@ evaluated one piece object at a time.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -87,6 +91,50 @@ def bisect_epsilon0(s, p) -> float:
         else:
             hi = mid
     return lo
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def plateau_sup(values, p, profile) -> float:
+    """The best certified product eps * eta(eps) over every positive float
+    eps, for at most ``BRUTE_FORCE_LIMIT`` values and c >= 1 (count 1 never
+    qualifies); 0.0 when no radius qualifies, inf past the float range.
+
+    The count changes only where the sweep's float test x + 2.0*eps >= y
+    flips for a pair x < y.  The last float where it fails is found by
+    bisection over the bit patterns of the floats from 0 to 2**1023, where
+    2.0*eps overflows and the test holds; it ends a plateau of the count,
+    and eps * eta rises along a plateau.  Each end is counted with
+    ``brute_force_covering_oracle`` and solved with ``bounds.solve_eta``.
+    """
+    from rigidity.bounds import in_E, solve_eta
+
+    pts = sorted(set(float(v) for v in values))
+    ends = set()
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            lo, hi = 0, _bits(2.0**1023)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if x + 2.0 * _float(mid) >= y:
+                    hi = mid
+                else:
+                    lo = mid
+            if lo:
+                ends.add(_float(lo))
+    eps = np.array(sorted(ends, reverse=True))
+    counts = np.array([brute_force_covering_oracle(pts, e) for e in eps.tolist()], dtype=np.int64)
+    hit = in_E(p, profile, counts, eps) if eps.size else np.zeros(0, dtype=bool)
+    if not hit.any():
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.max(eps[hit] * solve_eta(p, profile, counts[hit], eps[hit])))
 
 
 def grid_csv_text(sm) -> str:

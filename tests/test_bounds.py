@@ -33,13 +33,14 @@ from rigidity import bounds
 from rigidity.covering import (
     covering_counts,
     covering_number_power,
+    default_grid,
     exact_counter,
 )
-from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, min_gap
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, diameter, min_gap
 from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
-from oracles import BRUTE_FORCE_LIMIT, bisect_epsilon0, brute_force_covering_oracle
+from oracles import BRUTE_FORCE_LIMIT, bisect_epsilon0, brute_force_covering_oracle, plateau_sup
 
 
 def seven_points():
@@ -718,6 +719,77 @@ class TestEpsilon0Plateau:
         self.assert_last_float(lambda e: covering_number_power(alpha, e), eps0, p)
 
 
+class TestPlateauScan:
+    """With no grid, a finite set of at most ``_PLATEAU_SCAN_MAX`` points
+    scans the last float of every plateau of its count: gamma is the best
+    product over every float radius (``oracles.plateau_sup``), never below
+    the default grid's, and epsilon0 is ``epsilon0``'s."""
+
+    @staticmethod
+    def product(points, p, profile, eps):
+        """eps * eta(eps) at one radius, counted by the exhaustive oracle; 0 if it fails."""
+        nu, e = np.array([brute_force_covering_oracle(points, eps)]), np.array([eps])
+        if not in_E(p, profile, nu, e)[0]:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return (e * solve_eta(p, profile, nu, e))[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=BRUTE_FORCE_LIMIT)
+           | ulp_spaced_sets(),
+           n=st.integers(1, 2), d=st.integers(1, 6),
+           c=st.floats(1.0, 10.0) | st.integers(1, 9).map(float),
+           lam=st.sampled_from([0.0, 1e-3]),
+           spots=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=3, c=4.0, lam=0.0,
+             spots=[0.0, 0.5, 0.9, 1.0])
+    @example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], n=2, d=1, c=2.0, lam=0.0,
+             spots=[0.0, 0.5, 0.9, 1.0])
+    def test_gamma_is_the_best_over_every_float(self, points, n, d, c, lam, spots):
+        p = ProblemParams(n, 1, d, c=None if n == 1 else c)
+        profile, s = LambdaProfile((lam,)), FinitePoints(points)
+        assert s.values.size <= bounds._PLATEAU_SCAN_MAX
+        best = plateau_sup(points, p, profile)
+        if not math.isfinite(best):
+            with pytest.raises(ValueError, match="overflows the float range"):
+                rigidity_bound(p, profile, s)
+            return
+        report = rigidity_bound(p, profile, s)
+        assert report.gamma == best
+        assert report.gamma >= rigidity_bound(p, profile, s, default_grid(s)).gamma
+        try:
+            eps0 = epsilon0(s, p)
+        except ValueError:
+            eps0 = None
+        assert (report.epsilon0 is None and eps0 is None) or report.epsilon0.hex() == eps0.hex()
+        if s.values.size < 2:
+            return
+        # from below every plateau end to half the diameter, past the last,
+        # spread evenly over the float bit patterns in between
+        top = diameter(s) / 2.0
+        lo, hi = np.array([min(min_gap(s) / 8.0, top), top]).view(np.int64).tolist()
+        for u in spots:
+            eps = np.array([lo + round(u * (hi - lo))]).view(float)[0].item()
+            if eps > 0.0:
+                assert self.product(points, p, profile, eps) <= report.gamma
+
+    def test_sets_above_the_size_keep_the_grid(self):
+        rng = np.random.default_rng(3)
+        s = FinitePoints(rng.uniform(0.0, 1.0, bounds._PLATEAU_SCAN_MAX + 1))
+        for lam in (0.0, 1e-3):
+            profile = LambdaProfile((lam,))
+            plain = rigidity_bound(P15, profile, s)
+            grid = rigidity_bound(P15, profile, s, default_grid(s))
+            assert plain.to_json_dict() == grid.to_json_dict()
+
+    def test_a_constant_below_one_keeps_the_grid(self):
+        # count 1 qualifies, on a plateau with no last float
+        p, s = ProblemParams(2, 1, 2, c=0.5), seven_points()
+        plain = rigidity_bound(p, Z1, s)
+        assert plain.to_json_dict() == rigidity_bound(p, Z1, s, default_grid(s)).to_json_dict()
+        assert plain.gamma > 0.0
+
+
 class TestGammaClosedForm:
     def test_formula(self):
         assert gamma_closed_form(0.05, P15) == (7.0 / 6.0) ** 5 * 0.05
@@ -850,12 +922,14 @@ class TestRigidityBound:
 
     def test_two_points_never_qualify(self):
         p = ProblemParams(1, 1, 2)  # c = 3
-        report = rigidity_bound(p, Z1, FinitePoints([0.0, 1.0]))
-        assert report.gamma == 0.0
-        assert report.e_intervals.tolist() == []
-        assert report.eta_curve.tolist() == []
-        assert report.epsilon0 is None
-        assert report.gamma_closed_form is None
+        # nor does one point, which has no plateau end to scan
+        for points in ([0.0, 1.0], [0.5]):
+            report = rigidity_bound(p, Z1, FinitePoints(points))
+            assert report.gamma == 0.0
+            assert report.e_intervals.tolist() == []
+            assert report.eta_curve.tolist() == []
+            assert report.epsilon0 is None
+            assert report.gamma_closed_form is None
 
     def test_power_sequence_bound_grows_with_finer_grids(self):
         p = ProblemParams(1, 1, 3)  # c = 4

@@ -499,7 +499,9 @@ class TestErrorPaths:
 
         monkeypatch.setattr(f"rigidity.bounds.{solver}", fail)
         set_path = write_set(tmp_path, SEVEN)
-        code = main(["bound", "--set", set_path, "--d", "5", "--out", "rep.json"])
+        # a grid scan runs both solvers; seven points alone scan their plateau ends
+        code = main(["bound", "--set", set_path, "--d", "5", "--eps", "1e-3:1:10",
+                     "--out", "rep.json"])
         assert code == 3
         err = capsys.readouterr().err
         assert "error: failed to find a disqualifying radius" in err
