@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .covering import count_drop, covering_counts, default_grid, exact_counter, plateau_ends
+from .covering import covering_counts, default_grid, exact_counter, plateau_ends
 from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter, min_gap
 from .util import check_grid, frozen_array, sorted_distinct
 
@@ -226,29 +226,28 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     """pred(E), the float just below E, the least float radius whose
     covering count is below c + 1: the last float of the count-(c+1) plateau.
 
-    A finite set finds E exactly (``covering.count_drop``) from min_gap/4,
-    where the count must reach c + 1.  A power sequence halves 1/4 until
-    the count does, then bisects by counting to adjacent floats.  Raises
-    ValueError when no positive radius qualifies, or when c + 1 rounds to
-    1, which even the one-ball count reaches.
+    Greedy counts never rise with the radius, in floats too, so E is
+    unique and a bisection by counting that keeps the count at lo and
+    below it at hi ends, at adjacent floats, with lo = pred(E).  A finite
+    set brackets E by [min_gap/4, diameter], where the count must reach
+    c + 1 at min_gap/4; a power sequence halves 1/4 until the count does.
+    Raises ValueError when no positive radius qualifies, or when c + 1
+    rounds to 1, which even the one-ball count reaches.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
     if not threshold > 1.0:
         raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
-    never = f"covering count never reaches c + 1 = {threshold:g}"
-    if not isinstance(s, PowerSequence):
-        lo = min_gap(s) / 4.0
-        if not (lo > 0.0 and covering_counts(s, [lo])[0] >= threshold):
-            raise ValueError(never)
-        # one ball covers the set at its diameter
-        return math.nextafter(count_drop(s.values.tolist(), count_at, threshold, lo,
-                                         diameter(s)), 0.0)
-    lo, hi = 0.25, 0.5  # one ball covers the sequence at 1/2
-    while lo > 0.0 and count_at(lo) < threshold:
-        lo, hi = lo / 2.0, lo
-    if not lo > 0.0:
-        raise ValueError(never)
+    if isinstance(s, PowerSequence):
+        lo, hi = 0.25, 0.5  # one ball covers the sequence at 1/2
+        while lo > 0.0 and count_at(lo) < threshold:
+            lo, hi = lo / 2.0, lo
+        reached = lo > 0.0
+    else:
+        lo, hi = min_gap(s) / 4.0, diameter(s)  # one ball covers the set at its diameter
+        reached = lo > 0.0 and covering_counts(s, [lo])[0] >= threshold
+    if not reached:
+        raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
     # the rounded midpoint lies strictly inside until lo and hi are adjacent
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         if count_at(mid) >= threshold:

@@ -13,6 +13,8 @@ import numpy as np
 
 DEFAULT_EPS_MIN = 1e-6
 DEFAULT_POINTS_PER_DECADE = 200
+# most points a log grid may hold, 8 MB of radii
+GRID_POINT_BUDGET = 10**6
 
 # rows of a float list or table formatted per block by ``dump_json``
 _ROW_BLOCK = 16384
@@ -76,12 +78,17 @@ def log_grid(eps_min: float, eps_max: float,
         raise ValueError("grid needs eps_min < eps_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
+    # checked first: a huge integer overflows the float product below
+    if points_per_decade > GRID_POINT_BUDGET:
+        raise ValueError(f"points_per_decade exceeds the grid budget of {GRID_POINT_BUDGET} points")
     ratio = eps_max / eps_min
     if math.isfinite(ratio):
         decades = math.log10(ratio)
     else:  # the ratio of a range wider than the floats overflows
         decades = math.log10(eps_max) - math.log10(eps_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
+    if count > GRID_POINT_BUDGET:
+        raise ValueError(f"a grid of {count} points exceeds the budget of {GRID_POINT_BUDGET}")
     start, stop = np.log10(eps_max), np.log10(eps_min)
     with np.errstate(over="ignore"):  # inf at the largest float; both ends are pinned
         grid = 10.0 ** (np.arange(count, dtype=float) * ((stop - start) / (count - 1)) + start)

@@ -664,9 +664,13 @@ class TestEpsilon0Replay:
             return lambda e: made.append(e) or count_at(e)
 
         monkeypatch.setattr(bounds, "exact_counter", counting)
-        assert epsilon0(seven_points(), P15) == bisect_epsilon0(seven_points(), P15)
-        # a count per bisection step would be about 45
-        assert len(made) <= 8
+        s = seven_points()
+        eps0 = epsilon0(s, P15)
+        assert eps0 == bisect_epsilon0(s, P15)
+        # one count per halving of [min_gap/4, diameter] down to adjacent
+        # floats, 58 here
+        width = diameter(s) - min_gap(s) / 4.0
+        assert len(made) <= math.ceil(math.log2(width / math.ulp(eps0))) + 1
 
     def test_power_bisection_starts_at_the_last_halving(self, monkeypatch):
         made = []

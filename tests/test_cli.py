@@ -446,6 +446,17 @@ class TestErrorPaths:
         code = main(["cover", "--power", "-1", "--eps", "1:2", "--out", "x.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["1e-3:1:1" + "0" * 400, "1e-300:1e300:10000000",
+                                      "1e-300:1e300:10000"],
+                             ids=["ppd-1e400", "ppd-1e7", "six-million-points"])
+    def test_eps_grid_over_the_budget_exits_2(self, tmp_path, capsys, spec):
+        code = main(["cover", "--set", '{"type": "finite", "points": [0, 1]}',
+                     "--eps", spec, "--out", "x.csv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "budget" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_set_file(self, capsys):
         code = main(["bound", "--set", "/does/not/exist.json", "--d", "5"])
         assert code == 2

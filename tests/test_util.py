@@ -277,6 +277,18 @@ class TestLogGrid:
         assert_same_bits(grid, geomspace_grid(lo, hi, grid.size))
         assert np.all(np.diff(grid) < 0) and grid.dtype == np.float64
 
+    @pytest.mark.parametrize("ppd", [10**9, 10**400], ids=["1e9", "1e400"])
+    def test_points_per_decade_over_the_budget_is_refused(self, ppd):
+        # 1e400 overflows a float: the refusal comes before any float product
+        with pytest.raises(ValueError, match="budget"):
+            util.log_grid(1e-3, 1.0, ppd)
+
+    def test_grid_over_the_budget_is_refused(self):
+        # 600 decades at 10**4 per decade: 6e6 points, 48 MB never allocated
+        with pytest.raises(ValueError, match="budget of 1000000"):
+            util.log_grid(1e-300, 1e300, 10**4)
+        assert util.log_grid(1e-6, 1.0, util.GRID_POINT_BUDGET // 6).size <= util.GRID_POINT_BUDGET
+
 
 class TestAtomicWrite:
     def test_error_names_the_path_asked_for(self, tmp_path):
