@@ -59,7 +59,7 @@ class ProblemParams:
     r: domain ball radius; c: the entropy constant of the forward bound.
     For n = 1 the constant is known explicitly and defaults to d + 1 (a
     smaller c would make the bound unsound, a larger one only weakens it);
-    for n >= 2 no default is sound, so it must be supplied by the caller.
+    for n >= 2 no default is sound, so the caller supplies one, at least 1.
     """
 
     n: int
@@ -86,10 +86,13 @@ class ProblemParams:
             else:
                 raise ValueError("the entropy constant c must be given explicitly for n >= 2")
         else:
-            if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-                raise ValueError("c must be a positive finite number")
+            if not (isinstance(self.c, (int, float)) and math.isfinite(self.c)):
+                raise ValueError("c must be a finite number")
             if self.n == 1 and self.c < self.d + 1:
                 raise ValueError("for n = 1 the entropy constant c must be at least d + 1")
+            # at eta = 1 and lambda = 0 the bound is c, but a constant map needs 1 ball
+            if self.c < 1:
+                raise ValueError("the entropy constant c must be at least 1")
             object.__setattr__(self, "c", float(self.c))
 
 
@@ -229,24 +232,21 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     Greedy counts never rise with the radius, in floats too, so E is
     unique and a bisection by counting that keeps the count at lo and
     below it at hi ends, at adjacent floats, with lo = pred(E).  A finite
-    set brackets E by [min_gap/4, diameter], where the count must reach
-    c + 1 at min_gap/4; a power sequence halves 1/4 until the count does.
-    Raises ValueError when no positive radius qualifies, or when c + 1
-    rounds to 1, which even the one-ball count reaches.
+    set brackets E by [min_gap/4, diameter], a power sequence of terms
+    x_m = m**alpha by [(x_{J-1} - x_J)/4, x_{J-1}] with J = ceil(c + 1):
+    gaps shrink down the sequence, so the first J terms each open a ball
+    at the low end, and at the high end the (J-1)-th anchor's ball reaches 0.
+    Raises ValueError when the low end is 0 or counts below c + 1.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
-    if not threshold > 1.0:
-        raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
     if isinstance(s, PowerSequence):
-        lo, hi = 0.25, 0.5  # one ball covers the sequence at 1/2
-        while lo > 0.0 and count_at(lo) < threshold:
-            lo, hi = lo / 2.0, lo
-        reached = lo > 0.0
+        j = math.ceil(threshold)  # at least 2, as c >= 1
+        hi = float(j - 1) ** s.alpha  # libm's pow, as the counter's
+        lo = (hi - float(j) ** s.alpha) / 4.0
     else:
         lo, hi = min_gap(s) / 4.0, diameter(s)  # one ball covers the set at its diameter
-        reached = lo > 0.0 and covering_counts(s, [lo])[0] >= threshold
-    if not reached:
+    if not (lo > 0.0 and covering_counts(s, [lo])[0] >= threshold):
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
     # the rounded midpoint lies strictly inside until lo and hi are adjacent
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
@@ -333,9 +333,7 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     a coarse grid costs sharpness, never validity.  Sets with only
     estimated covering curves (m >= 2 clouds) are refused.
     """
-    # count 1 beats the baseline only for c < 1, on a plateau with no end
-    if (eps_grid is None and isinstance(s, FinitePoints)
-            and s.values.size <= _PLATEAU_SCAN_MAX and p.c >= 1.0):
+    if eps_grid is None and isinstance(s, FinitePoints) and s.values.size <= _PLATEAU_SCAN_MAX:
         scan = plateau_ends(s)
         counts = covering_counts(s, scan)
         top = scan[counts >= p.c + 1.0]  # largest first

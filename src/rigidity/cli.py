@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
 input (unreadable files, bad descriptors, unknown maps, usage errors), 3
-invalid parameters, a count / c, eta, a witness scale or sample beyond
-float range, or a size beyond memory, 4 witness check falsified.
+invalid parameters (c below 1, say), an eta, gamma, witness scale or
+sample beyond float range, or a size beyond memory, 4 witness falsified.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _add_param_arguments(parser: argparse.ArgumentParser, *,
     parser.add_argument("--r", type=float, default=1.0, help="domain ball radius")
     parser.add_argument(
         "--c", type=float, default=None,
-        help="entropy constant; defaults to d + 1 when n = 1, required for n >= 2",
+        help="entropy constant, at least 1; defaults to d + 1 when n = 1, required for n >= 2",
     )
     parser.add_argument(
         "--lambda", dest="lambdas", type=float, nargs="+", default=None,

@@ -69,8 +69,6 @@ def bisect_epsilon0(s, p) -> float:
 
     count_at = exact_counter(s)
     threshold = p.c + 1.0
-    if not threshold > 1.0:
-        raise ValueError(f"c + 1 rounds to 1 at c = {p.c:g}; every radius reaches it")
     if isinstance(s, PowerSequence):
         lo, hi = 0.25, 0.5
         while lo > 0.0 and count_at(lo) < threshold:

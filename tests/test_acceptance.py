@@ -66,7 +66,7 @@ def test_ratio_solver_analytic_instance_and_residuals():
         m = int(rng.integers(1, n + 1))
         d = int(rng.integers(1, 6))
         r = float(rng.uniform(0.5, 2.0))
-        c = float(rng.uniform(0.5, 8.0))
+        c = float(rng.uniform(1.0, 8.0))
         # for n = 1 the constant is at least d + 1
         pp = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
         prof = LambdaProfile(tuple(np.sort(rng.uniform(0.0, 2.0, size=m))))

@@ -68,6 +68,16 @@ class TestProblemParams:
         assert ProblemParams(1, 1, 5, c=6).c == 6.0
         assert ProblemParams(1, 1, 5, c=9.5).c == 9.5
 
+    @pytest.mark.parametrize("c", [0.5, 1 - 2.0**-53, 1e-300])
+    def test_constant_below_one_is_refused(self, c):
+        # at eta = 1 and lambda = 0 the bound is c, but a constant map needs one ball
+        with pytest.raises(ValueError, match="c must be at least 1"):
+            ProblemParams(2, 1, 1, c=c)
+        # for n = 1 the d + 1 rule speaks first
+        with pytest.raises(ValueError, match="at least d \\+ 1"):
+            ProblemParams(1, 1, 1, c=c)
+        assert ProblemParams(2, 1, 1, c=1.0).c == 1.0
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -154,7 +164,7 @@ class TestRhsPolynomial:
     @given(
         n=st.integers(1, 3),
         d=st.integers(1, 6),
-        c=st.floats(0.5, 8.0),
+        c=st.floats(1.0, 8.0),
         r=st.floats(0.25, 4.0),
         lams=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
         eps=st.floats(0.01, 2.0),
@@ -247,16 +257,16 @@ class TestSolveEta:
             solve_eta(P15, Z1, 6, 0.05)
 
     def test_overflowing_count_over_c_is_refused(self):
-        # nu/c overflows, so every start bound is inf; any finite start
+        # an infinite count makes every start bound inf; any finite start
         # would lie above the root and be unsound
-        p = ProblemParams(2, 1, 1, c=1e-300)
-        with pytest.raises(ValueError, match="c = 1e-300"):
-            solve_eta(p, LambdaProfile((0.5,)), 10**10, 0.5)
+        p = ProblemParams(2, 1, 1, c=1)
+        with pytest.raises(ValueError, match="overflows the float range at c = 1"):
+            solve_eta(p, LambdaProfile((0.5,)), math.inf, 0.5)
 
     def test_overflowing_eta_is_refused(self):
         # the root t is finite but t**d is not: eta, and gamma with it,
         # would read inf, where numpy used to warn of an overflow
-        p = ProblemParams(2, 1, 3, c=1e-300)
+        p = ProblemParams(2, 1, 1000, c=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="eta overflows"):
@@ -265,7 +275,7 @@ class TestSolveEta:
     @given(
         n=st.integers(1, 3),
         d=st.integers(1, 6),
-        c=st.floats(0.5, 8.0),
+        c=st.floats(1.0, 8.0),
         r=st.floats(0.25, 4.0),
         lams=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
         eps=st.floats(0.01, 2.0),
@@ -301,7 +311,7 @@ class TestSolveEtaBaseline:
         n=st.integers(1, 3),
         drop=st.integers(0, 2),
         d=st.integers(1, 6),
-        c=st.floats(0.5, 8.0) | st.sampled_from([1e-300, 1e300]),
+        c=st.floats(1.0, 8.0) | st.sampled_from([1e300]),
         r=st.floats(0.25, 4.0),
         lams=st.lists(LAMBDAS | st.floats(0.0, 1e308), min_size=3, max_size=3),
         eps=st.lists(st.floats(1e-300, 4.0) | st.sampled_from([5e-324, 1e-100]),
@@ -395,7 +405,7 @@ class TestArraySolver:
         with mpmath.workdps(50):
             for _ in range(300):
                 n, d = int(rng.integers(1, 4)), int(rng.integers(1, 16))
-                c = float(rng.uniform(0.5, 1000.0))
+                c = float(rng.uniform(1.0, 1000.0))
                 p = ProblemParams(n=n, m=1, d=d, c=c)
                 counts = rng.integers(math.floor(c) + 1, 10**6, 20)
                 # the array call and a scalar call take different pow routines
@@ -426,7 +436,7 @@ class TestArraySolver:
             for _ in range(100):
                 n = int(rng.integers(1, 4))
                 m, d = int(rng.integers(1, n + 1)), int(rng.integers(1, 16))
-                c = float(rng.uniform(0.5, 8.0)) + (d + 1 if n == 1 else 0)
+                c = float(rng.uniform(1.0, 8.0)) + (d + 1 if n == 1 else 0)
                 p = ProblemParams(n=n, m=m, d=d, r=float(rng.uniform(0.5, 2.0)), c=c)
                 profile = LambdaProfile(tuple(np.sort(rng.uniform(1e-3, 2.0, m))))
                 eps = 10.0 ** rng.uniform(-3, 0, 10)
@@ -489,17 +499,6 @@ class TestEpsilon0:
             return
         assert covering_counts(pts, [eps0 * (1 - 1e-9)])[0] >= 3
 
-    def test_constant_below_an_ulp_of_one(self):
-        # c + 1 rounds to 1, so even the one-ball count reaches it: there
-        # is no boundary, but the scan still certifies
-        p = ProblemParams(2, 1, 1, c=1e-300)
-        for s in (FinitePoints([0.0, 1.0, 2.0]), PowerSequence(-1.0)):
-            with pytest.raises(ValueError, match="rounds to 1"):
-                epsilon0(s, p)
-            report = rigidity_bound(p, Z1, s, log_grid(1e-3, 1.0, 3))
-            assert report.epsilon0 is None
-            assert 0.0 < report.gamma < math.inf
-
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
          0.08265462534823777),
@@ -537,7 +536,7 @@ class TestEpsilon0:
         assert brute_force_covering_oracle(pts, eps0 * (1 + 1e-9)) < 3
 
     def test_power_sequence_with_a_far_boundary(self):
-        # 2^-700 is about 2e-211: the lower end halves about 700 times
+        # c = 2, so J = 3: the bracket is [(2^-700 - 3^-700)/4, 2^-700], 2^-700 about 2e-211
         eps0 = epsilon0(PowerSequence(-700.0), ProblemParams(1, 1, 1))
         assert covering_number_power(-700.0, eps0 * (1 - 1e-9)) >= 3
         assert covering_number_power(-700.0, eps0 * (1 + 1e-9)) < 3
@@ -625,7 +624,7 @@ class TestEpsilon0Replay:
 
     @settings(max_examples=300, deadline=None)
     @given(points=ulp_spaced_sets(), n=st.integers(1, 3), d=st.integers(1, 6),
-           c=st.floats(0.01, 10.0) | st.integers(1, 9).map(float))
+           c=st.floats(1.0, 10.0) | st.integers(1, 9).map(float))
     def test_bits_of_the_counting_bisection(self, points, n, d, c):
         # c + 1 above the point count raises "never reaches" in both
         p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else c)
@@ -644,14 +643,14 @@ class TestEpsilon0Replay:
         [0.0, 1e-200, 1.0, 1e200],
         np.arange(4) * 7 * 5e-324,
     ], ids=["seven", "trap", "binade", "largest", "largest-four", "far-apart", "subnormal"])
-    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_pinned_sets(self, points, c):
         p, s = ProblemParams(2, 1, 1, c=c), FinitePoints(points)
         assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
 
     @pytest.mark.parametrize("alpha", [-0.2, -0.5, -1.0, -3.0, -10.0, -100.0, -700.0])
     def test_power_sequences(self, alpha):
-        # the bisection starts from the last halving's bracket, the oracle from 1/2
+        # the bisection starts from the closed-form bracket, the oracle from 1/2
         for d in (1, 3, 6):
             p, s = ProblemParams(1, 1, d), PowerSequence(alpha)
             assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
@@ -672,18 +671,33 @@ class TestEpsilon0Replay:
         width = diameter(s) - min_gap(s) / 4.0
         assert len(made) <= math.ceil(math.log2(width / math.ulp(eps0))) + 1
 
-    def test_power_bisection_starts_at_the_last_halving(self, monkeypatch):
+    @pytest.mark.parametrize("c", [1.0, 2.5, 6.0, 100.0])
+    @pytest.mark.parametrize("alpha", [-0.2, -0.5, -1.0, -3.0, -10.0, -100.0, -700.0, -2000.0])
+    def test_power_bracket_within_its_count_budget(self, monkeypatch, alpha, c):
+        p, s = ProblemParams(2, 1, 1, c=c), PowerSequence(alpha)
+        expected = self.outcome(bisect_epsilon0, s, p)
         made = []
 
         def counting(s):
             count_at = exact_counter(s)
             return lambda e: made.append(e) or count_at(e)
 
+        def counts(s, radii):
+            made.extend(radii)
+            return covering_counts(s, radii)
+
         monkeypatch.setattr(bounds, "exact_counter", counting)
-        eps0 = epsilon0(PowerSequence(-100.0), P15)
-        # one count per halving down to eps0, about 2**-259.5, then about 53
-        # from that halving's bracket to adjacent floats; from 1/2 it would be 570
-        assert len(made) <= -math.log2(eps0) + 60
+        monkeypatch.setattr(bounds, "covering_counts", counts)
+        assert self.outcome(epsilon0, s, p) == expected
+        if expected.startswith("covering count never reaches"):
+            return
+        # the check at the low end, then one count per halving of the
+        # bracket [(x_{J-1} - x_J)/4, x_{J-1}] down to an ulp of eps0
+        j = math.ceil(c + 1.0)
+        hi = float(j - 1) ** alpha
+        lo = (hi - float(j) ** alpha) / 4.0
+        eps0 = float.fromhex(expected)
+        assert len(made) <= math.ceil(math.log2((hi - lo) / math.ulp(eps0))) + 1
 
 
 class TestEpsilon0Plateau:
@@ -698,7 +712,7 @@ class TestEpsilon0Plateau:
     @given(points=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=BRUTE_FORCE_LIMIT)
            | ulp_spaced_sets(),
            n=st.integers(1, 3), d=st.integers(1, 6),
-           c=st.floats(0.01, 10.0) | st.integers(1, 9).map(float))
+           c=st.floats(1.0, 10.0) | st.integers(1, 9).map(float))
     @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=5, c=6.0)
     @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=4, c=5.0)
     def test_finite_sets_by_the_exhaustive_oracle(self, points, n, d, c):
@@ -786,13 +800,6 @@ class TestPlateauScan:
             grid = rigidity_bound(P15, profile, s, default_grid(s))
             assert plain.to_json_dict() == grid.to_json_dict()
 
-    def test_a_constant_below_one_keeps_the_grid(self):
-        # count 1 qualifies, on a plateau with no last float
-        p, s = ProblemParams(2, 1, 2, c=0.5), seven_points()
-        plain = rigidity_bound(p, Z1, s)
-        assert plain.to_json_dict() == rigidity_bound(p, Z1, s, default_grid(s)).to_json_dict()
-        assert plain.gamma > 0.0
-
 
 class TestGammaClosedForm:
     def test_formula(self):
@@ -808,9 +815,9 @@ class TestGammaClosedForm:
             gamma_closed_form(0.0, P15)
 
     def test_overflowing_power_is_a_value_error(self):
-        # (1 + 1/c)^(d/n) = (4.3e15)^30 is past the float range
+        # (1 + 1/c)^(d/n) = 2^1024 is past the float range
         with pytest.raises(ValueError, match="overflows") as info:
-            gamma_closed_form(0.5, ProblemParams(2, 1, 60, c=2.3e-16))
+            gamma_closed_form(0.5, ProblemParams(2, 1, 2048, c=1))
         assert not isinstance(info.value, OverflowError)
 
 
@@ -879,7 +886,7 @@ class TestRigidityBound:
         n=st.integers(1, 3),
         m=st.integers(1, 3),
         d=st.integers(1, 6),
-        c=st.floats(0.5, 6.0),
+        c=st.floats(1.0, 6.0),
         r=st.floats(0.25, 4.0),
         lams=st.lists(st.floats(-5.0, 0.3).map(lambda t: 10.0**t), min_size=3, max_size=3),
         zeros=st.integers(-3, 3),
@@ -1051,7 +1058,7 @@ class TestRigidityBound:
         with pytest.raises(ValueError, match="overflows the float range"):
             BoundReport(((1e308, 2.0), (1.0, 2.0)), None, None, P15, Z1)
         with pytest.raises(ValueError, match="overflows the float range"):
-            rigidity_bound(ProblemParams(2, 1, 1, c=0.5), Z1,
+            rigidity_bound(ProblemParams(2, 1, 3, c=1), Z1,
                            FinitePoints([-1e308, 0.0, 1e308]))
 
     def test_gamma_is_the_best_row_product_exactly(self):

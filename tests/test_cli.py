@@ -104,25 +104,23 @@ class TestBound:
         err = capsys.readouterr().err
         assert "--set" in err and "--power" in err
 
-    def test_constant_below_an_ulp_of_one_still_scans(self, tmp_path, capsys):
-        # c + 1 rounds to 1: no epsilon0, but the scan certifies
-        points = json.dumps({"type": "finite", "points": [0, 0.1, 0.2, 0.3]})
-        code = main(["bound", "--set", points, "--n", "2", "--c", "1e-300", "--d", "1",
-                     "--eps", "1e-3:1:3", "--out", "r.json"])
-        assert code == 0
-        blob = json.loads((tmp_path / "r.json").read_text())
-        assert blob["epsilon0"] is None
-        assert 0.0 < blob["gamma"] < float("inf")
-        assert capsys.readouterr().err == ""
+    def test_constant_below_one_exits_3(self, tmp_path, capsys):
+        # the one-ball count beat a baseline c < 1 at every radius, so the
+        # grid's top radius set gamma
+        set_path = write_set(tmp_path, SEVEN)
+        code = main(["bound", "--set", set_path, "--n", "2", "--c", "0.5", "--d", "1",
+                     "--out", "r.json"])
+        assert code == 3
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_subnormal_constant_exits_3_quietly(self, capsys):
-        # count / c overflows, so no finite ratio can be certified
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["bound", "--power", "-1", "--n", "2", "--c", "1e-310", "--d", "1",
                          "--lambda", "0.5", "--eps", "1e-3:0.4:3", "--out", "r.json"])
         assert code == 3
-        assert capsys.readouterr().err == "error: count / c overflows the float range at c = 1e-310\n"
+        assert capsys.readouterr().err == "error: the entropy constant c must be at least 1\n"
 
     def test_threshold_count_mismatch(self, tmp_path):
         set_path = write_set(tmp_path, SEVEN)
@@ -699,9 +697,9 @@ _EPS = (["1e-3:0.5:5", "1e-2:0.5:3", "1e-4:1:2", "1e-300:1e10:2", "1e-6:1.7e308:
 _INTS = (["1", "2", "3", "5"], ["-1", "0", "x", "", "0.5", "1e400"])
 _FLOATS = (["0.5", "1", "2.5", "1e-3"],
            ["-1", "0", "nan", "inf", "-inf", "x", "", "1e-300", "1e400"])
-# radii near both float limits, and constants below an ulp of one (valid for n >= 2)
+# radii near both float limits; constants from 1 up, as every c below 1 is refused
 _RADII = (_FLOATS[0] + ["9e153", "1e300", "1e-70", "1e307", "1.7e308"], _FLOATS[1])
-_CONSTANTS = (_FLOATS[0] + ["1e-17", "1e-300", "1e-310"], _FLOATS[1])
+_CONSTANTS = (["1", "2.5", "6", "1e6"], _FLOATS[1] + ["0.5", "1e-3", "1e-17", "1e-310"])
 _LAMBDAS = (["0", "1e-3", "0.5", "1", "3"], ["-1", "nan", "inf", "x", ""])
 _POWERS = (["-2", "-3", "-1e-1", "-2.5E0"], ["0.5", "0", "nan", "-inf", "x"])
 _MAPS = (["linear1d", "parabola1d", "const1d", "cubic1d", "poly10", "stretch2d", "bowl2d",

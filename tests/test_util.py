@@ -246,8 +246,7 @@ def geomspace_grid(eps_min, eps_max, size):
 
 
 class TestLogGrid:
-    """``log_grid`` makes ``np.geomspace``'s arithmetic itself, so its bits
-    must be geomspace's, with both ends the radii given."""
+    """``log_grid``'s bits are geomspace's, with both ends the radii given."""
 
     def test_bits_of_geomspace_on_seeded_grids(self):
         rng = np.random.default_rng(7029)
