@@ -145,7 +145,7 @@ def staged_sandwich(p, profile, s):
         closed = gamma_closed_form(eps0, p)
     report = BoundReport(curve, closed, eps0, p, profile)
     marks.append(clock())
-    scale = witness_derivative_scale(build_witness(s.values, p.d, p.r))
+    scale = witness_derivative_scale(build_witness(s, p.d, p.r))
     marks.append(clock())
     return report.gamma, eps0, scale, np.diff(marks)
 

@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from rigidity.bounds import LambdaProfile, ProblemParams, rigidity_bound
-from rigidity.covering import covering_number_1d
+from rigidity.covering import covering_counts
 from rigidity.sets import FinitePoints
 from rigidity.witness import sandwich_check
 
@@ -35,9 +35,10 @@ def main():
     print(f"params: n=1 m=1 d={p.d} r={p.r} c={p.c}")
     print()
     print("covering counts around the boundary:")
-    for eps in (args.spacing, args.spacing / 2 * 1.001, args.spacing / 2,
-                args.spacing / 2 * 0.999, args.spacing / 4):
-        print(f"  eps={eps:<12.6g} count={covering_number_1d(points, eps)}")
+    radii = [args.spacing, args.spacing / 2 * 1.001, args.spacing / 2,
+             args.spacing / 2 * 0.999, args.spacing / 4]
+    for eps, count in zip(radii, covering_counts(s, radii).tolist()):
+        print(f"  eps={eps:<12.6g} count={count}")
 
     report = rigidity_bound(p, profile, s)
     print()

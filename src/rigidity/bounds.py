@@ -22,7 +22,7 @@ import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter, plateau_ends
 from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter, min_gap
-from .util import check_grid, frozen_array, sorted_distinct
+from .util import check_grid, frozen_array, positive_int, sorted_distinct
 
 # boundary refinements are placed just inside the qualifying region
 _BOUNDARY_SHRINK = 1.0 - 1e-9
@@ -69,14 +69,10 @@ class ProblemParams:
     c: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
-        if not (isinstance(self.m, (int, np.integer)) and 1 <= self.m <= self.n):
+        for name in ("n", "m", "d"):  # as Python ints: numpy integers do not serialize to JSON
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
+        if self.m > self.n:
             raise ValueError("m must be an integer with 1 <= m <= n")
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValueError("d must be a positive integer")
-        for name in ("n", "m", "d"):  # numpy integers do not serialize to JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
         if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r > 0):
             raise ValueError("r must be a positive finite number")
         object.__setattr__(self, "r", float(self.r))
@@ -378,10 +374,7 @@ def classify_power_sequence(alpha: float, d: int, n: int = 1) -> PowerVerdict:
     near-critical values; a nonnegative exponent means this bound alone
     excludes nothing.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError("d must be a positive integer")
+    n, d = positive_int(n, "n"), positive_int(d, "d")
     if not (math.isfinite(alpha) and alpha < 0):
         raise ValueError("alpha must be a finite negative number")
     exponent = 1.0 + d / (n * (alpha - 1.0))
@@ -398,6 +391,4 @@ def critical_point_rigidity_reduction(zero_set_bound: float, n: int) -> float:
     """
     if not (isinstance(zero_set_bound, (int, float)) and zero_set_bound >= 0):
         raise ValueError("the zero-set bound must be nonnegative")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    return float(zero_set_bound) / math.sqrt(n)
+    return float(zero_set_bound) / math.sqrt(positive_int(n, "n"))

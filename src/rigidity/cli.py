@@ -32,7 +32,7 @@ from .bounds import (
     classify_power_sequence,
     rigidity_bound,
 )
-from .covering import CoveringCurve, covering_counts, default_grid
+from .covering import covering_counts, default_grid
 from .critical import (
     SampledMap,
     empirical_forward_check,
@@ -134,12 +134,13 @@ def _write_text(path, text: str) -> None:
 def _cmd_cover(args) -> int:
     s = _resolve_set(args)
     grid = args.eps if args.eps is not None else default_grid(s)
-    curve = CoveringCurve(grid, covering_counts(s, grid))
-    _write_text(args.out, curve.to_csv_text())
-    grow = curve.counts > 1
-    print(f"wrote {args.out} ({len(curve)} resolutions)")
+    counts = covering_counts(s, grid)
+    rows = "".join(f"{e!r},{c}\n" for e, c in zip(grid.tolist(), counts.tolist()))
+    _write_text(args.out, "epsilon,count\n" + rows)
+    grow = counts > 1
+    print(f"wrote {args.out} ({grid.size} resolutions)")
     if np.count_nonzero(grow) >= 2:
-        slope = fit_loglog_slope(curve.epsilons[grow], curve.counts[grow])
+        slope = fit_loglog_slope(grid[grow], counts[grow])
         print(f"log-log slope over growing counts: {slope:.4f}")
     return EXIT_OK
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter
-from .util import DEFAULT_EPS_MIN, check_grid, frozen_array, log_grid
+from .util import DEFAULT_EPS_MIN, log_grid
 
 POWER_COUNT_LIMIT = 2 * 10**7
 # log of the power-sequence index past which adjacent terms are denser
@@ -31,7 +30,6 @@ _DENSE_LOG_INDEX = 34.5
 _SCALAR_TAIL = 32
 
 __all__ = [
-    "CoveringCurve",
     "covering_number_1d",
     "covering_number_power",
     "covering_counts",
@@ -250,34 +248,6 @@ def _next_anchor(t: float, alpha: float):
     while k ** alpha >= t:
         k += 1
     return k, k ** alpha
-
-
-@dataclass(frozen=True, eq=False)
-class CoveringCurve:
-    """Covering counts along a strictly decreasing grid of radii."""
-
-    epsilons: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        eps = check_grid(self.epsilons)
-        cnt = np.asarray(self.counts, dtype=np.int64)
-        if eps.shape != cnt.shape or np.any(np.diff(eps) >= 0):
-            raise ValueError("curve needs strictly decreasing epsilons, one count each")
-        if np.any(cnt < 1):
-            raise ValueError("counts must be positive")
-        if cnt.size > 1 and np.any(np.diff(cnt) < 0):
-            raise ValueError("counts must be nondecreasing as epsilon shrinks")
-        object.__setattr__(self, "epsilons", frozen_array(eps))
-        object.__setattr__(self, "counts", frozen_array(cnt, np.int64))
-
-    def __len__(self) -> int:
-        return self.epsilons.size
-
-    def to_csv_text(self) -> str:
-        lines = ["epsilon,count"]
-        lines += [f"{e!r},{c}" for e, c in zip(self.epsilons.tolist(), self.counts.tolist())]
-        return "\n".join(lines) + "\n"
 
 
 def _sorted_line(s: SetDescriptor) -> np.ndarray:

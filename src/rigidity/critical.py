@@ -22,7 +22,8 @@ import numpy as np
 from .bounds import LambdaProfile, ProblemParams, rhs_polynomial
 from .covering import covering_counts
 from .sets import DescriptorError, FinitePoints, SampledCloud
-from .util import check_grid, fit_loglog_slope, frozen_array, log_grid, sorted_distinct
+from .util import (check_grid, fit_loglog_slope, frozen_array, log_grid, positive_int,
+                   sorted_distinct)
 
 # grid resolution per unit radius, by dimension; n = 3 grids get coarse fast
 DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
@@ -418,8 +419,7 @@ def measured_derivative_scale(sm: SampledMap, order: int) -> float:
     """
     if sm.n != 1:
         raise ValueError("measured derivative scale is implemented for n = 1 only")
-    if not (isinstance(order, (int, np.integer)) and order >= 1):
-        raise ValueError("order must be a positive integer")
+    order = positive_int(order, "order")
     # differenced against u = x / radius, the order-th derivative already
     # carries the factor radius**order of the scale
     g = sm._unit_derivative

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from contextlib import contextmanager
 from itertools import chain
@@ -58,6 +59,18 @@ def _mixed_ties(values, out: np.ndarray) -> bool:
     flat = np.ravel(values)
     signs = np.signbit(flat[flat == 0])
     return bool(signs.any()) and not signs.all()
+
+
+def positive_int(value, name: str, least: int = 1) -> int:
+    """``value`` as a Python int; raise unless it is an integer of at least
+    ``least`` (1 or 0).  A bool is refused, although Python counts it as one."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or number < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer")
+    return number
 
 
 def check_grid(eps_grid) -> np.ndarray:

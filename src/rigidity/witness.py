@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .bounds import BoundReport, LambdaProfile, ProblemParams, rigidity_bound
 from .sets import FinitePoints, SetDescriptor
-from .util import sorted_distinct
+from .util import positive_int
 
 # every plateau is this fraction of a transition's width
 _PLATEAU_RATIO = 0.5
@@ -50,8 +50,7 @@ def smoothstep_coefficients(order: int) -> np.ndarray:
     coefficients are the integers c_{N+1+k} = (-1)**k C(N+k, k)
     C(2N+1, N-k) for k = 0..N (N = order), each rounded once to float.
     """
-    if not (isinstance(order, (int, np.integer)) and order >= 1):
-        raise ValueError("order must be a positive integer")
+    order = positive_int(order, "order")
     coeffs = np.zeros(2 * order + 2)
     coeffs[order + 1:] = [
         (-1) ** k * math.comb(order + k, k) * math.comb(2 * order + 1, order - k)
@@ -83,17 +82,14 @@ class WitnessFunction:
             raise ValueError("edges must tile the full domain")
         if any(a > b for a, b in zip(edges, edges[1:])):
             raise ValueError("edges must be nondecreasing")
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
-            raise ValueError("order must be a positive integer")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
-        # a numpy integer order would wrap in the step maximum's factorials
-        object.__setattr__(self, "order", int(self.order))
+        # a Python int: a numpy integer order would wrap in the step maximum's factorials
+        object.__setattr__(self, "order", positive_int(self.order, "order"))
 
     def evaluate(self, x, deriv: int = 0) -> np.ndarray:
         """Value of the deriv-th derivative at x (scalar or array)."""
-        if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
-            raise ValueError("deriv must be a nonnegative integer")
+        deriv = positive_int(deriv, "deriv", least=0)
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -152,25 +148,21 @@ class WitnessFunction:
         }
 
 
-def build_witness(values, order: int, radius: float = 1.0) -> WitnessFunction:
-    """Staircase witness attaining each value on its own plateau.
+def build_witness(s: FinitePoints, order: int, radius: float = 1.0) -> WitnessFunction:
+    """Staircase witness attaining each value of ``s`` on its own plateau.
 
-    Values are deduplicated and laid out in ascending order across
+    The set's sorted distinct values are laid out in ascending order across
     [-radius, radius]; each plateau has width _PLATEAU_RATIO times the
     transition width.
     """
-    vals = sorted_distinct(np.asarray(values, dtype=float).ravel())
-    if vals.size == 0:
-        raise ValueError("need at least one value")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
     if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be a positive finite number")
     radius = float(radius)
 
-    k = vals.size
+    vals = s.values.tolist()
+    k = len(vals)
     if k == 1:  # one plateau; the widths below would sum to 4 * radius
-        return WitnessFunction((-radius, radius), vals.tolist(), int(order), radius)
+        return WitnessFunction((-radius, radius), vals, order, radius)
     # radius / (D/2), not 2 * radius / D: the same bits, without overflowing 2 * radius
     width_t = radius / (0.5 * (k * _PLATEAU_RATIO + (k - 1)))
     width_p = _PLATEAU_RATIO * width_t
@@ -178,7 +170,7 @@ def build_witness(values, order: int, radius: float = 1.0) -> WitnessFunction:
     if abs(edges[-1] - radius) > 1e-9 * radius:
         raise RuntimeError("piece layout failed to tile the domain")
     edges[-1] = radius  # snap the accumulated right edge onto the exact domain end
-    return WitnessFunction(edges, vals.tolist(), int(order), radius)
+    return WitnessFunction(edges, vals, order, radius)
 
 
 def witness_derivative_scale(w: WitnessFunction) -> float:
@@ -250,7 +242,7 @@ def sandwich_check(p: ProblemParams, profile: LambdaProfile, s: SetDescriptor,
     if not isinstance(s, FinitePoints):
         raise ValueError(f"a witness realizes finite sets only, not a {type(s).__name__}")
     report = rigidity_bound(p, profile, s, eps_grid)
-    witness = build_witness(s.values, p.d, p.r)
+    witness = build_witness(s, p.d, p.r)
     scale = witness_derivative_scale(witness)
     ok = report.gamma <= scale * (1.0 + _SLACK)
     return SandwichResult(report.gamma, scale, ok, report, witness)

@@ -1,12 +1,14 @@
 """Test-only reference code: an exhaustive covering oracle, an epsilon0
 that counts at every bisection step, the best certified product over
-every float radius, a grid CSV writer, a full-grid formulation of the
-semi-axis field and a piece-by-piece staircase witness.
+every float radius and, in exact arithmetic, over every real one, a grid
+CSV writer, a full-grid formulation of the semi-axis field and a
+piece-by-piece staircase witness.
 
 Nothing in the package runs these; tests use them to check the exact
 covering counters, to check that ``bounds.epsilon0`` gives the bits of a
 bisection that counts at each midpoint, to check that a small set's
-``bounds.rigidity_bound`` is the best bound over every radius, to write
+``bounds.rigidity_bound`` is the best bound over every float radius and
+stays within rounding of the exact one, to write
 grid samples that
 ``rigidity extract --grid`` and ``SampledMap.from_grid_csv`` read back, to
 check that ``critical.semi_axis_field`` gives the bits of the
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -133,6 +136,49 @@ def plateau_sup(values, p, profile) -> float:
         return 0.0
     with np.errstate(over="ignore"):
         return float(np.max(eps[hit] * solve_eta(p, profile, counts[hit], eps[hit])))
+
+
+def exact_bound(values, p, profile) -> Fraction:
+    """The best certified product eps * eta(eps) over every real eps > 0, in
+    exact rational arithmetic, for at most ``BRUTE_FORCE_LIMIT`` values and
+    c >= 1; 0 when no radius qualifies.
+
+    The exact greedy count changes only at the half gaps h = (y - x)/2 of
+    pairs x < y: on the plateau just below h, the ball anchored at x covers
+    y when y - x < 2h.  eps * eta rises along a plateau of constant count
+    nu, so the plateau's sup is the limit h * eta(h, nu), where nu beats the
+    baseline c * f(1).  There eta = t**d and t solves c * f(t) = nu for
+    f(t) = sum_i a_i t**(n-i), a_i the threshold products times (r/h)**i.
+    t is bisected in [1, nu/c] until the bracket is narrower than 2**-80
+    times its lower end, which is kept: the result never exceeds the sup.
+    """
+    pts = sorted({Fraction(float(v)) for v in values})
+    if len(pts) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"oracle is exhaustive; at most {BRUTE_FORCE_LIMIT} points")
+    c, r, best = Fraction(p.c), Fraction(p.r), Fraction(0)
+    for h in {(y - x) / 2 for i, x in enumerate(pts) for y in pts[i + 1:]}:
+        nu, anchor = 0, None
+        for x in pts:  # greedy, with the test just below h
+            if anchor is None or x - anchor >= 2 * h:
+                nu, anchor = nu + 1, x
+        coeffs, prod = [Fraction(1)], Fraction(1)
+        for i, lam in enumerate(profile.lambdas, 1):
+            prod *= Fraction(lam)
+            if prod == 0:
+                break
+            coeffs.append(prod * (r / h) ** i)
+
+        def rhs(t):
+            return c * sum(a * t ** (p.n - i) for i, a in enumerate(coeffs))
+
+        lo, hi = Fraction(1), nu / c  # rhs(nu/c) >= c * (nu/c)**n >= nu
+        if not nu > rhs(lo) or h * hi ** p.d <= best:
+            continue  # no radius qualifies, or none beats the best so far
+        while hi - lo > lo / 2**80:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rhs(mid) <= nu else (lo, mid)
+        best = max(best, h * lo ** p.d)
+    return best
 
 
 def grid_csv_text(sm) -> str:

@@ -164,7 +164,7 @@ def test_forward_bound_on_random_polynomials():
 def test_witness_regularity():
     values = np.array([0.0, 0.3, 0.7, 1.1, 2.0])
     for d in (1, 2, 3, 4):
-        w = build_witness(values, d)
+        w = build_witness(FinitePoints(values), d)
         scale = witness_derivative_scale(w)
 
         # finite differences recover the derivative scale within 1%

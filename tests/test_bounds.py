@@ -91,6 +91,9 @@ class TestProblemParams:
             dict(n=1, m=1, d=1, c=0.0),
             dict(n=1, m=1, d=1, c=-3.0),
             dict(n=1.5, m=1, d=1),
+            dict(n=True, m=1, d=2),  # a bool is not an integer
+            dict(n=2, m=True, d=2, c=1.0),
+            dict(n=1, m=1, d=True),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -100,6 +103,10 @@ class TestProblemParams:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             P15.n = 2
+
+    def test_m_above_n_keeps_its_range_message(self):
+        with pytest.raises(ValueError, match="m must be an integer with 1 <= m <= n"):
+            ProblemParams(1, 2, 1)
 
     def test_numpy_integers_are_stored_as_python_ints(self):
         p = ProblemParams(np.int64(1), np.int64(1), np.int64(3))
@@ -1109,7 +1116,7 @@ class TestClassifyPowerSequence:
         assert verdict.exponent == 0.25
         assert verdict.verdict != EXCLUDED
 
-    @pytest.mark.parametrize("d, n", [(0, 1), (1, 0), (2.0, 1), (1, 1.5)])
+    @pytest.mark.parametrize("d, n", [(0, 1), (1, 0), (2.0, 1), (1, 1.5), (True, 1), (2, True)])
     def test_rejects_bad_dimensions(self, d, n):
         with pytest.raises(ValueError):
             classify_power_sequence(-1.0, d, n)

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import rigidity
+from rigidity import critical
 from rigidity.cli import main
 from rigidity.critical import SampledMap
 from rigidity.maps import builtin_map
@@ -333,6 +334,23 @@ class TestExtract:
         assert check[0] == "epsilon,measured_M,bound,regime,pass"
         assert all(ln.endswith("true") for ln in check[1:])
 
+    def test_violated_forward_bound_is_flagged_not_fatal(self, tmp_path, capsys, monkeypatch):
+        # a tiny measured scale puts every row on the eta = 1 baseline, c = 4,
+        # which five separated values beat at the finer resolutions
+        monkeypatch.setattr(critical, "measured_derivative_scale", lambda sm, order: 1e-9)
+        code = main(["extract", "--map", "poly10", "--lambda", "0", "--d", "3",
+                     "--check", "--out-prefix", "ex"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "forward bound held at every resolution: False" in out
+        rows = [ln.split(",") for ln in (tmp_path / "ex.check.csv").read_text().splitlines()[1:]]
+        failed = [(float(e), int(m) / float(b)) for e, m, b, _, ok in rows if ok == "false"]
+        assert 0 < len(failed) < len(rows)
+        worst = max(failed, key=lambda row: row[1])[0]
+        assert err.startswith(f"warning: forward bound violated at {len(failed)} resolution(s); "
+                              f"worst at epsilon={worst:.6g}: measured ")
+        assert err.count("\n") == 1
+
     def test_empty_extraction_writes_an_empty_set(self, tmp_path, capsys):
         code = main([
             "extract", "--map", "linear1d", "--lambda", "0.5",
@@ -418,6 +436,23 @@ class TestExtract:
         code = main(["extract", "--grid", str(bad), "--lambda", "0.2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,f1\n0,1,2\n1,2,3\n", "grid rows do not match the header"),
+        ("x1,x2,f1\n" + "0,0,1\n0,1,1\n1,0,1\n1,1,1\n2,0,1\n",
+         "grid rows do not form a full cartesian product"),
+    ], ids=["columns", "rows"])
+    def test_grid_of_the_wrong_shape_is_bad_input(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["extract", "--grid", str(bad), "--lambda", "0.2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+    def test_one_division_exits_3(self, tmp_path, capsys):
+        assert main(["extract", "--map", "poly10", "--divisions", "1"]) == 3
+        assert capsys.readouterr() == ("", "error: need at least 2 divisions per radius\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_two_dimensional_check_needs_the_constant(self, tmp_path):
         code = main([

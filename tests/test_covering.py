@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from rigidity import covering
 from rigidity.covering import (
     POWER_COUNT_LIMIT,
-    CoveringCurve,
     covering_counts,
     covering_number_1d,
     covering_number_power,
@@ -315,11 +314,8 @@ class TestLockstepCounts:
         pts = np.sort(s.values)
         grid = default_grid(s)
         expected = [scalar_greedy(pts, e) for e in grid.tolist()]
-        got = at_every_handover(lambda: (
-            covering_counts(s, grid).tolist(),
-            CoveringCurve(grid, covering_counts(s, grid)).counts.tolist(),
-        ))
-        assert got == every_handover((expected, expected))
+        got = at_every_handover(lambda: covering_counts(s, grid).tolist())
+        assert got == every_handover(expected)
 
     @pytest.mark.parametrize("size", [
         covering._SCALAR_TAIL - 1, covering._SCALAR_TAIL, covering._SCALAR_TAIL + 1,
@@ -610,6 +606,18 @@ class TestPowerLockstep:
         got = at_every_handover(lambda: covering_counts(PowerSequence(-0.05), eps).tolist())
         assert got == every_handover(expected)
 
+    def test_dense_threshold_ties_identical(self):
+        # at eps* = (1 - e**(34.5*alpha)) / 2 the first ball ends on
+        # t = e**(34.5*alpha), so log(t)/alpha sits on the dense threshold,
+        # where numpy's log and libm's may round apart: libm decides
+        alpha = -1e-3
+        tie = (1.0 - math.exp(covering._DENSE_LOG_INDEX * alpha)) / 2.0
+        eps = [tie * (1.0 + i * 2e-12) for i in range(-20, 20)]
+        expected = [scalar_power_count(alpha, e) for e in eps]
+        assert expected == [30] * 40
+        got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
+        assert got == every_handover(expected)
+
     def test_prefix_boundary_ties_identical(self):
         # eps = (k**alpha - (k+1)**alpha) / 2 ends the one-term-per-ball
         # prefix exactly at k: the prefix jump must not pass it
@@ -707,37 +715,20 @@ class TestPowerLockstep:
             covering_counts(PowerSequence(-1.0), [0.3, 1e-16, 0.01])
 
 
-class TestCoveringCurve:
+class TestCountsOnAGrid:
     def test_two_point_example(self):
-        s, grid = FinitePoints([0.0, 1.0]), [1.0, 0.4]
-        curve = CoveringCurve(grid, covering_counts(s, grid))
-        assert list(curve.counts) == [1, 2]
+        assert covering_counts(FinitePoints([0.0, 1.0]), [1.0, 0.4]).tolist() == [1, 2]
 
     def test_single_entry_matches_pointwise_routine(self):
         s = FinitePoints([0.0, 0.3, 0.9])
-        curve = CoveringCurve([0.2], covering_counts(s, [0.2]))
-        assert curve.counts[0] == covering_number_1d(s.values, 0.2)
+        assert covering_counts(s, [0.2])[0] == covering_number_1d(s.values, 0.2)
 
     def test_power_curve_entries_reverified(self):
-        s = PowerSequence(-1.0)
         grid = log_grid(1e-3, 0.5, 10)
-        curve = CoveringCurve(grid, covering_counts(s, grid))
-        assert np.all(np.diff(curve.counts) >= 0)  # counts grow as eps shrinks
-        for eps, count in zip(curve.epsilons, curve.counts):
+        counts = covering_counts(PowerSequence(-1.0), grid)
+        assert np.all(np.diff(counts) >= 0)  # counts grow as eps shrinks
+        for eps, count in zip(grid, counts):
             assert count == covering_number_power(-1.0, eps)
-
-    def test_counts_are_validated(self):
-        with pytest.raises(ValueError):
-            CoveringCurve(np.array([0.1, 0.2]), np.array([1, 2]))  # eps increasing
-        with pytest.raises(ValueError):
-            CoveringCurve(np.array([0.2, 0.1]), np.array([3, 2]))  # counts drop
-
-    def test_csv_text(self):
-        curve = CoveringCurve([0.4], covering_counts(FinitePoints([0.0, 1.0]), [0.4]))
-        text = curve.to_csv_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == "epsilon,count"
-        assert lines[1] == "0.4,2"
 
 
 class TestExactCounter:

@@ -121,6 +121,11 @@ class TestSampledMap:
         assert np.array_equal(sm.axis, 2.0 * np.linspace(-half, half, 11))
         assert sm.axis[-1] == 1e308
 
+    def test_map_of_the_wrong_shape_is_refused(self):
+        # m = 1 asks for (k, 1) or (k,); a (k, 2) return is another map
+        with pytest.raises(ValueError, match=r"map returned shape \(17, 2\), expected \(17, 1\)"):
+            SampledMap.from_callable(lambda p: np.hstack([p, p]), 1, 1, 1.0, 8)
+
     def test_radius_too_small_to_space_the_nodes(self):
         with pytest.raises(ValueError, match="too small to space 11 grid nodes"):
             SampledMap.from_callable(lambda p: p[:, 0], 1, 1, 5e-324, 5)

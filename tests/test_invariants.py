@@ -1,12 +1,15 @@
 """Relations the best certified bound satisfies in exact arithmetic, tested
-where the program's floats keep them exactly."""
+where the program's floats keep them exactly, and the bound against its
+exact rational reference."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rigidity import bounds
 from rigidity.bounds import LambdaProfile, ProblemParams, rigidity_bound
 from rigidity.sets import FinitePoints
@@ -64,3 +67,25 @@ def test_gamma_does_not_rise_with_lambda_1(points, n, d, c, lams):
     low, high = sorted(lams)
     gamma = rigidity_bound(p, LambdaProfile((low,)), s).gamma
     assert rigidity_bound(p, LambdaProfile((high,)), s).gamma <= gamma
+
+
+def test_exact_bound_of_the_seven_point_set():
+    # only the plateau below the least half gap h counts 7 > c = 6, and
+    # there t = eta**(1/5) = 7/6: the kept lower end is within 2**-80 of it
+    points = (np.arange(7) * 0.1).tolist()
+    h = min(Fraction(y) - Fraction(x) for x, y in zip(points, points[1:])) / 2
+    want = h * Fraction(7, 6) ** 5
+    got = oracles.exact_bound(points, ProblemParams(1, 1, 5), LambdaProfile.zeros(1))
+    assert want * (1 - Fraction(1, 2**78)) <= got <= want
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=oracles.BRUTE_FORCE_LIMIT),
+       n=st.integers(1, 2), d=st.integers(1, 6), c=st.floats(1.0, 10.0),
+       lam=st.sampled_from([0.0, 1e-3]))
+@example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], n=2, d=1, c=2.0, lam=0.0)
+def test_gamma_is_at_most_the_exact_bound(points, n, d, c, lam):
+    # the float scan's roundings may lift gamma past the exact sup by 1e-12 at most
+    p, profile = ProblemParams(n, 1, d, c=None if n == 1 else c), LambdaProfile((lam,))
+    gamma = rigidity_bound(p, profile, FinitePoints(points)).gamma
+    assert Fraction(gamma) <= oracles.exact_bound(points, p, profile) * (1 + Fraction(1, 10**12))

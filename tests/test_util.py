@@ -289,6 +289,26 @@ class TestLogGrid:
         assert util.log_grid(1e-6, 1.0, util.GRID_POINT_BUDGET // 6).size <= util.GRID_POINT_BUDGET
 
 
+class TestPositiveInt:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(2), 10**400],
+                             ids=["1", "7", "int64", "uint8", "1e400"])
+    def test_integers_come_back_as_python_ints(self, value):
+        got = util.positive_int(value, "d")
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [0, -2, True, False, np.bool_(True), 2.0, "3", None],
+                             ids=["0", "-2", "True", "False", "bool_", "2.0", "str", "None"])
+    def test_everything_else_is_refused(self, value):
+        with pytest.raises(ValueError, match="^d must be a positive integer$"):
+            util.positive_int(value, "d")
+
+    def test_zero_passes_when_nonnegative_is_asked(self):
+        assert util.positive_int(0, "deriv", least=0) == 0
+        for value in (-1, True, 0.0):
+            with pytest.raises(ValueError, match="^deriv must be a nonnegative integer$"):
+                util.positive_int(value, "deriv", least=0)
+
+
 class TestAtomicWrite:
     def test_error_names_the_path_asked_for(self, tmp_path):
         target = tmp_path / "nodir" / "out.json"
