@@ -188,37 +188,46 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
         nu, epsilon = np.broadcast_arrays(nu, epsilon)
     nu, epsilon = nu[()], epsilon[()]
     coeffs = _coefficients(p, profile, epsilon)
-    with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
-        baseline = p.c * sum(coeffs)
-    short = ~(nu > baseline)
-    if short.any():
-        k = int(np.argmax(short))
-        raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
-                         f"{np.ravel(baseline)[k]:.6g}; no ratio above 1")
-    # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
-    # from above; starting at the least bound keeps every term of f finite
+    # one scope: the baseline, a bound or eta may overflow to inf and a bound
+    # divide by an underflowed a_i; ``_newton_root`` does neither
     with np.errstate(divide="ignore", over="ignore"):
+        baseline = p.c * sum(coeffs)  # rhs_polynomial at eta = 1, each term a * 1.0
+        short = ~(nu > baseline)
+        if short.any():
+            k = int(np.argmax(short))
+            raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
+                             f"{np.ravel(baseline)[k]:.6g}; no ratio above 1")
+        # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
+        # from above; starting at the least bound keeps every term of f finite
         tops = [(nu / (p.c * a)) ** (1.0 / (p.n - i)) for i, a in enumerate(coeffs) if i < p.n]
         t = np.asarray(tops[0] if len(tops) == 1 else np.min(tops, axis=0))
-    if not np.isfinite(t).all():  # a bound above the root would be unsound
-        raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
-    coeffs += [0.0] * (p.n + 1 - len(coeffs))
+        if not np.isfinite(t).all():  # a bound above the root would be unsound
+            raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
+        t = _newton_root(p.c, coeffs + [0.0] * (p.n + 1 - len(coeffs)), nu, t)
+        # the root lies above 1, even where t^d rounds to 1
+        eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))[()]
+    if not np.isfinite(eta).all():  # an infinite eta would make gamma infinite
+        raise ValueError(f"eta overflows the float range at c = {p.c:g}")
+    return _scalar_or_array(eta)
+
+
+def _newton_root(c: float, coeffs: list, nu, t: np.ndarray) -> np.ndarray:
+    """Root of c * f(t) = nu, f(t) = sum_i coeffs[i] t^(n-i), by Newton from
+    a start t at or above it, entry by entry, updating t in place.  Steps
+    stay between the root (above 1, as c * f(1) < nu) and the start, where
+    each term of f is at most nu/c and f' >= n: none overflows or divides by 0.
+    """
     falling = True
     while True:
         # Horner for f and f', from its second step: the first gives a_0 and 0
         f, df = coeffs[0] * t + coeffs[1], coeffs[0]
         for a in coeffs[2:]:
             f, df = f * t + a, df * t + f
-        t_next = t - (p.c * f - nu) / (p.c * df)
+        t_next = t - (c * f - nu) / (c * df)
         falling &= t_next < t
         if not falling.any():
-            break
+            return t
         np.copyto(t, t_next, where=falling)
-    with np.errstate(over="ignore"):  # the root lies above 1, even where t^d rounds to 1
-        eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))[()]
-    if not np.isfinite(eta).all():  # an infinite eta would make gamma infinite
-        raise ValueError(f"eta overflows the float range at c = {p.c:g}")
-    return _scalar_or_array(eta)
 
 
 def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
@@ -295,12 +304,12 @@ class BoundReport:
             curve = curve.reshape(0, 2)
         if curve.ndim != 2 or curve.shape[1] != 2:
             raise ValueError("need a (k, 2) eta curve")
-        if np.any(curve[:, 1] <= 1.0):
+        if (curve[:, 1] <= 1.0).any():
             raise ValueError("every solved ratio must exceed 1")
         object.__setattr__(self, "eta_curve", frozen_array(curve))
         object.__setattr__(self, "e_intervals", frozen_array(curve[:, 0]))
         with np.errstate(over="ignore"):  # refused below, as solve_eta refuses eta = inf
-            gamma = float(np.max(curve[:, 0] * curve[:, 1], initial=0.0))
+            gamma = float((curve[:, 0] * curve[:, 1]).max(initial=0.0))
         if not math.isfinite(gamma):
             raise ValueError("gamma = eps * eta overflows the float range")
         object.__setattr__(self, "gamma", gamma)

@@ -2,8 +2,8 @@
 
 All counts here are minimal-cover cardinalities, exact by construction:
 one-dimensional sets and power sequences via the optimal greedy sweep,
-run for all radii at once while many sweeps are live, the last few
-finished one at a time by an exact scalar search; the power sweep
+run for all radii at once while many sweeps are live, the last few (and
+tiny finite batches) one at a time by an exact scalar search; the power sweep
 completes the accumulation tail with one final ball.  Sweeps skip the
 balls a float-safe bound proves: a finite sweep its leading one-point
 balls, a power sweep each run of balls with equal strides (terms per
@@ -21,13 +21,17 @@ from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter
 from .util import DEFAULT_EPS_MIN, log_grid
 
 POWER_COUNT_LIMIT = 2 * 10**7
-# log of the power-sequence index past which adjacent terms are denser
-# than float ulps
+# log of the power-sequence index past which the next anchor is nextafter(t,
+# 0): terms there lie under an ulp apart for |alpha| < 0.2, a few above
 _DENSE_LOG_INDEX = 34.5
 # a lockstep step costs ~10 us (finite) or ~40 us (power) however few
 # sweeps are live, a scalar step ~0.45 us or ~1.4 us: below about this
 # many live sweeps the scalar finish is cheaper
 _SCALAR_TAIL = 32
+# a finite count's prefix setup costs ~20 us however small the batch, a
+# scalar ball ~0.2 us: a batch of at most this many radii times points
+# (so at most as many balls) sweeps radius by radius
+_TINY_BATCH = 256
 
 __all__ = [
     "covering_number_1d",
@@ -63,10 +67,15 @@ def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
     the sweeps that reached the end.  Once at most _SCALAR_TAIL sweeps are
     live, each finishes alone in ``_sweep_from``, which makes the same
     float addition and right-side comparison, so counts do not depend on
-    where the handover happens.
+    where the handover happens, and a batch of at most _TINY_BATCH radii
+    times points skips the prefix and the lockstep for the same reason.
     """
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.size * pts.size <= _TINY_BATCH:
+        xs = pts.tolist()
+        return np.array([_sweep_from(xs, 0, 2.0 * e) for e in eps.tolist()], dtype=np.int64)
     with np.errstate(over="ignore"):  # 2*eps, a gap or a reach may be inf
-        two_eps = 2.0 * np.asarray(epsilons, dtype=float)
+        two_eps = 2.0 * eps
         gap = np.nextafter(np.nextafter(pts[1:], -np.inf) - pts[:-1], -np.inf)
         pos = np.searchsorted(-np.minimum.accumulate(gap), -two_eps, side="right")
         counts = pos.astype(np.int64) + (pos == gap.size)
@@ -145,8 +154,8 @@ def _power_counts(alpha: float, eps: np.ndarray) -> np.ndarray:
     run in a C loop by ``np.float_power`` (``np.power``'s SIMD pow differs),
     so the counts are bit-identical to a scalar sweep.  numpy only guesses
     the index m; a guess with m**alpha >= t or (m-1)**alpha < t is wrong
-    and redone with ``_next_anchor``.  Past index 1e15 adjacent terms are
-    denser than float ulps near t, and the next anchor is nextafter(t, 0).
+    and redone with ``_next_anchor``.  Past index 1e15, placed by libm's log
+    as in the scalar sweep, the next anchor is nextafter(t, 0).
     """
     # the count grows like (2 eps)^(1/(alpha-1)); refuse degenerate scans,
     # comparing logs (the power overflows for alpha near 0 and tiny eps)
@@ -187,7 +196,8 @@ def _power_counts(alpha: float, eps: np.ndarray) -> np.ndarray:
         log_m = np.log(t) / alpha
         dense = None
         if log_m.max() > _DENSE_LOG_INDEX - 1e-9:
-            # numpy's log may differ from libm's by an ulp: decide ties exactly
+            # numpy's log may differ from libm's by an ulp, and nextafter(t, 0)
+            # from the term below t (|alpha| >= 0.3): libm decides ties
             for i in np.flatnonzero(np.abs(log_m - _DENSE_LOG_INDEX) < 1e-9).tolist():
                 log_m[i] = math.log(t[i]) / alpha
             dense = log_m > _DENSE_LOG_INDEX
@@ -270,10 +280,11 @@ def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
     """Exact covering counts of a descriptor at every radius, in the given order.
 
     Finite sets and power sequences each run all radii through one
-    lockstep sweep with a scalar finish.  Every radius must be positive.
+    lockstep sweep with a scalar finish, a tiny finite batch through the
+    scalar sweep alone.  Every radius must be positive.
     """
     eps = np.asarray(epsilons, dtype=float)
-    if not np.all(eps > 0):
+    if not (eps > 0).all():
         raise ValueError("epsilon must be positive")
     if isinstance(s, PowerSequence):
         return _power_counts(s.alpha, eps)

@@ -176,12 +176,13 @@ class SampledMap:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip()
-                cols = [c.strip() for c in header.split(",")]
-                n = sum(1 for c in cols if c.startswith("x"))
-                m = sum(1 for c in cols if c.startswith("f"))
-                if n == 0 or m == 0 or n + m != len(cols):
-                    raise ValueError(f"malformed grid header: {header!r}")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            cols = [c.strip() for c in header.split(",")]
+            n = sum(1 for c in cols if c.startswith("x"))
+            m = sum(1 for c in cols if c.startswith("f"))
+            if n == 0 or m == 0 or n + m != len(cols):
+                raise ValueError(f"malformed grid header: {header!r}")
+            # numpy reads faster from a path it opens than from a Python file object
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1, encoding="utf-8")
             if data.shape[1] != n + m:
                 raise ValueError("grid rows do not match the header")
             axis = sorted_distinct(data[:, n - 1])

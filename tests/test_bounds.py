@@ -357,6 +357,51 @@ class TestSolveEtaBaseline:
             solve_eta(P15, LambdaProfile.zeros(2), 7, 0.05)
 
 
+class TestSolveEtaErrorScope:
+    """``solve_eta`` runs its Newton steps inside the one error-state scope
+    that lets the baseline, the start bounds and eta overflow.  Run with
+    overflow, division by zero and invalid operations raised, the steps
+    raise none, from counts just above the baseline up to the float range,
+    so the scope hides nothing a step would report."""
+
+    @given(
+        n=st.integers(1, 4),
+        drop=st.integers(0, 3),
+        d=st.integers(1, 200),
+        c=st.floats(1.0, 8.0) | st.sampled_from([1e150, 1e300]),
+        r=st.floats(0.25, 4.0),
+        lams=st.lists(LAMBDAS | st.floats(0.0, 1e308), min_size=4, max_size=4),
+        eps=st.lists(st.floats(1e-300, 4.0) | st.sampled_from([5e-324, 1e-100]),
+                     min_size=1, max_size=4),
+        lift=st.sampled_from([0.0, 2.0**-40, 1.0, 1e6, 1e100, 1e300]),
+    )
+    @example(n=1, drop=0, d=1000, c=1.0, r=1.0, lams=[0.0] * 4, eps=[0.6], lift=1e6)
+    @example(n=4, drop=0, d=1, c=1e300, r=4.0, lams=[1e300] * 4, eps=[5e-324, 1e-3], lift=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_newton_steps_raise_no_float_error(self, n, drop, d, c, r, lams, eps, lift):
+        m = max(1, n - drop)
+        profile = LambdaProfile(tuple(sorted(lams))[:m])
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        eps = np.array(eps)
+        with np.errstate(over="ignore"):
+            nu = np.nextafter(rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift), math.inf)
+        keep = np.isfinite(nu)
+        assume(keep.any())
+        nu, eps = nu[keep], eps[keep]
+        newton = bounds._newton_root
+
+        def raising(*args):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return newton(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_newton_root", raising)
+            try:
+                solve_eta(p, profile, nu, eps)
+            except ValueError as exc:  # eta past the float range, refused after Newton
+                assert "eta overflows" in str(exc)
+
+
 class TestArraySolver:
     def test_arrays_match_scalar_calls(self):
         p = ProblemParams(n=2, m=2, d=3, r=1.5, c=2.0)

@@ -19,7 +19,7 @@ from rigidity.covering import (
     default_grid,
     exact_counter,
 )
-from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, descriptor_from_json
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, descriptor_from_json, min_gap
 from rigidity.util import log_grid
 
 from conftest import cantor_like, downward_greedy_power_count, stratified_uniform
@@ -196,12 +196,25 @@ HANDOVERS = (0, 1, covering._SCALAR_TAIL, 10**9)
 
 
 def at_every_handover(count):
-    """count() run once per handover in HANDOVERS, keyed by the handover."""
+    """count() run once per handover in HANDOVERS, keyed by the handover,
+    with no finite batch tiny enough to skip the prefix and the lockstep."""
     got = {}
     for tail in HANDOVERS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(covering, "_SCALAR_TAIL", tail)
+            mp.setattr(covering, "_TINY_BATCH", -1)
             got[tail] = count()
+    return got
+
+
+def on_both_finite_paths(count):
+    """count() with every finite batch swept radius by radius and with none,
+    keyed by the path."""
+    got = {}
+    for path, tiny in (("scalar", math.inf), ("lockstep", -1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_TINY_BATCH", tiny)
+            got[path] = count()
     return got
 
 
@@ -480,6 +493,59 @@ class TestSweepCountsBeforeTheLockstep:
             assert covering._sweep_counts(pts, eps).tolist() == [200] * eps.size
 
 
+class TestTinyBatches:
+    """A finite batch of at most ``_TINY_BATCH`` radii times points sweeps
+    each radius alone from the first point; both paths give the same counts."""
+
+    @given(sets_with_ties())
+    @settings(max_examples=150, deadline=None)
+    def test_both_paths_match_the_brute_force_oracle(self, case):
+        pts, eps = case
+        expected = [brute_force_covering_oracle(pts, e) for e in eps.tolist()]
+        got = on_both_finite_paths(lambda: covering_counts(FinitePoints(pts), eps).tolist())
+        assert got == {"scalar": expected, "lockstep": expected}
+
+    @pytest.mark.parametrize("pts", [
+        [1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0 + 3 * 2.0**-52, 1.0 + 2.0**-50],
+        [k * 5e-324 for k in (-11, -7, -2, 0, 1, 2, 4, 100, 2**20)] + [1e-300, 1.0],
+    ], ids=["ulp-spaced", "subnormal"])
+    def test_ulp_and_subnormal_gaps(self, pts):
+        eps = below_smallest_gap(pts) + gap_radii(pts) + [5e-324, 2.0**-53, 1e-3]
+        assert sweep_counts_identical(pts, eps)
+        expected = [brute_force_covering_oracle(pts, e) for e in eps]
+        got = on_both_finite_paths(lambda: covering_counts(FinitePoints(pts), eps).tolist())
+        assert got == {"scalar": expected, "lockstep": expected}
+
+    def test_the_batch_size_picks_the_path(self):
+        # at radii below the smallest gap a batch of _TINY_BATCH radii times
+        # points sweeps each radius from the first point, and one radius more
+        # ends in the prefix with no scalar sweep
+        pts, calls, sweep = np.arange(8.0), [], covering._sweep_from
+
+        def sweep_from(xs, i, two_eps):
+            calls.append(i)
+            return sweep(xs, i, two_eps)
+
+        tiny = [0.25] * (covering._TINY_BATCH // pts.size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_sweep_from", sweep_from)
+            assert covering_counts(FinitePoints(pts), tiny).tolist() == [8] * len(tiny)
+            assert calls == [0] * len(tiny)
+            calls.clear()
+            more = tiny + [0.25]
+            assert covering_counts(FinitePoints(pts), more).tolist() == [8] * len(more)
+            assert calls == []
+
+    def test_a_large_set_at_a_quarter_gap_skips_the_scalar_sweep(self):
+        # epsilon0's first count on a bound_large-sized set: every ball holds
+        # one point, which the prefix proves without sweeping 600 balls
+        pts = stratified_uniform(np.random.default_rng(71), 600)
+        s = FinitePoints(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_sweep_from", None)
+            assert covering_counts(s, [min_gap(s) / 4.0]).tolist() == [600]
+
+
 class TestBruteForceOracle:
     def test_worked_example(self):
         assert brute_force_covering_oracle(np.array([0.0, 0.5, 1.0, 2.5]), 0.5) == 2
@@ -617,6 +683,34 @@ class TestPowerLockstep:
         assert expected == [30] * 40
         got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), eps).tolist())
         assert got == every_handover(expected)
+
+    @pytest.mark.parametrize("alpha, eps, count", [
+        (-0.0009999999918070632, 0.01695583002021872, 30),
+        (-0.000467396935850648, 0.007997939675312178, 63),
+        (-0.0043026726378436134, 0.06897508648314374, 8),
+    ])
+    def test_dense_threshold_straddles_identical(self, alpha, eps, count):
+        # the first ball ends on t = 1 - 2*eps where numpy's log(t)/alpha and
+        # libm's fall on opposite sides of the dense threshold
+        t = 1.0 - 2.0 * eps
+        on_side = [log_t / alpha > covering._DENSE_LOG_INDEX
+                   for log_t in (np.log(np.array([t]))[0].item(), math.log(t))]
+        assert on_side[0] != on_side[1]
+        assert scalar_power_count(alpha, eps) == count
+        got = at_every_handover(lambda: covering_counts(PowerSequence(alpha), [eps]).tolist())
+        assert got == every_handover([count])
+
+    def test_dense_threshold_decides_the_anchor_at_larger_alpha(self):
+        # near index e**34.5 the terms for alpha = -0.5 lie 3 ulps apart, so
+        # the dense rule's nextafter(t, 0) is not the term below t; here
+        # numpy's log puts t past the threshold and libm's does not, so the
+        # lockstep decides such ties with libm's log, as ``_next_anchor`` does
+        alpha, t = -0.5000000002888236, 3.224186705129587e-08
+        log_t = (np.log(np.array([t]))[0].item(), math.log(t))
+        assert log_t[0] / alpha > covering._DENSE_LOG_INDEX >= log_t[1] / alpha
+        k, q = covering._next_anchor(t, alpha)
+        assert (k - 1) ** alpha >= t > q == k ** alpha  # libm's anchor: the term below t
+        assert q == t - 3 * math.ulp(t)  # two ulps under nextafter(t, 0)
 
     def test_prefix_boundary_ties_identical(self):
         # eps = (k**alpha - (k+1)**alpha) / 2 ends the one-term-per-ball
