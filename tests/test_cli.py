@@ -639,6 +639,22 @@ class TestColdImports:
         )
         assert out[-1] == "0 False", err
 
+    def test_grid_bound_and_grid_extract_do_not_import_numpy_ma(self, tmp_path):
+        # every dedupe on these paths: the 30 points, the grid scan's radii
+        # and the grid file's axis
+        points = json.dumps(json.dumps({"type": "finite", "points": [i / 29 for i in range(30)]}))
+        grid_path = tmp_path / "grid.csv"
+        grid_path.write_text(grid_csv_text(
+            SampledMap.from_callable(builtin_map("parabola1d").func, 1, 1)))
+        out, err = run_fresh(
+            f"code = main(['bound', '--set', {points}, '--d', '2',"
+            f" '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            f"code += main(['extract', '--grid', {str(grid_path)!r}, '--lambda', '0.2',"
+            f" '--out-prefix', {str(tmp_path / 'g')!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        assert out[-1] == "0 False", err
+
     def test_bound_does_not_import_the_witness(self, tmp_path):
         out, err = run_fresh(
             f"code = main(['bound', '--set', {self.SEVEN_ARG}, '--d', '5',"
