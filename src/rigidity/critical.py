@@ -514,7 +514,7 @@ def empirical_forward_check(sm: SampledMap, p: ProblemParams, profile: LambdaPro
     if len(unsat) >= 2:
         xs = np.array([e for e, _ in unsat])
         ys = np.array([c for _, c in unsat])
-        if sorted_distinct(xs).size >= 2:
+        if xs.min() < xs.max():
             slope = fit_loglog_slope(xs, ys)
 
     failures = [r for r in rows if not r.passed]

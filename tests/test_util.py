@@ -216,29 +216,6 @@ class TestSortedDistinct:
     def test_edge_inputs(self, values):
         assert_same_bits(util.sorted_distinct(values), unique(values))
 
-    def test_both_zero_signs_and_nans_take_np_unique(self):
-        rng = np.random.default_rng(5)
-        for size in (2, 17, 300):
-            arr = rng.choice([0.0, -0.0, 1.0, math.nan], size)
-            with mock.patch.object(util.np, "unique", wraps=np.unique) as spy:
-                got = util.sorted_distinct(arr)
-            assert spy.called == (np.isnan(arr).any() or np.signbit(arr[arr == 0]).ptp() > 0)
-            assert_same_bits(got, unique(arr))
-
-    @pytest.mark.parametrize("values, mixed", [
-        ([0.0, -0.0, 1.0], True),
-        ([-0.0, 0.0], True),
-        ([-1.0, 0.0, -0.0], True),
-        ([0.0, 0.0, 2.0], False),
-        ([2.0, 1.0, 2.0, math.inf], False),
-    ], ids=["zero-first", "zeros-only", "negative-first", "one-zero-sign", "positive"])
-    def test_only_zeros_of_both_signs_take_np_unique(self, values, mixed):
-        arr = np.array(values)
-        with mock.patch.object(util.np, "unique", wraps=np.unique) as spy:
-            got = util.sorted_distinct(arr)
-        assert spy.called == mixed
-        assert_same_bits(got, unique(arr))
-
 
 def geomspace_grid(eps_min, eps_max, size):
     with np.errstate(over="ignore"):  # geomspace's power warns at the largest float
