@@ -22,7 +22,7 @@ import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter, plateau_ends
 from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter, min_gap
-from .util import check_grid, frozen_array, positive_int, sorted_distinct
+from .util import check_grid, finite_float, frozen_array, positive_int, sorted_distinct
 
 # boundary refinements are placed just inside the qualifying region
 _BOUNDARY_SHRINK = 1.0 - 1e-9
@@ -73,23 +73,25 @@ class ProblemParams:
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
         if self.m > self.n:
             raise ValueError("m must be an integer with 1 <= m <= n")
-        if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r > 0):
+        r = finite_float(self.r)
+        if r is None or r <= 0:
             raise ValueError("r must be a positive finite number")
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "r", r)
         if self.c is None:
             if self.n == 1:
                 object.__setattr__(self, "c", float(self.d + 1))
             else:
                 raise ValueError("the entropy constant c must be given explicitly for n >= 2")
         else:
-            if not (isinstance(self.c, (int, float)) and math.isfinite(self.c)):
+            c = finite_float(self.c)
+            if c is None:
                 raise ValueError("c must be a finite number")
-            if self.n == 1 and self.c < self.d + 1:
+            if self.n == 1 and c < self.d + 1:
                 raise ValueError("for n = 1 the entropy constant c must be at least d + 1")
             # at eta = 1 and lambda = 0 the bound is c, but a constant map needs 1 ball
-            if self.c < 1:
+            if c < 1:
                 raise ValueError("the entropy constant c must be at least 1")
-            object.__setattr__(self, "c", float(self.c))
+            object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,10 @@ class LambdaProfile:
     lambdas: tuple
 
     def __post_init__(self):
-        lams = tuple(float(v) for v in self.lambdas)
+        lams = tuple(map(finite_float, self.lambdas))
         if len(lams) == 0:
             raise ValueError("profile needs at least one threshold")
-        if any(not math.isfinite(v) or v < 0 for v in lams):
+        if any(v is None or v < 0 for v in lams):
             raise ValueError("thresholds must be finite and nonnegative")
         if any(b < a for a, b in zip(lams, lams[1:])):
             raise ValueError("thresholds must be nondecreasing")
@@ -398,6 +400,7 @@ def critical_point_rigidity_reduction(zero_set_bound: float, n: int) -> float:
     B / sqrt(n) for maps whose differential degenerates on it.  Identity in
     one dimension.
     """
-    if not (isinstance(zero_set_bound, (int, float)) and zero_set_bound >= 0):
-        raise ValueError("the zero-set bound must be nonnegative")
-    return float(zero_set_bound) / math.sqrt(positive_int(n, "n"))
+    bound = finite_float(zero_set_bound)
+    if bound is None or bound < 0:
+        raise ValueError("the zero-set bound must be a nonnegative finite number")
+    return bound / math.sqrt(positive_int(n, "n"))

@@ -281,9 +281,12 @@ def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
 
     Finite sets and power sequences each run all radii through one
     lockstep sweep with a scalar finish, a tiny finite batch through the
-    scalar sweep alone.  Every radius must be positive.
+    scalar sweep alone.  The radii must form a 1-d array, possibly empty,
+    and each must be positive.
     """
     eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1:
+        raise ValueError("epsilons must be a 1-d array of radii")
     if not (eps > 0).all():
         raise ValueError("epsilon must be positive")
     if isinstance(s, PowerSequence):

@@ -22,8 +22,8 @@ import numpy as np
 from .bounds import LambdaProfile, ProblemParams, rhs_polynomial
 from .covering import covering_counts
 from .sets import DescriptorError, FinitePoints, SampledCloud
-from .util import (check_grid, fit_loglog_slope, frozen_array, log_grid, positive_int,
-                   sorted_distinct)
+from .util import (check_grid, finite_float, fit_loglog_slope, frozen_array, log_grid,
+                   positive_int, sorted_distinct)
 
 # grid resolution per unit radius, by dimension; n = 3 grids get coarse fast
 DEFAULT_DIVISIONS = {1: 256, 2: 256, 3: 64}
@@ -81,9 +81,10 @@ class SampledMap:
             raise ValueError("axis must be uniformly spaced")
         if abs(axis[0] + axis[-1]) > 1e-9 * max(abs(axis[-1]), 1.0):
             raise ValueError("axis must be symmetric about zero")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
+        radius = finite_float(self.radius)
+        if radius is None or radius <= 0:
             raise ValueError("radius must be positive and finite")
-        if abs(axis[-1] - self.radius) > 1e-9 * self.radius:
+        if abs(axis[-1] - radius) > 1e-9 * radius:
             raise ValueError("axis must span [-radius, radius]")
         n = values.ndim - 1
         if not 1 <= n <= MAX_DIM:
@@ -97,7 +98,7 @@ class SampledMap:
             raise ValueError("sampled values must be finite")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def n(self) -> int:
@@ -132,7 +133,8 @@ class SampledMap:
         """
         if not 1 <= n <= MAX_DIM:
             raise ValueError(f"domain dimension must be in [1, {MAX_DIM}]")
-        if not (radius > 0 and math.isfinite(radius)):
+        radius = finite_float(radius)
+        if radius is None or radius <= 0:
             raise ValueError("radius must be positive and finite")
         if divisions is None:
             divisions = DEFAULT_DIVISIONS[n]
@@ -142,7 +144,7 @@ class SampledMap:
         if npts**n > MAX_GRID_NODES:
             raise ValueError(f"{npts}^{n} grid nodes exceed the budget of {MAX_GRID_NODES}")
         # past half the float range 2r overflows: space at half scale, double exactly
-        shrink = 2.0 if 2.0 * float(radius) == math.inf else 1.0
+        shrink = 2.0 if 2.0 * radius == math.inf else 1.0
         axis = shrink * np.linspace(-radius / shrink, radius / shrink, npts)
         if not np.all(np.diff(axis) > 0):
             raise ValueError(f"radius {radius:g} is too small to space {npts} grid nodes")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 from contextlib import contextmanager
@@ -45,6 +46,19 @@ def positive_int(value, name: str, least: int = 1) -> int:
     if number is None or isinstance(value, bool) or number < least:
         raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer")
     return number
+
+
+def finite_float(value) -> float | None:
+    """``value`` as a Python float, or None unless it is a finite real number.
+    A bool is refused, although Python counts it as one, and so is a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            return None
+        if math.isfinite(number):
+            return number
+    return None
 
 
 def check_grid(eps_grid) -> np.ndarray:

@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .bounds import BoundReport, LambdaProfile, ProblemParams, rigidity_bound
 from .sets import FinitePoints, SetDescriptor
-from .util import positive_int
+from .util import finite_float, positive_int
 
 # every plateau is this fraction of a transition's width
 _PLATEAU_RATIO = 0.5
@@ -155,9 +155,9 @@ def build_witness(s: FinitePoints, order: int, radius: float = 1.0) -> WitnessFu
     [-radius, radius]; each plateau has width _PLATEAU_RATIO times the
     transition width.
     """
-    if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0):
+    radius = finite_float(radius)
+    if radius is None or radius <= 0:
         raise ValueError("radius must be a positive finite number")
-    radius = float(radius)
 
     vals = s.values.tolist()
     k = len(vals)

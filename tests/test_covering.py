@@ -825,6 +825,25 @@ class TestCountsOnAGrid:
             assert count == covering_number_power(-1.0, eps)
 
 
+    @pytest.mark.parametrize("s", [FinitePoints([0.0, 1.0, 2.0]), PowerSequence(-1.0)],
+                             ids=["finite", "power"])
+    @pytest.mark.parametrize("radii", [
+        0.3,
+        [[0.3, 0.6]],
+        np.full((20, 20), 0.3),  # a batch past the tiny rule, into the lockstep
+        np.full((20, 20), 0.1),  # below the finite set's smallest gap
+    ], ids=["scalar", "one-row", "lockstep", "below-the-gap"])
+    def test_radii_that_are_not_1d_are_refused(self, s, radii):
+        with pytest.raises(ValueError, match="epsilons must be a 1-d array of radii"):
+            covering_counts(s, radii)
+
+    def test_an_empty_scan_counts_nothing(self):
+        # a one-point set's plateau scan holds no radius
+        for s in (FinitePoints([0.5]), PowerSequence(-1.0)):
+            counts = covering_counts(s, np.empty(0))
+            assert counts.shape == (0,)
+
+
 class TestExactCounter:
     def test_dispatch(self):
         f = exact_counter(FinitePoints([0.0, 1.0]))

@@ -17,6 +17,7 @@ import stat
 import struct
 import sys
 import threading
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidity import util
+from rigidity.bounds import LambdaProfile, ProblemParams, critical_point_rigidity_reduction
+from rigidity.critical import SampledMap
+from rigidity.sets import FinitePoints
 from rigidity.util import dump_json
+from rigidity.witness import build_witness
 
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, 0.1, 1e16, 1e-7]
@@ -284,6 +289,54 @@ class TestPositiveInt:
         for value in (-1, True, 0.0):
             with pytest.raises(ValueError, match="^deriv must be a nonnegative integer$"):
                 util.positive_int(value, "deriv", least=0)
+
+
+def never_sampled(pts):
+    raise AssertionError("a refused radius must not be sampled")
+
+
+class TestFiniteFloat:
+    @pytest.mark.parametrize("value", [0.5, -3, np.float32(0.5), np.int64(4), Fraction(1, 4),
+                                       -0.0, 1.7976931348623157e308, 2**1000],
+                             ids=["float", "int", "float32", "int64", "fraction", "-0.0",
+                                  "largest-float", "2**1000"])
+    def test_finite_reals_come_back_as_python_floats(self, value):
+        got = util.finite_float(value)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, math.nan,
+                                       math.inf, -math.inf, np.float64(math.nan), 10**400,
+                                       np.array(0.5), complex(0.5)],
+                             ids=["True", "False", "bool_", "str", "None", "nan", "inf", "-inf",
+                                  "float64-nan", "1e400", "0-d-array", "complex"])
+    def test_everything_else_is_none(self, value):
+        assert util.finite_float(value) is None
+
+    # each caller keeps its own range rule and message
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ProblemParams(1, 1, 1, r=True), "r must be a positive finite number"),
+        (lambda: ProblemParams(1, 1, 1, r="0.5"), "r must be a positive finite number"),
+        (lambda: ProblemParams(2, 1, 1, c=True), "c must be a finite number"),
+        (lambda: LambdaProfile((True,)), "thresholds must be finite and nonnegative"),
+        (lambda: LambdaProfile(("0.5",)), "thresholds must be finite and nonnegative"),
+        (lambda: build_witness(FinitePoints([0.0, 1.0]), 1, radius=True),
+         "radius must be a positive finite number"),
+        (lambda: SampledMap.from_callable(never_sampled, 1, 1, True, 4),
+         "radius must be positive and finite"),
+        (lambda: critical_point_rigidity_reduction(True, 2),
+         "the zero-set bound must be a nonnegative finite number"),
+        (lambda: critical_point_rigidity_reduction(math.inf, 2),
+         "the zero-set bound must be a nonnegative finite number"),
+    ], ids=["r-bool", "r-str", "c-bool", "lambda-bool", "lambda-str", "witness-radius",
+            "sampled-radius", "zero-set-bound", "zero-set-bound-inf"])
+    def test_real_parameters_refuse_bools_and_strings(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_numpy_reals_are_stored_as_python_floats(self):
+        p = ProblemParams(2, 1, 1, r=np.float32(0.5), c=np.int64(3))
+        assert (type(p.r), type(p.c)) == (float, float) and (p.r, p.c) == (0.5, 3.0)
+        assert LambdaProfile((np.float32(0.25), 1)).lambdas == (0.25, 1.0)
 
 
 class TestAtomicWrite:
