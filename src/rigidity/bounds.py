@@ -16,6 +16,7 @@ whose coarseness can cost sharpness but never soundness.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -217,8 +218,13 @@ def _newton_root(c: float, coeffs: list, nu, t: np.ndarray) -> np.ndarray:
     """Root of c * f(t) = nu, f(t) = sum_i coeffs[i] t^(n-i), by Newton from
     a start t at or above it, entry by entry, updating t in place.  Steps
     stay between the root (above 1, as c * f(1) < nu) and the start, where
-    each term of f is at most nu/c and f' >= n: none overflows or divides by 0.
-    """
+    each term of f is at most nu/c and f' >= n: no sum or product tops
+    (n+1)**2 * nu, and none divides by 0.  Where that could overflow, both
+    sides are scaled by a power of two, which moves no rounding of a normal."""
+    spare = len(coeffs) ** 2
+    if nu.max(initial=0.0) > sys.float_info.max / spare:
+        scale = 2.0**-spare.bit_length()
+        coeffs, nu = [a * scale for a in coeffs], nu * scale
     falling = True
     while True:
         # Horner for f and f', from its second step: the first gives a_0 and 0
