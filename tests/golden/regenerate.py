@@ -14,11 +14,16 @@ Rewrite every case, or the named ones, from the repository root with
     PYTHONPATH=src python tests/golden/regenerate.py [case ...]
 
 A rewrite changes a check: review the diff and record why in CHANGES.md.
+With ``--check`` nothing is written: each case whose run differs from its
+record is listed with a unified diff of every differing text record, or
+the two SHA-256 digests of a hashed one, and the script exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -91,6 +96,30 @@ def write_expected(case: Path, rec: dict) -> None:
         (root / MANIFEST).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
 
 
+def _digest(data) -> str:
+    if data is None:
+        return "(no record)"
+    return data if isinstance(data, str) else hashlib.sha256(data).hexdigest()
+
+
+def differences(want: dict, got: dict) -> list:
+    """Lines naming every record where the run ``got`` differs from the
+    stored ``want``: a unified diff of two texts, else the two digests."""
+    lines = []
+    for name in sorted(want.keys() | got.keys()):
+        old, new = want.get(name), got.get(name)
+        if old == new:
+            continue
+        diff = []
+        if isinstance(old, bytes) and isinstance(new, bytes):
+            diff = list(difflib.unified_diff(
+                old.decode(errors="replace").splitlines(), new.decode(errors="replace").splitlines(),
+                f"expected/{name}", f"run/{name}", lineterm=""))
+        # texts that differ only in their line ends give no diff lines
+        lines += diff or [f"{name}: expected {_digest(old)}, run {_digest(new)}"]
+    return lines
+
+
 def run(case: Path, workdir: Path) -> dict:
     from rigidity.cli import main
 
@@ -107,8 +136,24 @@ def run(case: Path, workdir: Path) -> dict:
     return record(case, workdir, code, out.getvalue(), err.getvalue())
 
 
-if __name__ == "__main__":
-    for name in sys.argv[1:] or case_names():
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Rewrite the golden cases, all or the named ones.")
+    ap.add_argument("--check", action="store_true",
+                    help="write nothing; list each case whose run differs, exit 1 if any does")
+    ap.add_argument("cases", nargs="*", help="case names (default: every case)")
+    args = ap.parse_args(argv)
+    status = 0
+    for name in args.cases or case_names():
         with tempfile.TemporaryDirectory() as tmp:
-            write_expected(CASES / name, run(CASES / name, Path(tmp)))
-        print(f"rewrote {name}")
+            rec = run(CASES / name, Path(tmp))
+        if not args.check:
+            write_expected(CASES / name, rec)
+            print(f"rewrote {name}")
+        elif diff := differences(expected(CASES / name), rec):
+            status = 1
+            print(f"{name} differs", *diff, sep="\n")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
