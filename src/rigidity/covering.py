@@ -1,13 +1,16 @@
-"""Exact covering counts of value sets by closed balls of radius epsilon.
+"""Greedy covering counts of value sets by closed balls of radius epsilon.
 
-All counts here are minimal-cover cardinalities, exact by construction:
-one-dimensional sets and power sequences via the optimal greedy sweep,
-run for all radii at once while many sweeps are live, the last few (and
-tiny finite batches) one at a time by an exact scalar search; the power sweep
-completes the accumulation tail with one final ball.  Sweeps skip the
-balls a float-safe bound proves: a finite sweep its leading one-point
-balls, a power sweep each run of balls with equal strides (terms per
-ball).  Multi-dimensional clouds have no exact count and are refused.
+Sets on the line and power sequences are counted by the greedy sweep,
+minimal in exact arithmetic, with one float test per ball: a finite sweep
+goes up and covers x from anchor a if fl(a + 2*eps) >= x; a power sweep
+goes down from anchor q to the largest term strictly below t = fl(q -
+2*eps).  Rounding to nearest keeps every point the exact ball holds, so no
+count exceeds the minimal cover of the floats swept (libm's terms for a
+power sequence); one that adds a point can lower it: finite counts did at
+1,771 of 33,247 radii measured, and a power count can fall below its own
+prefix's (``tests/test_invariants.py``).  Radii sweep in lockstep while
+many are live, then (and in tiny finite batches) alone, skipping the
+balls a float-safe bound proves.  Clouds are refused.
 """
 
 from __future__ import annotations
@@ -277,13 +280,11 @@ def exact_counter(s: SetDescriptor):
 
 
 def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
-    """Exact covering counts of a descriptor at every radius, in the given order.
-
-    Finite sets and power sequences each run all radii through one
-    lockstep sweep with a scalar finish, a tiny finite batch through the
-    scalar sweep alone.  The radii must form a 1-d array, possibly empty,
-    and each must be positive.
-    """
+    """Greedy counts (their float tests are in the module docstring) of a
+    descriptor at each radius of a 1-d array, possibly empty, in its order;
+    every radius must be positive.  All radii run through one lockstep
+    sweep with a scalar finish, a tiny finite batch through the scalar
+    sweep alone."""
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1:
         raise ValueError("epsilons must be a 1-d array of radii")

@@ -7,7 +7,7 @@ import math
 import numbers
 import operator
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
 
@@ -49,15 +49,11 @@ def positive_int(value, name: str, least: int = 1) -> int:
 
 
 def finite_float(value) -> float | None:
-    """``value`` as a Python float, or None unless it is a finite real number.
-    A bool is refused, although Python counts it as one, and so is a string."""
+    """``value`` as a float, or None unless it is a finite real number and not a bool."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
+        with suppress(OverflowError):  # an int past the float range
             number = float(value)
-        except OverflowError:  # an int past the float range
-            return None
-        if math.isfinite(number):
-            return number
+            return number if math.isfinite(number) else None
     return None
 
 
