@@ -377,7 +377,7 @@ class TestSolveEtaErrorScope:
     )
     @example(n=1, drop=0, d=1000, c=1.0, r=1.0, lams=[0.0] * 4, eps=[0.6], lift=1e6)
     @example(n=4, drop=0, d=1, c=1e300, r=4.0, lams=[1e300] * 4, eps=[5e-324, 1e-3], lift=0.0)
-    # counts within a factor (n+1)**2 of the float range: c * f overflowed
+    # counts within a factor (n+1)**2 of the float range, where c * f overflows unscaled
     @example(n=4, drop=0, d=1, c=2.0, r=2.0, lams=[0.5, 0.5, 3.0, 1.896004478175099e307],
              eps=[1.5], lift=0.0)
     @example(n=4, drop=0, d=1, c=1.0, r=2.0, lams=[0.5, 1.0, 3.0, 1.896004478175099e307],

@@ -824,7 +824,6 @@ class TestCountsOnAGrid:
         for eps, count in zip(grid, counts):
             assert count == covering_number_power(-1.0, eps)
 
-
     @pytest.mark.parametrize("s", [FinitePoints([0.0, 1.0, 2.0]), PowerSequence(-1.0)],
                              ids=["finite", "power"])
     @pytest.mark.parametrize("radii", [

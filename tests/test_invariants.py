@@ -69,9 +69,9 @@ def test_a_power_sequence_qualifies_wherever_its_prefix_does():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="one float below a half gap the power sweep's anchor test, made "
-                          "down from fl(q - 2*eps), loses a term the prefix's upward "
-                          "test fl(a + 2*eps) >= x keeps")
+                   reason="one float below a half gap t = fl(q - 2*eps) rounds down past "
+                          "a term the exact ball misses: the power sweep covers it and "
+                          "needs one ball fewer than the exact count of its own prefix")
 @pytest.mark.parametrize("alpha, size, eps, exact", [
     (-3.8809637888806394, 40, 0.00021499408657168185, 8),
     (-2.5833766823551665, 60, 0.00609836758424472, 6),
