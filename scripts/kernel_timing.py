@@ -1,28 +1,20 @@
 #!/usr/bin/env python3
-"""Time the covering kernels and the stages of a sandwich check in process,
-on the benchmark's seeded inputs.
+"""Time the covering kernels in process on the benchmark's seeded inputs.
 
 For each input the script prints the best of ``--repeat`` wall times of
 ``covering_counts`` over the input's grid, and the number of lockstep
 steps the kernel took: the power sequences of ``bound_large`` on their
 ``--eps`` grids, its uniform-600 and Cantor-1024 sets on their default
-grids and the ``sandwich_small`` sets on their plateau ends.  With
-``--stages`` it prints instead where one ``witness.sandwich_check`` call
-on the ``sandwich_small`` sets spends its time, in microseconds per
-call, stage by stage.  Those sets are small, so the bound scans their plateau ends
-(the last float of each plateau of the count) instead of a grid: the
-ends, their covering counts, the eta = 1 baseline from the coefficient
-table, the eta solve, the report with epsilon0 read off the ends, and
-the witness with its scale.  Run it from the repository root:
+grids and the ``sandwich_small`` sets on their plateau ends (the last
+float of each plateau of the count), which the bound scans instead of a
+grid for sets that small.  Run it from the repository root:
 
-    PYTHONPATH=src python3 scripts/kernel_timing.py [--seed 1] [--repeat 7] [--stages]
+    PYTHONPATH=src python3 scripts/kernel_timing.py [--seed 1] [--repeat 7]
 
 Steps are counted in a separate, traced run, so the tracing does not
 reach the timings.  ``--thin K`` keeps every K-th radius of each kernel
 grid and ``--sandwich-sets N`` the first N sandwich sets, for quick runs.
-The stages repeat ``bounds.rigidity_bound``'s steps on a set of at most
-``bounds._PLATEAU_SCAN_MAX`` points with no grid; the script stops if
-their gamma, epsilon0 or witness scale differs from ``sandwich_check``'s.
+``scripts/stage_timing.py`` times the stages around the kernels.
 """
 
 import argparse
@@ -37,18 +29,10 @@ import workloads  # noqa: E402  (the benchmark's input generators)
 
 import numpy as np  # noqa: E402
 
-from rigidity import bounds, covering  # noqa: E402
-from rigidity.bounds import (  # noqa: E402
-    BoundReport,
-    LambdaProfile,
-    ProblemParams,
-    gamma_closed_form,
-    solve_eta,
-)
+from rigidity import covering  # noqa: E402
 from rigidity.covering import covering_counts, default_grid, plateau_ends  # noqa: E402
-from rigidity.sets import FinitePoints, PowerSequence, min_gap  # noqa: E402
+from rigidity.sets import FinitePoints, PowerSequence  # noqa: E402
 from rigidity.util import log_grid  # noqa: E402
-from rigidity.witness import build_witness, sandwich_check, witness_derivative_scale  # noqa: E402
 
 # the line each lockstep step of a kernel runs once: its vectorised guess
 # of every live sweep's next anchor
@@ -119,88 +103,16 @@ def lockstep_steps(calls) -> int:
     return hits
 
 
-STAGES = ("ends", "counts", "baseline", "solve", "report", "witness")
-
-
-def staged_sandwich(p, profile, s):
-    """``sandwich_check(p, profile, s)`` as its stages, each timed:
-    (gamma, epsilon0, witness scale, seconds per stage)."""
-    clock = time.perf_counter
-    marks = [clock()]
-    scan = plateau_ends(s)
-    marks.append(clock())
-    counts = covering_counts(s, scan)
-    marks.append(clock())
-    coeffs = bounds._coefficients(p, profile, scan)
-    with np.errstate(over="ignore"):
-        hit = counts > p.c * sum(coeffs)
-    marks.append(clock())
-    qualifying = scan[hit]
-    curve = np.column_stack((qualifying, solve_eta(p, profile, counts[hit], qualifying)))
-    marks.append(clock())
-    top = scan[counts >= p.c + 1.0]
-    eps0 = top[0].item() if top.size and top[0] >= min_gap(s) / 4.0 > 0.0 else None
-    closed = None
-    if eps0 is not None and profile.lambdas[0] == 0.0:
-        closed = gamma_closed_form(eps0, p)
-    report = BoundReport(curve, closed, eps0, p, profile)
-    marks.append(clock())
-    scale = witness_derivative_scale(build_witness(s, p.d, p.r))
-    marks.append(clock())
-    return report.gamma, eps0, scale, np.diff(marks)
-
-
-def sandwich_calls(seed: int, sets: int) -> list:
-    """(params, profile, set) of each ``sandwich_small`` trial, as ``bench/child.py`` makes them."""
-    return [(ProblemParams(n=1, m=1, d=t["d"]), LambdaProfile((t["lam"],)),
-             FinitePoints(np.asarray(t["values"])))
-            for t in workloads.sandwich_trials(seed)[:sets]]
-
-
-def stage_times(calls, repeat: int):
-    """Microseconds per call of each stage and of a whole ``sandwich_check``,
-    each the best of ``repeat`` passes over the calls."""
-    for p, profile, s in calls:
-        whole = sandwich_check(p, profile, s)
-        gamma, eps0, scale, _ = staged_sandwich(p, profile, s)
-        if (gamma, eps0, scale) != (whole.gamma, whole.report.epsilon0, whole.witness_scale):
-            raise SystemExit("the stages no longer repeat sandwich_check; update staged_sandwich")
-    stages = np.full(len(STAGES), np.inf)
-    best = np.inf
-    for _ in range(repeat):
-        stages = np.minimum(stages, sum(staged_sandwich(*call)[3] for call in calls))
-        start = time.perf_counter()
-        for call in calls:
-            sandwich_check(*call)
-        best = min(best, time.perf_counter() - start)
-    return 1e6 * stages / len(calls), 1e6 * best / len(calls)
-
-
-def print_stages(seed: int, sets: int, repeat: int) -> None:
-    calls = sandwich_calls(seed, sets)
-    per_stage, whole = stage_times(calls, repeat)
-    print(f"{'stage':<14} {'us/call':>10} {'share':>7}")
-    for name, us in zip(STAGES, per_stage.tolist()):
-        print(f"{name:<14} {us:>10.2f} {us / per_stage.sum():>7.1%}")
-    print(f"{'stage sum':<14} {per_stage.sum():>10.2f}")
-    print(f"{'whole call':<14} {whole:>10.2f}")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per input; the best counts")
     ap.add_argument("--thin", type=int, default=1, help="keep every K-th grid radius")
     ap.add_argument("--sandwich-sets", type=int, default=workloads.SANDWICH_TRIALS)
-    ap.add_argument("--stages", action="store_true",
-                    help="time the stages of sandwich_check instead of the kernels")
     args = ap.parse_args()
     if args.repeat < 1 or args.thin < 1 or args.sandwich_sets < 1:
         ap.error("--repeat, --thin and --sandwich-sets must be positive")
 
-    if args.stages:
-        print_stages(args.seed, args.sandwich_sets, args.repeat)
-        return
     print(f"{'input':<14} {'calls':>6} {'radii':>7} {'best_ms':>10} {'us/call':>10} {'steps':>7}")
     for label, calls in inputs(args.seed, args.thin, args.sandwich_sets):
         best = best_time(calls, args.repeat)

@@ -1,6 +1,6 @@
 """The scripts under ``scripts/``, each run in-process: the seven-point
-demo on its defaults, the power scan and the sandwich sweep on small
-arguments."""
+demo on its defaults, and the power scan, the sandwich sweep, the kernel
+timer and the stage timer on small arguments."""
 
 import csv
 import importlib.util
@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rigidity.cli  # noqa: F401  (loaded before the stage timer's hooks are counted)
+import rigidity.witness  # noqa: F401
 from rigidity.bounds import LambdaProfile, ProblemParams, rigidity_bound
 from rigidity.sets import FinitePoints
 
@@ -83,31 +85,44 @@ def test_kernel_timing_prints_one_row_per_input(monkeypatch, capsys):
         assert float(best_ms) > 0 and float(per_call) > 0
 
 
-def test_kernel_timing_stages_sum_to_a_sandwich_check(monkeypatch, capsys):
-    run_script(monkeypatch, "kernel_timing", "--stages", "--repeat", "1",
-               "--sandwich-sets", "5")
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["stage", "us/call", "share"]
-    names = [row.split()[0] for row in rows]
-    assert names == ["ends", "counts", "baseline", "solve", "report", "witness",
-                     "stage", "whole"]
-    times = [float(row.split()[-1 if row.startswith(("stage", "whole")) else 1])
-             for row in rows]
-    assert all(t > 0 for t in times)
-    assert sum(times[:6]) == pytest.approx(times[6], rel=1e-3, abs=0.2)
+def wrapped_functions():
+    """The ``rigidity`` module names, and the names in their classes, whose
+    values carry ``__wrapped__``."""
+    found = set()
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] != "rigidity":
+            continue
+        for key, value in vars(mod).items():
+            if hasattr(value, "__wrapped__"):
+                found.add(f"{name}.{key}")
+            if isinstance(value, type) and value.__module__ == name:
+                found.update(f"{name}.{key}.{attr}" for attr in vars(value)
+                             if hasattr(getattr(value, attr), "__wrapped__"))
+    return found
 
 
-def test_extract_timing_prints_one_row_per_stage(monkeypatch, capsys):
-    run_script(monkeypatch, "extract_timing", "--repeat", "1", "--scale", "20")
+@pytest.mark.parametrize("workload, ops", [
+    # each op of the workload, in order, with stages it must have called
+    ("sandwich_small", {"sandwich": ["covering.plateau_ends", "covering.covering_counts"]}),
+    ("bound_large", {label: ["covering.covering_counts"] for label in (
+        "uniform", "clustered", "clustered-lambda", "power-0.5", "power-1")}),
+    ("extract_grid", {"grid3d": ["critical.SampledMap.from_grid_csv"], "poly10": [],
+                      "stretch2d": [], "poly10-bound": [], "poly10-witness": []}),
+])
+def test_stage_timing_times_every_op_of_a_workload(monkeypatch, capsys, workload, ops):
+    before = wrapped_functions()
+    run_script(monkeypatch, "stage_timing", "--workload", workload, "--repeat", "1")
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["input", "stage", "best_ms"]
-    stages = [tuple(row.split()[:2]) for row in rows]
-    assert stages == [
-        ("grid3d", "from_grid_csv"), ("grid3d", "semi_axis_field"),
-        ("grid3d", "near_critical_set"), ("grid3d", "dump_json"),
-        ("poly10", "semi_axis_field"), ("poly10", "near_critical_set"),
-        ("poly10", "measured_derivative_scale"), ("poly10", "dump_json"),
-        ("stretch2d", "semi_axis_field"), ("stretch2d", "near_critical_set"),
-        ("stretch2d", "dump_json"),
-    ]
-    assert all(float(row.split()[2]) >= 0 for row in rows)
+    assert header.split() == ["op", "stage", "calls", "busy_ms", "self_ms"]
+    by_op = {}
+    for row in rows:
+        op, stage, calls, *times = row.split()
+        assert int(calls) >= 1 and all(float(t) >= 0 for t in times)
+        by_op.setdefault(op, {})[stage] = len(times)
+    assert list(by_op) == list(ops)
+    for op, stages in ops.items():
+        assert list(by_op[op])[:2] == ["untraced", "traced"]
+        assert by_op[op]["untraced"] == by_op[op]["traced"] == 1
+        assert all(by_op[op][stage] == 2 for stage in stages)
+    # the hooks are undone: no library function is left wrapped
+    assert wrapped_functions() == before
