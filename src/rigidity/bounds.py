@@ -391,8 +391,8 @@ def classify_power_sequence(alpha: float, d: int, n: int = 1) -> PowerVerdict:
     near-critical values; a nonnegative exponent means this bound alone
     excludes nothing.
     """
-    n, d = positive_int(n, "n"), positive_int(d, "d")
-    if not (math.isfinite(alpha) and alpha < 0):
+    n, d, alpha = positive_int(n, "n"), positive_int(d, "d"), finite_float(alpha)
+    if alpha is None or alpha >= 0:
         raise ValueError("alpha must be a finite negative number")
     exponent = 1.0 + d / (n * (alpha - 1.0))
     verdict = EXCLUDED if exponent < 0 else NOT_EXCLUDED

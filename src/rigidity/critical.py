@@ -136,11 +136,11 @@ class SampledMap:
         radius = finite_float(radius)
         if radius is None or radius <= 0:
             raise ValueError("radius must be positive and finite")
-        if divisions is None:
-            divisions = DEFAULT_DIVISIONS[n]
+        divisions = positive_int(DEFAULT_DIVISIONS[n] if divisions is None else divisions,
+                                 "divisions", least=0)
         if divisions < 2:
             raise ValueError("need at least 2 divisions per radius")
-        npts = 2 * int(divisions) + 1
+        npts = 2 * divisions + 1
         if npts**n > MAX_GRID_NODES:
             raise ValueError(f"{npts}^{n} grid nodes exceed the budget of {MAX_GRID_NODES}")
         # past half the float range 2r overflows: space at half scale, double exactly

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import frozen_array, sorted_distinct
+from .util import finite_float, frozen_array, sorted_distinct
 
 # largest descriptor file read, about five million values at 25 characters each
 MAX_DESCRIPTOR_BYTES = 2**27
@@ -82,8 +83,10 @@ class PowerSequence:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha < 0):
+        alpha = finite_float(self.alpha)
+        if alpha is None or alpha >= 0:
             raise DescriptorError("alpha must be a finite negative number")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,22 +150,34 @@ def descriptor_to_json_dict(s: SetDescriptor) -> dict:
     raise TypeError(f"unsupported descriptor {type(s).__name__}")
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number or an array or nested lists of
+    them: not a bool or a string, although numpy reads either as a number."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):  # JSON's floats and ints are checked at C speed
+        return {float, int}.issuperset(map(type, value)) or all(map(_real, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def descriptor_from_json(obj) -> SetDescriptor:
     if not isinstance(obj, dict):
         raise DescriptorError("descriptor must be a JSON object")
     kind = obj.get("type")
     try:
-        if kind == "finite":
-            return FinitePoints(np.asarray(obj["points"], dtype=float))
         if kind == "power":
-            return PowerSequence(float(obj["alpha"]))
-        if kind == "cloud":
+            return PowerSequence(obj["alpha"])
+        if kind in ("finite", "cloud"):
             pts = np.asarray(obj["points"], dtype=float)
-            # flat or one-column points are scalars, read as a finite set
-            return FinitePoints(pts) if pts.ndim < 2 or pts.shape[1] == 1 else SampledCloud(pts)
+            if not _real(obj["points"]):
+                raise DescriptorError("points must be real numbers")
+            # a finite set, or a cloud whose points are scalars (flat or one column)
+            if kind == "finite" or pts.ndim < 2 or pts.shape[1] == 1:
+                return FinitePoints(pts)
+            return SampledCloud(pts)
     except KeyError as exc:
         raise DescriptorError(f"descriptor is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DescriptorError):
             raise
         raise DescriptorError(f"descriptor has malformed values: {exc}") from exc

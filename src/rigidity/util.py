@@ -68,10 +68,12 @@ def check_grid(eps_grid) -> np.ndarray:
 def log_grid(eps_min: float, eps_max: float,
              points_per_decade: int = DEFAULT_POINTS_PER_DECADE) -> np.ndarray:
     """Strictly decreasing log-spaced grid from eps_max down to eps_min."""
-    if not (eps_min > 0 and eps_max > 0 and math.isfinite(eps_min) and math.isfinite(eps_max)):
+    eps_min, eps_max = finite_float(eps_min), finite_float(eps_max)
+    if eps_min is None or eps_max is None or not (eps_min > 0 and eps_max > 0):
         raise ValueError("grid endpoints must be positive finite numbers")
     if not eps_min < eps_max:
         raise ValueError("grid needs eps_min < eps_max")
+    points_per_decade = positive_int(points_per_decade, "points_per_decade", least=0)
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
     # checked first: a huge integer overflows the float product below

@@ -1156,9 +1156,10 @@ class TestClassifyPowerSequence:
             verdict = classify_power_sequence(alpha, d, n)
             assert (verdict.verdict == EXCLUDED) == (d > thresh)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, math.nan, -math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, math.nan, -math.inf, pytest.param("x", id="str"),
+                                       pytest.param(-10**400, id="-1e400")])
     def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha must be a finite negative number$"):
             classify_power_sequence(alpha, 5)
 
     def test_higher_dimensions_need_no_constant(self):

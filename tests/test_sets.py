@@ -63,10 +63,17 @@ class TestPowerSequence:
         s = PowerSequence(-1.0)
         assert s.alpha == -1.0
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("alpha", [
+        0.0, 0.5, float("nan"), float("inf"), pytest.param("x", id="str"),
+        pytest.param("-1", id="numeric-str"), pytest.param(-10**400, id="-1e400"),
+        pytest.param(None, id="None")])
     def test_bad_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(DescriptorError, match="^alpha must be a finite negative number$"):
             PowerSequence(alpha)
+
+    def test_alpha_is_stored_as_a_float(self):
+        s = PowerSequence(-2)
+        assert type(s.alpha) is float and s == PowerSequence(-2.0)
 
 
 class TestSampledCloud:
@@ -170,6 +177,28 @@ class TestJson:
     def test_non_object_rejected(self):
         with pytest.raises(DescriptorError):
             descriptor_from_json([1, 2, 3])
+
+    # numpy reads each of these entries as a number; a descriptor takes
+    # finite real numbers only
+    @pytest.mark.parametrize("obj", [
+        {"type": "finite", "points": [True, False, 0.5]},
+        {"type": "finite", "points": ["0.1", "0.4", "0.9"]},
+        {"type": "finite", "points": [0.5, 10**400]},
+        {"type": "cloud", "points": [[0.1, True], [0.2, 0.3]]},
+        {"type": "cloud", "points": [[10**400, 0.0], [0.2, 0.3]]},
+        {"type": "power", "alpha": "-1"},
+        {"type": "power", "alpha": -10**400},
+    ], ids=["bools", "strings", "huge-int", "cloud-bool", "cloud-huge-int",
+            "alpha-string", "alpha-huge-int"])
+    def test_entries_that_are_not_real_numbers_are_refused(self, obj):
+        with pytest.raises(DescriptorError):
+            load_descriptor(json.dumps(obj))
+
+    def test_json_integers_stay_valid(self):
+        assert load_descriptor('{"type": "finite", "points": [0, 1]}').values.tolist() == [0, 1]
+        assert load_descriptor('{"type": "cloud", "points": [[0, 1], [2, 3]]}').points.tolist() \
+            == [[0.0, 1.0], [2.0, 3.0]]
+        assert load_descriptor('{"type": "power", "alpha": -2}') == PowerSequence(-2.0)
 
     @settings(max_examples=50)
     @given(finite_values)

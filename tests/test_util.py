@@ -291,6 +291,26 @@ class TestPositiveInt:
                 util.positive_int(value, "deriv", least=0)
 
 
+    # grid and sampling counts take integers only, each keeping its own floor
+    @pytest.mark.parametrize("call, message", [
+        (lambda: util.log_grid(1e-3, 1.0, True), "points_per_decade must be a nonnegative integer"),
+        (lambda: util.log_grid(1e-3, 1.0, 2.5), "points_per_decade must be a nonnegative integer"),
+        (lambda: SampledMap.from_callable(never_sampled, 1, 1, 1.0, 2.5),
+         "divisions must be a nonnegative integer"),
+        (lambda: SampledMap.from_callable(never_sampled, 1, 1, 1.0, True),
+         "divisions must be a nonnegative integer"),
+    ], ids=["per-decade-bool", "per-decade-fraction", "divisions-fraction", "divisions-bool"])
+    def test_counts_refuse_bools_and_fractions(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_counts_keep_their_floors_and_take_numpy_integers(self):
+        with pytest.raises(ValueError, match="^points_per_decade must be at least 1$"):
+            util.log_grid(1e-3, 1.0, 0)
+        assert np.array_equal(util.log_grid(1e-3, 1.0, np.int64(2)), util.log_grid(1e-3, 1.0, 2))
+        assert SampledMap.from_callable(lambda p: p, 1, 1, 1.0, np.int64(4)).axis.size == 9
+
+
 def never_sampled(pts):
     raise AssertionError("a refused radius must not be sampled")
 
@@ -327,8 +347,11 @@ class TestFiniteFloat:
          "the zero-set bound must be a nonnegative finite number"),
         (lambda: critical_point_rigidity_reduction(math.inf, 2),
          "the zero-set bound must be a nonnegative finite number"),
+        (lambda: util.log_grid(True, 2.0, 2), "grid endpoints must be positive finite numbers"),
+        (lambda: util.log_grid(1e-3, "1", 2), "grid endpoints must be positive finite numbers"),
     ], ids=["r-bool", "r-str", "c-bool", "lambda-bool", "lambda-str", "witness-radius",
-            "sampled-radius", "zero-set-bound", "zero-set-bound-inf"])
+            "sampled-radius", "zero-set-bound", "zero-set-bound-inf", "grid-end-bool",
+            "grid-end-str"])
     def test_real_parameters_refuse_bools_and_strings(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
