@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Time the operations of a benchmark workload in process, stage by stage.
 
-One pass of the workload is built with ``bench/workloads.py`` and each
+One pass of the workload is built with ``bench/workloads.py``; each
 operation runs as ``bench/child.py`` runs it (``rigidity.cli.main`` on a CLI
-step, ``witness.sandwich_check`` on each sandwich trial): ``--repeat`` times
-untraced, then ``--repeat`` times with the functions in ``STAGES`` wrapped
-by ``bench/spans.py``, whose hooks are undone at the end.  The script prints
-each operation's best untraced and traced wall times and, for each stage
-the best traced run called, its calls, busy time (the union of its spans)
-and self time (less the stages it called).  From the repository root:
+step, ``witness.sandwich_check`` on each sandwich trial), ``--repeat`` times
+untraced, then ``--repeat`` times with the ``STAGES`` wrapped by
+``bench/spans.py`` (undone at the end).  Printed per operation: the best
+untraced and traced wall times and, per stage the best traced run called,
+calls, busy ms (the union of its spans) and self ms (less inner stages).
 
     PYTHONPATH=src python3 scripts/stage_timing.py --workload bound_large [--seed 1] [--repeat 3]
 """
@@ -73,7 +72,8 @@ def traced(runs, repeat: int):
     """The recorder and ``best_run`` of each run with the stages hooked.
     Every module and class entry the hooks replace is put back."""
     owners = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "rigidity"]
-    owners += [getattr(sys.modules[m], a.split(".")[0]) for m, a, _, _ in HOOKS if "." in a]
+    owners += [cls for mod in owners for cls in vars(mod).values()
+               if isinstance(cls, type) and cls.__module__ == mod.__name__]
     saved = {owner: dict(vars(owner)) for owner in owners}
     rec = spans.Recorder()
     try:

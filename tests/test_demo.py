@@ -110,7 +110,7 @@ def wrapped_functions():
         "uniform", "clustered", "clustered-lambda", "power-0.5", "power-1")}),
     ("extract_grid", {"grid3d": ["critical.SampledMap.from_grid_csv"], "poly10": [],
                       "stretch2d": [], "poly10-bound": [], "poly10-witness": []}),
-])
+], ids=["sandwich_small", "bound_large", "extract_grid"])
 def test_stage_timing_times_every_op_of_a_workload(monkeypatch, capsys, workload, ops):
     # the script never checks an operation's result, so the reference gammas
     # that a workload computes for its checks (about 1 s of sandwich_small) are stubbed
@@ -124,11 +124,13 @@ def test_stage_timing_times_every_op_of_a_workload(monkeypatch, capsys, workload
     for row in rows:
         op, stage, calls, *times = row.split()
         assert int(calls) >= 1 and all(float(t) >= 0 for t in times)
-        by_op.setdefault(op, {})[stage] = len(times)
+        # a wall time for the op's two runs, busy and self ms for a stage
+        assert len(times) == (1 if stage in ("untraced", "traced") else 2)
+        by_op.setdefault(op, []).append(stage)
     assert list(by_op) == list(ops)
     for op, stages in ops.items():
-        assert list(by_op[op])[:2] == ["untraced", "traced"]
-        assert by_op[op]["untraced"] == by_op[op]["traced"] == 1
-        assert all(by_op[op][stage] == 2 for stage in stages)
-    # the hooks are undone: no library function is left wrapped
+        assert by_op[op][:2] == ["untraced", "traced"]
+        assert set(stages) <= set(by_op[op])
+    # the hooks are undone: no more library names carry __wrapped__ than
+    # before (a functools.lru_cache does too)
     assert wrapped_functions() == before

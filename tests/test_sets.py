@@ -178,8 +178,8 @@ class TestJson:
         with pytest.raises(DescriptorError):
             descriptor_from_json([1, 2, 3])
 
-    # numpy reads each of these entries as a number; a descriptor takes
-    # finite real numbers only
+    # numpy reads bools and strings as numbers and overflows on integers past
+    # the float range; a descriptor takes finite real numbers only
     @pytest.mark.parametrize("obj", [
         {"type": "finite", "points": [True, False, 0.5]},
         {"type": "finite", "points": ["0.1", "0.4", "0.9"]},

@@ -290,7 +290,6 @@ class TestPositiveInt:
             with pytest.raises(ValueError, match="^deriv must be a nonnegative integer$"):
                 util.positive_int(value, "deriv", least=0)
 
-
     # grid and sampling counts take integers only, each keeping its own floor
     @pytest.mark.parametrize("call, message", [
         (lambda: util.log_grid(1e-3, 1.0, True), "points_per_decade must be a nonnegative integer"),
