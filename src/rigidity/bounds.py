@@ -78,21 +78,17 @@ class ProblemParams:
         if r is None or r <= 0:
             raise ValueError("r must be a positive finite number")
         object.__setattr__(self, "r", r)
-        if self.c is None:
-            if self.n == 1:
-                object.__setattr__(self, "c", float(self.d + 1))
-            else:
-                raise ValueError("the entropy constant c must be given explicitly for n >= 2")
-        else:
-            c = finite_float(self.c)
-            if c is None:
-                raise ValueError("c must be a finite number")
-            if self.n == 1 and c < self.d + 1:
-                raise ValueError("for n = 1 the entropy constant c must be at least d + 1")
-            # at eta = 1 and lambda = 0 the bound is c, but a constant map needs 1 ball
-            if c < 1:
-                raise ValueError("the entropy constant c must be at least 1")
-            object.__setattr__(self, "c", c)
+        if self.c is None and self.n != 1:
+            raise ValueError("the entropy constant c must be given explicitly for n >= 2")
+        c = float(self.d + 1) if self.c is None else finite_float(self.c)
+        if c is None:
+            raise ValueError("c must be a finite number")
+        if self.n == 1 and c < self.d + 1:
+            raise ValueError("for n = 1 the entropy constant c must be at least d + 1")
+        # at eta = 1 and lambda = 0 the bound is c, but a constant map needs 1 ball
+        if c < 1:
+            raise ValueError("the entropy constant c must be at least 1")
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -128,19 +124,19 @@ def _scalar_or_array(x):
 
 
 def _coefficients(p: ProblemParams, profile: LambdaProfile, epsilon) -> list:
-    """a_i = (threshold product)_i * (r/eps)^i for i = 0..m, up to the first zero product."""
+    """a_i = (threshold product)_i * (r/eps)^i for i = 0..m, up to the first zero
+    product, a_0 as the float 1.0; in the caller's error scope a power may
+    overflow to +inf, the right value: that radius never qualifies."""
     if len(profile) != p.m:
         raise ValueError("profile length must equal m")
-    if not (epsilon > 0).all():
+    if np.count_nonzero(epsilon > 0) < epsilon.size:
         raise ValueError("epsilon must be positive")
-    coeffs, prod = [np.ones_like(epsilon)], 1.0
+    coeffs, prod = [1.0], 1.0
     for i, lam in enumerate(profile.lambdas, 1):
         prod *= lam
         if prod == 0.0:
             break
-        # an overflowing power is +inf, the right value: that radius never qualifies
-        with np.errstate(over="ignore"):
-            coeffs.append(prod * (p.r / epsilon) ** i)
+        coeffs.append(prod * (p.r / epsilon) ** i)
     return coeffs
 
 
@@ -156,12 +152,12 @@ def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
     # [()] makes 0-d input numpy scalars, whose ** is Python's libm pow
     epsilon = np.asarray(epsilon, dtype=float)[()]
     eta = np.asarray(eta, dtype=float)[()]
-    coeffs = _coefficients(p, profile, epsilon)
-    if not (eta >= 1.0).all():
-        raise ValueError("eta must be at least 1")
     with np.errstate(over="ignore"):  # +inf, as in _coefficients
-        total = sum(a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
-        return _scalar_or_array(p.c * total)
+        coeffs = _coefficients(p, profile, epsilon)
+        if not (eta >= 1.0).all():
+            raise ValueError("eta must be at least 1")
+        terms = (a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
+        return _scalar_or_array(p.c * sum(terms, np.zeros_like(epsilon)))  # epsilon's shape
 
 
 def in_E(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
@@ -190,50 +186,53 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     if nu.shape != epsilon.shape:
         nu, epsilon = np.broadcast_arrays(nu, epsilon)
     nu, epsilon = nu[()], epsilon[()]
-    coeffs = _coefficients(p, profile, epsilon)
-    # one scope: the baseline, a bound or eta may overflow to inf and a bound
-    # divide by an underflowed a_i; ``_newton_root`` does neither
+    # one scope: a coefficient, the baseline, a bound or eta may overflow to
+    # inf and a bound divide by an underflowed a_i; ``_newton_root`` does neither
     with np.errstate(divide="ignore", over="ignore"):
+        coeffs = _coefficients(p, profile, epsilon)
         baseline = p.c * sum(coeffs)  # rhs_polynomial at eta = 1, each term a * 1.0
-        short = ~(nu > baseline)
-        if short.any():
-            k = int(np.argmax(short))
+        beats = nu > baseline
+        if np.count_nonzero(beats) < beats.size:
+            k = int(np.argmin(beats))
             raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
-                             f"{np.ravel(baseline)[k]:.6g}; no ratio above 1")
+                             f"{np.broadcast_to(baseline, nu.shape).flat[k]:.6g}; no ratio above 1")
         # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
         # from above; starting at the least bound keeps every term of f finite
         tops = [(nu / (p.c * a)) ** (1.0 / (p.n - i)) for i, a in enumerate(coeffs) if i < p.n]
         t = np.asarray(tops[0] if len(tops) == 1 else np.min(tops, axis=0))
-        if not np.isfinite(t).all():  # a bound above the root would be unsound
+        if np.count_nonzero(np.isfinite(t)) < t.size:  # a bound above the root would be unsound
             raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
-        t = _newton_root(p.c, coeffs + [0.0] * (p.n + 1 - len(coeffs)), nu, t)
+        t = _newton_root(p.c, coeffs, p.n, nu, t)
         # the root lies above 1, even where t^d rounds to 1
         eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))[()]
-    if not np.isfinite(eta).all():  # an infinite eta would make gamma infinite
+    if np.count_nonzero(np.isfinite(eta)) < eta.size:  # an infinite eta would make gamma infinite
         raise ValueError(f"eta overflows the float range at c = {p.c:g}")
     return _scalar_or_array(eta)
 
 
-def _newton_root(c: float, coeffs: list, nu, t: np.ndarray) -> np.ndarray:
-    """Root of c * f(t) = nu, f(t) = sum_i coeffs[i] t^(n-i), by Newton from
-    a start t at or above it, entry by entry, updating t in place.  Steps
-    stay between the root (above 1, as c * f(1) < nu) and the start, where
-    each term of f is at most nu/c and f' >= n: no sum or product tops
-    (n+1)**2 * nu, and none divides by 0.  Where that could overflow, both
-    sides are scaled by a power of two, which moves no rounding of a normal."""
-    spare = len(coeffs) ** 2
+def _newton_root(c: float, coeffs: list, n: int, nu, t: np.ndarray) -> np.ndarray:
+    """Root of c * f(t) = nu, f(t) = sum_{i <= n} coeffs[i] t^(n-i) (0 past the
+    list), by Newton from a start t at or above it, entry by entry, updating
+    t in place.  Steps stay between the root (above 1, as c * f(1) < nu) and
+    the start, where each term of f is at most nu/c and f' >= n: no sum or
+    product tops (n+1)**2 * nu, and none divides by 0.  Where that could
+    overflow, both sides are scaled by a power of two, which moves no rounding."""
+    spare = (n + 1) ** 2
     if nu.max(initial=0.0) > sys.float_info.max / spare:
         scale = 2.0**-spare.bit_length()
         coeffs, nu = [a * scale for a in coeffs], nu * scale
-    falling = True
+    falling = None
     while True:
-        # Horner for f and f', from its second step: the first gives a_0 and 0
-        f, df = coeffs[0] * t + coeffs[1], coeffs[0]
-        for a in coeffs[2:]:
-            f, df = f * t + a, df * t + f
+        # Horner for f and f', from its second step (the first gives a_0 and 0),
+        # with no product by a_0 = 1.0 and no sum of an a_i = 0 past the list
+        f, df = t if coeffs[0] == 1.0 else coeffs[0] * t, coeffs[0]
+        for i in range(1, n + 1):
+            f = f + coeffs[i] if i < len(coeffs) else f
+            if i < n:
+                f, df = f * t, df * t + f
         t_next = t - (c * f - nu) / (c * df)
-        falling &= t_next < t
-        if not falling.any():
+        falling = t_next < t if falling is None else falling & (t_next < t)
+        if not np.count_nonzero(falling):
             return t
         np.copyto(t, t_next, where=falling)
 
@@ -249,17 +248,21 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     x_m = m**alpha by [(x_{J-1} - x_J)/4, x_{J-1}] with J = ceil(c + 1):
     gaps shrink down the sequence, so the first J terms each open a ball
     at the low end, and at the high end the (J-1)-th anchor's ball reaches 0.
+    It first tries x_J/(2(c+1)), where the dense tail under x_J needs about
+    c + 1 balls, a far cheaper count for alpha near 0; E is unique either way.
     Raises ValueError when the low end is 0 or counts below c + 1.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
     if isinstance(s, PowerSequence):
         j = math.ceil(threshold)  # at least 2, as c >= 1
-        hi = float(j - 1) ** s.alpha  # libm's pow, as the counter's
-        lo = (hi - float(j) ** s.alpha) / 4.0
+        hi, x_j = float(j - 1) ** s.alpha, float(j) ** s.alpha  # libm's pow, as the counter's
+        lo = (hi - x_j) / 4.0
+        lows = (max(lo, x_j / (2.0 * threshold)), lo) if lo > 0.0 else (lo,)
     else:
-        lo, hi = min_gap(s) / 4.0, diameter(s)  # one ball covers the set at its diameter
-    if not (lo > 0.0 and covering_counts(s, [lo])[0] >= threshold):
+        lows, hi = (min_gap(s) / 4.0,), diameter(s)  # one ball covers the set at its diameter
+    if not any((lo := low) > 0.0 and covering_counts(s, [low])[0] >= threshold
+               for low in dict.fromkeys(lows)):
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
     # the rounded midpoint lies strictly inside until lo and hi are adjacent
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
@@ -312,15 +315,15 @@ class BoundReport:
             curve = curve.reshape(0, 2)
         if curve.ndim != 2 or curve.shape[1] != 2:
             raise ValueError("need a (k, 2) eta curve")
-        if (curve[:, 1] <= 1.0).any():
+        eta = curve[:, 1]  # a NaN ratio alone passes, to be refused for its NaN gamma
+        if np.count_nonzero(eta > 1.0) < eta.size and (eta <= 1.0).any():
             raise ValueError("every solved ratio must exceed 1")
-        object.__setattr__(self, "eta_curve", frozen_array(curve))
-        object.__setattr__(self, "e_intervals", frozen_array(curve[:, 0]))
+        curve = frozen_array(curve)
         with np.errstate(over="ignore"):  # refused below, as solve_eta refuses eta = inf
-            gamma = float((curve[:, 0] * curve[:, 1]).max(initial=0.0))
+            gamma = float(np.maximum.reduce(curve[:, 0] * eta, initial=0.0))
         if not math.isfinite(gamma):
             raise ValueError("gamma = eps * eta overflows the float range")
-        object.__setattr__(self, "gamma", gamma)
+        vars(self).update(eta_curve=curve, e_intervals=curve[:, 0], gamma=gamma)
 
     def to_json_dict(self) -> dict:
         return {
@@ -361,15 +364,16 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
         boundary = [] if eps0 is None else [eps0 * _BOUNDARY_SHRINK]
         scan = sorted_distinct(np.concatenate([grid, boundary]))[::-1]
         counts = covering_counts(s, scan)
-    coeffs = _coefficients(p, profile, scan)
-    with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
-        hit = counts > p.c * sum(coeffs)
-    qualifying = scan[hit]
-    curve = np.column_stack((qualifying, solve_eta(p, profile, counts[hit], qualifying)))
+    if profile.lambdas[0] == 0.0:  # the baseline is c * a_0 = c
+        hit = counts > p.c
+    else:
+        with np.errstate(over="ignore"):  # rhs_polynomial at eta = 1, each term a * 1.0
+            hit = counts > p.c * sum(_coefficients(p, profile, scan))
+    curve = np.empty((np.count_nonzero(hit), 2))
+    curve[:, 0] = scan[hit]
+    curve[:, 1] = solve_eta(p, profile, counts[hit], curve[:, 0])
 
-    closed = None
-    if eps0 is not None and profile.lambdas[0] == 0.0:
-        closed = gamma_closed_form(eps0, p)
+    closed = None if eps0 is None or profile.lambdas[0] != 0.0 else gamma_closed_form(eps0, p)
     return BoundReport(curve, closed, eps0, p, profile)
 
 

@@ -131,8 +131,7 @@ def plateau_ends(s: SetDescriptor) -> np.ndarray:
     1, from the largest e on."""
     xs = _sorted_line(s).tolist()
     ends = {math.nextafter(_least_radius(x, y), 0.0) for i, x in enumerate(xs) for y in xs[i + 1:]}
-    ends.discard(0.0)
-    return np.array(sorted(ends, reverse=True))
+    return np.array(sorted(ends - {0.0}, reverse=True))
 
 
 def covering_number_power(alpha: float, epsilon: float) -> int:
@@ -288,7 +287,7 @@ def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1:
         raise ValueError("epsilons must be a 1-d array of radii")
-    if not (eps > 0).all():
+    if np.count_nonzero(eps > 0) < eps.size:
         raise ValueError("epsilon must be positive")
     if isinstance(s, PowerSequence):
         return _power_counts(s.alpha, eps)

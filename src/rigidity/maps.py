@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
 class UnknownMapError(ValueError):
@@ -24,6 +23,11 @@ POLY10_COEFFS = (
     0.0, -0.019278, 0.093998, 0.038232, -0.168079, 0.031719,
     -0.201175, -0.032357, 0.166875, -0.066667, 0.2,
 )
+
+
+def _poly10(p):
+    from numpy.polynomial import polynomial as npoly  # here: ~3 ms of every CLI start
+    return npoly.polyval(p[:, 0], np.asarray(POLY10_COEFFS))
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ _REGISTRY = {
         "x**3 - x: two critical values",
     ),
     "poly10": MapEntry(
-        lambda p: npoly.polyval(p[:, 0], np.asarray(POLY10_COEFFS)), 1, 1,
+        _poly10, 1, 1,
         "fixed degree-10 polynomial with five interior critical values",
     ),
     "bowl2d": MapEntry(

@@ -14,6 +14,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +67,9 @@ class FinitePoints:
             raise DescriptorError("points must be finite numbers")
         object.__setattr__(self, "points", frozen_array(sorted_distinct(arr)[:, None]))
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        """The sorted distinct values, flat."""
+        """The sorted distinct values, flat: a read-only view made once."""
         return self.points[:, 0]
 
 

@@ -14,9 +14,9 @@ a function that visibly realizes the set.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -80,12 +80,10 @@ class WitnessFunction:
             raise ValueError("a witness needs k >= 1 values and 2k edges")
         if edges[0] != -self.radius or edges[-1] != self.radius:
             raise ValueError("edges must tile the full domain")
-        if any(a > b for a, b in zip(edges, edges[1:])):
+        if any(map(float.__gt__, edges, edges[1:])):
             raise ValueError("edges must be nondecreasing")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "values", values)
         # a Python int: a numpy integer order would wrap in the step maximum's factorials
-        object.__setattr__(self, "order", positive_int(self.order, "order"))
+        vars(self).update(edges=edges, values=values, order=positive_int(self.order, "order"))
 
     def evaluate(self, x, deriv: int = 0) -> np.ndarray:
         """Value of the deriv-th derivative at x (scalar or array)."""
@@ -158,19 +156,23 @@ def build_witness(s: FinitePoints, order: int, radius: float = 1.0) -> WitnessFu
     radius = finite_float(radius)
     if radius is None or radius <= 0:
         raise ValueError("radius must be a positive finite number")
+    order = positive_int(order, "order")
 
-    vals = s.values.tolist()
+    vals = tuple(s.values.tolist())
     k = len(vals)
-    if k == 1:  # one plateau; the widths below would sum to 4 * radius
-        return WitnessFunction((-radius, radius), vals, order, radius)
-    # radius / (D/2), not 2 * radius / D: the same bits, without overflowing 2 * radius
-    width_t = radius / (0.5 * (k * _PLATEAU_RATIO + (k - 1)))
-    width_p = _PLATEAU_RATIO * width_t
-    edges = list(itertools.accumulate([width_p] + [width_t, width_p] * (k - 1), initial=-radius))
-    if abs(edges[-1] - radius) > 1e-9 * radius:
-        raise RuntimeError("piece layout failed to tile the domain")
-    edges[-1] = radius  # snap the accumulated right edge onto the exact domain end
-    return WitnessFunction(edges, vals, order, radius)
+    edges = [-radius, radius]  # one plateau; the widths below would sum to 4 * radius
+    if k > 1:
+        # radius / (D/2), not 2 * radius / D: the same bits, without overflowing 2 * radius
+        width_t = radius / (0.5 * (k * _PLATEAU_RATIO + (k - 1)))
+        width_p = _PLATEAU_RATIO * width_t
+        edges = list(accumulate([width_p] + [width_t, width_p] * (k - 1), initial=-radius))
+        if abs(edges[-1] - radius) > 1e-9 * radius:
+            raise RuntimeError("piece layout failed to tile the domain")
+        edges[-1] = radius  # snap the accumulated right edge onto the exact domain end
+    # as laid out, float tuples nondecreasing from -radius to radius: not checked again
+    w = object.__new__(WitnessFunction)
+    vars(w).update(edges=tuple(edges), values=vals, order=order, radius=radius)
+    return w
 
 
 def witness_derivative_scale(w: WitnessFunction) -> float:

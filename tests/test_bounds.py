@@ -757,6 +757,37 @@ class TestEpsilon0Replay:
         assert len(made) <= math.ceil(math.log2((hi - lo) / math.ulp(eps0))) + 1
 
 
+@pytest.mark.parametrize("alpha, c, eps0", [
+    (-0.1, 10.0, "0x1.9693577fedbcdp-5"),
+    (-0.2, 10.0, "0x1.7e290556f87dbp-5"),
+    (-0.5, 10.0, "0x1.0ea19bfd4c4a9p-5"),
+    (-1.0, 10.0, "0x1.e1e1e1e1e1e1dp-7"),
+    (-2.0, 10.0, "0x1.397829cbc14e1p-9"),
+    (-5.0, 10.0, "0x1.d167e6bd7502dp-19"),
+    (-0.1, 1e3, "0x1.61ec2ca8822a0p-12"),
+    (-0.2, 1e3, "0x1.a8b695aab3300p-13"),
+    (-0.5, 1e3, "0x1.34a15c5f54900p-15"),
+    (-1.0, 1e3, "0x1.cf85e52a718ffp-20"),
+    (-2.0, 1e3, "0x1.85380fa6694bfp-29"),
+    (-5.0, 1e3, "0x1.c33882944167fp-58"),
+])
+def test_power_bracket_low_end_counts_near_its_threshold(monkeypatch, alpha, c, eps0):
+    # the bits were recorded with the low end (x_{J-1} - x_J)/4, which counts
+    # 20,007 balls at alpha = -0.1, c = 1e3; the low end is the only count
+    # made through ``bounds.covering_counts``, the bisection's go through
+    # ``exact_counter``
+    lows = []
+
+    def counts(s, radii):
+        out = covering_counts(s, radii)
+        lows.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(bounds, "covering_counts", counts)
+    assert epsilon0(PowerSequence(alpha), ProblemParams(2, 1, 1, c=c)).hex() == eps0
+    assert c + 1.0 <= lows[-1] <= 2.0 * (c + 1.0)
+
+
 class TestEpsilon0Plateau:
     """``epsilon0`` is the last float of the count-(c+1) plateau: the count
     reaches c + 1 there and falls below it one float up."""

@@ -655,6 +655,17 @@ class TestColdImports:
         )
         assert out[-1] == "0 False", err
 
+    def test_cli_and_bound_do_not_import_numpy_polynomial(self, tmp_path):
+        # only the poly10 map evaluates it: 3-4 ms of every process otherwise
+        out, err = run_fresh(
+            "print('loaded', 'numpy.polynomial' in sys.modules)\n"
+            f"code = main(['bound', '--set', {self.SEVEN_ARG}, '--d', '5',"
+            f" '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "print('loaded', code, 'numpy.polynomial' in sys.modules)\n"
+        )
+        loaded = [line for line in out if line.startswith("loaded")]
+        assert loaded == ["loaded False", "loaded 0 False"], err
+
     def test_bound_does_not_import_the_witness(self, tmp_path):
         out, err = run_fresh(
             f"code = main(['bound', '--set', {self.SEVEN_ARG}, '--d', '5',"

@@ -103,9 +103,15 @@ def wrapped_functions():
     return found
 
 
+SANDWICH_STAGES = [
+    "covering.plateau_ends", "covering.covering_counts", "bounds.rigidity_bound",
+    "bounds.solve_eta", "witness.build_witness", "witness.witness_derivative_scale"]
+
+
 @pytest.mark.parametrize("workload, ops", [
-    # each op of the workload, in order, with stages it must have called
-    ("sandwich_small", {"sandwich": ["covering.plateau_ends", "covering.covering_counts"]}),
+    # each op of the workload, in order, with stages it must have called; on
+    # the sandwich batch, every hooked stage once per check
+    ("sandwich_small", {"sandwich": SANDWICH_STAGES}),
     ("bound_large", {label: ["covering.covering_counts"] for label in (
         "uniform", "clustered", "clustered-lambda", "power-0.5", "power-1")}),
     ("extract_grid", {"grid3d": ["critical.SampledMap.from_grid_csv"], "poly10": [],
@@ -126,11 +132,17 @@ def test_stage_timing_times_every_op_of_a_workload(monkeypatch, capsys, workload
         assert int(calls) >= 1 and all(float(t) >= 0 for t in times)
         # a wall time for the op's two runs, busy and self ms for a stage
         assert len(times) == (1 if stage in ("untraced", "traced") else 2)
-        by_op.setdefault(op, []).append(stage)
+        by_op.setdefault(op, {})[stage] = int(calls)
     assert list(by_op) == list(ops)
     for op, stages in ops.items():
-        assert by_op[op][:2] == ["untraced", "traced"]
+        assert list(by_op[op])[:2] == ["untraced", "traced"]
         assert set(stages) <= set(by_op[op])
+    if workload == "sandwich_small":
+        # a stage the bound's tail stops calling by its module-level name
+        # would read 0 in the benchmark's spans
+        trials = importlib.import_module("workloads").SANDWICH_TRIALS
+        assert {s: by_op["sandwich"][s] for s in SANDWICH_STAGES} == dict.fromkeys(
+            SANDWICH_STAGES, trials)
     # the hooks are undone: no more library names carry __wrapped__ than
     # before (a functools.lru_cache does too)
     assert wrapped_functions() == before
