@@ -248,21 +248,21 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     x_m = m**alpha by [(x_{J-1} - x_J)/4, x_{J-1}] with J = ceil(c + 1):
     gaps shrink down the sequence, so the first J terms each open a ball
     at the low end, and at the high end the (J-1)-th anchor's ball reaches 0.
-    It first tries x_J/(2(c+1)), where the dense tail under x_J needs about
-    c + 1 balls, a far cheaper count for alpha near 0; E is unique either way.
-    Raises ValueError when the low end is 0 or counts below c + 1.
+    A power bracket first tries the low end x_J/(2(c+1)), where the dense tail
+    under x_J needs about c + 1 balls.  Raises ValueError when the low end is 0
+    or counts below c + 1.
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
     if isinstance(s, PowerSequence):
         j = math.ceil(threshold)  # at least 2, as c >= 1
         hi, x_j = float(j - 1) ** s.alpha, float(j) ** s.alpha  # libm's pow, as the counter's
-        lo = (hi - x_j) / 4.0
-        lows = (max(lo, x_j / (2.0 * threshold)), lo) if lo > 0.0 else (lo,)
+        lo, tail = (hi - x_j) / 4.0, x_j / (2.0 * threshold)
+        lows = (tail, lo) if tail > lo > 0.0 else (lo,)
     else:
         lows, hi = (min_gap(s) / 4.0,), diameter(s)  # one ball covers the set at its diameter
     if not any((lo := low) > 0.0 and covering_counts(s, [low])[0] >= threshold
-               for low in dict.fromkeys(lows)):
+               for low in lows):
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
     # the rounded midpoint lies strictly inside until lo and hi are adjacent
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:

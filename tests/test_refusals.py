@@ -178,7 +178,8 @@ EXPECTED = {
     'eta-count-empty': ('value', '[]', 'ndarray', 'float64', (0,)),
     'eta-count-0d': ('value', '2.1613940329218115', 'float', None, None),
     'eta-count-int':
-        ('value', '[2.1613940329218115, 4.213991769547324, 1286008.2304526754]', 'ndarray', 'float64', (3,)),
+        ('value', '[2.1613940329218115, 4.213991769547324, 1286008.2304526754]',
+         'ndarray', 'float64', (3,)),
     'eta-count-lambda':
         ('value', '[13168.724279835402, 124788817704.76128]', 'ndarray', 'float64', (2,)),
     'eta-radius-nan': ('raises', 'ValueError', 'epsilon must be positive'),
