@@ -80,7 +80,7 @@ class WitnessFunction:
             raise ValueError("a witness needs k >= 1 values and 2k edges")
         if edges[0] != -self.radius or edges[-1] != self.radius:
             raise ValueError("edges must tile the full domain")
-        if any(map(float.__gt__, edges, edges[1:])):
+        if not all(map(float.__le__, edges, edges[1:])):  # NaN is not <= either
             raise ValueError("edges must be nondecreasing")
         # a Python int: a numpy integer order would wrap in the step maximum's factorials
         vars(self).update(edges=edges, values=values, order=positive_int(self.order, "order"))

@@ -357,12 +357,22 @@ class TestSolveEtaBaseline:
             solve_eta(P15, LambdaProfile.zeros(2), 7, 0.05)
 
 
+def outcome(call):
+    """The bytes of the array a call returns, or the message of its ValueError."""
+    try:
+        return call().tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestSolveEtaErrorScope:
-    """``solve_eta`` runs its Newton steps inside the one error-state scope
-    that lets the baseline, the start bounds and eta overflow.  Run with
-    overflow, division by zero and invalid operations raised, the steps
-    raise none, from counts just above the baseline up to the float range,
-    so the scope hides nothing a step would report."""
+    """``solve_eta``'s lockstep runs its Newton steps inside the one
+    error-state scope that lets the baseline, the start bounds and eta
+    overflow, and its row path runs them on Python floats, which report no
+    float error.  Run on numpy values with overflow, division by zero and
+    invalid operations raised, the steps of both paths raise none, from
+    counts just above the baseline up to the float range, so neither hides
+    anything a step would report."""
 
     @given(
         n=st.integers(1, 4),
@@ -382,6 +392,9 @@ class TestSolveEtaErrorScope:
              eps=[1.5], lift=0.0)
     @example(n=4, drop=0, d=1, c=1.0, r=2.0, lams=[0.5, 1.0, 3.0, 1.896004478175099e307],
              eps=[1.5], lift=0.0)
+    # 1.0 + a_1 rounds to a_1 = 2.5e99, and the first step from nu/c lands on a
+    # negative t whose fifth power overflows to -inf: eta reads 1 + ulp
+    @example(n=1, drop=0, d=5, c=7.5, r=0.25, lams=[1.0] * 4, eps=[1e-100], lift=0.0)
     @settings(max_examples=300, deadline=None)
     def test_newton_steps_raise_no_float_error(self, n, drop, d, c, r, lams, eps, lift):
         m = max(1, n - drop)
@@ -393,18 +406,25 @@ class TestSolveEtaErrorScope:
         keep = np.isfinite(nu)
         assume(keep.any())
         nu, eps = nu[keep], eps[keep]
-        newton = bounds._newton_root
+        step = bounds._newton_step
 
-        def raising(*args):
+        def raising(c, coeffs, n, nu, t):
+            # a row's Python floats become numpy scalars, which round alike
+            # and obey the error state
+            as_numpy = lambda x: np.float64(x) if type(x) is float else x  # noqa: E731
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return newton(*args)
+                t_next = step(c, [as_numpy(a) for a in coeffs], n, as_numpy(nu), as_numpy(t))
+            return float(t_next) if type(t) is float else t_next
 
+        reps = bounds._ROW_LIMIT + 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "_newton_root", raising)
-            try:
-                solve_eta(p, profile, nu, eps)
-            except ValueError as exc:  # eta past the float range, refused after Newton
-                assert "eta overflows" in str(exc)
+            mp.setattr(bounds, "_newton_step", raising)
+            rows = outcome(lambda: solve_eta(p, profile, nu, eps))
+            lockstep = outcome(lambda: solve_eta(
+                p, profile, np.tile(nu, reps), np.tile(eps, reps))[:len(nu)])
+        # the same etas on both paths, or eta past the float range, refused after Newton
+        assert rows == lockstep
+        assert isinstance(rows, bytes) or "eta overflows" in rows
 
 
 class TestArraySolver:
@@ -516,6 +536,67 @@ class TestArraySolver:
                     root, kappa = exact(p, profile, k, e)
                     assert eta > 1.0
                     assert abs(eta / root - 1) <= 8 * 15 * kappa * 2.0**-53
+
+
+class TestRowPath:
+    """A batch of at most ``_ROW_LIMIT`` entries is solved one entry at a
+    time on Python floats (``_row_etas``), a larger one in lockstep: each eta
+    and each refusal is the same, bit for bit, on either path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        drop=st.integers(0, 2),
+        d=st.integers(1, 12),
+        c=st.floats(1.0, 8.0),
+        r=st.floats(0.25, 4.0),
+        zeros=st.integers(0, 3),
+        lams=st.lists(st.floats(1e-8, 1e8), min_size=3, max_size=3),
+        entries=st.lists(st.tuples(st.floats(1e-8, 1e8), st.floats(1e-8, 1e8)),
+                         min_size=1, max_size=24),
+        ints=st.booleans(),
+    )
+    def test_rows_match_the_lockstep_bit_for_bit(self, n, drop, d, c, r, zeros, lams,
+                                                  entries, ints):
+        m = max(1, n - drop)
+        # with a zero first threshold every coefficient past a_0 drops out
+        profile = LambdaProfile(tuple(sorted([0.0] * zeros + lams))[:m])
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        eps, lift = (np.array(column) for column in zip(*entries))
+        with np.errstate(over="ignore"):
+            nu = rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift)
+        if ints and nu.max() < 1e15:
+            nu = np.floor(nu).astype(np.int64) + 1
+        limit, row_calls = bounds._ROW_LIMIT, []
+        row_etas = bounds._row_etas
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_row_etas", lambda *args: row_calls.append(1) or row_etas(*args))
+            for i in range(0, len(nu), limit):
+                few_nu, few_eps = nu[i:i + limit], eps[i:i + limit]
+                rows = outcome(lambda: solve_eta(p, profile, few_nu, few_eps))
+                # the same entries repeated past the limit: the lockstep sees
+                # them, and their first refusal, in the same order
+                size = len(few_nu) + limit
+                lockstep = outcome(lambda: solve_eta(
+                    p, profile, np.resize(few_nu, size), np.resize(few_eps, size))[:len(few_nu)])
+                assert rows == lockstep
+        assert len(row_calls) == -(-len(nu) // limit)
+
+    def test_a_plateau_scan_refuses_an_overflowing_eta_as_the_lockstep(self):
+        # n = 2, c = 1 and lambda_1 = 0: eta = (nu / c)^(d/2) passes the float
+        # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2
+        p, s = ProblemParams(n=2, m=1, d=1100, c=1.0), FinitePoints([0.0, 1.0, 2.0, 3.0])
+        size = bounds._ROW_LIMIT + 1
+        with pytest.raises(ValueError) as lockstep:
+            solve_eta(p, Z1, np.full(size, 4), np.full(size, 0.4))
+        row_calls = []
+        row_etas = bounds._row_etas
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_row_etas", lambda *args: row_calls.append(1) or row_etas(*args))
+            with pytest.raises(ValueError) as rows:
+                rigidity_bound(p, Z1, s)
+        assert row_calls == [1]
+        assert str(rows.value) == str(lockstep.value) == "eta overflows the float range at c = 1"
 
 
 class TestEpsilon0:
@@ -1136,6 +1217,9 @@ class TestRigidityBound:
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             BoundReport(((0.1, 0.5),), None, None, P15, Z1)
+        # an infinite resolution is refused as one, not as an overflowing gamma
+        with pytest.raises(ValueError, match="every resolution must be positive and finite"):
+            BoundReport(((math.inf, 2.0),), None, None, P15, Z1)
         # gamma and the qualifying radii come from the curve, not the caller
         for name in ("gamma", "e_intervals"):
             with pytest.raises(TypeError):

@@ -132,6 +132,9 @@ CASES = [
     ("report-eta-inf", curve([0.1, INF])),
     ("report-eta-neg-inf", curve([0.1, -INF])),
     ("report-radius-nan", curve([NAN, 2.0], [0.1, 2.0])),
+    ("report-radius-zero", curve([0.0, 2.0])),
+    ("report-radius-neg", curve([0.1, 2.0], [-1.0, 2.0])),
+    ("report-radius-neg-inf", curve([-INF, 3.0])),
     ("report-gamma-overflow", curve([1e300, 1e10])),
     ("report-empty", lambda: BoundReport(a(), None, None, P, Z1)),
     ("report-empty-list", lambda: BoundReport([], None, None, P, Z1)),
@@ -225,12 +228,16 @@ EXPECTED = {
     'in-e-count-0d': ('value', 'True', 'bool', None, None),
     'report-eta-one': ('raises', 'ValueError', 'every solved ratio must exceed 1'),
     'report-eta-nan-beside-one': ('raises', 'ValueError', 'every solved ratio must exceed 1'),
-    'report-eta-nan': ('raises', 'ValueError', 'gamma = eps * eta overflows the float range'),
+    'report-eta-nan': ('raises', 'ValueError', 'every solved ratio must exceed 1'),
     'report-eta-neg-zero': ('raises', 'ValueError', 'every solved ratio must exceed 1'),
     'report-eta-zero': ('raises', 'ValueError', 'every solved ratio must exceed 1'),
     'report-eta-inf': ('raises', 'ValueError', 'gamma = eps * eta overflows the float range'),
     'report-eta-neg-inf': ('raises', 'ValueError', 'every solved ratio must exceed 1'),
-    'report-radius-nan': ('raises', 'ValueError', 'gamma = eps * eta overflows the float range'),
+    'report-radius-nan': ('raises', 'ValueError', 'every resolution must be positive and finite'),
+    'report-radius-zero': ('raises', 'ValueError', 'every resolution must be positive and finite'),
+    'report-radius-neg': ('raises', 'ValueError', 'every resolution must be positive and finite'),
+    'report-radius-neg-inf':
+        ('raises', 'ValueError', 'every resolution must be positive and finite'),
     'report-gamma-overflow':
         ('raises', 'ValueError', 'gamma = eps * eta overflows the float range'),
     'report-empty': ('value', '(0.0, (0, 2))', 'tuple', None, None),
@@ -239,7 +246,7 @@ EXPECTED = {
     'report-flat': ('raises', 'ValueError', 'need a (k, 2) eta curve'),
     'report-rows': ('value', '(0.6000000000000001, (2, 2))', 'tuple', None, None),
     'witness-decreasing': ('raises', 'ValueError', 'edges must be nondecreasing'),
-    'witness-nan-inside': ('value', '(-1.0, nan, 0.0, 1.0)', 'tuple', None, None),
+    'witness-nan-inside': ('raises', 'ValueError', 'edges must be nondecreasing'),
     'witness-nan-end': ('raises', 'ValueError', 'edges must tile the full domain'),
     'witness-neg-zero': ('value', '(-1.0, -0.0, 0.0, 1.0)', 'tuple', None, None),
     'witness-inf-inside': ('raises', 'ValueError', 'edges must be nondecreasing'),
