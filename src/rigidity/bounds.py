@@ -198,8 +198,11 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     nu, epsilon = np.asarray(nu), np.asarray(epsilon, dtype=float)
     if nu.shape != epsilon.shape:
         nu, epsilon = np.broadcast_arrays(nu, epsilon)
+    # rows take counts that numpy works with in float64: bools, integers and
+    # float64; an empty batch still checks the profile
+    rows = 0 < nu.size <= _ROW_LIMIT and (nu.dtype.kind in "biu" or nu.dtype == np.float64)
     nu, epsilon = nu[()], epsilon[()]
-    if 0 < nu.size <= _ROW_LIMIT:  # an empty batch still checks the profile
+    if rows:
         return _scalar_or_array(np.array(_row_etas(p, profile, nu, epsilon)).reshape(nu.shape)[()])
     # one scope: a coefficient, the baseline, a bound or eta may overflow to
     # inf and a bound divide by an underflowed a_i; a Newton step does neither
@@ -215,10 +218,10 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
             raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
         t = _newton_root(p.c, coeffs, p.n, nu, t)
         # the root lies above 1, even where t^d rounds to 1
-        eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))
+        eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))[()]
     if np.count_nonzero(np.isfinite(eta)) < eta.size:  # an infinite eta would make gamma infinite
         raise ValueError(f"eta overflows the float range at c = {p.c:g}")
-    return eta
+    return _scalar_or_array(eta)
 
 
 def _no_ratio(nu, k: int, baseline) -> ValueError:

@@ -582,6 +582,26 @@ class TestRowPath:
                 assert rows == lockstep
         assert len(row_calls) == -(-len(nu) // limit)
 
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float16, np.float32,
+                                       np.float64, np.longdouble])
+    def test_counts_of_every_dtype_keep_the_lockstep_bits(self, dtype):
+        # numpy solves float16, float32 and longdouble counts in their own
+        # precision, so only counts it takes as float64 go to the row path
+        nu, eps = np.array([7, 9, 40]).astype(dtype), np.array([0.5, 0.2, 0.05])
+        size = len(nu) + bounds._ROW_LIMIT
+
+        def solve(counts, radii):
+            try:
+                return solve_eta(P15, Z1, counts, radii)[:len(nu)]
+            except ValueError as exc:
+                return str(exc)
+
+        rows, lockstep = solve(nu, eps), solve(np.resize(nu, size), np.resize(eps, size))
+        if isinstance(rows, str):
+            assert rows == lockstep
+        else:  # by value: a longdouble's padding bytes are not its bits
+            assert rows.dtype == lockstep.dtype and np.array_equal(rows, lockstep)
+
     def test_a_plateau_scan_refuses_an_overflowing_eta_as_the_lockstep(self):
         # n = 2, c = 1 and lambda_1 = 0: eta = (nu / c)^(d/2) passes the float
         # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2
