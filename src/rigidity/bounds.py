@@ -15,9 +15,7 @@ whose coarseness can cost sharpness but never soundness.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -32,13 +30,10 @@ _BOUNDARY_SHRINK = 1.0 - 1e-9
 # a finite set of at most this many points and no grid scans its k(k-1)/2
 # plateau ends; above it the default grid is cheaper
 _PLATEAU_SCAN_MAX = 24
-# a solve of at most this many entries runs them one at a time on Python
-# floats: about 7.5 us plus 1.6 (lambda_1 = 0) to 1.9 us (lambda_1 > 0) an
-# entry, where the lockstep's whole-array steps take 16 to 24 us however few
+# at n = 1 a solve of at most this many entries runs them one at a time on Python
+# floats, about 7.5 + 1.9 us an entry against the lockstep's 16 to 24 us
 _ROW_LIMIT = 6
-# a row of a BoundReport curve: a resolution above 0, a solved ratio above 1
-_CURVE_FLOOR = frozen_array([0.0, 1.0])
-_BAD_RADIUS = "every resolution must be positive and finite"
+_CURVE_FLOOR = frozen_array([0.0, 1.0])  # a curve row: a resolution > 0, a ratio > 1
 
 EXCLUDED = "Excluded"
 NOT_EXCLUDED = "NotExcludedByThisBound"
@@ -134,14 +129,11 @@ def _scalar_or_array(x):
 
 def _coefficients(p: ProblemParams, profile: LambdaProfile, epsilon) -> list:
     """a_i = (threshold product)_i * (r/eps)^i for i = 0..m, up to the first zero
-    product, a_0 as the float 1.0, for an array of radii or one radius as a
-    Python float, which the row path passes only for m = 1, where x**1 = x on
-    floats too; in the caller's error scope a power may overflow to +inf,
-    the right value: that radius never qualifies."""
+    product, a_0 as the float 1.0; in the caller's error scope a power may
+    overflow to +inf, the right value: that radius never qualifies."""
     if len(profile) != p.m:
         raise ValueError("profile length must equal m")
-    if not (epsilon > 0 if isinstance(epsilon, float)  # one radius, from the row path
-            else np.count_nonzero(epsilon > 0) == epsilon.size):
+    if np.count_nonzero(epsilon > 0) < epsilon.size:
         raise ValueError("epsilon must be positive")
     coeffs, prod = [1.0], 1.0
     for i, lam in enumerate(profile.lambdas, 1):
@@ -192,18 +184,17 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     f(t) = sum_i a_i t^(n-i) and every a_i >= 0, so f is increasing and
     convex for t > 0.  Newton started at or above the root falls to it
     monotonically; every entry stops at its first step that does not lower
-    it, in lockstep, or one at a time in a batch of at most _ROW_LIMIT
-    (``_row_etas``), to the same bits.
+    it, in lockstep or, in a small batch, in ``_row_etas``, to the same bits.
     """
     nu, epsilon = np.asarray(nu), np.asarray(epsilon, dtype=float)
     if nu.shape != epsilon.shape:
         nu, epsilon = np.broadcast_arrays(nu, epsilon)
-    # rows take counts that numpy works with in float64: bools, integers and
-    # float64; an empty batch still checks the profile
-    rows = 0 < nu.size <= _ROW_LIMIT and (nu.dtype.kind in "biu" or nu.dtype == np.float64)
+    # rows take n = m = 1 and the counts numpy solves in float64: bool, integer, float64
+    rows = p.n == 1 == len(profile) and 0 < nu.size <= _ROW_LIMIT and (
+        nu.dtype.kind in "biu" or nu.dtype == float)
     nu, epsilon = nu[()], epsilon[()]
-    if rows:
-        return _scalar_or_array(np.array(_row_etas(p, profile, nu, epsilon)).reshape(nu.shape)[()])
+    if rows and (etas := _row_etas(p, profile, nu, epsilon)) is not None:
+        return _scalar_or_array(np.array(etas).reshape(nu.shape)[()])
     # one scope: a coefficient, the baseline, a bound or eta may overflow to
     # inf and a bound divide by an underflowed a_i; a Newton step does neither
     with np.errstate(divide="ignore", over="ignore"):
@@ -212,8 +203,12 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
         beats = nu > baseline
         if np.count_nonzero(beats) < beats.size:
             k = int(np.argmin(beats))
-            raise _no_ratio(nu, k, np.broadcast_to(baseline, nu.shape).flat[k])
-        t = np.asarray(_start(p, coeffs, nu))
+            raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
+                             f"{np.broadcast_to(baseline, nu.shape).flat[k]:.6g}; no ratio above 1")
+        # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
+        # from above; starting at the least bound keeps every term of f finite
+        tops = [(nu / (p.c * a)) ** (1.0 / (p.n - i)) for i, a in enumerate(coeffs) if i < p.n]
+        t = np.asarray(tops[0] if len(tops) == 1 else np.min(tops, axis=0))
         if np.count_nonzero(np.isfinite(t)) < t.size:  # a bound above the root would be unsound
             raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
         t = _newton_root(p.c, coeffs, p.n, nu, t)
@@ -224,69 +219,32 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     return _scalar_or_array(eta)
 
 
-def _no_ratio(nu, k: int, baseline) -> ValueError:
-    return ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
-                      f"{baseline:.6g}; no ratio above 1")
-
-
-def _start(p: ProblemParams, coeffs: list, nu):
-    """Newton's start: at the root every term a_i t^(n-i) is at most nu/c,
-    so each bounds t; the least bound keeps every term of f finite."""
-    tops = [(nu / (p.c * a)) ** (1.0 / (p.n - i)) for i, a in enumerate(coeffs) if i < p.n]
-    return tops[0] if len(tops) == 1 else np.min(tops, axis=0)
-
-
-def _row_etas(p: ProblemParams, profile: LambdaProfile, nu, epsilon) -> list:
-    """``solve_eta`` on a few entries, bit for bit and refusal for refusal,
-    one entry at a time on Python floats, whose sums, products and quotients
-    round as numpy's.  Each power other than x**1 = x stays numpy's, taken
-    on the batch as the lockstep takes it (libm's pow differs in the last
-    bit): eta = t^d and, for n >= 2, the coefficients and the start."""
-    nus = nu.ravel().tolist()
-    if p.n == 1:  # so m = 1: a_1 = lambda_1 * r/eps and the start nu/c are floats
-        table = [_coefficients(p, profile, e) for e in epsilon.ravel().tolist()]
-    else:
-        with np.errstate(divide="ignore", over="ignore"):  # the lockstep's scope
-            coeffs = _coefficients(p, profile, epsilon)
-        table = [list(row) for row in zip(*(np.broadcast_to(a, nu.shape).ravel().tolist()
-                                            for a in coeffs))]
-    for k, (x, row) in enumerate(zip(nus, table)):
-        # as numpy: the count compared as a float, the terms added left to
-        # right (Python's sum compensates from 3.12 on)
-        if not float(x) > (base := p.c * functools.reduce(operator.add, row)):
-            raise _no_ratio(nu, k, base)
-    if p.n == 1:
-        starts = (x / p.c for x in nus)  # (nu / (c * 1.0))**1.0
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            starts = np.ravel(_start(p, coeffs, nu)).tolist()
-    roots = []
-    for x, t, row in zip(nus, starts, table):
-        # checked entry by entry, the lockstep's refusal: no step before it raises
-        if not math.isfinite(t):
-            raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
-        if x > sys.float_info.max / (p.n + 1) ** 2:  # _newton_root scales such counts
-            t = _newton_root(p.c, row, p.n, np.array([x]), np.array([t])).item()
-        else:
-            while (t_next := _newton_step(p.c, row, p.n, x, t)) < t:
-                t = t_next
+def _row_etas(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
+    """``solve_eta`` at n = m = 1 entry by entry on Python floats, which round as
+    numpy's, but eta = t^d numpy's power over the batch, as libm's pow differs
+    in the last bit; None where the lockstep would refuse or scale a count."""
+    lam, roots = profile.lambdas[0], []
+    for x, e in zip(nu.ravel().tolist(), epsilon.ravel().tolist()):
+        if not e > 0.0:  # the lockstep refuses it
+            return None
+        row = [1.0] if lam == 0.0 else [1.0, lam * (p.r / e)]  # _coefficients' a_i
+        # the count against its baseline as a float (a sum of two rounds once),
+        # and no count that _newton_root scales
+        if not (float(x) > p.c * sum(row) and x <= sys.float_info.max / 4):
+            return None
+        t = x / p.c  # the start, (nu / (c * 1.0))**1.0, finite as c >= 1
+        while (t_next := _newton_step(p.c, row, 1, x, t)) < t:
+            t = t_next
         roots.append(t)
-    if max(map(abs, roots)) < math.exp(709.0 / p.d):  # |eta| < e^709: numpy's power cannot overflow
-        etas = np.power(roots, p.d).tolist()
-    else:
-        with np.errstate(over="ignore"):  # to inf, refused below
-            etas = np.power(roots, p.d).tolist()
-    etas = [max(eta, math.nextafter(1.0, 2.0)) for eta in etas]  # above 1, as the lockstep's
-    if not all(map(math.isfinite, etas)):
-        raise ValueError(f"eta overflows the float range at c = {p.c:g}")
-    return etas
+    with np.errstate(over="ignore"):  # to inf, for the lockstep to refuse
+        etas = [max(eta, math.nextafter(1.0, 2.0)) for eta in np.power(roots, p.d).tolist()]
+    return etas if all(map(math.isfinite, etas)) else None
 
 
 def _newton_step(c: float, coeffs: list, n: int, nu, t):
-    """t's Newton step for c * f(t) = nu, f(t) = sum_{i <= n} coeffs[i]
-    t^(n-i) (0 past the list), on arrays or floats: Horner for f and f',
-    from its second step (the first gives a_0 and 0), with no product by
-    a_0 = 1.0 and no sum of an a_i = 0 past the list."""
+    """``_newton_root``'s step from t, on arrays or floats."""
+    # Horner for f and f', from its second step (the first gives a_0 and 0),
+    # with no product by a_0 = 1.0 and no sum of an a_i = 0 past the list
     f, df = t if coeffs[0] == 1.0 else coeffs[0] * t, coeffs[0]
     for i in range(1, n + 1):
         f = f + coeffs[i] if i < len(coeffs) else f
@@ -296,12 +254,12 @@ def _newton_step(c: float, coeffs: list, n: int, nu, t):
 
 
 def _newton_root(c: float, coeffs: list, n: int, nu, t: np.ndarray) -> np.ndarray:
-    """Root of c * f(t) = nu (f as in ``_newton_step``) by Newton from a
-    start t at or above it, entry by entry in lockstep, updating t in place.
-    Steps stay between the root (above 1, as c * f(1) < nu) and the start,
-    where each term of f is at most nu/c and f' >= n: no sum or product
-    tops (n+1)**2 * nu, and none divides by 0.  Where that could overflow,
-    both sides are scaled by a power of two, which moves no rounding."""
+    """Root of c * f(t) = nu, f(t) = sum_{i <= n} coeffs[i] t^(n-i) (0 past the
+    list), by Newton from a start t at or above it, entry by entry, updating
+    t in place.  Steps stay between the root (above 1, as c * f(1) < nu) and
+    the start, where each term of f is at most nu/c and f' >= n: no sum or
+    product tops (n+1)**2 * nu, and none divides by 0.  Where that could
+    overflow, both sides are scaled by a power of two, which moves no rounding."""
     spare = (n + 1) ** 2
     if nu.max(initial=0.0) > sys.float_info.max / spare:
         scale = 2.0**-spare.bit_length()
@@ -393,17 +351,15 @@ class BoundReport:
             curve = curve.reshape(0, 2)
         if curve.ndim != 2 or curve.shape[1] != 2:
             raise ValueError("need a (k, 2) eta curve")
-        # one pass: each resolution above 0 and each ratio above 1, NaN neither
-        if np.count_nonzero(curve > _CURVE_FLOOR) < curve.size:
-            raise ValueError(_BAD_RADIUS if np.count_nonzero(curve[:, 0] > 0.0) < len(curve)
+        if np.count_nonzero(curve > _CURVE_FLOOR) < curve.size:  # one pass, NaN refused
+            raise ValueError("every resolution must be positive and finite"
+                             if np.count_nonzero(curve[:, 0] > 0.0) < len(curve)
                              else "every solved ratio must exceed 1")
         curve = frozen_array(curve)
-        # the products and their maximum on Python floats, as numpy would
-        # round them; one past the float range reads inf, refused below
+        # on Python floats, as numpy rounds; an infinite product is refused below
         gamma = max([eps * eta for eps, eta in curve.tolist()], default=0.0)
         if not math.isfinite(gamma):
-            raise ValueError(_BAD_RADIUS if math.inf in curve[:, 0]
-                             else "gamma = eps * eta overflows the float range")
+            raise ValueError("gamma = eps * eta overflows the float range")
         vars(self).update(eta_curve=curve, e_intervals=curve[:, 0], gamma=gamma)
 
     def to_json_dict(self) -> dict:
@@ -433,12 +389,10 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     if eps_grid is None and isinstance(s, FinitePoints) and s.values.size <= _PLATEAU_SCAN_MAX:
         scan = plateau_ends(s)
         counts = covering_counts(s, scan)
-        xs = s.values.tolist()
-        # the largest end counting c + 1 (largest first), unless epsilon0
-        # refuses: where its first count, at min_gap/4, is below c + 1
-        eps0 = next((e for e, nu in zip(scan.tolist(), counts.tolist()) if nu >= p.c + 1.0), 0.0)
-        if not eps0 >= min(map(float.__sub__, xs[1:], xs), default=0.0) / 4.0 > 0.0:
-            eps0 = None
+        xs, ends = s.values.tolist(), zip(scan.tolist(), counts.tolist())  # largest first
+        low = min(map(float.__sub__, xs[1:], xs), default=0.0) / 4.0  # min_gap / 4
+        # the largest end counting c + 1; None if below low, where epsilon0 refuses
+        eps0 = next((e for e, nu in ends if nu >= p.c + 1.0 and e >= low > 0.0), None)
     else:
         grid = default_grid(s) if eps_grid is None else check_grid(eps_grid)
         try:

@@ -538,10 +538,23 @@ class TestArraySolver:
                     assert abs(eta / root - 1) <= 8 * 15 * kappa * 2.0**-53
 
 
+def spy_rows(mp) -> list:
+    """Patch ``_row_etas`` to record what each call returns; the records."""
+    returns, row_etas = [], bounds._row_etas
+
+    def spy(*args):
+        returns.append(row_etas(*args))
+        return returns[-1]
+
+    mp.setattr(bounds, "_row_etas", spy)
+    return returns
+
+
 class TestRowPath:
-    """A batch of at most ``_ROW_LIMIT`` entries is solved one entry at a
-    time on Python floats (``_row_etas``), a larger one in lockstep: each eta
-    and each refusal is the same, bit for bit, on either path."""
+    """At n = 1 a batch of at most ``_ROW_LIMIT`` entries is solved one entry
+    at a time on Python floats (``_row_etas``), and any other in lockstep:
+    each eta and each refusal is the same, bit for bit, on either path.  The
+    row path hands every refusal to the lockstep, which makes it."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -567,10 +580,9 @@ class TestRowPath:
             nu = rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift)
         if ints and nu.max() < 1e15:
             nu = np.floor(nu).astype(np.int64) + 1
-        limit, row_calls = bounds._ROW_LIMIT, []
-        row_etas = bounds._row_etas
+        limit = bounds._ROW_LIMIT
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "_row_etas", lambda *args: row_calls.append(1) or row_etas(*args))
+            returns = spy_rows(mp)
             for i in range(0, len(nu), limit):
                 few_nu, few_eps = nu[i:i + limit], eps[i:i + limit]
                 rows = outcome(lambda: solve_eta(p, profile, few_nu, few_eps))
@@ -580,7 +592,12 @@ class TestRowPath:
                 lockstep = outcome(lambda: solve_eta(
                     p, profile, np.resize(few_nu, size), np.resize(few_eps, size))[:len(few_nu)])
                 assert rows == lockstep
-        assert len(row_calls) == -(-len(nu) // limit)
+                # n >= 2 keeps the lockstep; at n = 1 the row path solves
+                # every batch the lockstep solves, to its bytes
+                assert len(returns) == (n == 1)
+                if returns:
+                    etas = returns.pop()
+                    assert lockstep == (str(lockstep) if etas is None else np.array(etas).tobytes())
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float16, np.float32,
                                        np.float64, np.longdouble])
@@ -602,20 +619,36 @@ class TestRowPath:
         else:  # by value: a longdouble's padding bytes are not its bits
             assert rows.dtype == lockstep.dtype and np.array_equal(rows, lockstep)
 
+    @pytest.mark.parametrize("nu, eps, message", [
+        ([7.0, 1e300], [0.5, 0.5], "eta overflows the float range at c = 6"),
+        ([7.0, 1e308], [0.5, 0.5], "eta overflows the float range at c = 6"),  # scaled
+        ([7.0, 7.0], [0.5, 0.0], "epsilon must be positive"),
+        ([7.0, 6.0], [0.5, 0.5], "count 6.0 does not exceed the baseline 6; no ratio above 1"),
+        ([7.0, math.nan], [0.5, 0.5], "count nan does not exceed the baseline 6; no ratio above 1"),
+    ])
+    def test_the_row_path_hands_each_refusal_to_the_lockstep(self, nu, eps, message):
+        nu, eps = np.array(nu), np.array(eps)
+        size = bounds._ROW_LIMIT + 1
+        lockstep = outcome(lambda: solve_eta(P15, Z1, np.resize(nu, size), np.resize(eps, size)))
+        with pytest.MonkeyPatch.context() as mp:
+            returns = spy_rows(mp)
+            rows = outcome(lambda: solve_eta(P15, Z1, nu, eps))
+        assert returns == [None]
+        assert rows == lockstep == message
+
     def test_a_plateau_scan_refuses_an_overflowing_eta_as_the_lockstep(self):
         # n = 2, c = 1 and lambda_1 = 0: eta = (nu / c)^(d/2) passes the float
-        # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2
+        # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2.
+        # At n = 1, c >= d + 1 keeps a scan's eta of at most 24 points finite.
         p, s = ProblemParams(n=2, m=1, d=1100, c=1.0), FinitePoints([0.0, 1.0, 2.0, 3.0])
         size = bounds._ROW_LIMIT + 1
         with pytest.raises(ValueError) as lockstep:
             solve_eta(p, Z1, np.full(size, 4), np.full(size, 0.4))
-        row_calls = []
-        row_etas = bounds._row_etas
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "_row_etas", lambda *args: row_calls.append(1) or row_etas(*args))
+            returns = spy_rows(mp)
             with pytest.raises(ValueError) as rows:
                 rigidity_bound(p, Z1, s)
-        assert row_calls == [1]
+        assert returns == []
         assert str(rows.value) == str(lockstep.value) == "eta overflows the float range at c = 1"
 
 
@@ -1237,8 +1270,8 @@ class TestRigidityBound:
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             BoundReport(((0.1, 0.5),), None, None, P15, Z1)
-        # an infinite resolution is refused as one, not as an overflowing gamma
-        with pytest.raises(ValueError, match="every resolution must be positive and finite"):
+        # an infinite resolution is refused: its product overflows gamma
+        with pytest.raises(ValueError, match="gamma = eps"):
             BoundReport(((math.inf, 2.0),), None, None, P15, Z1)
         # gamma and the qualifying radii come from the curve, not the caller
         for name in ("gamma", "e_intervals"):
