@@ -34,8 +34,8 @@ from rigidity import bounds, sets, witness  # noqa: E402
 # the timed library functions, "module.name" under ``rigidity``
 STAGES = (
     "covering.plateau_ends", "covering.covering_counts", "bounds.rigidity_bound",
-    "bounds.epsilon0", "bounds.solve_eta", "bounds._row_etas", "witness.sandwich_check",
-    "witness.build_witness", "witness.witness_derivative_scale", "sets.load_descriptor",
+    "bounds.epsilon0", "bounds.solve_eta", "witness.sandwich_check", "witness.build_witness",
+    "witness.witness_derivative_scale", "sets.load_descriptor",
     "critical.SampledMap.from_grid_csv", "critical.SampledMap.from_callable",
     "critical.semi_axis_field", "critical.near_critical_set",
     "critical.measured_derivative_scale", "critical.empirical_forward_check", "util.dump_json")

@@ -30,9 +30,6 @@ _BOUNDARY_SHRINK = 1.0 - 1e-9
 # a finite set of at most this many points and no grid scans its k(k-1)/2
 # plateau ends; above it the default grid is cheaper
 _PLATEAU_SCAN_MAX = 24
-# at n = 1 a solve of at most this many entries runs them one at a time on Python
-# floats, about 7.5 + 1.9 us an entry against the lockstep's 16 to 24 us
-_ROW_LIMIT = 6
 _CURVE_FLOOR = frozen_array([0.0, 1.0])  # a curve row: a resolution > 0, a ratio > 1
 
 EXCLUDED = "Excluded"
@@ -182,19 +179,17 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     Counts and radii broadcast; every count must beat its eta = 1 baseline.
     In t = eta^(1/d) the equation is c * f(t) = nu with the polynomial
     f(t) = sum_i a_i t^(n-i) and every a_i >= 0, so f is increasing and
-    convex for t > 0.  Newton started at or above the root falls to it
-    monotonically; every entry stops at its first step that does not lower
-    it, in lockstep or, in a small batch, in ``_row_etas``, to the same bits.
+    convex for t > 0.  At n = 1 it is linear and ``_line_etas`` solves it in
+    closed form; above, Newton started at or above the root falls to it
+    monotonically, every entry stopping at its first step that does not lower it.
     """
     nu, epsilon = np.asarray(nu), np.asarray(epsilon, dtype=float)
     if nu.shape != epsilon.shape:
         nu, epsilon = np.broadcast_arrays(nu, epsilon)
-    # rows take n = m = 1 and the counts numpy solves in float64: bool, integer, float64
-    rows = p.n == 1 == len(profile) and 0 < nu.size <= _ROW_LIMIT and (
-        nu.dtype.kind in "biu" or nu.dtype == float)
-    nu, epsilon = nu[()], epsilon[()]
-    if rows and (etas := _row_etas(p, profile, nu, epsilon)) is not None:
+    if p.n == 1:
+        etas = _line_etas(p, profile, nu, epsilon)
         return _scalar_or_array(np.array(etas).reshape(nu.shape)[()])
+    nu, epsilon = nu[()], epsilon[()]
     # one scope: a coefficient, the baseline, a bound or eta may overflow to
     # inf and a bound divide by an underflowed a_i; a Newton step does neither
     with np.errstate(divide="ignore", over="ignore"):
@@ -219,38 +214,35 @@ def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     return _scalar_or_array(eta)
 
 
-def _row_etas(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
-    """``solve_eta`` at n = m = 1 entry by entry on Python floats, which round as
-    numpy's, but eta = t^d numpy's power over the batch, as libm's pow differs
-    in the last bit; None where the lockstep would refuse or scale a count."""
-    lam, roots = profile.lambdas[0], []
-    for x, e in zip(nu.ravel().tolist(), epsilon.ravel().tolist()):
-        if not e > 0.0:  # the lockstep refuses it
-            return None
-        row = [1.0] if lam == 0.0 else [1.0, lam * (p.r / e)]  # _coefficients' a_i
-        # the count against its baseline as a float (a sum of two rounds once),
-        # and no count that _newton_root scales
-        if not (float(x) > p.c * sum(row) and x <= sys.float_info.max / 4):
-            return None
-        t = x / p.c  # the start, (nu / (c * 1.0))**1.0, finite as c >= 1
-        while (t_next := _newton_step(p.c, row, 1, x, t)) < t:
-            t = t_next
-        roots.append(t)
-    with np.errstate(over="ignore"):  # to inf, for the lockstep to refuse
-        etas = [max(eta, math.nextafter(1.0, 2.0)) for eta in np.power(roots, p.d).tolist()]
-    return etas if all(map(math.isfinite, etas)) else None
-
-
-def _newton_step(c: float, coeffs: list, n: int, nu, t):
-    """``_newton_root``'s step from t, on arrays or floats."""
-    # Horner for f and f', from its second step (the first gives a_0 and 0),
-    # with no product by a_0 = 1.0 and no sum of an a_i = 0 past the list
-    f, df = t if coeffs[0] == 1.0 else coeffs[0] * t, coeffs[0]
-    for i in range(1, n + 1):
-        f = f + coeffs[i] if i < len(coeffs) else f
-        if i < n:
-            f, df = f * t, df * t + f
-    return t - (c * f - nu) / (c * df)
+def _line_etas(p: ProblemParams, profile: LambdaProfile, nu, epsilon) -> list:
+    """``solve_eta`` at n = m = 1 on Python floats, refusing as the n >= 2 path:
+    the root t* = nu/c - a_1 of c * (t + a_1) = nu, each rounding stepped toward a
+    smaller t, t = pred(nu/c) or pred(pred(nu/c) - succ(lambda_1 * succ(r/eps))),
+    so t <= t*, and eta = pred(t^d) <= t*^d past d = 1, or 1 + ulp where t <= 1."""
+    if len(profile) != p.m:
+        raise ValueError("profile length must equal m")
+    counts, radii = nu.astype(float, copy=False).ravel().tolist(), epsilon.ravel().tolist()
+    if not all(e > 0.0 for e in radii):
+        raise ValueError("epsilon must be positive")
+    lam, c, d, down, up = profile.lambdas[0], p.c, p.d, -math.inf, math.inf
+    etas = []
+    for k, (x, e) in enumerate(zip(counts, radii)):
+        baseline = c if lam == 0.0 else c * (1.0 + lam * (p.r / e))  # as _coefficients rounds
+        if not x > baseline:
+            raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
+                             f"{baseline:.6g}; no ratio above 1")
+        t = math.nextafter(x / c if lam == 0.0 else math.nextafter(x / c, down)
+                           - math.nextafter(lam * math.nextafter(p.r / e, up), up), down)
+        try:
+            etas.append(math.nextafter(1.0, up) if t <= 1.0 else t if d == 1
+                        else math.nextafter(t**d, down))
+        except OverflowError:
+            etas.append(math.inf)
+    if math.inf in counts:  # an infinite count has no finite root
+        raise ValueError(f"count / c overflows the float range at c = {c:g}")
+    if math.inf in etas:  # an infinite eta would make gamma infinite
+        raise ValueError(f"eta overflows the float range at c = {c:g}")
+    return etas
 
 
 def _newton_root(c: float, coeffs: list, n: int, nu, t: np.ndarray) -> np.ndarray:
@@ -266,7 +258,14 @@ def _newton_root(c: float, coeffs: list, n: int, nu, t: np.ndarray) -> np.ndarra
         coeffs, nu = [a * scale for a in coeffs], nu * scale
     falling = None
     while True:
-        t_next = _newton_step(c, coeffs, n, nu, t)
+        # Horner for f and f', from its second step (the first gives a_0 and 0),
+        # with no product by a_0 = 1.0 and no sum of an a_i = 0 past the list
+        f, df = t if coeffs[0] == 1.0 else coeffs[0] * t, coeffs[0]
+        for i in range(1, n + 1):
+            f = f + coeffs[i] if i < len(coeffs) else f
+            if i < n:
+                f, df = f * t, df * t + f
+        t_next = t - (c * f - nu) / (c * df)
         falling = t_next < t if falling is None else falling & (t_next < t)
         if not np.count_nonzero(falling):
             return t

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -179,6 +180,30 @@ def exact_bound(values, p, profile) -> Fraction:
             lo, hi = (mid, hi) if rhs(mid) <= nu else (lo, mid)
         best = max(best, h * lo ** p.d)
     return best
+
+
+def newton_line_eta(p, profile, nu: float, epsilon: float) -> float:
+    """The ratio that ``bounds.solve_eta`` gave at n = 1 before its closed
+    form, for one count above its baseline: Newton on c * (t + a_1) = nu from
+    t = nu/c, stopped at its first step that does not lower t, with both
+    sides scaled by 1/8 for a count above a quarter of the float range, then
+    eta = t**d by numpy's power over an array, at least 1 + ulp; inf past
+    the float range."""
+    lam, c = profile.lambdas[0], p.c
+    coeffs = [1.0] if lam == 0.0 else [1.0, lam * (p.r / epsilon) ** 1]  # _coefficients'
+    t = nu / c
+    if nu > sys.float_info.max / 4:
+        coeffs, nu = [a * 0.125 for a in coeffs], nu * 0.125
+    while True:
+        f = t if coeffs[0] == 1.0 else coeffs[0] * t
+        f = f + coeffs[1] if len(coeffs) > 1 else f
+        t_next = t - (c * f - nu) / (c * coeffs[0])
+        if not t_next < t:
+            break
+        t = t_next
+    with np.errstate(over="ignore"):
+        eta = float(np.power(np.array([t]), p.d)[0])
+    return max(eta, math.nextafter(1.0, 2.0))
 
 
 def grid_csv_text(sm) -> str:

@@ -1,14 +1,17 @@
 """Tests for the inverse-bound machinery.
 
-Covers the ratio polynomial and its Newton inverse, the count-threshold
-radius, closed-form agreement on the canonical equally-spaced instance, the
-power-sequence dichotomy, and the report invariants.
+Covers the ratio polynomial and its inverse (in closed form at n = 1, by
+Newton above), the count-threshold radius, closed-form agreement on the
+canonical equally-spaced instance, the power-sequence dichotomy, and the
+report invariants.
 """
 
 import json
 import math
+import signal
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +43,8 @@ from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, diameter, m
 from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
-from oracles import BRUTE_FORCE_LIMIT, bisect_epsilon0, brute_force_covering_oracle, plateau_sup
+from oracles import (BRUTE_FORCE_LIMIT, bisect_epsilon0, brute_force_covering_oracle,
+                     newton_line_eta, plateau_sup)
 
 
 def seven_points():
@@ -279,6 +283,14 @@ class TestSolveEta:
             with pytest.raises(ValueError, match="eta overflows"):
                 solve_eta(p, LambdaProfile((0.0,)), 7, 0.6)
 
+    def test_a_plateau_scan_refuses_an_overflowing_eta(self):
+        # n = 2, c = 1 and lambda_1 = 0: eta = (nu / c)^(d/2) passes the float
+        # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2.
+        # At n = 1, c >= d + 1 keeps a scan's eta of at most 24 points finite.
+        p, s = ProblemParams(n=2, m=1, d=1100, c=1.0), FinitePoints([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^eta overflows the float range at c = 1$"):
+            rigidity_bound(p, Z1, s)
+
     @given(
         n=st.integers(1, 3),
         d=st.integers(1, 6),
@@ -366,16 +378,14 @@ def outcome(call):
 
 
 class TestSolveEtaErrorScope:
-    """``solve_eta``'s lockstep runs its Newton steps inside the one
-    error-state scope that lets the baseline, the start bounds and eta
-    overflow, and its row path runs them on Python floats, which report no
-    float error.  Run on numpy values with overflow, division by zero and
-    invalid operations raised, the steps of both paths raise none, from
-    counts just above the baseline up to the float range, so neither hides
-    anything a step would report."""
+    """At n >= 2 ``solve_eta`` runs Newton inside the one error-state scope
+    that lets the baseline, the start bounds and eta overflow.  Run with
+    overflow, division by zero and invalid operations raised, Newton's
+    scaling and steps raise none, from counts just above the baseline up to
+    the float range, so the scope hides nothing Newton would report."""
 
     @given(
-        n=st.integers(1, 4),
+        n=st.integers(2, 4),
         drop=st.integers(0, 3),
         d=st.integers(1, 200),
         c=st.floats(1.0, 8.0) | st.sampled_from([1e150, 1e300]),
@@ -385,46 +395,37 @@ class TestSolveEtaErrorScope:
                      min_size=1, max_size=4),
         lift=st.sampled_from([0.0, 2.0**-40, 1.0, 1e6, 1e100, 1e300]),
     )
-    @example(n=1, drop=0, d=1000, c=1.0, r=1.0, lams=[0.0] * 4, eps=[0.6], lift=1e6)
+    @example(n=2, drop=0, d=1000, c=1.0, r=1.0, lams=[0.0] * 4, eps=[0.6], lift=1e6)
     @example(n=4, drop=0, d=1, c=1e300, r=4.0, lams=[1e300] * 4, eps=[5e-324, 1e-3], lift=0.0)
     # counts within a factor (n+1)**2 of the float range, where c * f overflows unscaled
     @example(n=4, drop=0, d=1, c=2.0, r=2.0, lams=[0.5, 0.5, 3.0, 1.896004478175099e307],
              eps=[1.5], lift=0.0)
     @example(n=4, drop=0, d=1, c=1.0, r=2.0, lams=[0.5, 1.0, 3.0, 1.896004478175099e307],
              eps=[1.5], lift=0.0)
-    # 1.0 + a_1 rounds to a_1 = 2.5e99, and the first step from nu/c lands on a
-    # negative t whose fifth power overflows to -inf: eta reads 1 + ulp
-    @example(n=1, drop=0, d=5, c=7.5, r=0.25, lams=[1.0] * 4, eps=[1e-100], lift=0.0)
+    # 1.0 + a_1 rounds to a_1 = 2.5e99, and a step lands on a negative t: eta reads 1 + ulp
+    @example(n=2, drop=1, d=5, c=7.5, r=0.25, lams=[1.0] * 4, eps=[1e-100], lift=0.0)
     @settings(max_examples=300, deadline=None)
     def test_newton_steps_raise_no_float_error(self, n, drop, d, c, r, lams, eps, lift):
         m = max(1, n - drop)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c)
         eps = np.array(eps)
         with np.errstate(over="ignore"):
             nu = np.nextafter(rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift), math.inf)
         keep = np.isfinite(nu)
         assume(keep.any())
         nu, eps = nu[keep], eps[keep]
-        step = bounds._newton_step
+        newton_root = bounds._newton_root
 
-        def raising(c, coeffs, n, nu, t):
-            # a row's Python floats become numpy scalars, which round alike
-            # and obey the error state
-            as_numpy = lambda x: np.float64(x) if type(x) is float else x  # noqa: E731
+        def raising(*args):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                t_next = step(c, [as_numpy(a) for a in coeffs], n, as_numpy(nu), as_numpy(t))
-            return float(t_next) if type(t) is float else t_next
+                return newton_root(*args)
 
-        reps = bounds._ROW_LIMIT + 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "_newton_step", raising)
-            rows = outcome(lambda: solve_eta(p, profile, nu, eps))
-            lockstep = outcome(lambda: solve_eta(
-                p, profile, np.tile(nu, reps), np.tile(eps, reps))[:len(nu)])
-        # the same etas on both paths, or eta past the float range, refused after Newton
-        assert rows == lockstep
-        assert isinstance(rows, bytes) or "eta overflows" in rows
+            mp.setattr(bounds, "_newton_root", raising)
+            solved = outcome(lambda: solve_eta(p, profile, nu, eps))
+        # the etas, or eta past the float range, refused after Newton
+        assert isinstance(solved, bytes) or "eta overflows" in solved
 
 
 class TestArraySolver:
@@ -538,118 +539,147 @@ class TestArraySolver:
                     assert abs(eta / root - 1) <= 8 * 15 * kappa * 2.0**-53
 
 
-def spy_rows(mp) -> list:
-    """Patch ``_row_etas`` to record what each call returns; the records."""
-    returns, row_etas = [], bounds._row_etas
-
-    def spy(*args):
-        returns.append(row_etas(*args))
-        return returns[-1]
-
-    mp.setattr(bounds, "_row_etas", spy)
-    return returns
+def exact_line_root(p, profile, nu, eps) -> Fraction:
+    """The exact root t* = nu/c - lambda_1 * r/eps of the n = 1 ratio equation."""
+    return Fraction(nu) / Fraction(p.c) - Fraction(profile.lambdas[0]) * Fraction(p.r) / Fraction(eps)
 
 
-class TestRowPath:
-    """At n = 1 a batch of at most ``_ROW_LIMIT`` entries is solved one entry
-    at a time on Python floats (``_row_etas``), and any other in lockstep:
-    each eta and each refusal is the same, bit for bit, on either path.  The
-    row path hands every refusal to the lockstep, which makes it."""
+class TestLineSolve:
+    """At n = 1 the ratio equation c * (t + a_1) = nu is linear, and
+    ``solve_eta`` takes its root in closed form, each rounding stepped one
+    float toward a smaller t, so that t and eta = t^d never exceed the exact
+    root and its power: the bound stays certified in floating point."""
 
-    @settings(max_examples=300, deadline=None)
     @given(
-        n=st.integers(1, 3),
-        drop=st.integers(0, 2),
-        d=st.integers(1, 12),
-        c=st.floats(1.0, 8.0),
-        r=st.floats(0.25, 4.0),
-        zeros=st.integers(0, 3),
-        lams=st.lists(st.floats(1e-8, 1e8), min_size=3, max_size=3),
-        entries=st.lists(st.tuples(st.floats(1e-8, 1e8), st.floats(1e-8, 1e8)),
-                         min_size=1, max_size=24),
-        ints=st.booleans(),
+        d=st.integers(1, 9),
+        c=st.floats(2.0, 40.0),
+        r=st.floats(1e-3, 1e3),
+        lam=st.just(0.0) | st.floats(1e-300, 1e300),
+        eps=st.floats(1e-300, 1e300),
+        lift=st.just(0.0) | st.floats(2.0**-40, 1e300),
     )
-    def test_rows_match_the_lockstep_bit_for_bit(self, n, drop, d, c, r, zeros, lams,
-                                                  entries, ints):
-        m = max(1, n - drop)
-        # with a zero first threshold every coefficient past a_0 drops out
-        profile = LambdaProfile(tuple(sorted([0.0] * zeros + lams))[:m])
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
-        eps, lift = (np.array(column) for column in zip(*entries))
+    @example(d=2, c=13.5, r=0.25, lam=1.0, eps=1e-100, lift=0.0)  # the cancellation draw
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_never_exceeds_the_exact_root(self, d, c, r, lam, eps, lift):
+        profile = LambdaProfile((lam,))
+        p = ProblemParams(1, 1, d, r, max(c, d + 1.0))
         with np.errstate(over="ignore"):
-            nu = rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift)
-        if ints and nu.max() < 1e15:
-            nu = np.floor(nu).astype(np.int64) + 1
-        limit = bounds._ROW_LIMIT
+            nu = np.nextafter(rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift), math.inf)
+        assume(math.isfinite(nu))
+        root, floor = exact_line_root(p, profile, nu, eps), math.nextafter(1.0, 2.0)
+        # at d = 1 eta is the rounded t itself, or 1 + ulp where t <= 1
+        t = solve_eta(ProblemParams(1, 1, 1, r, p.c), profile, nu, eps)
+        assert t == floor or Fraction(t) <= root
+        try:
+            eta = solve_eta(p, profile, nu, eps)
+        except ValueError as exc:  # refused only where the exact eta passes the float range
+            assert str(exc) == f"eta overflows the float range at c = {p.c:g}"
+            assert root**d > Fraction(sys.float_info.max)
+            return
+        assert eta == floor or Fraction(eta) <= root**d
+
+    def test_no_eta_exceeds_newtons_on_a_seeded_sample(self):
+        # Newton, as solved before the closed form, ends within a few ulps of
+        # nu/c of the root on either side, the closed form 0.25 to about 5 below
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            d, c = int(rng.integers(1, 10)), float(rng.uniform(2.0, 40.0))
+            p = ProblemParams(1, 1, d, float(10 ** rng.uniform(-3, 3)), max(c, d + 1.0))
+            profile = LambdaProfile((0.0 if rng.random() < 0.3 else float(10 ** rng.uniform(-8, 8)),))
+            eps = float(10 ** rng.uniform(-6, 1))
+            base = rhs_polynomial(p, profile, eps, 1.0)
+            nu = float(math.floor(base * 10 ** rng.uniform(0, 3)) + 1)
+            assert solve_eta(p, profile, nu, eps) <= newton_line_eta(p, profile, nu, eps)
+        # but Newton may end further below: here 3.3 ulps of nu/c below t*,
+        # the closed form 2.4 below
+        p, profile = ProblemParams(1, 1, 6, 0.18741405225766386, 22.248730729325693), \
+            LambdaProfile((5.395474546809725e-08,))
+        nu, eps = 535.0, 4.395505094129282e-10
+        eta, newton = solve_eta(p, profile, nu, eps), newton_line_eta(p, profile, nu, eps)
+        assert newton < eta and Fraction(eta) <= exact_line_root(p, profile, nu, eps) ** 6
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 5])
+    def test_the_cancellation_draw_keeps_eta_below_its_root(self, d):
+        # a_1 = 2.5e99 rounds by about 1e83, which swamps the root t* = 3.96e83:
+        # the rounded t is about -9.7e83, whose square would read 9.4e167, above
+        # t*^2 = 1.56e167, were eta not 1 + ulp for every t <= 1
+        p, profile, eps = ProblemParams(1, 1, d, 0.25, 13.5), LambdaProfile((1.0,)), 1e-100
+        nu = math.nextafter(rhs_polynomial(p, profile, eps, 1.0), math.inf)
+        root = exact_line_root(p, profile, nu, eps)
+        assert 3.9e83 < root < 4.0e83
+        up = lambda x: math.nextafter(x, math.inf)  # noqa: E731
+        down = lambda x: math.nextafter(x, -math.inf)  # noqa: E731
+        t = down(down(nu / p.c) - up(1.0 * up(p.r / eps)))
+        assert t < -9e83 and Fraction(t) ** 2 > root**2
+        eta = solve_eta(p, profile, nu, eps)
+        assert eta == math.nextafter(1.0, 2.0) and Fraction(eta) <= root**d
+
+    def test_newton_never_runs(self):
+        calls, newton_root = [], bounds._newton_root
+
+        def spy(*args):
+            calls.append(args)
+            return newton_root(*args)
+
         with pytest.MonkeyPatch.context() as mp:
-            returns = spy_rows(mp)
-            for i in range(0, len(nu), limit):
-                few_nu, few_eps = nu[i:i + limit], eps[i:i + limit]
-                rows = outcome(lambda: solve_eta(p, profile, few_nu, few_eps))
-                # the same entries repeated past the limit: the lockstep sees
-                # them, and their first refusal, in the same order
-                size = len(few_nu) + limit
-                lockstep = outcome(lambda: solve_eta(
-                    p, profile, np.resize(few_nu, size), np.resize(few_eps, size))[:len(few_nu)])
-                assert rows == lockstep
-                # n >= 2 keeps the lockstep; at n = 1 the row path solves
-                # every batch the lockstep solves, to its bytes
-                assert len(returns) == (n == 1)
-                if returns:
-                    etas = returns.pop()
-                    assert lockstep == (str(lockstep) if etas is None else np.array(etas).tobytes())
+            mp.setattr(bounds, "_newton_root", spy)
+            solve_eta(P15, LambdaProfile((1e-3,)), np.arange(7, 1007), np.full(1000, 0.5))
+            rigidity_bound(P15, Z1, seven_points())
+            assert calls == []
+            solve_eta(ProblemParams(2, 1, 5, c=6.0), Z1, np.array([7, 9]), 0.5)
+        assert len(calls) == 1
+
+    def test_float16_and_float32_counts_return(self):
+        # Newton copied each float64 step into a float32 t, which rounded it
+        # back up, and never stopped; a hang now fails instead of stalling the run
+        def stalled(signum, frame):
+            raise TimeoutError("solve_eta did not return")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            for counts, dtype in (([7.5, 9.25], np.float32), ([7, 9], np.float16)):
+                args = ProblemParams(1, 1, 5), LambdaProfile((1e-3,))
+                etas = solve_eta(*args, np.array(counts, dtype=dtype), [0.5, 0.05])
+                assert etas.tobytes() == solve_eta(*args, np.array(counts, dtype=float),
+                                                   [0.5, 0.05]).tobytes()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float16, np.float32,
                                        np.float64, np.longdouble])
-    def test_counts_of_every_dtype_keep_the_lockstep_bits(self, dtype):
-        # numpy solves float16, float32 and longdouble counts in their own
-        # precision, so only counts it takes as float64 go to the row path
+    def test_counts_of_every_dtype_solve_as_float64(self, dtype):
         nu, eps = np.array([7, 9, 40]).astype(dtype), np.array([0.5, 0.2, 0.05])
-        size = len(nu) + bounds._ROW_LIMIT
-
-        def solve(counts, radii):
-            try:
-                return solve_eta(P15, Z1, counts, radii)[:len(nu)]
-            except ValueError as exc:
-                return str(exc)
-
-        rows, lockstep = solve(nu, eps), solve(np.resize(nu, size), np.resize(eps, size))
-        if isinstance(rows, str):
-            assert rows == lockstep
-        else:  # by value: a longdouble's padding bytes are not its bits
-            assert rows.dtype == lockstep.dtype and np.array_equal(rows, lockstep)
+        for profile in (Z1, LambdaProfile((1e-3,))):
+            if dtype is bool:  # a true count is 1, below every baseline
+                with pytest.raises(ValueError, match="count True does not exceed the baseline 6"):
+                    solve_eta(P15, profile, nu, eps)
+                continue
+            etas = solve_eta(P15, profile, nu, eps)
+            assert etas.dtype == float
+            assert etas.tobytes() == solve_eta(P15, profile, nu.astype(float), eps).tobytes()
 
     @pytest.mark.parametrize("nu, eps, message", [
         ([7.0, 1e300], [0.5, 0.5], "eta overflows the float range at c = 6"),
-        ([7.0, 1e308], [0.5, 0.5], "eta overflows the float range at c = 6"),  # scaled
+        ([7.0, 1e308], [0.5, 0.5], "eta overflows the float range at c = 6"),
         ([7.0, 7.0], [0.5, 0.0], "epsilon must be positive"),
         ([7.0, 6.0], [0.5, 0.5], "count 6.0 does not exceed the baseline 6; no ratio above 1"),
         ([7.0, math.nan], [0.5, 0.5], "count nan does not exceed the baseline 6; no ratio above 1"),
-    ])
-    def test_the_row_path_hands_each_refusal_to_the_lockstep(self, nu, eps, message):
-        nu, eps = np.array(nu), np.array(eps)
-        size = bounds._ROW_LIMIT + 1
-        lockstep = outcome(lambda: solve_eta(P15, Z1, np.resize(nu, size), np.resize(eps, size)))
-        with pytest.MonkeyPatch.context() as mp:
-            returns = spy_rows(mp)
-            rows = outcome(lambda: solve_eta(P15, Z1, nu, eps))
-        assert returns == [None]
-        assert rows == lockstep == message
+    ], ids=["eta", "eta-scaled", "radius", "count", "count-nan"])
+    def test_each_refusal_names_the_first_entry_it_refuses(self, nu, eps, message):
+        with pytest.raises(ValueError) as refused:
+            solve_eta(P15, Z1, np.array(nu), np.array(eps))
+        assert str(refused.value) == message
 
-    def test_a_plateau_scan_refuses_an_overflowing_eta_as_the_lockstep(self):
-        # n = 2, c = 1 and lambda_1 = 0: eta = (nu / c)^(d/2) passes the float
-        # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2.
-        # At n = 1, c >= d + 1 keeps a scan's eta of at most 24 points finite.
-        p, s = ProblemParams(n=2, m=1, d=1100, c=1.0), FinitePoints([0.0, 1.0, 2.0, 3.0])
-        size = bounds._ROW_LIMIT + 1
-        with pytest.raises(ValueError) as lockstep:
-            solve_eta(p, Z1, np.full(size, 4), np.full(size, 0.4))
-        with pytest.MonkeyPatch.context() as mp:
-            returns = spy_rows(mp)
-            with pytest.raises(ValueError) as rows:
-                rigidity_bound(p, Z1, s)
-        assert returns == []
-        assert str(rows.value) == str(lockstep.value) == "eta overflows the float range at c = 1"
+    def test_refusals_come_in_order_over_the_batch(self):
+        # a radius, then a count at or below its baseline, then count / c, then eta
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            solve_eta(P15, Z1, np.array([1e300, 6.0, math.inf]), np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="count 6.0 does not exceed"):
+            solve_eta(P15, Z1, np.array([1e300, math.inf, 6.0]), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="count / c overflows"):
+            solve_eta(P15, Z1, np.array([1e300, math.inf]), np.full(2, 0.5))
 
 
 class TestEpsilon0:
@@ -1232,14 +1262,15 @@ class TestRigidityBound:
 
     @pytest.mark.parametrize("lam, gamma", [
         (0.0, 61361.437578057434),
-        (1e-3, 55766.69101813091),
+        (1e-3, 55766.69101813076),
     ])
     def test_gamma_pinned_on_seeded_set(self, lam, gamma):
         # the lambda_1 = 0 value was recorded with the one-ball-at-a-time
         # counter and a scalar bisection, whose midpoint the Newton root may
         # move by up to a relative 1e-12 (here -1.6e-13).  The 1e-3 value is
-        # the Newton root; the 50-digit gamma is 55766.691018130888..., and
-        # the bisection's 55766.6910181239 sat -1.25e-13 from it.
+        # the closed-form root, rounded down; the 50-digit gamma is
+        # 55766.691018130888..., which Newton's 55766.69101813091 lay above and
+        # the bisection's 55766.6910181239 sat -1.25e-13 from.
         rng = np.random.default_rng(2308)
         pts = (np.arange(200) + rng.uniform(0.25, 0.75, 200)) / 200
         report = rigidity_bound(P15, LambdaProfile((lam,)), FinitePoints(pts))

@@ -143,8 +143,8 @@ def test_stage_timing_times_every_op_of_a_workload(monkeypatch, capsys, workload
         trials = importlib.import_module("workloads").SANDWICH_TRIALS
         assert {s: by_op["sandwich"][s] for s in SANDWICH_STAGES} == dict.fromkeys(
             SANDWICH_STAGES, trials)
-        # the row solve is its own stage, inside solve_eta, in each check with a few rows
-        assert 0 < by_op["sandwich"]["bounds._row_etas"] <= trials
+        # the n = 1 closed form has no stage of its own: it is solve_eta, once per check
+        assert by_op["sandwich"]["bounds.solve_eta"] == trials
     # the hooks are undone: no more library names carry __wrapped__ than
     # before (a functools.lru_cache does too)
     assert wrapped_functions() == before
