@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import re
@@ -46,6 +47,8 @@ from .sets import (
     load_descriptor,
 )
 from .util import atomic_write, dump_json, fit_loglog_slope, log_grid
+# the imports' objects live until exit, so no collection, exit's own included, need walk them
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2

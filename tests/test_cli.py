@@ -627,8 +627,59 @@ def test_module_entry_point_runs_the_cli():
     assert proc.stdout == "Excluded, exponent -1.5\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--set", json.dumps(SEVEN), "--d", "5", "--out", "rep.json"],
+    ["witness", "--set", json.dumps(SEVEN), "--d", "5", "--out", "sw.json",
+     "--samples", "w.csv"],
+    ["cover", "--set", json.dumps(SEVEN), "--eps", "1e-3:1:5", "--out", "curve.csv"],
+    ["extract", "--map", "parabola1d", "--lambda", "0", "--d", "2", "--check",
+     "--out-prefix", "run"],
+], ids=["bound", "witness-samples", "cover", "extract"])
+def test_a_process_exits_with_what_main_returns_and_writes(tmp_path, monkeypatch, capsys, argv):
+    # a CLI process exits with the imported modules frozen out of the collector;
+    # main run in process must give the same code, stdout and files
+    def written(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    src = str(Path(rigidity.__file__).resolve().parents[1])
+    (tmp_path / "process").mkdir()
+    proc = subprocess.run([sys.executable, "-B", "-m", "rigidity", *argv], capture_output=True,
+                          cwd=tmp_path / "process", env={"PYTHONPATH": src}, timeout=60)
+    (tmp_path / "in_process").mkdir()
+    monkeypatch.chdir(tmp_path / "in_process")
+    code = main(argv)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode()), proc.stderr
+    files = written(tmp_path / "process")
+    assert files and files == written(tmp_path / "in_process")
+
+
 class TestColdImports:
     SEVEN_ARG = json.dumps(json.dumps(SEVEN))
+
+    def test_the_import_freezes_the_heap_and_leaves_the_collector_on(self):
+        out, err = run_fresh("import gc\nprint(gc.get_freeze_count() > 0, gc.isenabled())\n")
+        assert out[-1] == "True True", err
+
+    def test_main_freezes_nothing_more(self, tmp_path):
+        # the suite runs main hundreds of times in one process: a freeze per
+        # call would keep each call's cyclic garbage for good.  The count may
+        # fall, as a frozen object that loses its last reference is freed.
+        out, err = run_fresh(
+            "import gc\nfrozen = gc.get_freeze_count()\n"
+            + f"code = main(['bound', '--set', {self.SEVEN_ARG}, '--d', '5',"
+            f" '--out', {str(tmp_path / 'rep.json')!r}])\n" * 2
+            + "print(code, gc.get_freeze_count() <= frozen)\n"
+        )
+        assert out[-1] == "0 True", err
+
+    def test_a_cycle_made_after_the_import_is_collected(self):
+        out, err = run_fresh(
+            "import gc, weakref\n"
+            "class Node:\n    pass\n"
+            "node = Node()\nnode.self = node\nref = weakref.ref(node)\ndel node\n"
+            "gc.collect()\nprint(ref() is None)\n"
+        )
+        assert out[-1] == "True", err
 
     def test_bound_does_not_import_numpy_ma(self, tmp_path):
         # a bare np.unique imports numpy.ma, 15-20 ms of every process

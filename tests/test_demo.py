@@ -1,6 +1,6 @@
 """The scripts under ``scripts/``, each run in-process: the seven-point
 demo on its defaults, and the power scan, the sandwich sweep, the kernel
-timer and the stage timer on small arguments."""
+timer, the cold-start timer and the stage timer on small arguments."""
 
 import csv
 import importlib
@@ -85,6 +85,18 @@ def test_kernel_timing_prints_one_row_per_input(monkeypatch, capsys):
         calls, radii, best_ms, per_call, steps = row.split()[1:]
         assert int(calls) >= 1 and int(radii) >= 1 and int(steps) >= 0
         assert float(best_ms) > 0 and float(per_call) > 0
+
+
+def test_cold_start_prints_the_phases_of_each_command(monkeypatch, capsys):
+    run_script(monkeypatch, "cold_start", "--runs", "1")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["command", "runs", "total_ms", "import_ms", "main_ms", "exit_ms"]
+    assert [row.split()[:2] for row in rows] == [["pass", "1"], ["classify", "1"], ["bound", "1"]]
+    assert rows[0].split()[3:] == ["-"] * 3
+    for row in rows[1:]:
+        total, *phases = map(float, row.split()[2:])
+        # the stamps of the child and of the parent come from one clock
+        assert all(t > 0 for t in phases) and sum(phases) < total
 
 
 def wrapped_functions():
