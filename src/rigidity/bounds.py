@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .covering import covering_counts, default_grid, exact_counter, plateau_ends
-from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter, min_gap
+from .sets import FinitePoints, PowerSequence, SetDescriptor, diameter
 from .util import check_grid, finite_float, frozen_array, positive_int, sorted_distinct
 
 # boundary refinements are placed just inside the qualifying region
@@ -279,13 +279,14 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     Greedy counts never rise with the radius, in floats too, so E is
     unique and a bisection by counting that keeps the count at lo and
     below it at hi ends, at adjacent floats, with lo = pred(E).  A finite
-    set brackets E by [min_gap/4, diameter], a power sequence of terms
-    x_m = m**alpha by [(x_{J-1} - x_J)/4, x_{J-1}] with J = ceil(c + 1):
-    gaps shrink down the sequence, so the first J terms each open a ball
-    at the low end, and at the high end the (J-1)-th anchor's ball reaches 0.
-    A power bracket first tries the low end x_J/(2(c+1)), where the dense tail
-    under x_J needs about c + 1 balls.  Raises ValueError when the low end is 0
-    or counts below c + 1.
+    set brackets E by [ulp(0), diameter]: the least positive float counts
+    the most.  A power sequence of terms x_m = m**alpha brackets it by
+    [(x_{J-1} - x_J)/4, x_{J-1}] with J = ceil(c + 1): gaps shrink down the
+    sequence, so the first J terms each open a ball at the low end, and at
+    the high end the (J-1)-th anchor's ball reaches 0.  It first tries the low
+    end x_J/(2(c+1)), where the dense tail under x_J needs about c + 1 balls.
+    Raises ValueError when the low end counts below c + 1 (for a power
+    sequence, also when it underflows to 0).
     """
     count_at = exact_counter(s)
     threshold = p.c + 1.0
@@ -295,7 +296,7 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
         lo, tail = (hi - x_j) / 4.0, x_j / (2.0 * threshold)
         lows = (tail, lo) if tail > lo > 0.0 else (lo,)
     else:
-        lows, hi = (min_gap(s) / 4.0,), diameter(s)  # one ball covers the set at its diameter
+        lows, hi = (math.ulp(0.0),), diameter(s)  # one ball covers the set at its diameter
     if not any((lo := low) > 0.0 and covering_counts(s, [low])[0] >= threshold
                for low in lows):
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
@@ -388,10 +389,8 @@ def rigidity_bound(p: ProblemParams, profile: LambdaProfile,
     if eps_grid is None and isinstance(s, FinitePoints) and s.values.size <= _PLATEAU_SCAN_MAX:
         scan = plateau_ends(s)
         counts = covering_counts(s, scan)
-        xs, ends = s.values.tolist(), zip(scan.tolist(), counts.tolist())  # largest first
-        low = min(map(float.__sub__, xs[1:], xs), default=0.0) / 4.0  # min_gap / 4
-        # the largest end counting c + 1; None if below low, where epsilon0 refuses
-        eps0 = next((e for e, nu in ends if nu >= p.c + 1.0 and e >= low > 0.0), None)
+        # the largest end counting c + 1 (ends run largest first): epsilon0, or None
+        eps0 = next((e for e, nu in zip(scan.tolist(), counts.tolist()) if nu >= p.c + 1.0), None)
     else:
         grid = default_grid(s) if eps_grid is None else check_grid(eps_grid)
         try:

@@ -30,7 +30,6 @@ __all__ = [
     "PowerSequence",
     "SampledCloud",
     "SetDescriptor",
-    "min_gap",
     "diameter",
     "descriptor_to_json_dict",
     "descriptor_from_json",
@@ -109,15 +108,6 @@ class SampledCloud:
 
 
 SetDescriptor = FinitePoints | PowerSequence | SampledCloud
-
-
-def min_gap(s: FinitePoints) -> float:
-    """Smallest distance between consecutive values of a finite set."""
-    v = s.values
-    if v.size < 2:
-        raise ValueError("min_gap needs at least two distinct points")
-    with np.errstate(over="ignore"):  # a gap past the float range is inf
-        return float((v[1:] - v[:-1]).min())
 
 
 def diameter(s: SetDescriptor) -> float:

@@ -166,8 +166,8 @@ def build_witness(s: FinitePoints, order: int, radius: float = 1.0) -> WitnessFu
         width_t = radius / (0.5 * (k * _PLATEAU_RATIO + (k - 1)))
         width_p = _PLATEAU_RATIO * width_t
         edges = list(accumulate([width_p] + [width_t, width_p] * (k - 1), initial=-radius))
-        if abs(edges[-1] - radius) > 1e-9 * radius:
-            raise RuntimeError("piece layout failed to tile the domain")
+        if abs(edges[-1] - radius) > 1e-9 * radius:  # widths rounded to a few subnormal ulps
+            raise ValueError(f"radius {radius!r} is too small to lay out {k} plateaus in floats")
         edges[-1] = radius  # snap the accumulated right edge onto the exact domain end
     # as laid out, float tuples nondecreasing from -radius to radius: not checked again
     w = object.__new__(WitnessFunction)

@@ -65,11 +65,13 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
 
 def bisect_epsilon0(s, p) -> float:
     """``bounds.epsilon0`` as a bisection that counts at every midpoint,
-    with the same refusals, from min_gap/4 or the first of 1/4, 1/8, ...
-    that qualifies up to the diameter or 1/2, until its ends are adjacent
-    floats: the lower end is the last float counting c + 1."""
+    with the same refusals, until its ends are adjacent floats: the lower end
+    is the last float counting c + 1.  A finite set brackets it from the least
+    positive float to the diameter and refuses where that float counts below
+    c + 1; a power sequence from the first of 1/4, 1/8, ... counting c + 1 to
+    1/2, refusing where none does before the halving reaches 0."""
     from rigidity.covering import exact_counter
-    from rigidity.sets import PowerSequence, diameter, min_gap
+    from rigidity.sets import PowerSequence, diameter
 
     count_at = exact_counter(s)
     threshold = p.c + 1.0
@@ -79,8 +81,8 @@ def bisect_epsilon0(s, p) -> float:
             lo /= 2.0
         qualifies = lo > 0.0
     else:
-        lo, hi = min_gap(s) / 4.0, diameter(s)
-        qualifies = lo > 0.0 and count_at(lo) >= threshold
+        lo, hi = math.ulp(0.0), diameter(s)
+        qualifies = count_at(lo) >= threshold
     if not qualifies:
         raise ValueError(f"covering count never reaches c + 1 = {threshold:g}")
     # one ball covers the set at hi, the diameter or 1/2

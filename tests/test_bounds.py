@@ -39,7 +39,7 @@ from rigidity.covering import (
     default_grid,
     exact_counter,
 )
-from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, diameter, min_gap
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, diameter
 from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
@@ -708,17 +708,20 @@ class TestEpsilon0:
             epsilon0(pts, p)
 
     def test_first_sweep_can_count_below_the_cardinality(self):
-        # at min_gap/4, xs[0] + 2*eps rounds half to even onto xs[1], so three
-        # consecutive floats count 2 there, not 3
+        # at a quarter of the least gap, xs[0] + 2*eps rounds half to even onto
+        # xs[1], so three consecutive floats count 2 there, not 3; below it they count 3
         u = math.ulp(1.0)
         pts = FinitePoints([1 + u, 1 + 2 * u, 1 + 3 * u])
-        assert covering_counts(pts, [min_gap(pts) / 4.0]).tolist() == [2]
+        xs = pts.values.tolist()
+        gap = min(map(float.__sub__, xs[1:], xs))
+        assert covering_counts(pts, [gap / 4.0]).tolist() == [2]
         p = ProblemParams(1, 1, 1)  # c = 2, so the threshold count is 3
-        try:
-            eps0 = epsilon0(pts, p)
-        except ValueError:
-            return
-        assert covering_counts(pts, [eps0 * (1 - 1e-9)])[0] >= 3
+        eps0 = epsilon0(pts, p)
+        assert eps0 == 5.551115123125782e-17
+        assert covering_counts(pts, [eps0, math.nextafter(eps0, math.inf)]).tolist() == [3, 2]
+        report = rigidity_bound(p, LambdaProfile.zeros(1), pts)
+        assert report.epsilon0 == eps0
+        assert report.gamma_closed_form == gamma_closed_form(eps0, p)
 
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
@@ -773,7 +776,7 @@ class TestEpsilon0:
         assert report.epsilon0 is None and report.gamma_closed_form is None
 
     def test_subnormal_gaps_never_qualify(self):
-        # min_gap/4 underflows to zero, which is no radius
+        # at the least positive float 0's ball reaches 1e-323: 2 balls, below c + 1 = 3
         pts = FinitePoints([0.0, 5e-324, 1e-323, 1.5e-323])
         with pytest.raises(ValueError, match="never reaches"):
             epsilon0(pts, ProblemParams(1, 1, 1))
@@ -852,9 +855,27 @@ class TestEpsilon0Replay:
         s = FinitePoints(points)
         assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(points=ulp_spaced_sets() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                                min_size=1, max_size=8),
+           c=st.floats(1.0, 10.0) | st.integers(1, 9).map(float))
+    @example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], c=2.0)
+    def test_refuses_exactly_the_sets_that_never_count_c_plus_1(self, points, c):
+        # counts never rise with the radius: the least positive float counts the most
+        p, s = ProblemParams(2, 1, 1, c=c), FinitePoints(points)
+        most = covering_counts(s, [math.ulp(0.0)])[0]
+        try:
+            eps0 = epsilon0(s, p)
+        except ValueError as exc:
+            assert "never reaches" in str(exc) and most < c + 1
+            return
+        assert most >= c + 1
+        assert covering_counts(s, [eps0])[0] >= c + 1 > covering_counts(
+            s, [math.nextafter(eps0, math.inf)])[0]
+
     @pytest.mark.parametrize("points", [
         np.arange(7) * 0.1,
-        # three floats an ulp apart count 2 at min_gap/4: the first count refuses c + 1 = 3
+        # three floats an ulp apart count 2 at a quarter of their gap, 3 below it
         [1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52],
         # 1 - u reaches 1 from 3u/8, where 1 + 2*(3u/8) rounds onto 1 + u exactly,
         # though 1 covers 1 + u from just above u/4: E is the latter
@@ -887,9 +908,9 @@ class TestEpsilon0Replay:
         s = seven_points()
         eps0 = epsilon0(s, P15)
         assert eps0 == bisect_epsilon0(s, P15)
-        # one count per halving of [min_gap/4, diameter] down to adjacent
+        # one count per halving of [ulp(0), diameter] down to adjacent
         # floats, 58 here
-        width = diameter(s) - min_gap(s) / 4.0
+        width = diameter(s) - math.ulp(0.0)
         assert len(made) <= math.ceil(math.log2(width / math.ulp(eps0))) + 1
 
     @pytest.mark.parametrize("c", [1.0, 2.5, 6.0, 100.0])
@@ -1036,12 +1057,24 @@ class TestPlateauScan:
             return
         # from below every plateau end to half the diameter, past the last,
         # spread evenly over the float bit patterns in between
-        top = diameter(s) / 2.0
-        lo, hi = np.array([min(min_gap(s) / 8.0, top), top]).view(np.int64).tolist()
+        top, xs = diameter(s) / 2.0, s.values.tolist()
+        gap = min(map(float.__sub__, xs[1:], xs))
+        lo, hi = np.array([min(gap / 8.0, top), top]).view(np.int64).tolist()
         for u in spots:
             eps = np.array([lo + round(u * (hi - lo))]).view(float)[0].item()
             if eps > 0.0:
                 assert self.product(points, p, profile, eps) <= report.gamma
+
+    def test_a_subnormal_gap_has_an_epsilon0(self):
+        # 0 and 5e-324 share every ball, so the set counts c + 1 = 3 below 1/2;
+        # the grid scan's best row is its boundary point 0.4999999994999999
+        p, s = ProblemParams(1, 1, 1), FinitePoints([0.0, 5e-324, 1.0, 2.0])
+        for grid, gamma in ((None, 0.7499999999999998),
+                            (log_grid(1e-3, 1.0, 10), 0.7499999992499997)):
+            report = rigidity_bound(p, LambdaProfile.zeros(1), s, grid)
+            assert report.epsilon0 == 0.4999999999999999 == epsilon0(s, p)
+            assert report.gamma_closed_form == 0.7499999999999998
+            assert report.gamma == gamma
 
     def test_sets_above_the_size_keep_the_grid(self):
         rng = np.random.default_rng(3)

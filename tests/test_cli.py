@@ -227,6 +227,14 @@ class TestWitness:
         assert capsys.readouterr().err == "error: witness derivative samples overflow at radius 1e-70\n"
         assert not Path("w.csv").exists() and not Path("w.json").exists()
 
+    def test_radius_too_small_to_lay_out_exits_3(self, capsys):
+        points = json.dumps({"type": "finite", "points": [0, 1, 2, 3]})
+        code = main(["witness", "--set", points, "--d", "1", "--r", "1e-314", "--out", "w.json"])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: radius 1e-314 is too small to lay out 4 plateaus in floats\n"
+        assert not Path("w.json").exists()
+
     def test_unwritable_samples_leave_no_report(self, tmp_path, capsys):
         # the samples land inside the report's write: both files or neither
         points = json.dumps({"type": "finite", "points": [0, 0.1, 0.2, 0.3]})

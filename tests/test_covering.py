@@ -19,7 +19,7 @@ from rigidity.covering import (
     default_grid,
     exact_counter,
 )
-from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, descriptor_from_json, min_gap
+from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, descriptor_from_json
 from rigidity.util import log_grid
 
 from conftest import cantor_like, downward_greedy_power_count, stratified_uniform
@@ -537,13 +537,15 @@ class TestTinyBatches:
             assert calls == []
 
     def test_a_large_set_at_a_quarter_gap_skips_the_scalar_sweep(self):
-        # epsilon0's first count on a bound_large-sized set: every ball holds
-        # one point, which the prefix proves without sweeping 600 balls
+        # below the least gap on a bound_large-sized set, as at epsilon0's first
+        # count, ulp(0): every ball holds one point, which the prefix proves
+        # without sweeping 600 balls
         pts = stratified_uniform(np.random.default_rng(71), 600)
         s = FinitePoints(pts)
+        gap = float(np.diff(s.values).min())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(covering, "_sweep_from", None)
-            assert covering_counts(s, [min_gap(s) / 4.0]).tolist() == [600]
+            assert covering_counts(s, [gap / 4.0, math.ulp(0.0)]).tolist() == [600, 600]
 
 
 class TestBruteForceOracle:

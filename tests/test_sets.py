@@ -15,7 +15,6 @@ from rigidity.sets import (
     descriptor_to_json_dict,
     diameter,
     load_descriptor,
-    min_gap,
 )
 
 finite_values = st.lists(
@@ -99,13 +98,6 @@ class TestSampledCloud:
 
 
 class TestGeometry:
-    def test_min_gap_finite(self):
-        assert min_gap(FinitePoints([0.0, 0.3, 1.0])) == pytest.approx(0.3)
-
-    def test_min_gap_needs_two_distinct(self):
-        with pytest.raises(ValueError):
-            min_gap(FinitePoints([1.0, 1.0]))
-
     def test_diameter(self):
         assert diameter(FinitePoints([0.0, 2.0, 5.0])) == pytest.approx(5.0)
         box = SampledCloud([[0.0, 0.0], [3.0, 4.0]])

@@ -173,6 +173,18 @@ class TestBuildWitness:
         with pytest.raises(ValueError):
             build_witness(FinitePoints([0.0, 1.0]), order=1, radius=0.0)
 
+    @pytest.mark.parametrize("radius", [1e-314, 1e-320])
+    def test_a_radius_too_small_to_lay_out_is_refused_by_name(self, radius):
+        # four plateaus' widths round to a few subnormal ulps and miss the right end
+        with pytest.raises(ValueError, match=f"radius {radius!r} is too small to lay out 4 plateaus"):
+            build_witness(FinitePoints([0.0, 1.0, 2.0, 3.0]), order=1, radius=radius)
+
+    @pytest.mark.parametrize("values, radius", [([0.0, 1.0], 1e-314), ([0.0, 1.0, 2.0, 3.0], 2e-308)])
+    def test_tiny_radii_that_lay_out_still_build(self, values, radius):
+        w = build_witness(FinitePoints(values), order=1, radius=radius)
+        assert w.edges[0] == -radius and w.edges[-1] == radius
+        assert all(map(float.__le__, w.edges, w.edges[1:]))
+
     @pytest.mark.parametrize("edges, values", [
         ((-1.0, 1.0), ()),                        # no value
         ((-1.0, 0.0, 1.0), (0.0, 1.0)),           # 3 edges for 2 values
