@@ -38,7 +38,7 @@ from rigidity.util import log_grid  # noqa: E402
 # of every live sweep's next anchor
 STEP_LINES = {
     "_power_counts": "log_m = np.log(t) / alpha",
-    "_sweep_counts": "pos = np.searchsorted(pts, pts[pos] + two_eps[live]",
+    "_sweep_counts": "pos = np.searchsorted(pts, reach := anchor + te",
 }
 
 

@@ -61,7 +61,11 @@ class ProblemParams:
     r: domain ball radius; c: the entropy constant of the forward bound.
     For n = 1 the constant is known explicitly and defaults to d + 1 (a
     smaller c would make the bound unsound, a larger one only weakens it);
-    for n >= 2 no default is sound, so the caller supplies one, at least 1.
+    for n >= 2 no default is sound, so the caller supplies one, at least
+    max(2, (d - 2)**n): at lambda_1 = 0 and eta = 1 the bound is c, yet two
+    values D apart count 2 up to D/2, where a map realizes them at eta = 1
+    (d <= 3), and sum_i p(z_i), deg p = d - 1, has (d - 2)**n critical values
+    at scale 0.  Padded with zeros, both keep their critical sets at any m.
     """
 
     n: int
@@ -86,9 +90,14 @@ class ProblemParams:
             raise ValueError("c must be a finite number")
         if self.n == 1 and c < self.d + 1:
             raise ValueError("for n = 1 the entropy constant c must be at least d + 1")
-        # at eta = 1 and lambda = 0 the bound is c, but a constant map needs 1 ball
-        if c < 1:
-            raise ValueError("the entropy constant c must be at least 1")
+        k, n = self.d - 2, self.n
+        # (d - 2)**n past the float range is above every c: it is never built
+        if n >= 2 and c < (2 if k < 2 else math.inf if n * math.log2(k) > 1100 else k**n):
+            raise ValueError(
+                "for n >= 2 the entropy constant c must be at least max(2, (d - 2)**n) = "
+                + ("2, the count of two critical values" if k < 2 else
+                   f"{k}**{n}, the count of the critical values of sum_i p(z_i), "
+                   "deg p = d - 1, whose d-th derivative is 0"))
         object.__setattr__(self, "c", c)
 
 
@@ -318,10 +327,9 @@ def gamma_closed_form(eps0: float, p: ProblemParams) -> float:
     """
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
-    try:
-        return (1.0 + 1.0 / p.c) ** (p.d / p.n) * eps0
-    except OverflowError:  # a float power raises where a product goes to inf
-        raise ValueError(f"(1 + 1/c)^(d/n) overflows at c={p.c!r}, d/n={p.d / p.n!r}") from None
+    # the floor keeps (1 + 1/c)^(d/n) at most e: c >= d + 1 at n = 1; at n >= 2,
+    # c >= 2 while d <= 3, and c >= (d - 2)**n >= d/n from d = 4 on
+    return (1.0 + 1.0 / p.c) ** (p.d / p.n) * eps0
 
 
 @dataclass(frozen=True, eq=False)

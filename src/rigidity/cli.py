@@ -100,7 +100,8 @@ def _add_param_arguments(parser: argparse.ArgumentParser, *,
     parser.add_argument("--r", type=float, default=1.0, help="domain ball radius")
     parser.add_argument(
         "--c", type=float, default=None,
-        help="entropy constant, at least 1; defaults to d + 1 when n = 1, required for n >= 2",
+        help="entropy constant; defaults to d + 1 when n = 1, required for n >= 2 and "
+             "at least max(2, (d - 2)**n) there",
     )
     parser.add_argument(
         "--lambda", dest="lambdas", type=float, nargs="+", default=None,

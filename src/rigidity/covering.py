@@ -1,16 +1,12 @@
 """Greedy covering counts of value sets by closed balls of radius epsilon.
 
-Sets on the line and power sequences are counted by the greedy sweep,
-minimal in exact arithmetic, with one float test per ball: a finite sweep
-goes up and covers x from anchor a if fl(a + 2*eps) >= x; a power sweep
-goes down from anchor q to the largest term strictly below t = fl(q -
-2*eps).  Rounding to nearest keeps every point the exact ball holds, so no
-count exceeds the minimal cover of the floats swept (libm's terms for a
-power sequence); one that adds a point can lower it: finite counts did at
-1,771 of 33,247 radii measured, and a power count can fall below its own
-prefix's (``tests/test_invariants.py``).  Radii sweep in lockstep while
-many are live, then (and in tiny finite batches) alone, skipping the
-balls a float-safe bound proves.  Clouds are refused.
+A finite set on the line gets its covering number: the greedy sweep goes
+up and covers x from anchor a if x - a <= 2*eps in real arithmetic.  A
+power sweep keeps a float test, from anchor q down to the largest term
+below t = fl(q - 2*eps): it never exceeds the minimal cover of libm's
+terms but may fall below it, even below its prefix's (test_invariants.py).
+Radii sweep in lockstep while many are live, then (and in tiny finite
+batches) alone, skipping the balls a float-safe bound proves.  No clouds.
 """
 
 from __future__ import annotations
@@ -47,13 +43,8 @@ __all__ = [
 
 
 def covering_number_1d(points, epsilon: float) -> int:
-    """Minimal number of closed intervals of length 2*epsilon covering the points.
-
-    Greedy sweep anchoring each interval at the leftmost uncovered point,
-    which is optimal on the line.  A point at distance exactly 2*epsilon
-    from the anchor counts as covered (closed balls).  Repeated points
-    count once, which never changes a greedy count.
-    """
+    """Minimal number of closed intervals of length 2*epsilon covering the
+    points: ``covering_counts`` at one radius; repeated points count once."""
     return int(covering_counts(FinitePoints(points), [float(epsilon)])[0])
 
 
@@ -61,32 +52,38 @@ def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
     """Greedy sweep counts of sorted points, one sweep per radius, in lockstep.
 
     A sweep starts past its leading one-point balls: x_i's ball holds x_i
-    alone if G_i = nextafter(fl(pred(x_{i+1}) - x_i), -inf) >= 2*epsilon,
-    as G_i is at most the exact gap from x_i to the float pred(x_{i+1})
-    below x_{i+1}, so fl(x_i + 2*epsilon) <= pred(x_{i+1}); if they reach
-    the last point (most radii below the smallest gap), it ends there.
-    Each step moves every unfinished sweep past all points within
-    2*epsilon of its anchor with one vectorised searchsorted, then drops
-    the sweeps that reached the end.  Once at most _SCALAR_TAIL sweeps are
-    live, each finishes alone in ``_sweep_from``, which makes the same
-    float addition and right-side comparison, so counts do not depend on
-    where the handover happens, and a batch of at most _TINY_BATCH radii
-    times points skips the prefix and the lockstep for the same reason.
+    alone if pred(fl(x_{i+1} - x_i)) >= 2*epsilon, sound for the exact test
+    as that lies strictly below the gap.  Each step moves every unfinished
+    sweep up to s = fl(a + 2*epsilon), the float nearest a + 2*epsilon, with
+    one searchsorted, and back off a point equal to s where s rounded up.  At
+    most _SCALAR_TAIL live sweeps, or _TINY_BATCH radii times points, sweep
+    alone in ``_sweep_from`` with the same exact test.  Where 2*epsilon
+    overflows, the halved set counts at half the radius: halving rounds only
+    subnormals, which no test at such a radius can tie.
     """
     eps = np.asarray(epsilons, dtype=float)
-    if eps.size * pts.size <= _TINY_BATCH:
+    if eps.size * pts.size <= _TINY_BATCH and max(radii := eps.tolist(), default=0.0) < 2.0**1023:
         xs = pts.tolist()
-        return np.array([_sweep_from(xs, 0, 2.0 * e) for e in eps.tolist()], dtype=np.int64)
-    with np.errstate(over="ignore"):  # 2*eps, a gap or a reach may be inf
-        two_eps = 2.0 * eps
-        gap = np.nextafter(np.nextafter(pts[1:], -np.inf) - pts[:-1], -np.inf)
+        return np.array([_sweep_from(xs, 0, 2.0 * e) for e in radii], dtype=np.int64)
+    wide = (eps >= 2.0**1023) & (eps < math.inf)
+    if np.count_nonzero(wide):
+        counts = _sweep_counts(pts, np.where(wide, math.inf, eps))  # inf counts 1
+        counts[wide] = _sweep_counts(0.5 * pts, 0.5 * eps[wide])
+        return counts
+    two_eps = 2.0 * eps
+    with np.errstate(over="ignore"):  # a gap or a reach may be inf
+        gap = np.nextafter(pts[1:] - pts[:-1], -np.inf)
         pos = np.searchsorted(-np.minimum.accumulate(gap), -two_eps, side="right")
         counts = pos.astype(np.int64) + (pos == gap.size)
         live = np.flatnonzero(pos < gap.size)
-        pos = pos[live]
+        pos, below = pos[live], np.concatenate(([math.nan], pts))  # below[p] = pts[p - 1]
         while live.size > _SCALAR_TAIL:
             counts[live] += 1
-            pos = np.searchsorted(pts, pts[pos] + two_eps[live], side="right")
+            anchor, te = pts[pos], two_eps[live]
+            pos = np.searchsorted(pts, reach := anchor + te, side="right")
+            if np.count_nonzero(tie := below[pos] == reach):
+                for k in np.flatnonzero(tie & (reach != anchor)).tolist():
+                    pos[k] -= _sum_error(anchor[k].item(), te[k].item(), reach[k].item()) < 0.0
             more = pos < pts.size
             live, pos = live[more], pos[more]
     if live.size:
@@ -96,41 +93,43 @@ def _sweep_counts(pts: np.ndarray, epsilons) -> np.ndarray:
     return counts
 
 
+def _sum_error(a: float, b: float, s: float) -> float:
+    """a + b - s exactly for s = fl(a + b) finite: Dekker's Fast2Sum with
+    the larger operand first, where Knuth's TwoSum could overflow."""
+    return b - (s - a) if abs(a) >= abs(b) else a - (s - b)
+
+
 def _sweep_from(xs: list, i: int, two_eps: float) -> int:
-    """Balls the greedy sweep of sorted floats xs needs from anchor index i on."""
+    """Balls the exact greedy sweep of sorted floats xs needs from index i on."""
     count, n = 0, len(xs)
     while i < n:
         count += 1
-        i = bisect_right(xs, xs[i] + two_eps, i)
+        a = xs[i]
+        i = bisect_right(xs, reach := a + two_eps, i)
+        if xs[i - 1] == reach != a and _sum_error(a, two_eps, reach) < 0.0:
+            i -= 1
     return count
 
 
-def _least_radius(x: float, y: float) -> float:
-    """Least float e with x + 2.0*e >= y in floats, for floats x < y: the
-    radius from which the sweep's ball anchored at x covers y.
-
-    That sum reaches y once it passes the rounding boundary half an ulp
-    below y, so the start is (pred(y) - x + ulp/2) / 2, capped at 2**1023,
-    where 2*e overflows.  Each rounding in it goes at most to the least
-    float at or above its exact value, so the start is never above the
-    answer, and a few ulp steps up reach it.
-    """
-    below = math.nextafter(y, -math.inf)
-    e = min(0.5 * ((below - x) + 0.5 * (y - below)), 2.0**1023)
-    while not x + 2.0 * e >= y:
-        e = math.nextafter(e, math.inf)
-    return e
+def _end_below(x: float, y: float) -> float:
+    """The last float below (y - x)/2 for floats x < y, or 0.0: d/2 for d =
+    fl(y - x) rounded down, else pred(d/2); pred(d)/2 where d/2 rounds (d is
+    subnormal, so exact); on the exact halves where y - x overflows."""
+    d = y - x
+    if d == math.inf:
+        x, y = 0.5 * x, 0.5 * y
+        half = d = y - x
+    elif (half := 0.5 * d) * 2.0 != d:
+        return 0.5 * math.nextafter(d, 0.0)
+    return half if _sum_error(y, -x, d) > 0.0 else math.nextafter(half, 0.0)
 
 
 def plateau_ends(s: SetDescriptor) -> np.ndarray:
-    """The last float of every plateau of a finite set's count, largest
-    first: the distinct positive pred(e) over the radii e =
-    ``_least_radius(x, y)`` of its pairs x < y, where the sweep's test
-    flips.  The count is constant from one such e up to the next end, so a
-    scan of the ends sees every count at its largest radius but one: count
-    1, from the largest e on."""
+    """The last float of every plateau of a finite set's count, largest first:
+    the positive ``_end_below`` of its pairs, below the half gaps where the
+    count changes.  Their scan sees every count at its largest radius but 1."""
     xs = _sorted_line(s).tolist()
-    ends = {math.nextafter(_least_radius(x, y), 0.0) for i, x in enumerate(xs) for y in xs[i + 1:]}
+    ends = {_end_below(x, y) for i, x in enumerate(xs) for y in xs[i + 1:]}
     return np.array(sorted(ends - {0.0}, reverse=True))
 
 
@@ -275,11 +274,12 @@ def exact_counter(s: SetDescriptor):
     if isinstance(s, PowerSequence):
         return lambda e: covering_number_power(s.alpha, e)
     xs = _sorted_line(s).tolist()
-    return lambda e: _sweep_from(xs, 0, 2.0 * float(e))
+    return lambda e: (_sweep_from(xs, 0, 2.0 * float(e)) if e < 2.0**1023  # else 2*e overflows
+                      else int(covering_counts(s, [e])[0]))
 
 
 def covering_counts(s: SetDescriptor, epsilons) -> np.ndarray:
-    """Greedy counts (their float tests are in the module docstring) of a
+    """Greedy counts (their tests are in the module docstring) of a
     descriptor at each radius of a 1-d array, possibly empty, in its order;
     every radius must be positive.  All radii run through one lockstep
     sweep with a scalar finish, a tiny finite batch through the scalar
@@ -303,6 +303,7 @@ def default_grid(s: SetDescriptor) -> np.ndarray:
     if isinstance(s, PowerSequence):
         hi = 0.5
     else:
+        _sorted_line(s)  # refuses a cloud before its grid is sized
         d = diameter(s)
         hi = d if d > 10 * DEFAULT_EPS_MIN else 1.0
     return log_grid(DEFAULT_EPS_MIN, hi)

@@ -9,7 +9,6 @@ Descriptors are immutable; every analysis routine takes them by value.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import sys
@@ -110,19 +109,10 @@ class SampledCloud:
 SetDescriptor = FinitePoints | PowerSequence | SampledCloud
 
 
-def diameter(s: SetDescriptor) -> float:
-    """Extent of a finite set or cloud.
-
-    For m >= 2 the bounding-box diagonal is returned, which is enough for
-    grid sizing.  An extent past the float range is capped at the largest
-    float.
-    """
-    # Python floats overflow to inf silently, where numpy scalars warn
-    if isinstance(s, FinitePoints):  # sorted: its ends are its extremes
-        hi, lo = s.points[-1].tolist(), s.points[0].tolist()
-    else:
-        hi, lo = s.points.max(axis=0).tolist(), s.points.min(axis=0).tolist()
-    return min(math.hypot(*(h - l for h, l in zip(hi, lo))), sys.float_info.max)
+def diameter(s: FinitePoints) -> float:
+    """Extent of a finite set, capped at the largest float past the float
+    range (on Python floats, which overflow to inf without numpy's warning)."""
+    return min(s.values[-1].item() - s.values[0].item(), sys.float_info.max)
 
 
 def descriptor_to_json_dict(s: SetDescriptor) -> dict:

@@ -20,8 +20,8 @@ evaluated one piece object at a time.
 from __future__ import annotations
 
 import math
-import struct
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -37,8 +37,9 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
 
     Every minimal cover can slide each interval right until its left end
     hits a covered point, so it suffices to search covers anchored at the
-    points.  Subset sizes are enumerated in increasing order with bitmask
-    coverage tracking.
+    points.  The ball anchored at a holds x when x - a <= 2*epsilon in
+    exact rational arithmetic.  Subset sizes are enumerated in increasing
+    order with bitmask coverage tracking.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -49,9 +50,10 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"oracle is exhaustive; at most {BRUTE_FORCE_LIMIT} points")
     full = (1 << n) - 1
+    exact, two_eps = [Fraction(v) for v in pts.tolist()], 2 * Fraction(float(epsilon))
     masks = []
-    for idx in range(n):
-        hi = int(np.searchsorted(pts, float(pts[idx]) + 2.0 * epsilon, side="right"))
+    for idx, a in enumerate(exact):
+        hi = bisect_right(exact, a + two_eps)
         masks.append(((1 << (hi - idx)) - 1) << idx)
     for k in range(1, n + 1):
         for combo in combinations(masks, k):
@@ -61,6 +63,12 @@ def brute_force_covering_oracle(points, epsilon: float) -> int:
             if acc == full:
                 return k
     return n  # unreachable: n singleton anchors always cover
+
+
+def c_floor(n: int, d: int) -> float:
+    """The least entropy constant ``ProblemParams`` takes for n >= 2:
+    max(2, (d - 2)**n)."""
+    return float(max(2, (d - 2) ** n))
 
 
 def bisect_epsilon0(s, p) -> float:
@@ -97,12 +105,11 @@ def bisect_epsilon0(s, p) -> float:
     return lo
 
 
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+def last_float_below(h: Fraction) -> float:
+    """The largest float strictly below a positive rational h of at most the
+    largest float: float(h) rounds correctly, so it or the float below it."""
+    nearest = float(h)
+    return math.nextafter(nearest, 0.0) if Fraction(nearest) >= h else nearest
 
 
 def plateau_sup(values, p, profile) -> float:
@@ -110,12 +117,11 @@ def plateau_sup(values, p, profile) -> float:
     eps, for at most ``BRUTE_FORCE_LIMIT`` values and c >= 1 (count 1 never
     qualifies); 0.0 when no radius qualifies, inf past the float range.
 
-    The count changes only where the sweep's float test x + 2.0*eps >= y
-    flips for a pair x < y.  The last float where it fails is found by
-    bisection over the bit patterns of the floats from 0 to 2**1023, where
-    2.0*eps overflows and the test holds; it ends a plateau of the count,
-    and eps * eta rises along a plateau.  Each end is counted with
-    ``brute_force_covering_oracle`` and solved with ``bounds.solve_eta``.
+    The count changes only at the half gaps h = (y - x)/2 of pairs x < y,
+    where the exact test y - x <= 2*eps flips.  The last float below h
+    (``last_float_below``) ends a plateau of the count, and eps * eta rises
+    along a plateau.  Each end is counted with ``brute_force_covering_oracle``
+    and solved with ``bounds.solve_eta``.
     """
     from rigidity.bounds import in_E, solve_eta
 
@@ -123,15 +129,8 @@ def plateau_sup(values, p, profile) -> float:
     ends = set()
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            lo, hi = 0, _bits(2.0**1023)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if x + 2.0 * _float(mid) >= y:
-                    hi = mid
-                else:
-                    lo = mid
-            if lo:
-                ends.add(_float(lo))
+            ends.add(last_float_below((Fraction(y) - Fraction(x)) / 2))
+    ends.discard(0.0)
     eps = np.array(sorted(ends, reverse=True))
     counts = np.array([brute_force_covering_oracle(pts, e) for e in eps.tolist()], dtype=np.int64)
     hit = in_E(p, profile, counts, eps) if eps.size else np.zeros(0, dtype=bool)

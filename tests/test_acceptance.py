@@ -53,11 +53,11 @@ def test_seven_point_closed_form_agreement():
 
 
 def test_ratio_solver_analytic_instance_and_residuals():
-    # hand-solvable instance: with c = 1, lambda_1 = 1/2, r/eps = 4, n = 2,
-    # d = 3 the polynomial at eta = 8 is 8^(2/3) + 2 * 8^(1/3) = 4 + 4
-    p = ProblemParams(n=2, m=1, d=3, r=1.0, c=1.0)
+    # hand-solvable instance: with c = 2, lambda_1 = 1/2, r/eps = 4, n = 2,
+    # d = 3 the polynomial at eta = 8 is 2 * (8^(2/3) + 2 * 8^(1/3)) = 2 * (4 + 4)
+    p = ProblemParams(n=2, m=1, d=3, r=1.0, c=2.0)
     profile = LambdaProfile((0.5,))
-    eta = solve_eta(p, profile, nu=8, epsilon=0.25)
+    eta = solve_eta(p, profile, nu=16, epsilon=0.25)
     assert math.isclose(eta, 8.0, rel_tol=1e-9)
 
     rng = np.random.default_rng(20240817)
@@ -67,8 +67,8 @@ def test_ratio_solver_analytic_instance_and_residuals():
         d = int(rng.integers(1, 6))
         r = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(1.0, 8.0))
-        # for n = 1 the constant is at least d + 1
-        pp = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        # the constant is at least d + 1 for n = 1, max(2, (d - 2)**n) for n >= 2
+        pp = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else max(2, (d - 2) ** n)))
         prof = LambdaProfile(tuple(np.sort(rng.uniform(0.0, 2.0, size=m))))
         eps = float(10.0 ** rng.uniform(-4, 0))
         baseline = rhs_polynomial(pp, prof, eps, 1.0)

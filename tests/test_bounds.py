@@ -8,8 +8,10 @@ report invariants.
 
 import json
 import math
+import re
 import signal
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -44,7 +46,7 @@ from rigidity.util import log_grid
 
 from conftest import cantor_like, stratified_uniform
 from oracles import (BRUTE_FORCE_LIMIT, bisect_epsilon0, brute_force_covering_oracle,
-                     newton_line_eta, plateau_sup)
+                     newton_line_eta, plateau_sup, c_floor)
 
 
 def seven_points():
@@ -63,7 +65,7 @@ class TestProblemParams:
     def test_higher_dimensions_need_explicit_constant(self):
         with pytest.raises(ValueError):
             ProblemParams(2, 1, 3)
-        assert ProblemParams(2, 1, 3, c=1.0).c == 1.0
+        assert ProblemParams(2, 1, 3, c=2.0).c == 2.0
 
     def test_one_dimensional_constant_is_at_least_d_plus_one(self):
         # below d + 1 the bound is unsound; above it only weakens
@@ -74,13 +76,35 @@ class TestProblemParams:
 
     @pytest.mark.parametrize("c", [0.5, 1 - 2.0**-53, 1e-300])
     def test_constant_below_one_is_refused(self, c):
-        # at eta = 1 and lambda = 0 the bound is c, but a constant map needs one ball
-        with pytest.raises(ValueError, match="c must be at least 1"):
+        # at eta = 1 and lambda = 0 the bound is c, but two critical values
+        # need two balls: the floor max(2, (d - 2)**n) speaks for n >= 2
+        with pytest.raises(ValueError, match=re.escape("at least max(2, (d - 2)**n) = 2, ")):
             ProblemParams(2, 1, 1, c=c)
         # for n = 1 the d + 1 rule speaks first
         with pytest.raises(ValueError, match="at least d \\+ 1"):
             ProblemParams(1, 1, 1, c=c)
-        assert ProblemParams(2, 1, 1, c=1.0).c == 1.0
+        assert ProblemParams(2, 1, 1, c=2.0).c == 2.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_floor_on_the_constant_for_n_at_least_2(self, n, d, m):
+        # two critical values set the floor 2 up to d = 3, the separable
+        # family sum_i p(z_i) with deg p = d - 1 sets (d - 2)**n from d = 4 on
+        floor = c_floor(n, d)
+        assert ProblemParams(n, m, d, c=floor).c == floor
+        named = "2" if d <= 3 else f"{d - 2}**{n}"
+        with pytest.raises(ValueError, match=re.escape(f"(d - 2)**n) = {named}, the count of")):
+            ProblemParams(n, m, d, c=math.nextafter(floor, 0.0))
+
+    def test_floor_past_the_float_range_is_never_built(self):
+        # 998**1e9 has about 3e9 digits: the floor compares logs there
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="998\\*\\*1000000000, the count"):
+            ProblemParams(n=10**9, m=1, d=1000, c=5.0)
+        with pytest.raises(ValueError, match="c must be at least max"):
+            ProblemParams(n=10**9, m=1, d=1000, c=sys.float_info.max)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -139,6 +163,46 @@ class TestLambdaProfile:
             LambdaProfile(bad)
 
 
+def separable_critical_values(n: int, d: int) -> list:
+    """The (d - 2)**n distinct critical values of g(z) = sum_i a_i p(z_i),
+    where p has degree d - 1 and the d - 2 critical points 1 + j/10 + j**2/100,
+    and the weights a_i are generic: g has a zero d-th derivative."""
+    roots = [1.0 + j / 10.0 + j * j / 100.0 for j in range(d - 2)]
+    p = np.polynomial.Polynomial.fromroots(roots).integ()
+    weights = [1.0, math.pi / 3.0, math.e / 5.0, math.sqrt(2.0) / 7.0][:n]
+    values = {0.0}
+    for a in weights:
+        values = {v + a * p(r) for v in values for r in roots}
+    return sorted(values)
+
+
+class TestConstantFloor:
+    """At c = max(2, (d - 2)**n) two critical values D apart get gamma <= mu_d * D
+    (mu_1 = mu_2 = 1/2, mu_3 = 1/4, 0 from d = 4 on), below the scale of every
+    map that realizes them, and the separable family, of scale 0, gets 0; one
+    float below the floor, ``bound`` exits 3."""
+
+    MU = {1: 0.5, 2: 0.5, 3: 0.25}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_two_points_and_the_separable_family(self, n, d, tmp_path):
+        from rigidity.cli import main
+
+        p = ProblemParams(n, 1, d, c=c_floor(n, d))
+        for D in (1.0, 3e-7, 2e300):
+            report = rigidity_bound(p, Z1, FinitePoints([0.0, D]))
+            assert report.gamma <= self.MU.get(d, 0.0) * D
+        if d >= 3:
+            values = separable_critical_values(n, d)
+            assert len(values) == (d - 2) ** n
+            assert rigidity_bound(p, Z1, FinitePoints(values)).gamma == 0.0
+        below = repr(math.nextafter(p.c, 0.0))
+        argv = ["bound", "--set", '{"type": "finite", "points": [0, 1]}', "--n", str(n),
+                "--d", str(d), "--c", below, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 3
+
+
 class TestRhsPolynomial:
     def test_baseline_is_the_constant(self):
         # zero first threshold kills every term past i = 0; eta = 1 leaves c
@@ -146,18 +210,18 @@ class TestRhsPolynomial:
             assert rhs_polynomial(P15, Z1, eps, 1.0) == 6.0
 
     def test_two_term_hand_value(self):
-        # c=1: 8^(2/3) + 0.5*(1/0.25)*8^(1/3) = 4 + 4
-        p = ProblemParams(n=2, m=1, d=3, r=1.0, c=1.0)
+        # c=2: 2 * (8^(2/3) + 0.5*(1/0.25)*8^(1/3)) = 2 * (4 + 4)
+        p = ProblemParams(n=2, m=1, d=3, r=1.0, c=2.0)
         val = rhs_polynomial(p, LambdaProfile((0.5,)), 0.25, 8.0)
-        assert val == pytest.approx(8.0, rel=1e-14)
+        assert val == pytest.approx(16.0, rel=1e-14)
 
     def test_all_zero_profile_single_power(self):
         p = ProblemParams(n=1, m=1, d=5)
         assert rhs_polynomial(p, Z1, 0.017, 32.0) == pytest.approx(12.0, rel=1e-14)
-        p2 = ProblemParams(n=3, m=2, d=2, c=1.5)
+        p2 = ProblemParams(n=3, m=2, d=2, c=2.5)
         eta = 4.0
         got = rhs_polynomial(p2, LambdaProfile.zeros(2), 1.0, eta)
-        assert got == pytest.approx(1.5 * eta ** 1.5, rel=1e-14)
+        assert got == pytest.approx(2.5 * eta ** 1.5, rel=1e-14)
 
     def test_overflow_reads_inf_without_a_warning(self):
         # r/eps = 9e307 is finite, c times it is not: that radius never qualifies
@@ -186,8 +250,8 @@ class TestRhsPolynomial:
     def test_strictly_increasing_in_eta(self, n, d, c, r, lams, eps, eta1, bump):
         m = min(len(lams), n)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        # for n = 1 the constant is at least d + 1
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        # the constant is at least d + 1 for n = 1, the floor for n >= 2
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else c_floor(n, d)))
         eta2 = eta1 + bump
         v1 = rhs_polynomial(p, profile, eps, eta1)
         v2 = rhs_polynomial(p, profile, eps, eta2)
@@ -253,9 +317,9 @@ class TestSolveEta:
         assert eta == pytest.approx((7.0 / 6.0) ** 5, rel=1e-9)
 
     def test_two_term_hand_solution(self):
-        # substitution t = eta^(1/3): t^2 + 2t = 8  =>  t = 2, eta = 8
-        p = ProblemParams(n=2, m=1, d=3, r=1.0, c=1.0)
-        eta = solve_eta(p, LambdaProfile((0.5,)), 8, 0.25)
+        # substitution t = eta^(1/3): 2 * (t^2 + 2t) = 16  =>  t = 2, eta = 8
+        p = ProblemParams(n=2, m=1, d=3, r=1.0, c=2.0)
+        eta = solve_eta(p, LambdaProfile((0.5,)), 16, 0.25)
         assert eta == pytest.approx(8.0, rel=1e-9)
 
     def test_approaches_one_at_the_boundary(self):
@@ -270,26 +334,29 @@ class TestSolveEta:
     def test_overflowing_count_over_c_is_refused(self):
         # an infinite count makes every start bound inf; any finite start
         # would lie above the root and be unsound
-        p = ProblemParams(2, 1, 1, c=1)
-        with pytest.raises(ValueError, match="overflows the float range at c = 1"):
+        p = ProblemParams(2, 1, 1, c=2)
+        with pytest.raises(ValueError, match="overflows the float range at c = 2"):
             solve_eta(p, LambdaProfile((0.5,)), math.inf, 0.5)
 
     def test_overflowing_eta_is_refused(self):
-        # the root t is finite but t**d is not: eta, and gamma with it,
-        # would read inf, where numpy used to warn of an overflow
-        p = ProblemParams(2, 1, 1000, c=1)
+        # the root t = 7**(1/2) is finite but t**d is not: eta, and gamma
+        # with it, would read inf, where numpy used to warn of an overflow
+        p = ProblemParams(2, 1, 2000, c=c_floor(2, 2000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="eta overflows"):
-                solve_eta(p, LambdaProfile((0.0,)), 7, 0.6)
+                solve_eta(p, LambdaProfile((0.0,)), 7 * p.c, 0.6)
 
-    def test_a_plateau_scan_refuses_an_overflowing_eta(self):
-        # n = 2, c = 1 and lambda_1 = 0: eta = (nu / c)^(d/2) passes the float
-        # range for the count 4 at d = 1100; the scan's rows count 4, 2 and 2.
-        # At n = 1, c >= d + 1 keeps a scan's eta of at most 24 points finite.
-        p, s = ProblemParams(n=2, m=1, d=1100, c=1.0), FinitePoints([0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="^eta overflows the float range at c = 1$"):
-            rigidity_bound(p, Z1, s)
+    def test_the_floor_keeps_a_plateau_scans_eta_finite(self):
+        # n = 2, c = 1 and lambda_1 = 0 gave eta = (nu / c)^(d/2) past the
+        # float range for the count 4 at d = 1100.  The floor refuses c = 1,
+        # and at the floor (d - 2)**2 no count of at most 24 points beats the
+        # baseline, as c >= d + 1 keeps a scan's eta finite at n = 1
+        s = FinitePoints([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="c must be at least max"):
+            ProblemParams(n=2, m=1, d=1100, c=1.0)
+        report = rigidity_bound(ProblemParams(n=2, m=1, d=1100, c=c_floor(2, 1100)), Z1, s)
+        assert report.gamma == 0.0 and report.epsilon0 is None
 
     @given(
         n=st.integers(1, 3),
@@ -304,8 +371,8 @@ class TestSolveEta:
     def test_residual_and_monotonicity(self, n, d, c, r, lams, eps, factor):
         m = min(len(lams), n)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        # for n = 1 the constant is at least d + 1
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        # the constant is at least d + 1 for n = 1, the floor for n >= 2
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else c_floor(n, d)))
         baseline = rhs_polynomial(p, profile, eps, 1.0)
         nu = int(math.ceil(baseline * factor))
         eta = solve_eta(p, profile, nu, eps)
@@ -344,7 +411,8 @@ class TestSolveEtaBaseline:
     def test_refuses_exactly_at_the_baseline(self, n, drop, d, c, r, lams, eps):
         m = max(1, n - drop)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else 0))
+        # the constant is at least d + 1 for n = 1, the floor for n >= 2
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=c + (d + 1 if n == 1 else c_floor(n, d) - 1))
         eps = np.array(eps)
         base = rhs_polynomial(p, profile, eps, 1.0)
         # one entry appended at its baseline is refused; the error names the
@@ -395,7 +463,7 @@ class TestSolveEtaErrorScope:
                      min_size=1, max_size=4),
         lift=st.sampled_from([0.0, 2.0**-40, 1.0, 1e6, 1e100, 1e300]),
     )
-    @example(n=2, drop=0, d=1000, c=1.0, r=1.0, lams=[0.0] * 4, eps=[0.6], lift=1e6)
+    @example(n=2, drop=0, d=2000, c=1.0, r=1.0, lams=[0.0] * 4, eps=[0.6], lift=6.0)
     @example(n=4, drop=0, d=1, c=1e300, r=4.0, lams=[1e300] * 4, eps=[5e-324, 1e-3], lift=0.0)
     # counts within a factor (n+1)**2 of the float range, where c * f overflows unscaled
     @example(n=4, drop=0, d=1, c=2.0, r=2.0, lams=[0.5, 0.5, 3.0, 1.896004478175099e307],
@@ -403,12 +471,12 @@ class TestSolveEtaErrorScope:
     @example(n=4, drop=0, d=1, c=1.0, r=2.0, lams=[0.5, 1.0, 3.0, 1.896004478175099e307],
              eps=[1.5], lift=0.0)
     # 1.0 + a_1 rounds to a_1 = 2.5e99, and a step lands on a negative t: eta reads 1 + ulp
-    @example(n=2, drop=1, d=5, c=7.5, r=0.25, lams=[1.0] * 4, eps=[1e-100], lift=0.0)
+    @example(n=2, drop=1, d=4, c=7.5, r=0.25, lams=[1.0] * 4, eps=[1e-100], lift=0.0)
     @settings(max_examples=300, deadline=None)
     def test_newton_steps_raise_no_float_error(self, n, drop, d, c, r, lams, eps, lift):
         m = max(1, n - drop)
         profile = LambdaProfile(tuple(sorted(lams))[:m])
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=c)
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=max(c, c_floor(n, d)))
         eps = np.array(eps)
         with np.errstate(over="ignore"):
             nu = np.nextafter(rhs_polynomial(p, profile, eps, 1.0) * (1.0 + lift), math.inf)
@@ -484,6 +552,7 @@ class TestArraySolver:
             for _ in range(300):
                 n, d = int(rng.integers(1, 4)), int(rng.integers(1, 16))
                 c = float(rng.uniform(1.0, 1000.0))
+                c = max(c, d + 1.0) if n == 1 else max(c, c_floor(n, d))
                 p = ProblemParams(n=n, m=1, d=d, c=c)
                 counts = rng.integers(math.floor(c) + 1, 10**6, 20)
                 # the array call and a scalar call take different pow routines
@@ -514,7 +583,7 @@ class TestArraySolver:
             for _ in range(100):
                 n = int(rng.integers(1, 4))
                 m, d = int(rng.integers(1, n + 1)), int(rng.integers(1, 16))
-                c = float(rng.uniform(1.0, 8.0)) + (d + 1 if n == 1 else 0)
+                c = float(rng.uniform(1.0, 8.0)) + (d + 1 if n == 1 else c_floor(n, d))
                 p = ProblemParams(n=n, m=m, d=d, r=float(rng.uniform(0.5, 2.0)), c=c)
                 profile = LambdaProfile(tuple(np.sort(rng.uniform(1e-3, 2.0, m))))
                 eps = 10.0 ** rng.uniform(-3, 0, 10)
@@ -530,7 +599,7 @@ class TestArraySolver:
             # counts one above the baseline put the root just above 1; for m = n
             # the start is about r/eps, far above it
             for n, m, low in ((3, 1, -9), (2, 2, -4), (3, 3, -3)):
-                p, profile = ProblemParams(n=n, m=m, d=15, c=1.0), LambdaProfile((1.0,) * m)
+                p, profile = ProblemParams(n=n, m=m, d=15, c=c_floor(n, 15)), LambdaProfile((1.0,) * m)
                 eps = np.logspace(low, 0, 19)
                 nu = np.floor(rhs_polynomial(p, profile, eps, 1.0)).astype(np.int64) + 1
                 for k, e, eta in zip(nu.tolist(), eps.tolist(), solve_eta(p, profile, nu, eps).tolist()):
@@ -626,7 +695,7 @@ class TestLineSolve:
             solve_eta(P15, LambdaProfile((1e-3,)), np.arange(7, 1007), np.full(1000, 0.5))
             rigidity_bound(P15, Z1, seven_points())
             assert calls == []
-            solve_eta(ProblemParams(2, 1, 5, c=6.0), Z1, np.array([7, 9]), 0.5)
+            solve_eta(ProblemParams(2, 1, 5, c=9.0), Z1, np.array([10, 12]), 0.5)
         assert len(calls) == 1
 
     def test_float16_and_float32_counts_return(self):
@@ -708,16 +777,18 @@ class TestEpsilon0:
             epsilon0(pts, p)
 
     def test_first_sweep_can_count_below_the_cardinality(self):
-        # at a quarter of the least gap, xs[0] + 2*eps rounds half to even onto
-        # xs[1], so three consecutive floats count 2 there, not 3; below it they count 3
+        # epsilon0's first count, at the least positive float, is the set's
+        # largest, which two points one subnormal ulp apart keep below the
+        # cardinality.  Three consecutive floats count 3 up to the float below
+        # half their gap u, where xs[0] + 2*eps rounds onto xs[1] but the
+        # exact ball misses it
+        assert covering_counts(FinitePoints([0.0, 5e-324]), [5e-324]).tolist() == [1]
         u = math.ulp(1.0)
         pts = FinitePoints([1 + u, 1 + 2 * u, 1 + 3 * u])
-        xs = pts.values.tolist()
-        gap = min(map(float.__sub__, xs[1:], xs))
-        assert covering_counts(pts, [gap / 4.0]).tolist() == [2]
+        assert covering_counts(pts, [u / 4.0]).tolist() == [3]
         p = ProblemParams(1, 1, 1)  # c = 2, so the threshold count is 3
         eps0 = epsilon0(pts, p)
-        assert eps0 == 5.551115123125782e-17
+        assert eps0 == math.nextafter(u / 2.0, 0.0) == 1.1102230246251564e-16
         assert covering_counts(pts, [eps0, math.nextafter(eps0, math.inf)]).tolist() == [3, 2]
         report = rigidity_bound(p, LambdaProfile.zeros(1), pts)
         assert report.epsilon0 == eps0
@@ -725,9 +796,9 @@ class TestEpsilon0:
 
     @pytest.mark.parametrize("make, eps0", [
         (lambda: FinitePoints(stratified_uniform(np.random.default_rng(2308), 600)),
-         0.08265462534823777),
+         0.0826546253482378),
         (lambda: FinitePoints(cantor_like(np.random.default_rng(2308), 10)),
-         0.04956656147781058),
+         0.049566561477810585),
         (lambda: PowerSequence(-0.5), 0.06487825599846088),
     ], ids=["stratified600", "cantor1024", "power-0.5"])
     def test_pinned_bits(self, make, eps0):
@@ -851,7 +922,7 @@ class TestEpsilon0Replay:
            c=st.floats(1.0, 10.0) | st.integers(1, 9).map(float))
     def test_bits_of_the_counting_bisection(self, points, n, d, c):
         # c + 1 above the point count raises "never reaches" in both
-        p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else c)
+        p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else max(c, c_floor(n, d)))
         s = FinitePoints(points)
         assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
 
@@ -862,7 +933,8 @@ class TestEpsilon0Replay:
     @example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], c=2.0)
     def test_refuses_exactly_the_sets_that_never_count_c_plus_1(self, points, c):
         # counts never rise with the radius: the least positive float counts the most
-        p, s = ProblemParams(2, 1, 1, c=c), FinitePoints(points)
+        p, s = ProblemParams(2, 1, 1, c=max(c, 2.0)), FinitePoints(points)
+        c = p.c
         most = covering_counts(s, [math.ulp(0.0)])[0]
         try:
             eps0 = epsilon0(s, p)
@@ -875,10 +947,9 @@ class TestEpsilon0Replay:
 
     @pytest.mark.parametrize("points", [
         np.arange(7) * 0.1,
-        # three floats an ulp apart count 2 at a quarter of their gap, 3 below it
+        # three floats an ulp apart count 3 up to the float below half their gap
         [1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52],
-        # 1 - u reaches 1 from 3u/8, where 1 + 2*(3u/8) rounds onto 1 + u exactly,
-        # though 1 covers 1 + u from just above u/4: E is the latter
+        # the gaps u/2 below 1 and u above it, across the binade at 1
         [1 - 2.0**-52, 1.0, 1 + 2.0**-52],
         [-sys.float_info.max, 0.0, sys.float_info.max],
         [-sys.float_info.max, -1.0, 1.0, sys.float_info.max],
@@ -887,6 +958,10 @@ class TestEpsilon0Replay:
     ], ids=["seven", "trap", "binade", "largest", "largest-four", "far-apart", "subnormal"])
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_pinned_sets(self, points, c):
+        if c < c_floor(2, 1):  # refused before any count
+            with pytest.raises(ValueError, match="c must be at least max"):
+                ProblemParams(2, 1, 1, c=c)
+            return
         p, s = ProblemParams(2, 1, 1, c=c), FinitePoints(points)
         assert self.outcome(epsilon0, s, p) == self.outcome(bisect_epsilon0, s, p)
 
@@ -916,6 +991,10 @@ class TestEpsilon0Replay:
     @pytest.mark.parametrize("c", [1.0, 2.5, 6.0, 100.0])
     @pytest.mark.parametrize("alpha", [-0.2, -0.5, -1.0, -3.0, -10.0, -100.0, -700.0, -2000.0])
     def test_power_bracket_within_its_count_budget(self, monkeypatch, alpha, c):
+        if c < c_floor(2, 1):  # refused before any count
+            with pytest.raises(ValueError, match="c must be at least max"):
+                ProblemParams(2, 1, 1, c=c)
+            return
         p, s = ProblemParams(2, 1, 1, c=c), PowerSequence(alpha)
         expected = self.outcome(bisect_epsilon0, s, p)
         made = []
@@ -989,7 +1068,7 @@ class TestEpsilon0Plateau:
     @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=5, c=6.0)
     @example(points=(np.arange(7) * 0.1).tolist(), n=1, d=4, c=5.0)
     def test_finite_sets_by_the_exhaustive_oracle(self, points, n, d, c):
-        p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else c)
+        p = ProblemParams(n, 1, d, c=max(c, d + 1.0) if n == 1 else max(c, c_floor(n, d)))
         try:
             eps0 = epsilon0(FinitePoints(points), p)
         except ValueError:  # one distinct point, or a count short of c + 1
@@ -1037,7 +1116,7 @@ class TestPlateauScan:
     @example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], n=2, d=1, c=2.0, lam=0.0,
              spots=[0.0, 0.5, 0.9, 1.0])
     def test_gamma_is_the_best_over_every_float(self, points, n, d, c, lam, spots):
-        p = ProblemParams(n, 1, d, c=None if n == 1 else c)
+        p = ProblemParams(n, 1, d, c=None if n == 1 else max(c, c_floor(n, d)))
         profile, s = LambdaProfile((lam,)), FinitePoints(points)
         assert s.values.size <= bounds._PLATEAU_SCAN_MAX
         best = plateau_sup(points, p, profile)
@@ -1066,14 +1145,15 @@ class TestPlateauScan:
                 assert self.product(points, p, profile, eps) <= report.gamma
 
     def test_a_subnormal_gap_has_an_epsilon0(self):
-        # 0 and 5e-324 share every ball, so the set counts c + 1 = 3 below 1/2;
-        # the grid scan's best row is its boundary point 0.4999999994999999
+        # 0 and 5e-324 share every ball, so the set counts c + 1 = 3 below
+        # 1/2, up to pred(1/2): 5e-324 + 2*pred(1/2) falls short of 1 exactly;
+        # the grid scan's best row is its boundary point 0.49999999949999994
         p, s = ProblemParams(1, 1, 1), FinitePoints([0.0, 5e-324, 1.0, 2.0])
         for grid, gamma in ((None, 0.7499999999999998),
-                            (log_grid(1e-3, 1.0, 10), 0.7499999992499997)):
+                            (log_grid(1e-3, 1.0, 10), 0.7499999992499998)):
             report = rigidity_bound(p, LambdaProfile.zeros(1), s, grid)
-            assert report.epsilon0 == 0.4999999999999999 == epsilon0(s, p)
-            assert report.gamma_closed_form == 0.7499999999999998
+            assert report.epsilon0 == math.nextafter(0.5, 0.0) == epsilon0(s, p)
+            assert report.gamma_closed_form == 0.7499999999999999
             assert report.gamma == gamma
 
     def test_sets_above_the_size_keep_the_grid(self):
@@ -1100,10 +1180,15 @@ class TestGammaClosedForm:
             gamma_closed_form(0.0, P15)
 
     def test_overflowing_power_is_a_value_error(self):
-        # (1 + 1/c)^(d/n) = 2^1024 is past the float range
-        with pytest.raises(ValueError, match="overflows") as info:
+        # (1 + 1/c)^(d/n) = 2^1024 at c = 1 and d/n = 1024 is past the float
+        # range; the floor on c refuses such a constant first, with a
+        # ValueError, and above it the power is at most e
+        with pytest.raises(ValueError, match="c must be at least max") as info:
             gamma_closed_form(0.5, ProblemParams(2, 1, 2048, c=1))
         assert not isinstance(info.value, OverflowError)
+        for p in (ProblemParams(2, 1, 2048, c=c_floor(2, 2048)), ProblemParams(2, 1, 3, c=2.0),
+                  ProblemParams(1, 1, 2048), ProblemParams(4, 1, 4, c=c_floor(4, 4))):
+            assert gamma_closed_form(0.5, p) <= 0.5 * math.e
 
 
 def _scalar_rhs(p, profile, epsilon, eta):
@@ -1190,7 +1275,7 @@ class TestRigidityBound:
         # the array scan against a copy of the radius-by-radius scan it
         # replaced: same qualifying radii, ratios within a relative 1e-12
         m = min(m, n)
-        p = ProblemParams(n=n, m=m, d=d, r=r, c=None if n == 1 else c)
+        p = ProblemParams(n=n, m=m, d=d, r=r, c=None if n == 1 else max(c, c_floor(n, d)))
         k = min(max(zeros, 0), m)  # leading zero thresholds
         profile = LambdaProfile((0.0,) * k + tuple(sorted(lams))[:m - k])
         s = FinitePoints(values)
@@ -1347,8 +1432,8 @@ class TestRigidityBound:
         with pytest.raises(ValueError, match="overflows the float range"):
             BoundReport(((1e308, 2.0), (1.0, 2.0)), None, None, P15, Z1)
         with pytest.raises(ValueError, match="overflows the float range"):
-            rigidity_bound(ProblemParams(2, 1, 3, c=1), Z1,
-                           FinitePoints([-1e308, 0.0, 1e308]))
+            rigidity_bound(ProblemParams(1, 1, 3), Z1,
+                           FinitePoints([k * 2e307 for k in range(-5, 6)]))
 
     def test_gamma_is_the_best_row_product_exactly(self):
         rows = ((0.3, 1.5), (0.2, 2.5), (0.1, 4.0000000000001))

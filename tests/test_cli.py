@@ -107,12 +107,26 @@ class TestBound:
 
     def test_constant_below_one_exits_3(self, tmp_path, capsys):
         # the one-ball count beat a baseline c < 1 at every radius, so the
-        # grid's top radius set gamma
+        # grid's top radius set gamma; the floor on c refuses it
         set_path = write_set(tmp_path, SEVEN)
         code = main(["bound", "--set", set_path, "--n", "2", "--c", "0.5", "--d", "1",
                      "--out", "r.json"])
         assert code == 3
-        assert "at least 1" in capsys.readouterr().err
+        assert "at least max(2, (d - 2)**n) = 2" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # gamma = 0.7071 above the scale 1/2 that two values 1 apart need
+        ["--set", '{"type": "finite", "points": [0, 1]}', "--n", "2", "--c", "1", "--d", "1"],
+        # gamma = 1.0519, yet x^3 - 3x + (y^3 - 3y)/2 has these four critical
+        # values on that ball and a zero fourth derivative
+        ["--set", '{"type": "finite", "points": [-3, -1, 1, 3]}', "--n", "2", "--c", "3.9",
+         "--d", "4", "--r", "1.4142135623730951"],
+    ], ids=["two-points", "separable"])
+    def test_constants_that_certified_false_bounds_exit_3(self, tmp_path, capsys, argv):
+        code = main(["bound", *argv, "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "the count of" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_subnormal_constant_exits_3_quietly(self, capsys):
@@ -121,7 +135,9 @@ class TestBound:
             code = main(["bound", "--power", "-1", "--n", "2", "--c", "1e-310", "--d", "1",
                          "--lambda", "0.5", "--eps", "1e-3:0.4:3", "--out", "r.json"])
         assert code == 3
-        assert capsys.readouterr().err == "error: the entropy constant c must be at least 1\n"
+        assert capsys.readouterr().err == (
+            "error: for n >= 2 the entropy constant c must be at least max(2, (d - 2)**n) = 2, "
+            "the count of two critical values\n")
 
     def test_threshold_count_mismatch(self, tmp_path):
         set_path = write_set(tmp_path, SEVEN)
@@ -819,6 +835,7 @@ _INTS = (["1", "2", "3", "5"], ["-1", "0", "x", "", "0.5", "1e400"])
 _FLOATS = (["0.5", "1", "2.5", "1e-3"],
            ["-1", "0", "nan", "inf", "-inf", "x", "", "1e-300", "1e400"])
 # radii near both float limits; constants from 1 up, as every c below 1 is refused
+# (at n >= 2, c below max(2, (d - 2)**n) exits 3, a documented code)
 _RADII = (_FLOATS[0] + ["9e153", "1e300", "1e-70", "1e307", "1.7e308"], _FLOATS[1])
 _CONSTANTS = (["1", "2.5", "6", "1e6"], _FLOATS[1] + ["0.5", "1e-3", "1e-17", "1e-310"])
 _LAMBDAS = (["0", "1e-3", "0.5", "1", "3"], ["-1", "nan", "inf", "x", ""])

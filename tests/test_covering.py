@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity import covering
@@ -23,7 +23,7 @@ from rigidity.sets import FinitePoints, PowerSequence, SampledCloud, descriptor_
 from rigidity.util import log_grid
 
 from conftest import cantor_like, downward_greedy_power_count, stratified_uniform
-from oracles import BRUTE_FORCE_LIMIT, brute_force_covering_oracle
+from oracles import BRUTE_FORCE_LIMIT, brute_force_covering_oracle, last_float_below
 
 point_sets = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -51,16 +51,25 @@ def sets_with_ties(draw):
 
 
 def scalar_greedy(pts, epsilon):
-    """Reference sweep: one searchsorted per ball, on sorted points."""
+    """Reference sweep: one searchsorted per ball, on sorted points.  The
+    float reach is the float nearest the exact one, so only a point equal to
+    it can lie past the exact reach; that point is checked in exact rational
+    arithmetic."""
     count, i = 0, 0
     while i < pts.size:
         count += 1
-        i = int(np.searchsorted(pts, pts[i] + 2.0 * epsilon, side="right"))
+        anchor = pts[i]
+        reach = anchor + 2.0 * epsilon
+        i = int(np.searchsorted(pts, reach, side="right"))
+        if pts[i - 1] == reach and Fraction(reach) - Fraction(anchor) > 2 * Fraction(epsilon):
+            i -= 1
     return count
 
 
 def fraction_greedy(pts, epsilon):
     """Greedy sweep in exact rational arithmetic: no rounding anywhere."""
+    if epsilon == math.inf:
+        return 1
     exact = sorted(Fraction(p) for p in pts)
     reach_of = 2 * Fraction(epsilon)
     count, i = 0, 0
@@ -348,20 +357,17 @@ class TestLockstepCounts:
 
 
 class TestNoOvercount:
-    """Float rounding in the sweep can only undercount, never overcount.
-
-    Anchors are data points and round-to-nearest is monotone, so a point
-    within 2*eps of an anchor in exact arithmetic is within the float
-    reach too; near-tie radii gap/2 +- 1 ulp are where rounding bites.
-    """
+    """Finite counts are the exact rational greedy's, so they never exceed
+    it; near-tie radii gap/2 +- 1 ulp are where a float reach rounds onto
+    a point the exact ball misses."""
 
     @given(near_tie_radii())
     @settings(max_examples=200, deadline=None)
     def test_never_exceeds_exact_rational_greedy(self, case):
         pts, eps = case
-        exact = np.array([fraction_greedy(pts, e) for e in eps.tolist()])
-        for counts in at_every_handover(lambda: covering_counts(FinitePoints(pts), eps)).values():
-            assert np.all(counts <= exact)
+        exact = [fraction_greedy(pts, e) for e in eps.tolist()]
+        got = at_every_handover(lambda: covering_counts(FinitePoints(pts), eps).tolist())
+        assert got == every_handover(exact)
 
 
 def gap_radii(pts):
@@ -376,10 +382,9 @@ def gap_radii(pts):
 
 
 def finite_prefix_identical(s, eps):
-    """Counts of a finite set equal the scalar sweep's from its first point,
-    one ball at a time, at every handover, with warnings raised as errors."""
-    xs = covering._sorted_line(s).tolist()
-    expected = [covering._sweep_from(xs, 0, 2.0 * e) for e in eps]
+    """Counts of a finite set equal the exact rational greedy's at every
+    handover, with warnings raised as errors."""
+    expected = [fraction_greedy(s.values.tolist(), e) for e in eps]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = at_every_handover(lambda: covering_counts(s, eps).tolist())
@@ -391,8 +396,8 @@ magnitudes = st.floats(-300.0, 300.0).map(lambda x: 10.0**x)
 
 class TestFinitePrefix:
     """Finite sweeps start past their leading one-point balls, at gaps
-    G_i = nextafter(fl(pred(x_{i+1}) - x_i), -inf) of at least 2*eps; the
-    counts must not move where 2*eps meets a gap or the float range ends."""
+    G_i = pred(fl(x_{i+1} - x_i)) of at least 2*eps; the counts must not
+    move where 2*eps meets a gap or the float range ends."""
 
     @given(point_sets)
     @settings(max_examples=150, deadline=None)
@@ -407,14 +412,15 @@ class TestFinitePrefix:
 
     def test_gap_past_float_range(self):
         # the exact gap 2e308 overflows: G rounds it down to the top float.
-        # A margin gap*(1 - 2**-50) would keep it at inf and count 2 balls
-        # at 2*eps = inf, where the sweep counts 1
+        # From 2**1023 on 2*eps overflows too, and the halved set counts:
+        # 9e307 covers 1.8e308 of the gap, so two balls, 1e308 covers it
         half = sys.float_info.max / 2.0
         eps = np.linspace(8e307, 1.7e308, 37).tolist()
         eps += [math.nextafter(half, 0.0), half, math.nextafter(half, math.inf)]
         s = FinitePoints([-1e308, 1e308])
         assert finite_prefix_identical(s, eps)
-        assert covering_counts(s, [8.9e307, 9e307, 1.7e308]).tolist() == [2, 1, 1]
+        eps = [8.9e307, 9e307, math.nextafter(1e308, 0.0), 1e308, 1.7e308]
+        assert covering_counts(s, eps).tolist() == [2, 2, 2, 1, 1]
 
     def test_subnormal_gaps(self):
         tiny = 5e-324
@@ -433,10 +439,10 @@ class TestFinitePrefix:
 
 
 def sweep_counts_identical(pts, eps):
-    """``_sweep_counts`` on sorted distinct points equals ``_sweep_from`` from
-    the first point, radius by radius, at every handover."""
+    """``_sweep_counts`` on sorted distinct points equals the exact rational
+    greedy, radius by radius, at every handover."""
     xs = FinitePoints(pts).values
-    expected = [covering._sweep_from(xs.tolist(), 0, 2.0 * e) for e in eps]
+    expected = [fraction_greedy(xs.tolist(), e) for e in eps]
     radii_in = np.array(eps, dtype=float)
     got = at_every_handover(lambda: covering._sweep_counts(xs, radii_in).tolist())
     return got == every_handover(expected)
@@ -864,29 +870,43 @@ class TestExactCounter:
 
 
 def bisected_least_radius(x, y):
-    """Least float e with x + 2.0*e >= y, by bisection over the bit patterns
-    of nonnegative floats, which order as the floats do; 2**1023 always
-    reaches, as 2*e overflows there."""
+    """Least float e with y - x <= 2*e in exact rational arithmetic, by
+    bisection over the bit patterns of nonnegative floats, which order as
+    the floats do; the largest float always reaches."""
     def bits(v):
         return struct.unpack("<q", struct.pack("<d", v))[0]
 
     def value(b):
         return struct.unpack("<d", struct.pack("<q", b))[0]
 
-    lo, hi = 0, bits(2.0**1023)
+    gap = Fraction(y) - Fraction(x)
+    lo, hi = 0, bits(sys.float_info.max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if x + 2.0 * value(mid) >= y:
+        if gap <= 2 * Fraction(value(mid)):
             hi = mid
         else:
             lo = mid
     return value(hi)
 
 
+def least_radius(x, y):
+    """The least radius from which the ball anchored at x covers y, read off
+    the closed-form ``plateau_ends`` of {x, y}: the float after its one end,
+    or the least positive float where no positive float lies below."""
+    ends = covering.plateau_ends(FinitePoints([x, y])).tolist()
+    return math.nextafter(ends[0], math.inf) if ends else math.ulp(0.0)
+
+
 MAX = sys.float_info.max
 
 
 class TestLeastRadius:
+    """A pair's plateau end in closed form (``plateau_ends``, from fl(y - x)
+    and its TwoSum error) is the float just below the least radius that the
+    exact test reaches, at pairs where the float sweep's radius fell far
+    below half the gap, at subnormal gaps and where y - x overflows."""
+
     @pytest.mark.parametrize("x, y", [
         # one ulp apart: x + 2e rounds onto y from half an ulp on, and the
         # tie at exactly half goes to whichever of the two is even
@@ -897,23 +917,25 @@ class TestLeastRadius:
         (0.1, 0.1 + 1e-12), (1.0, 1.5), (-1.0, 1.0), (-1e-300, 1e300),
     ], ids=["ulp-even", "ulp-odd", "one-even", "one-odd", "small-gap", "half", "signs", "wide"])
     def test_far_below_half_the_gap_and_ordinary_pairs(self, x, y):
-        assert covering._least_radius(x, y) == bisected_least_radius(x, y)
+        assert least_radius(x, y) == bisected_least_radius(x, y)
 
     @pytest.mark.parametrize("x, y", [
         (0.0, 5e-324), (5e-324, 1e-323), (-5e-324, 5e-324), (0.0, 1.5e-323),
         (1e-310, 1e-310 + 5e-324), (-2.2250738585072014e-308, 2.2250738585072014e-308),
+        # half of 5 subnormal ulps rounds to 2 of them, which lies below it
+        (0.0, 2.5e-323),
     ])
     def test_subnormal_gaps(self, x, y):
-        assert covering._least_radius(x, y) == bisected_least_radius(x, y)
+        assert least_radius(x, y) == bisected_least_radius(x, y)
 
     @pytest.mark.parametrize("x, y", [
         (-MAX, MAX), (-MAX, 0.0), (0.0, MAX), (-MAX, math.nextafter(-MAX, 0.0)),
         (math.nextafter(MAX, 0.0), MAX), (-1e308, 1e308), (1e308, MAX),
     ])
     def test_largest_floats_where_two_e_overflows(self, x, y):
-        e = covering._least_radius(x, y)
+        e = least_radius(x, y)
         assert e == bisected_least_radius(x, y)
-        assert x + 2.0 * e >= y and not x + 2.0 * math.nextafter(e, 0.0) >= y
+        assert covering_counts(FinitePoints([x, y]), [e, math.nextafter(e, 0.0)]).tolist() == [1, 2]
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False),
@@ -928,7 +950,7 @@ class TestLeastRadius:
         x, y = min(x, y), max(x, y)
         if not (x < y and math.isfinite(y)):
             return
-        assert covering._least_radius(x, y) == bisected_least_radius(x, y)
+        assert least_radius(x, y) == bisected_least_radius(x, y)
 
 
 class TestDefaultGrid:
@@ -942,3 +964,82 @@ class TestDefaultGrid:
     def test_power_grid_stays_below_one(self):
         grid = default_grid(PowerSequence(-1.0))
         assert grid[0] < 1.0
+
+    def test_a_cloud_is_refused_before_its_grid_is_sized(self):
+        with pytest.raises(ValueError, match="exact covering requires m = 1"):
+            default_grid(SampledCloud([[0.0, 0.0], [3.0, 4.0]]))
+
+
+@st.composite
+def exact_count_cases(draw):
+    """Up to 40 points, from runs a few ulps apart, subnormal multiples,
+    signed magnitudes from 1e-300 to 1e308 and the largest floats, with
+    radii at, just below and just above the half gaps of drawn pairs
+    (radii past 2**1023 among them) and a few drawn radii."""
+    base = draw(st.sampled_from([1.0, -1.0, 0.1, 2.0**-1000, 1e308, -1e308, MAX])
+                | st.floats(-300.0, 300.0).map(lambda u: 10.0**u))
+    points = []
+    for kind in draw(st.lists(st.integers(0, 3), min_size=1, max_size=40)):
+        if kind == 0:
+            v = points[-1] if points else base
+            for _ in range(draw(st.integers(1, 4))):
+                v = math.nextafter(v, math.inf)
+            points.append(v if math.isfinite(v) else base)
+        elif kind == 1:
+            points.append(draw(st.integers(-60, 60)) * 5e-324)
+        elif kind == 2:
+            points.append(draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 308.0)))
+        else:
+            points.append(draw(st.sampled_from([-MAX, -1e308, 0.0, 1e308, MAX])))
+    eps = []
+    for x, y in draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                              max_size=6)):
+        half = float(abs(Fraction(y) - Fraction(x)) / 2)
+        eps += [math.nextafter(half, 0.0), half, math.nextafter(half, math.inf)]
+    eps += draw(st.lists(magnitudes, max_size=3))
+    return points, [e for e in eps if 0.0 < e < math.inf] or [1.0]
+
+
+class TestExactCounts:
+    """Every finite count is the covering number of the float set: the
+    greedy whose ball at a holds x when x - a <= 2*eps in exact rational
+    arithmetic, on the tiny path, in the lockstep, in the scalar finish, at
+    every handover between them and in ``exact_counter``."""
+
+    @given(exact_count_cases())
+    @example(([1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52],
+              [math.nextafter(2.0**-53, 0.0), 2.0**-53, 2.0**-52, math.nextafter(2.0**-52, 0.0)]))
+    @example(([-1e308, 0.0, 1e308], [math.nextafter(1e308, 0.0), 1e308, 2.0**1023, 5e307]))
+    # the reach rounds up onto the point below MAX by half an ulp of MAX: its
+    # error taken TwoSum's way, reach - anchor first, would overflow
+    @example(([-3 * 2.0**970, math.nextafter(MAX, 0.0)], [MAX / 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_are_the_exact_greedy(self, case):
+        pts, eps = case
+        s = FinitePoints(pts)
+        exact = [fraction_greedy(pts, e) for e in eps]
+        assert at_every_handover(lambda: covering_counts(s, eps).tolist()) == every_handover(exact)
+        got = on_both_finite_paths(lambda: covering_counts(s, eps).tolist())
+        assert got == {"scalar": exact, "lockstep": exact}
+        count = exact_counter(s)
+        assert [count(e) for e in eps] == exact
+
+    @given(exact_count_cases())
+    @example(([0.0, 2.5e-323, 1.0, 1e300], [1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_plateau_ends_are_the_floats_below_the_half_gaps(self, case):
+        pts, _ = case
+        xs = sorted({Fraction(p) for p in pts})
+        want = {last_float_below((y - x) / 2) for i, x in enumerate(xs) for y in xs[i + 1:]}
+        want.discard(0.0)
+        assert covering.plateau_ends(FinitePoints(pts)).tolist() == sorted(want, reverse=True)
+
+    def test_the_float_reach_rounding_onto_a_point_is_stepped_back(self):
+        # one float below half the gap u = 2**-52, 1 + u plus twice the
+        # radius rounds onto 1 + 2u, which the exact ball misses
+        u = 2.0**-52
+        pts = FinitePoints([1.0 + u, 1.0 + 2 * u, 1.0 + 3 * u])
+        below = math.nextafter(u / 2, 0.0)
+        assert (1.0 + u) + 2 * below == 1.0 + 2 * u
+        got = on_both_finite_paths(lambda: covering_counts(pts, [below, u / 2]).tolist())
+        assert got == {"scalar": [3, 2], "lockstep": [3, 2]}

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import c_floor
 from rigidity import bounds
 from rigidity.bounds import LambdaProfile, ProblemParams, rigidity_bound
 from rigidity.covering import covering_counts
@@ -29,23 +30,45 @@ NORMAL_AFTER_SCALING = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) 
 def test_gamma_scales_with_the_set(points, n, d, c, e):
     # with lambda_1 = 0, gamma(2**-e X) = 2**-e gamma(X): every plateau end
     # scales by 2**-e and keeps its count, and eta depends on the count alone
-    p, zeros = ProblemParams(n, 1, d, c=None if n == 1 else c), LambdaProfile.zeros(1)
+    p = ProblemParams(n, 1, d, c=None if n == 1 else max(c, c_floor(n, d)))
+    zeros = LambdaProfile.zeros(1)
     gamma = rigidity_bound(p, zeros, FinitePoints(points)).gamma
     scaled = rigidity_bound(p, zeros, FinitePoints([math.ldexp(v, -e) for v in points])).gamma
     assert scaled == math.ldexp(gamma, -e)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the sweep rounds x + 2*eps on each set's own ulp grid, so the "
-                          "plateau ends move with t; counts exact in real arithmetic fix it")
-def test_gamma_is_invariant_under_exact_translation():
-    # every x + t is exact, so X + t has the gaps of X, yet gamma(X) is
-    # 0x1.7fffffffffffep-5 and gamma(X + 1) is 0x1.7fffffffffff3p-5
-    points, t = [0.0, 0.0625, 0.125], 1.0
-    moved = [x + t for x in points]
-    p, zeros = ProblemParams(1, 1, 1), LambdaProfile.zeros(1)
-    gamma = rigidity_bound(p, zeros, FinitePoints(points)).gamma
-    assert rigidity_bound(p, zeros, FinitePoints(moved)).gamma == gamma
+# dyadic points k/2**20 with |k| < 2**20, and shifts by multiples of 2**-20
+# up to 2**12: every x + t is exact
+DYADIC = st.integers(-2**20, 2**20).map(lambda k: math.ldexp(k, -20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(DYADIC, min_size=2, max_size=bounds._PLATEAU_SCAN_MAX // 2),
+       shift=st.integers(-2**32, 2**32).map(lambda k: math.ldexp(k, -20)),
+       d=st.integers(1, 6), lam=st.sampled_from([0.0, 1e-3]))
+@example(points=[0.0, 0.0625, 0.125], shift=1.0, d=1, lam=0.0)
+def test_gamma_is_invariant_under_exact_translation(points, shift, d, lam):
+    # every x + t is exact, so X + t has the gaps of X and the same exact
+    # counts; the float sweep gave gamma(X) = 0x1.7fffffffffffep-5 and
+    # gamma(X + 1) = 0x1.7fffffffffff3p-5 on the example
+    moved = [x + shift for x in points]
+    assert all(Fraction(m) == Fraction(x) + Fraction(shift) for x, m in zip(points, moved))
+    p, profile = ProblemParams(1, 1, d), LambdaProfile((lam,))
+    gamma = rigidity_bound(p, profile, FinitePoints(points)).gamma
+    assert rigidity_bound(p, profile, FinitePoints(moved)).gamma == gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.floats(-1e6, 1e6) | st.floats(-1e-300, 1e-300), min_size=2,
+                       max_size=bounds._PLATEAU_SCAN_MAX),
+       n=st.integers(1, 2), d=st.integers(1, 6), lam=st.sampled_from([0.0, 1e-3]))
+@example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], n=1, d=1, lam=0.0)
+def test_gamma_is_invariant_under_reflection(points, n, d, lam):
+    # -X has the gaps of X, so it has the same exact counts at every radius
+    p = ProblemParams(n, 1, d, c=None if n == 1 else c_floor(n, d))
+    profile = LambdaProfile((lam,))
+    gamma = rigidity_bound(p, profile, FinitePoints(points)).gamma
+    assert rigidity_bound(p, profile, FinitePoints([-x for x in points])).gamma == gamma
 
 
 FAMILY_GRID = log_grid(1e-5, 0.5, 50)
@@ -101,7 +124,8 @@ SMALL_SETS = st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=bounds._PLATEAU
 def test_gamma_does_not_fall_as_the_set_grows(points, more, n, d, c, lam):
     # every greedy anchor of X is at or past the same-numbered one of X u Y,
     # so X's count at any radius is at most the union's
-    p, profile = ProblemParams(n, 1, d, c=None if n == 1 else c), LambdaProfile((lam,))
+    p = ProblemParams(n, 1, d, c=None if n == 1 else max(c, c_floor(n, d)))
+    profile = LambdaProfile((lam,))
     gamma = rigidity_bound(p, profile, FinitePoints(points)).gamma
     assert gamma <= rigidity_bound(p, profile, FinitePoints(points + more)).gamma
 
@@ -111,7 +135,7 @@ def test_gamma_does_not_fall_as_the_set_grows(points, more, n, d, c, lam):
        cs=st.lists(st.floats(1.0, 10.0), min_size=2, max_size=2),
        lam=st.sampled_from([0.0, 1e-3, 0.1]))
 def test_gamma_does_not_rise_with_c(points, n, d, cs, lam):
-    low, high = sorted(cs if n == 2 else [d + 1.0 + v for v in cs])
+    low, high = sorted([(d + 1.0 if n == 1 else c_floor(n, d) - 1.0) + v for v in cs])
     profile, s = LambdaProfile((lam,)), FinitePoints(points)
     gamma = rigidity_bound(ProblemParams(n, 1, d, c=low), profile, s).gamma
     assert rigidity_bound(ProblemParams(n, 1, d, c=high), profile, s).gamma <= gamma
@@ -121,7 +145,8 @@ def test_gamma_does_not_rise_with_c(points, n, d, cs, lam):
 @given(points=SMALL_SETS, n=st.integers(1, 2), d=st.integers(1, 6), c=st.floats(1.0, 10.0),
        lams=st.lists(st.floats(0.0, 10.0) | st.just(0.0), min_size=2, max_size=2))
 def test_gamma_does_not_rise_with_lambda_1(points, n, d, c, lams):
-    p, s = ProblemParams(n, 1, d, c=None if n == 1 else c), FinitePoints(points)
+    p = ProblemParams(n, 1, d, c=None if n == 1 else max(c, c_floor(n, d)))
+    s = FinitePoints(points)
     low, high = sorted(lams)
     gamma = rigidity_bound(p, LambdaProfile((low,)), s).gamma
     assert rigidity_bound(p, LambdaProfile((high,)), s).gamma <= gamma
@@ -143,7 +168,11 @@ def test_exact_bound_of_the_seven_point_set():
        lam=st.sampled_from([0.0, 1e-3]))
 @example(points=[1 + 2.0**-52, 1 + 2.0**-51, 1 + 3 * 2.0**-52], n=2, d=1, c=2.0, lam=0.0)
 def test_gamma_is_at_most_the_exact_bound(points, n, d, c, lam):
-    # the float scan's roundings may lift gamma past the exact sup by 1e-12 at most
-    p, profile = ProblemParams(n, 1, d, c=None if n == 1 else c), LambdaProfile((lam,))
-    gamma = rigidity_bound(p, profile, FinitePoints(points)).gamma
-    assert Fraction(gamma) <= oracles.exact_bound(points, p, profile) * (1 + Fraction(1, 10**12))
+    # the scan takes every plateau at its last float, so gamma is the exact
+    # sup up to the roundings of the plateau end, eta and the product: 1e-12
+    # either way (the float sweep gave half the sup on the example)
+    p = ProblemParams(n, 1, d, c=None if n == 1 else max(c, c_floor(n, d)))
+    profile = LambdaProfile((lam,))
+    gamma = Fraction(rigidity_bound(p, profile, FinitePoints(points)).gamma)
+    exact = oracles.exact_bound(points, p, profile)
+    assert exact * (1 - Fraction(1, 10**12)) <= gamma <= exact * (1 + Fraction(1, 10**12))

@@ -100,8 +100,6 @@ class TestSampledCloud:
 class TestGeometry:
     def test_diameter(self):
         assert diameter(FinitePoints([0.0, 2.0, 5.0])) == pytest.approx(5.0)
-        box = SampledCloud([[0.0, 0.0], [3.0, 4.0]])
-        assert diameter(box) == pytest.approx(5.0)
 
     def test_diameter_single_point_is_zero(self):
         assert diameter(FinitePoints([0.7])) == 0.0
