@@ -141,13 +141,27 @@ def _coefficients(p: ProblemParams, profile: LambdaProfile, epsilon) -> list:
         raise ValueError("profile length must equal m")
     if np.count_nonzero(epsilon > 0) < epsilon.size:
         raise ValueError("epsilon must be positive")
+    return _terms(profile.lambdas, p.r / epsilon, np.float_power)
+
+
+def _terms(lambdas: tuple, ratio, power) -> list:
+    """The a_i at ratio = r/eps, by ``power``: ``np.float_power`` over arrays,
+    ``_pow`` on one Python float, both libm's pow, so the two agree."""
     coeffs, prod = [1.0], 1.0
-    for i, lam in enumerate(profile.lambdas, 1):
+    for i, lam in enumerate(lambdas, 1):
         prod *= lam
         if prod == 0.0:
             break
-        coeffs.append(prod * (p.r / epsilon) ** i)
+        coeffs.append(prod * power(ratio, i))
     return coeffs
+
+
+def _pow(x: float, y: float) -> float:
+    """libm's x**y on Python floats, +inf past the float range, as numpy gives."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
@@ -159,14 +173,12 @@ def rhs_polynomial(p: ProblemParams, profile: LambdaProfile, epsilon, eta):
     strictly increasing in eta.  epsilon and eta broadcast; scalars in give
     a scalar out.
     """
-    # [()] makes 0-d input numpy scalars, whose ** is Python's libm pow
-    epsilon = np.asarray(epsilon, dtype=float)[()]
-    eta = np.asarray(eta, dtype=float)[()]
+    epsilon, eta = np.asarray(epsilon, dtype=float), np.asarray(eta, dtype=float)
     with np.errstate(over="ignore"):  # +inf, as in _coefficients
         coeffs = _coefficients(p, profile, epsilon)
         if not (eta >= 1.0).all():
             raise ValueError("eta must be at least 1")
-        terms = (a * eta ** ((p.n - i) / p.d) for i, a in enumerate(coeffs))
+        terms = (a * np.float_power(eta, (p.n - i) / p.d) for i, a in enumerate(coeffs))
         return _scalar_or_array(p.c * sum(terms, np.zeros_like(epsilon)))  # epsilon's shape
 
 
@@ -185,63 +197,40 @@ def in_E(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
 def solve_eta(p: ProblemParams, profile: LambdaProfile, nu, epsilon):
     """Unique ratio eta > 1 at which the forward polynomial equals each count.
 
-    Counts and radii broadcast; every count must beat its eta = 1 baseline.
-    In t = eta^(1/d) the equation is c * f(t) = nu with the polynomial
-    f(t) = sum_i a_i t^(n-i) and every a_i >= 0, so f is increasing and
-    convex for t > 0.  At n = 1 it is linear and ``_line_etas`` solves it in
-    closed form; above, Newton started at or above the root falls to it
-    monotonically, every entry stopping at its first step that does not lower it.
+    Counts and radii broadcast; every count must beat its eta = 1 baseline,
+    ``rhs_polynomial(..., 1.0)``.  In t = eta^(1/d) the equation is
+    c * f(t) = nu with the polynomial f(t) = sum_i a_i t^(n-i) and every
+    a_i >= 0, so f is increasing and convex for t > 0.  Each entry is solved
+    alone on Python floats, as a scalar call solves it.  At n = 1 the root
+    t* = nu/c - a_1 comes in closed form, each rounding stepped toward a
+    smaller t, t = pred(nu/c) or pred(pred(nu/c) - succ(lambda_1 * succ(r/eps))),
+    so t <= t*; above, ``_newton_root`` finds it.  Then eta = t at d = 1,
+    pred(t^d) past it, or 1 + ulp where t <= 1: the root lies above 1.
     """
     nu, epsilon = np.asarray(nu), np.asarray(epsilon, dtype=float)
     if nu.shape != epsilon.shape:
         nu, epsilon = np.broadcast_arrays(nu, epsilon)
-    if p.n == 1:
-        etas = _line_etas(p, profile, nu, epsilon)
-        return _scalar_or_array(np.array(etas).reshape(nu.shape)[()])
-    nu, epsilon = nu[()], epsilon[()]
-    # one scope: a coefficient, the baseline, a bound or eta may overflow to
-    # inf and a bound divide by an underflowed a_i; a Newton step does neither
-    with np.errstate(divide="ignore", over="ignore"):
-        coeffs = _coefficients(p, profile, epsilon)
-        baseline = p.c * sum(coeffs)  # rhs_polynomial at eta = 1, each term a * 1.0
-        beats = nu > baseline
-        if np.count_nonzero(beats) < beats.size:
-            k = int(np.argmin(beats))
-            raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
-                             f"{np.broadcast_to(baseline, nu.shape).flat[k]:.6g}; no ratio above 1")
-        # at the root every term a_i t^(n-i) is at most nu/c, so each bounds t
-        # from above; starting at the least bound keeps every term of f finite
-        tops = [(nu / (p.c * a)) ** (1.0 / (p.n - i)) for i, a in enumerate(coeffs) if i < p.n]
-        t = np.asarray(tops[0] if len(tops) == 1 else np.min(tops, axis=0))
-        if np.count_nonzero(np.isfinite(t)) < t.size:  # a bound above the root would be unsound
-            raise ValueError(f"count / c overflows the float range at c = {p.c:g}")
-        t = _newton_root(p.c, coeffs, p.n, nu, t)
-        # the root lies above 1, even where t^d rounds to 1
-        eta = np.maximum(t ** p.d, math.nextafter(1.0, 2.0))[()]
-    if np.count_nonzero(np.isfinite(eta)) < eta.size:  # an infinite eta would make gamma infinite
-        raise ValueError(f"eta overflows the float range at c = {p.c:g}")
-    return _scalar_or_array(eta)
-
-
-def _line_etas(p: ProblemParams, profile: LambdaProfile, nu, epsilon) -> list:
-    """``solve_eta`` at n = m = 1 on Python floats, refusing as the n >= 2 path:
-    the root t* = nu/c - a_1 of c * (t + a_1) = nu, each rounding stepped toward a
-    smaller t, t = pred(nu/c) or pred(pred(nu/c) - succ(lambda_1 * succ(r/eps))),
-    so t <= t*, and eta = pred(t^d) <= t*^d past d = 1, or 1 + ulp where t <= 1."""
     if len(profile) != p.m:
         raise ValueError("profile length must equal m")
     counts, radii = nu.astype(float, copy=False).ravel().tolist(), epsilon.ravel().tolist()
     if not all(e > 0.0 for e in radii):
         raise ValueError("epsilon must be positive")
-    lam, c, d, down, up = profile.lambdas[0], p.c, p.d, -math.inf, math.inf
+    lam, c, n, d, down, up = profile.lambdas[0], p.c, p.n, p.d, -math.inf, math.inf
     etas = []
     for k, (x, e) in enumerate(zip(counts, radii)):
-        baseline = c if lam == 0.0 else c * (1.0 + lam * (p.r / e))  # as _coefficients rounds
+        if n == 1:  # no list: a_1 = lambda_1 * (r/eps)**1 is lambda_1 * (r/eps)
+            baseline = c if lam == 0.0 else c * (1.0 + lam * (p.r / e))
+        else:
+            coeffs, baseline = _terms(profile.lambdas, p.r / e, _pow), 0.0
+            for a in coeffs:  # left to right, as rhs_polynomial; sum() compensates from 3.12
+                baseline += a
+            baseline *= c
         if not x > baseline:
             raise ValueError(f"count {np.ravel(nu)[k]} does not exceed the baseline "
                              f"{baseline:.6g}; no ratio above 1")
-        t = math.nextafter(x / c if lam == 0.0 else math.nextafter(x / c, down)
-                           - math.nextafter(lam * math.nextafter(p.r / e, up), up), down)
+        t = (math.nextafter(x / c if lam == 0.0 else math.nextafter(x / c, down)
+                            - math.nextafter(lam * math.nextafter(p.r / e, up), up), down)
+             if n == 1 else _newton_root(c, coeffs, n, x))
         try:
             etas.append(math.nextafter(1.0, up) if t <= 1.0 else t if d == 1
                         else math.nextafter(t**d, down))
@@ -251,34 +240,32 @@ def _line_etas(p: ProblemParams, profile: LambdaProfile, nu, epsilon) -> list:
         raise ValueError(f"count / c overflows the float range at c = {c:g}")
     if math.inf in etas:  # an infinite eta would make gamma infinite
         raise ValueError(f"eta overflows the float range at c = {c:g}")
-    return etas
+    return _scalar_or_array(np.array(etas).reshape(nu.shape)[()])
 
 
-def _newton_root(c: float, coeffs: list, n: int, nu, t: np.ndarray) -> np.ndarray:
+def _newton_root(c: float, coeffs: list, n: int, nu: float) -> float:
     """Root of c * f(t) = nu, f(t) = sum_{i <= n} coeffs[i] t^(n-i) (0 past the
-    list), by Newton from a start t at or above it, entry by entry, updating
-    t in place.  Steps stay between the root (above 1, as c * f(1) < nu) and
-    the start, where each term of f is at most nu/c and f' >= n: no sum or
-    product tops (n+1)**2 * nu, and none divides by 0.  Where that could
-    overflow, both sides are scaled by a power of two, which moves no rounding."""
+    list), by Newton on Python floats.  At the root every term a_i t^(n-i) is
+    at most nu/c, so each bounds t from above, and Newton starts at the least
+    bound.  It falls from there to the root (above 1, as c * f(1) < nu) and
+    stops at its first step that does not lower t.  Each term of f stays at
+    most nu/c and f' >= n: no sum or product tops (n+1)**2 * nu, and none
+    divides by 0.  Where that could overflow, both sides are scaled by a power
+    of two, which moves no rounding."""
+    t = min((nu / (c * a)) ** (1.0 / (n - i)) for i, a in enumerate(coeffs[:n]) if a > 0.0)
+    coeffs = coeffs + [0.0] * (n + 1 - len(coeffs))
     spare = (n + 1) ** 2
-    if nu.max(initial=0.0) > sys.float_info.max / spare:
+    if nu > sys.float_info.max / spare:
         scale = 2.0**-spare.bit_length()
         coeffs, nu = [a * scale for a in coeffs], nu * scale
-    falling = None
     while True:
-        # Horner for f and f', from its second step (the first gives a_0 and 0),
-        # with no product by a_0 = 1.0 and no sum of an a_i = 0 past the list
-        f, df = t if coeffs[0] == 1.0 else coeffs[0] * t, coeffs[0]
-        for i in range(1, n + 1):
-            f = f + coeffs[i] if i < len(coeffs) else f
-            if i < n:
-                f, df = f * t, df * t + f
+        f, df = coeffs[0], 0.0  # Horner for f and f'
+        for a in coeffs[1:]:
+            f, df = f * t + a, df * t + f
         t_next = t - (c * f - nu) / (c * df)
-        falling = t_next < t if falling is None else falling & (t_next < t)
-        if not np.count_nonzero(falling):
+        if not t_next < t:
             return t
-        np.copyto(t, t_next, where=falling)
+        t = t_next
 
 
 def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
@@ -300,7 +287,7 @@ def epsilon0(s: SetDescriptor, p: ProblemParams) -> float:
     count_at = exact_counter(s)
     threshold = p.c + 1.0
     if isinstance(s, PowerSequence):
-        j = math.ceil(threshold)  # at least 2, as c >= 1
+        j = math.ceil(threshold)  # at least 3: c >= d + 1 >= 2 at n = 1, c >= 2 above
         hi, x_j = float(j - 1) ** s.alpha, float(j) ** s.alpha  # libm's pow, as the counter's
         lo, tail = (hi - x_j) / 4.0, x_j / (2.0 * threshold)
         lows = (tail, lo) if tail > lo > 0.0 else (lo,)

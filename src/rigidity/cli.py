@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success (including an empty qualifying region), 2 malformed
 input (unreadable files, bad descriptors, unknown maps, usage errors), 3
-invalid parameters (c below 1, say), an eta, gamma, witness scale or
+invalid parameters (c below its floor, say), an eta, gamma, witness scale or
 sample beyond float range, or a size beyond memory, 4 witness falsified.
 """
 

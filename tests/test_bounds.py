@@ -389,24 +389,25 @@ LAMBDAS = st.sampled_from([0.0, 1e-300, 2.0**-53, 1e-3, 0.5, 1.0, 3.0, 1e150, 1e
 
 class TestSolveEtaBaseline:
     """``solve_eta`` refuses exactly the counts at or below
-    ``rhs_polynomial(..., 1.0)``, which it takes from its own coefficient
-    table: a count one ulp above it passes the check, a count equal to it
-    is refused, entry by entry."""
+    ``rhs_polynomial(..., 1.0)``, whose coefficients it rounds alike, by
+    libm's pow, for scalars and arrays: a count one ulp above it passes the
+    check, a count equal to it is refused, entry by entry, and ``in_E`` and
+    ``rigidity_bound``'s scan draw the same line."""
 
     @given(
-        n=st.integers(1, 3),
-        drop=st.integers(0, 2),
+        n=st.integers(1, 4),
+        drop=st.integers(0, 3),
         d=st.integers(1, 6),
         c=st.floats(1.0, 8.0) | st.sampled_from([1e300]),
         r=st.floats(0.25, 4.0),
-        lams=st.lists(LAMBDAS | st.floats(0.0, 1e308), min_size=3, max_size=3),
+        lams=st.lists(LAMBDAS | st.floats(0.0, 1e308), min_size=4, max_size=4),
         eps=st.lists(st.floats(1e-300, 4.0) | st.sampled_from([5e-324, 1e-100]),
                      min_size=1, max_size=4),
     )
-    @example(n=3, drop=0, d=2, c=1e300, r=4.0, lams=[0.0, 1e300, 1e300], eps=[1e-3, 1.0])
-    @example(n=2, drop=0, d=1, c=1.0, r=1.0, lams=[1e300, 1e300, 1e300], eps=[1e-10, 0.5])
+    @example(n=3, drop=0, d=2, c=1e300, r=4.0, lams=[0.0, 1e300, 1e300, 1e300], eps=[1e-3, 1.0])
+    @example(n=2, drop=0, d=1, c=1.0, r=1.0, lams=[1e300] * 4, eps=[1e-10, 0.5])
     # terms 1, u/2, u/2, u/2 (u = ulp(1)): summed in another order they round to 1 + u
-    @example(n=3, drop=0, d=1, c=1.0, r=1.0, lams=[2.0**-53, 1.0, 1.0], eps=[1.0, 0.5])
+    @example(n=3, drop=0, d=1, c=1.0, r=1.0, lams=[2.0**-53, 1.0, 1.0, 1.0], eps=[1.0, 0.5])
     @settings(max_examples=300, deadline=None)
     def test_refuses_exactly_at_the_baseline(self, n, drop, d, c, r, lams, eps):
         m = max(1, n - drop)
@@ -429,6 +430,29 @@ class TestSolveEtaBaseline:
         for e, b in zip(eps.tolist(), base.tolist()):
             with pytest.raises(ValueError, match="does not exceed the baseline"):
                 solve_eta(p, profile, b, e)
+        # in_E agrees, and a count one float above a finite baseline is solved,
+        # refused only past the float range, in an array and alone
+        assert not in_E(p, profile, base, eps).any()
+        finite = np.isfinite(base)
+        above, eps = above[finite], eps[finite]
+        assert in_E(p, profile, above, eps).all()
+        for nu, e in [(above, eps)] + list(zip(above.tolist(), eps.tolist())):
+            solved = outcome(lambda: np.array(solve_eta(p, profile, nu, e)))
+            assert isinstance(solved, bytes) or "overflows the float range" in solved
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_scans_never_hit_the_solvers_refusal(self, seed):
+        # the scan keeps the radii whose counts beat the baseline over an
+        # array, the solver refuses each entry alone: the two must agree
+        rng = np.random.default_rng([seed, 47])
+        for values in (stratified_uniform(rng, 60), cantor_like(rng, 6), rng.uniform(0, 1, 12)):
+            n = int(rng.integers(3, 5))
+            m, d = int(rng.integers(3, n + 1)), int(rng.integers(1, 6))
+            profile = LambdaProfile(tuple(np.sort(10.0 ** rng.uniform(-9, 0, m))))
+            p = ProblemParams(n, m, d, float(rng.uniform(0.5, 2.0)), c_floor(n, d))
+            s = FinitePoints(values)
+            kept = rigidity_bound(p, profile, s).e_intervals  # no baseline refusal on the way
+            assert in_E(p, profile, covering_counts(s, kept), kept).all()
 
     def test_refuses_bad_radii_and_profiles(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -446,11 +470,11 @@ def outcome(call):
 
 
 class TestSolveEtaErrorScope:
-    """At n >= 2 ``solve_eta`` runs Newton inside the one error-state scope
-    that lets the baseline, the start bounds and eta overflow.  Run with
-    overflow, division by zero and invalid operations raised, Newton's
-    scaling and steps raise none, from counts just above the baseline up to
-    the float range, so the scope hides nothing Newton would report."""
+    """``solve_eta`` solves each entry on Python floats, where an overflowing
+    ``**`` raises ``OverflowError`` and a division by zero
+    ``ZeroDivisionError``.  From counts just above the baseline up to the
+    float range it raises neither, and no numpy float error either: only its
+    documented ``ValueError``s."""
 
     @given(
         n=st.integers(2, 4),
@@ -483,17 +507,14 @@ class TestSolveEtaErrorScope:
         keep = np.isfinite(nu)
         assume(keep.any())
         nu, eps = nu[keep], eps[keep]
-        newton_root = bounds._newton_root
-
-        def raising(*args):
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return newton_root(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "_newton_root", raising)
+        # anything but a ValueError propagates and fails the test
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             solved = outcome(lambda: solve_eta(p, profile, nu, eps))
-        # the etas, or eta past the float range, refused after Newton
+            singles = [outcome(lambda: np.array(solve_eta(p, profile, k, e)))
+                       for k, e in zip(nu.tolist(), eps.tolist())]
+        # the etas, or eta past the float range, refused after the root
         assert isinstance(solved, bytes) or "eta overflows" in solved
+        assert all(isinstance(one, bytes) or "eta overflows" in one for one in singles)
 
 
 class TestArraySolver:
@@ -505,12 +526,47 @@ class TestArraySolver:
         vals = rhs_polynomial(p, profile, eps, etas)
         assert isinstance(vals, np.ndarray) and vals.shape == (3,)
         for e, eta, v in zip(eps.tolist(), etas.tolist(), vals.tolist()):
-            assert v == pytest.approx(rhs_polynomial(p, profile, e, eta), rel=1e-14)
+            assert v == rhs_polynomial(p, profile, e, eta)
         nu = np.ceil(rhs_polynomial(p, profile, eps, 1.0) * 1.5).astype(int)
         assert in_E(p, profile, nu, eps).tolist() == [True] * 3
         solved = solve_eta(p, profile, nu, eps)
         for n_, e, eta in zip(nu.tolist(), eps.tolist(), solved.tolist()):
-            assert eta == pytest.approx(solve_eta(p, profile, n_, e), rel=1e-12)
+            assert eta == solve_eta(p, profile, n_, e)
+
+    @given(
+        n=st.integers(1, 4),
+        drop=st.integers(0, 3),
+        d=st.integers(1, 9),
+        c=st.floats(1.0, 50.0),
+        r=st.floats(0.01, 100.0),
+        lams=st.lists(st.just(0.0) | st.floats(1e-6, 1e3), min_size=4, max_size=4),
+        eps=st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=6),
+        lift=st.just(0.0) | st.floats(2.0**-40, 1e3),
+        eta=st.floats(1.0, 1e6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_array_calls_agree_bit_for_bit(self, n, drop, d, c, r, lams, eps, lift,
+                                                      eta):
+        # every power is libm's, over arrays and on scalars alike
+        m = max(1, n - drop)
+        profile = LambdaProfile(tuple(sorted(lams))[:m])
+        p = ProblemParams(n, m, d, r, max(c, d + 1.0 if n == 1 else c_floor(n, d)))
+        eps = np.array(eps)
+        etas = np.full(eps.size, eta)
+        base, rhs = rhs_polynomial(p, profile, eps, 1.0), rhs_polynomial(p, profile, eps, etas)
+        nu = np.nextafter(base * (1.0 + lift), math.inf)
+        hit = in_E(p, profile, nu, eps)
+        solved = outcome(lambda: solve_eta(p, profile, nu, eps))
+        singles = []
+        for k, e in enumerate(eps.tolist()):
+            assert base[k] == rhs_polynomial(p, profile, e, 1.0)
+            assert rhs[k] == rhs_polynomial(p, profile, e, eta)
+            assert hit[k] == in_E(p, profile, nu[k].item(), e)
+            singles.append(outcome(lambda: np.array(solve_eta(p, profile, nu[k].item(), e))))
+        if isinstance(solved, bytes):
+            assert solved == b"".join(singles)
+        else:  # the first entry refused alone names the array's refusal
+            assert solved == next(one for one in singles if not isinstance(one, bytes))
 
     def test_scalars_give_python_scalars(self):
         assert type(rhs_polynomial(P15, Z1, 0.05, 2.0)) is float
@@ -555,7 +611,6 @@ class TestArraySolver:
                 c = max(c, d + 1.0) if n == 1 else max(c, c_floor(n, d))
                 p = ProblemParams(n=n, m=1, d=d, c=c)
                 counts = rng.integers(math.floor(c) + 1, 10**6, 20)
-                # the array call and a scalar call take different pow routines
                 etas = solve_eta(p, Z1, counts, 1.0).tolist()
                 etas.append(solve_eta(p, Z1, int(counts[0]), 1.0))
                 for nu, eta in zip(counts.tolist() + [int(counts[0])], etas):
@@ -695,23 +750,30 @@ class TestLineSolve:
             solve_eta(P15, LambdaProfile((1e-3,)), np.arange(7, 1007), np.full(1000, 0.5))
             rigidity_bound(P15, Z1, seven_points())
             assert calls == []
+            # above n = 1, once for each entry
             solve_eta(ProblemParams(2, 1, 5, c=9.0), Z1, np.array([10, 12]), 0.5)
-        assert len(calls) == 1
+        assert [args[3] for args in calls] == [10.0, 12.0]
 
     def test_float16_and_float32_counts_return(self):
-        # Newton copied each float64 step into a float32 t, which rounded it
-        # back up, and never stopped; a hang now fails instead of stalling the run
+        # at n = 1 Newton copied each float64 step into a float32 t, which
+        # rounded it back up, and never stopped; above n = 1 it ran in the
+        # counts' precision and returned float16 or float32 etas; a hang now
+        # fails instead of stalling the run
         def stalled(signum, frame):
             raise TimeoutError("solve_eta did not return")
 
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.setitimer(signal.ITIMER_REAL, 10.0)
         try:
-            for counts, dtype in (([7.5, 9.25], np.float32), ([7, 9], np.float16)):
-                args = ProblemParams(1, 1, 5), LambdaProfile((1e-3,))
-                etas = solve_eta(*args, np.array(counts, dtype=dtype), [0.5, 0.05])
-                assert etas.tobytes() == solve_eta(*args, np.array(counts, dtype=float),
-                                                   [0.5, 0.05]).tobytes()
+            for p in (P15, ProblemParams(2, 1, 5, c=9.0), ProblemParams(3, 1, 5, c=27.0)):
+                lift = p.c - 6.0  # the n = 1 counts, as far above the baseline
+                for counts, dtype in (([7.5, 9.25], np.float32), ([7, 9], np.float16)):
+                    for profile in (Z1, LambdaProfile((1e-3,))):
+                        counts64 = np.array(counts) + lift
+                        etas = solve_eta(p, profile, counts64.astype(dtype), [0.5, 0.05])
+                        assert etas.dtype == float
+                        assert etas.tobytes() == solve_eta(p, profile, counts64,
+                                                           [0.5, 0.05]).tobytes()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
@@ -719,15 +781,18 @@ class TestLineSolve:
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float16, np.float32,
                                        np.float64, np.longdouble])
     def test_counts_of_every_dtype_solve_as_float64(self, dtype):
-        nu, eps = np.array([7, 9, 40]).astype(dtype), np.array([0.5, 0.2, 0.05])
-        for profile in (Z1, LambdaProfile((1e-3,))):
-            if dtype is bool:  # a true count is 1, below every baseline
-                with pytest.raises(ValueError, match="count True does not exceed the baseline 6"):
-                    solve_eta(P15, profile, nu, eps)
-                continue
-            etas = solve_eta(P15, profile, nu, eps)
-            assert etas.dtype == float
-            assert etas.tobytes() == solve_eta(P15, profile, nu.astype(float), eps).tobytes()
+        eps = np.array([0.5, 0.2, 0.05])
+        for p in (P15, ProblemParams(2, 1, 5, c=9.0), ProblemParams(3, 1, 5, c=27.0)):
+            nu = (np.array([7, 9, 40]) + int(p.c) - 6).astype(dtype)
+            for profile in (Z1, LambdaProfile((1e-3,))):
+                if dtype is bool:  # a true count is 1, below every baseline
+                    with pytest.raises(ValueError, match=f"count True does not exceed the "
+                                                         f"baseline {p.c:g}"):
+                        solve_eta(p, profile, nu, eps)
+                    continue
+                etas = solve_eta(p, profile, nu, eps)
+                assert etas.dtype == float
+                assert etas.tobytes() == solve_eta(p, profile, nu.astype(float), eps).tobytes()
 
     @pytest.mark.parametrize("nu, eps, message", [
         ([7.0, 1e300], [0.5, 0.5], "eta overflows the float range at c = 6"),
